@@ -1,8 +1,8 @@
 """Certify geometric Picard rank 1 by counting points over F_{3^n}.
 
 Counting the double cover over F_3 up to F_3^6 takes a fraction of a second
-with the orbit kernel (pass depth=10 to recompute the full series; it takes a
-minute or two).  The counts determine the Frobenius characteristic polynomial
+with the orbit kernel (pass depth=10 to recompute the full series; it takes
+seconds).  The counts determine the Frobenius characteristic polynomial
 on middle cohomology up to the sign of its functional equation; the sign is
 fixed by the requirement that all roots have modulus 3.  Exactly two
 normalized eigenvalues are roots of unity, so the geometric Picard rank over

@@ -3,9 +3,9 @@ distinct-degree splitting and root finding in extensions.
 
 Fields are immutable and cached; elements are lightweight wrappers so the
 generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
-Small fields (order <= 2^20) additionally carry numpy log/antilog and
-digit-split addition tables; the point-counting kernel works on those raw
-arrays directly.
+Small fields (order <= 2^20) additionally carry numpy discrete-log and
+Zech-logarithm tables; the point-counting kernel works on those raw arrays
+directly, in the log domain.
 """
 
 from __future__ import annotations
@@ -314,56 +314,42 @@ class ExtensionField(FiniteField):
 
 
 class FieldTables:
-    """Log/antilog, digit-split addition, Frobenius and exact-degree tables
-    for a small field, int-encoded.
+    """Discrete-log, Zech-log, Frobenius and exact-degree tables for a small
+    field whose elements are int-encoded by their base-p digits.
 
-    Prime fields skip the addition tables (plain mod-p arithmetic is faster
-    and a p-by-p table would not fit for table-limit-sized p).
+    With m = q - 1 and a generator g, ``log[x]`` is the discrete log of x != 0
+    and ``log[0] = zero``, a sentinel past any sum of three logs
+    (``zero = 3m - 2``).  For k < zero, ``exp[k] = g^k`` and
+    ``zech[k] = log(1 + g^k)``, the Zech logarithm, which is the sentinel where
+    1 + g^k = 0; ``exp[zero] = 0`` and ``zech[zero] = 0``.  Lookups use
+    ``take(..., mode="clip")``, so any index past the sentinel reads those
+    last entries: a product with a factor 0 is 0 and 0 + c is c, and no
+    operation branches on zero.
     """
 
     def __init__(self, field: FiniteField):
         p = field.characteristic
         q = field.order
         n = field.degree
+        m = q - 1
         self.field = field
         self.p, self.q, self.n = p, q, n
+        self.zero = zero = 3 * m - 2
         gen = _find_generator(field)
-        exp = np.zeros(q - 1, dtype=np.int64)
-        cur = field.one
-        for k in range(q - 1):
-            exp[k] = field.encode(cur)
-            cur = cur * gen
-        self.exp = exp
         self.generator = gen
-        log0 = np.full(q, 2 * (q - 1), dtype=np.int64)
-        log0[exp] = np.arange(q - 1)
-        self.log0 = log0
-        expext = np.zeros(4 * (q - 1) + 4, dtype=np.int64)
-        expext[: q - 1] = exp
-        expext[q - 1 : 2 * (q - 1)] = exp
-        self.expext = expext
-        if n == 1:
-            self.h = 0
-            self.addt = None
-        else:
-            hd = (n + 1) // 2
-            h = p**hd
-            self.h = h
-            digits = np.arange(h)
-            expanded = np.zeros((hd, h), dtype=np.int64)
-            rest = digits.copy()
-            for i in range(hd):
-                expanded[i] = rest % p
-                rest //= p
-            addt = np.zeros((h, h), dtype=np.int64)
-            weights = p ** np.arange(hd)
-            for a in range(h):
-                addt[a] = ((expanded[:, a][:, None] + expanded) % p * weights[:, None]).sum(axis=0)
-            self.addt = addt
+        powers = _powers(field, gen, m)
+        log = np.empty(q, dtype=np.int32)
+        log[powers] = np.arange(m)
+        log[0] = zero
+        self.log = log
+        self.exp = np.resize(powers, zero + 1)
+        self.exp[zero] = 0
+        # x + 1 adds 1 to the lowest base-p digit of x
         ar = np.arange(q)
+        plus_one = ar - ar % p + (ar + 1) % p
+        self.zech = log[plus_one[self.exp]]
         frob = np.zeros(q, dtype=np.int64)
-        nz = ar != 0
-        frob[nz] = exp[(log0[ar[nz]] * p) % (q - 1)]
+        frob[powers] = powers[np.arange(m) * p % m]
         self.frob = frob
         deg = np.zeros(q, dtype=np.int64)
         cur_map = frob.copy()
@@ -378,24 +364,16 @@ class FieldTables:
         self.deg = deg
 
     def vmul(self, u, v):
-        return self.expext[self.log0[u] + self.log0[v]]
+        return self.exp.take(self.log[u] + self.log[v], mode="clip")
 
     def vadd(self, u, v):
-        if self.addt is None:
-            return (u + v) % self.p
-        h = self.h
-        return self.addt[u % h, v % h] + h * self.addt[u // h, v // h]
-
-    def smul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log0[a]) + int(self.log0[b])) % (self.q - 1)])
-
-    def sadd(self, a: int, b: int) -> int:
-        if self.addt is None:
-            return (a + b) % self.p
-        h = self.h
-        return int(self.addt[a % h, b % h]) + h * int(self.addt[a // h, b // h])
+        """u + v = u (1 + v/u), with u the operand of smaller log, so that a
+        zero operand is v; adding q - 1 to the Zech index keeps it past the
+        sentinel when v is 0."""
+        lu, lv = self.log[u], self.log[v]
+        lo = np.minimum(lu, lv)
+        ratio = np.maximum(lu, lv) - lo + (self.q - 1)
+        return self.exp.take(lo + self.zech.take(ratio, mode="clip"), mode="clip")
 
     def orbit_reps(self):
         """(representative, orbit size) for the Frobenius orbits, the
@@ -409,6 +387,24 @@ class FieldTables:
             cur = self.frob[cur]
         reps = np.nonzero(orbmin == ar)[0]
         return [(int(r), int(self.deg[r])) for r in reps]
+
+
+def _powers(field: FiniteField, g: FFElem, count: int) -> np.ndarray:
+    """Encodings of g^0 .. g^(count-1).  Each doubling step multiplies the
+    block found so far by the next power g^k, a linear map on base-p digit
+    vectors whose matrix has the digits of t^i g^k as rows."""
+    p, n = field.characteristic, field.degree
+    weights = p ** np.arange(n)
+    digits = np.zeros((count, n), dtype=np.int64)
+    digits[0, 0] = 1
+    k, h = 1, g
+    while k < count:
+        rows = np.array([field.encode(field.decode(int(w)) * h) for w in weights])
+        block = digits[k : 2 * k]
+        np.matmul(digits[: len(block)], rows[:, None] // weights % p, out=block)
+        block %= p
+        k, h = 2 * k, h * h
+    return (digits @ weights).astype(np.int32)
 
 
 def _find_generator(field: ExtensionField) -> FFElem:

@@ -11,6 +11,13 @@ coordinate, so one sweep yields the per-degree tallies (A_d, B_d, Z_d) of
 points with quadratic character +1, -1 and 0.  Every N_n then assembles from
 the tallies of the divisors of n through the character transfer rule
 chi_n = chi_d^(n/d).
+
+A sweep never leaves discrete-log form.  The seven coefficients c_k(y) of
+f(1, y, z) in z are found for all orbit representatives at once, then the
+Horner evaluation over all z in F_{p^d} runs on logs: multiplying by z adds
+log z, and adding a constant c is log c + Z(log v - log c) with the Zech
+logarithm Z(k) = log(1 + g^k).  Zero is a sentinel log that the tables
+absorb, and chi(v) is the parity of log v because q - 1 is even.
 """
 
 from __future__ import annotations
@@ -18,12 +25,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
 from .poly import ProjLine, TernaryForm, UniPoly, restrict_to_line, squarefree_decomposition
-from .finitefield import FiniteField, fq, prime_field, quadratic_character
+from .finitefield import TABLE_LIMIT, FiniteField, fq, prime_field, quadratic_character
 from .surface import K3Surface, is_smooth_curve, reduce_mod
 
 
@@ -63,67 +70,53 @@ def _int_coefficients_mod(f: TernaryForm, p: int) -> dict:
 def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
     """Tallies (A_d, B_d, Z_d) of exact-degree-d points of P^2 by the
     quadratic character of f, from one vectorised sweep of P^2(F_{p^d})."""
-    field = fq(p, d)
-    tables = field.tables
-    q = tables.q
-    ar = np.arange(q)
-    counts = np.zeros((d + 1, 3), dtype=np.int64)
-    lcmtab = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for e in range(1, d + 1):
-        for dd in range(1, d + 1):
-            lcmtab[e, dd] = lcm(e, dd)
-    degz = tables.deg.copy()
-    degz[0] = 1
-    # chart x0 = 1: f(1, y, z) = sum_k c_k(y) z^k with c_k(y) = sum_j a[j,k] y^j
-    ajk = {(e1, e2): c for (e0, e1, e2), c in fcoef.items()}
-    chi = np.empty(q, dtype=np.int64)
-    for y, e in tables.orbit_reps():
-        ypow = [1]
-        for _ in range(6):
-            ypow.append(tables.smul(ypow[-1], y))
-        ck = []
-        for k in range(7):
-            acc = 0
-            for j in range(7 - k):
-                c = ajk.get((j, k), 0)
-                if c:
-                    acc = tables.sadd(acc, tables.smul(c, ypow[j]))
-            ck.append(acc)
-        v = np.full(q, ck[6], dtype=np.int64)
-        for k in range(5, -1, -1):
-            v = tables.vmul(v, ar)
-            if ck[k]:
-                v = tables.vadd(v, np.full(q, ck[k], dtype=np.int64))
-        lv = tables.log0[v]
-        np.copyto(chi, 1 + (lv & 1))
-        chi[v == 0] = 0
-        key = lcmtab[e, degz] * 3 + chi
-        counts += e * np.bincount(key, minlength=3 * (d + 1)).reshape(d + 1, 3)
-    # chart x0 = 0, x1 = 1
-    gz = [0] * 7
-    for (e0, e1, e2), c in fcoef.items():
-        if e0 == 0:
-            gz[e2] = c
-    v = np.full(q, gz[6], dtype=np.int64)
-    for k in range(5, -1, -1):
-        v = tables.vmul(v, ar)
-        if gz[k]:
-            v = tables.vadd(v, np.full(q, gz[k], dtype=np.int64))
-    lv = tables.log0[v]
-    np.copyto(chi, 1 + (lv & 1))
-    chi[v == 0] = 0
-    key = degz * 3 + chi
-    counts += np.bincount(key, minlength=3 * (d + 1)).reshape(d + 1, 3)
-    # the point [0:0:1]
-    c001 = fcoef.get((0, 0, 6), 0)
-    if c001 == 0:
-        counts[1, 0] += 1
-    elif pow(c001, (p - 1) // 2, p) == 1:
-        counts[1, 1] += 1
-    else:
-        counts[1, 2] += 1
-    z, a, b = counts[d]
-    return int(a), int(b), int(z)
+    t = fq(p, d).tables
+    m, zero = t.q - 1, t.zero
+    reps = t.orbit_reps()
+    # f(1, y, z) = sum_k c_k(y) z^k with c_k(y) = sum_j a[j,k] y^j, one column
+    # per orbit representative y; the last column is the chart x0 = 0, x1 = 1,
+    # a slice of degree 1 like y = 0
+    ys = np.array([y for y, _ in reps])
+    ypow = [np.ones_like(ys)]
+    for _ in range(6):
+        ypow.append(t.vmul(ypow[-1], ys))
+    c = np.zeros((7, len(ys) + 1), dtype=np.int64)
+    for (e0, e1, e2), coef in fcoef.items():
+        if coef:
+            c[e2, :-1] = t.vadd(c[e2, :-1], t.vmul(coef, ypow[e1]))
+            if e0 == 0:
+                c[e2, -1] = coef
+    degrees = [e for _, e in reps] + [1]
+    # a point [1:y:z] with y of degree e has exact degree lcm(e, deg z)
+    exact = {e: np.flatnonzero(np.lcm(e, t.deg) == d) for e in set(degrees) if e != d}
+    log_one = np.zeros(t.q, dtype=np.int32)
+    log_zero = np.full(t.q, zero, dtype=np.int32)
+    counts = np.zeros(3, dtype=np.int64)
+    for lc, e in zip(t.log[c].T.tolist(), degrees):
+        # Horner in z in the log domain: f at z is g^(a[z] + s), or 0 where
+        # a[z] is the sentinel.  Multiplying by z adds log z; adding c_k != 0
+        # is log c_k + zech[log v - log c_k].
+        top = max((k for k in range(7) if lc[k] != zero), default=None)
+        a, s = (log_zero, 0) if top is None else (log_one, lc[top])
+        for k in range((top or 0) - 1, -1, -1):
+            if lc[k] == zero:
+                a = t.log[t.exp.take(a + t.log, mode="clip")]
+            else:
+                x = a + t.log
+                x += (s - lc[k]) % m
+                a, s = t.zech.take(x, mode="clip"), lc[k]
+        if e != d:
+            a = a[exact[e]]
+        # chi is the parity of the log, since q - 1 is even; the sentinel is even
+        nzero = np.count_nonzero(a == zero)
+        odd = np.count_nonzero(a & 1)
+        even = len(a) - nzero - odd
+        counts += e * np.array([odd, even, nzero] if s & 1 else [even, odd, nzero])
+    if d == 1:  # the point [0:0:1]
+        c001 = fcoef.get((0, 0, 6), 0)
+        counts[2 if c001 == 0 else (0 if pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
+    a_d, b_d, z_d = counts
+    return int(a_d), int(b_d), int(z_d)
 
 
 @dataclass
@@ -172,6 +165,11 @@ def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
         raise CountingError("characteristic 2 is unsupported")
     if f.degree != 6:
         raise CountingError("the branch form must be a sextic")
+    over = next((n for n in range(1, max_n + 1) if p**n > TABLE_LIMIT), None)
+    if over is not None:
+        raise CountingError(
+            f"degree {over}: F_{p}^{over} has {p**over} elements, over the field-table limit {TABLE_LIMIT}"
+        )
     fcoef = _int_coefficients_mod(f, p)
     if not any(fcoef.values()):
         raise CountingError(f"form vanishes identically mod {p}")

@@ -4,24 +4,6 @@ from k3hasse.pipeline import load_fixtures
 from k3hasse.surface import build_k3
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-count",
-        action="store_true",
-        default=False,
-        help="run the exhaustive point counts to F_3^10 (minutes of work)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--full-count"):
-        return
-    skip = pytest.mark.skip(reason="needs --full-count")
-    for item in items:
-        if "fullcount" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def fixtures():
     return load_fixtures()

@@ -2,15 +2,12 @@
 
 Each test realises one numbered criterion at its stated tolerance (exact
 values, stated runtime caps) and prints a single pass line; a failure of any
-assertion is a failure of the criterion.  Criterion 2's exhaustive counts to
-F_3^10 run under ``pytest --full-count``.
+assertion is a failure of the criterion.
 """
 
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from k3hasse.arith import cofactor_gcd, probable_prime, strip_small_factors
 from k3hasse.badred import is_bad_prime, singular_points
@@ -76,9 +73,8 @@ def test_criterion_2_count_series(example_sextic, fixtures):
     _report("2: count series N_1..N_6", time.time() - t0, 10.0)
 
 
-@pytest.mark.fullcount
 def test_criterion_2_full_count(example_sextic, fixtures):
-    """N_7..N_10 exactly under the full count (hour-scale budget)."""
+    """N_1..N_10 exactly, recomputed to F_3^10 (hour-scale budget)."""
     t0 = time.time()
     series = count_series(example_sextic, 3, 10)
     assert tuple(series.counts) == fixtures.counts

@@ -145,25 +145,33 @@ def test_extension_field_arithmetic_axioms():
     assert g ** (field.order - 1) == field.one
 
 
-def test_tables_agree_with_scalar_arithmetic():
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 5), (3, 9), (7, 1)])
+def test_tables_agree_with_scalar_arithmetic(p, n):
     import numpy as np
 
-    field = fq(3, 5)
+    field = fq(p, n)
     t = field.tables
     rng = random.Random(43)
-    xs = np.array([rng.randrange(field.order) for _ in range(200)])
-    ys = np.array([rng.randrange(field.order) for _ in range(200)])
+    xs = [rng.randrange(field.order) for _ in range(200)]
+    ys = [rng.randrange(field.order) for _ in range(200)]
+    # the operands a log-domain add can get wrong: 0 on either side,
+    # u + (-u) where 1 + g^k = 0, and u + u
+    for u in xs[:20]:
+        neg = field.encode(-field.decode(u))
+        xs += [0, u, u, u, 0]
+        ys += [u, 0, neg, u, 0]
+    xs, ys = np.array(xs), np.array(ys)
     vm = t.vmul(xs, ys)
     va = t.vadd(xs, ys)
-    for i in range(200):
+    for i in range(len(xs)):
         a, b = field.decode(int(xs[i])), field.decode(int(ys[i]))
         assert int(vm[i]) == field.encode(a * b)
         assert int(va[i]) == field.encode(a + b)
     # Frobenius table
     fr = t.frob[xs]
-    for i in range(200):
+    for i in range(len(xs)):
         a = field.decode(int(xs[i]))
-        assert int(fr[i]) == field.encode(a ** 3)
+        assert int(fr[i]) == field.encode(a ** field.characteristic)
 
 
 def test_orbit_reps_cover_the_field():

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from k3hasse.finitefield import fq, prime_field, quadratic_character
+from k3hasse.finitefield import TABLE_LIMIT, fq, prime_field, quadratic_character
 from k3hasse.picard import (
     CountSeries,
     CountingError,
@@ -48,16 +48,45 @@ def test_count_series_matches_fixture_prefix(example_sextic, fixtures):
     assert tuple(series.counts) == fixtures.counts[:6]
 
 
-def test_naive_and_orbit_agree_on_random_sextics():
-    rng = random.Random(37)
+def _sextic(rng, p, kind):
     mons = monomials_of_degree(6)
-    for trial in range(10):
-        f = TernaryForm(6, {m: rng.randrange(0, 3) for m in mons})
+    if kind == "x1^6+x2^6":
+        return TernaryForm(6, {(0, 6, 0): 1, (0, 0, 6): 1})
+    if kind == "no-z6":  # sparse, c_6(y) = 0 and some other c_k(y) vanish
+        return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] < 6 and rng.random() < 0.4})
+    if kind == "x0-multiple":  # the chart x0 = 0 is identically zero
+        return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[0] > 0})
+    return TernaryForm(6, {m: rng.randrange(p) for m in mons})
+
+
+@pytest.mark.parametrize(
+    "p, max_n, kind, trials",
+    [
+        (3, 4, "dense", 10),
+        (3, 4, "no-z6", 3),
+        (3, 4, "x0-multiple", 3),
+        (3, 4, "x1^6+x2^6", 1),
+        (5, 3, "dense", 2),
+        (7, 2, "dense", 3),
+    ],
+    ids=["p3-dense", "p3-no-z6", "p3-x0-multiple", "p3-x1^6+x2^6", "p5-dense", "p7-dense"],
+)
+def test_naive_and_orbit_agree_on_random_sextics(p, max_n, kind, trials):
+    rng = random.Random(37)
+    for trial in range(trials):
+        f = _sextic(rng, p, kind)
         if f.is_zero():
             continue
-        series = count_series(f, 3, 4)
-        for n in range(1, 5):
-            assert series.counts[n - 1] == count_points(f, 3, n, strategy="naive"), (trial, n)
+        series = count_series(f, p, max_n)
+        for n in range(1, max_n + 1):
+            assert series.counts[n - 1] == count_points(f, p, n, strategy="naive"), (trial, n)
+
+
+def test_count_series_rejects_fields_over_the_table_limit():
+    f = TernaryForm(6, {(6, 0, 0): 1, (0, 0, 6): 1})
+    for p, max_n, first in ((1031, 2, 2), (3, 13, 13), (1048583, 1, 1)):
+        with pytest.raises(CountingError, match=f"degree {first}: .*limit {TABLE_LIMIT}"):
+            count_series(f, p, max_n)
 
 
 def test_orbit_tallies_match_naive_point_classification(example_sextic):
