@@ -11,7 +11,9 @@ each singular locus: ordinary double points only, fewer than eight, which is
 the hypothesis forcing constant invariants at these places.
 """
 
-from k3hasse.arith import cofactor_gcd, probable_prime, strip_small_factors
+from math import gcd
+
+from k3hasse.arith import probable_prime, strip_small_factors
 from k3hasse.badred import is_bad_prime, singular_points
 from k3hasse.pipeline import load_fixtures
 from k3hasse.surface import build_k3
@@ -25,7 +27,7 @@ print("m' has", len(str(m_prime)), "digits")
 factors_n, n_prime = strip_small_factors(fx.n)
 print("n =", " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors_n), "* n'")
 
-g = cofactor_gcd(m_prime, n_prime)
+g = gcd(m_prime, n_prime)
 print("\ngcd(m', n') has", len(str(g)), "digits; probable prime:", probable_prime(g))
 cofactor = m_prime // g
 print("m' / gcd = (66-digit prime)^2:", cofactor == fx.prime66**2, "| prime:", probable_prime(fx.prime66))

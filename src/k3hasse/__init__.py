@@ -4,7 +4,7 @@ Hasse principle.
 
 The package is organised bottom-up:
 
-- ``arith``:       exact integer services (probable primes, trial division, gcd)
+- ``arith``:       exact integer services (probable primes, trial division)
 - ``poly``:        ternary forms and univariate polynomials over exact rings
 - ``finitefield``: F_p and F_{p^n} arithmetic, characters, root finding
 - ``localfield``:  places of Q, p-adic squares, Hilbert symbols

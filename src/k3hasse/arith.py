@@ -100,12 +100,3 @@ def strip_small_factors(n: int, bound: int = 10**6) -> tuple[list[tuple[int, int
         factors.append((n, 1))
         n = 1
     return factors, n
-
-
-def cofactor_gcd(a: int, b: int) -> int:
-    """Greatest common divisor by the Euclidean algorithm."""
-    if a <= 0 or b <= 0:
-        raise ValueError("cofactor_gcd requires positive inputs")
-    while b:
-        a, b = b, a % b
-    return a

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .poly import (
     TernaryForm,
@@ -27,13 +29,7 @@ from .poly import (
     squarefree_part,
     ternary_to_t_over_u,
 )
-from .finitefield import (
-    ExtensionField,
-    FiniteField,
-    irreducible_factors,
-    is_irreducible,
-    prime_field,
-)
+from .finitefield import ExtensionField, fq, irreducible_factors, prime_field
 
 
 class DegenerateReduction(ValueError):
@@ -110,34 +106,16 @@ def _finite_pairs(fld):
         raise NotImplementedError("regularization over a large extension field")
 
 
-def _extend_field(fld: FiniteField) -> ExtensionField:
-    """A small-degree extension of fld found by modulus search."""
-    for deg in (2, 3):
-        for k in range(fld.order**deg):
-            digits = []
-            kk = k
-            for _ in range(deg):
-                digits.append(fld.decode(kk % fld.order))
-                kk //= fld.order
-            cand = UniPoly(digits + [fld.one])
-            if cand.degree == deg and is_irreducible(cand, fld):
-                return ExtensionField(fld, cand)
-    raise AssertionError("no irreducible extension modulus found")
-
-
-def _lift_form(form: TernaryForm, dst) -> TernaryForm:
-    """Embed a form's coefficients into the extension dst of their field."""
-    return form.map_coefficients(lambda c: dst.from_base(c))
-
-
 def regularize(system: list[TernaryForm], fld, allow_extension=True):
     """Find a coordinate change x0 -> x0 + a*x2, x1 -> x1 + b*x2 after which no
     form of the system vanishes at [0:0:1].
 
-    Over a tiny field the frame may need a scalar extension (singularity over
-    the closure is insensitive to it); ``allow_extension=False`` forbids that
-    and raises instead.  Returns (field, a, b, transformed_system) with a, b
-    elements of the returned field.
+    The field is Q or a prime field F_p.  Over a tiny F_p the frame may need
+    a scalar extension (singularity over the closure is insensitive to it):
+    the system is lifted into F_{p^2}, then F_{p^4}, and so on, until a frame
+    exists; ``allow_extension=False`` forbids that and raises instead.
+    Returns (field, a, b, transformed_system) with a, b elements of the
+    returned field.
     """
     if fld.characteristic == 0:
         k = 0
@@ -154,11 +132,10 @@ def regularize(system: list[TernaryForm], fld, allow_extension=True):
         for ea, eb in _finite_pairs(current):
             if all(g.evaluate((ea, eb, current.one)) for g in cur_system):
                 return current, ea, eb, _transform_system(cur_system, current, ea, eb)
-        if not allow_extension:
+        if not allow_extension or fld.degree != 1:
             raise RegularizationError("no regularizing frame over the base field")
-        ext = _extend_field(current)
-        cur_system = [_lift_form(g, ext) for g in cur_system]
-        current = ext
+        current = fq(fld.characteristic, 2 * current.degree)
+        cur_system = [g.map_coefficients(current.from_base) for g in system]
 
 
 def _transform_system(system, fld, ea, eb):
@@ -213,6 +190,7 @@ def _pairwise_resultant_gcd(polys: list[UniPoly], gcd_fn):
     return G, None
 
 
+@lru_cache(maxsize=64)
 def singular_locus_nonempty(f: TernaryForm) -> bool:
     """Does f = 0 have a singular point over the algebraic closure?"""
     if f.is_zero():
@@ -226,8 +204,6 @@ def singular_locus_nonempty(f: TernaryForm) -> bool:
 
 def _clear_denominators(f: TernaryForm) -> TernaryForm:
     """Scale a rational form to integer coefficients (same zero locus)."""
-    from math import lcm
-
     denom = 1
     for c in f.terms.values():
         denom = lcm(denom, Fraction(c).denominator)
@@ -330,10 +306,6 @@ def _split_common_factor(system, fld, pair) -> bool:
 class _Split(Exception):
     def __init__(self, divisor: UniPoly):
         self.divisor = divisor
-
-
-def _d5_red(c: UniPoly, B: UniPoly) -> UniPoly:
-    return c % B
 
 
 def _d5_inv(c: UniPoly, B: UniPoly) -> UniPoly:
@@ -439,7 +411,7 @@ def is_bad_prime(f: TernaryForm, p: int) -> bool:
     fp = f.map_coefficients(lambda c: fld.from_int(c))
     if fp.is_zero():
         raise DegenerateReduction(f"the form vanishes identically mod {p}")
-    return _system_has_common_zero(jacobian_system(fp), fld)
+    return singular_locus_nonempty(fp)
 
 
 @dataclass
@@ -528,9 +500,9 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     fp = f.map_coefficients(lambda c: fld.from_int(c))
     if fp.is_zero():
         raise DegenerateReduction(f"the form vanishes identically mod {p}")
-    system = [g for g in jacobian_system(fp) if not g.is_zero()]
-    if not _system_has_common_zero(system, fld):
+    if not singular_locus_nonempty(fp):
         raise NotBadPrime(f"{p} is a prime of good reduction")
+    system = [g for g in jacobian_system(fp) if not g.is_zero()]
     reg_fld, ea, eb, tsystem = regularize(system, fld, allow_extension=False)
     notes: list[str] = []
     points: list[SingularPoint] = []
@@ -546,10 +518,7 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         pivot = next(c for c in x if c)
         inv = host_fld.one / pivot
         x = tuple(c * inv for c in x)
-        rdeg = 1
-        for c in x:
-            e = host_fld.element_degree(c)
-            rdeg = rdeg * e // _gcd(rdeg, e)
+        rdeg = lcm(*(host_fld.element_degree(c) for c in x))
         kind = _classify_point(fp, x, host_fld)
         points.append(SingularPoint(coords=x, residue_degree=rdeg, kind=kind))
 
@@ -642,24 +611,11 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     )
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass
 class BadPrimeAttestation:
     bad_confirmed: list[int]
     good_confirmed: list[int]
     notes: list[str]
-
-    def to_json_dict(self):
-        return {
-            "bad_confirmed": [str(p) for p in self.bad_confirmed],
-            "good_confirmed": [str(p) for p in self.good_confirmed],
-            "notes": self.notes,
-        }
 
 
 def verify_bad_prime_list(f: TernaryForm, primes, good_spot_checks) -> BadPrimeAttestation:

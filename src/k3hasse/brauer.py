@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .arith import probable_prime
 from .localfield import INV_HALF, INV_ZERO, Invariant, Place, hilbert_symbol, invariant_sum, padic_square
 from .poly import TernaryForm
 from .surface import K3Surface, QuadricSextet, check_2adic_conditions, check_real_conditions
@@ -194,7 +195,7 @@ def certify_everywhere_local(X: K3Surface, bad_primes, box: int = 1) -> LocalPoi
     prime; all remaining places are attested by smooth reduction plus the Weil
     bound (a smooth F_p-point exists for p > 22 and lifts by Hensel)."""
     places = [Place.real()]
-    small = [p for p in range(2, SMALL_PLACE_BOUND + 1) if _is_small_prime(p)]
+    small = [p for p in range(2, SMALL_PLACE_BOUND + 1) if probable_prime(p)]
     listed = sorted({int(p) for p in bad_primes})
     for p in small:
         places.append(Place.finite(p))
@@ -220,10 +221,6 @@ def certify_everywhere_local(X: K3Surface, bad_primes, box: int = 1) -> LocalPoi
         ),
         notes=notes,
     )
-
-
-def _is_small_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, p))
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,8 @@ def fq(p: int, n: int) -> FiniteField:
     of coefficient vectors (c_0, ..., c_{n-1}) as base-p digits, so fields are
     reproducible across runs.
     """
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
     base = prime_field(p)
     if n == 1:
         return base
@@ -476,15 +478,6 @@ def fq(p: int, n: int) -> FiniteField:
         if cand.degree == n and is_irreducible(cand, base):
             return ExtensionField(base, cand)
     raise AssertionError("no irreducible modulus found")
-
-
-def make_field(p: int, n: int) -> FiniteField:
-    """Construct F_{p^n} with the deterministic modulus choice."""
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    if not probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return fq(p, n)
 
 
 def quadratic_character(a: FFElem) -> int:

@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .poly import ProjLine, TernaryForm, UniPoly, restrict_to_line, squarefree_decomposition
-from .finitefield import TABLE_LIMIT, FiniteField, fq, prime_field, quadratic_character
+from .finitefield import TABLE_LIMIT, FiniteField, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
 
 
@@ -178,56 +178,9 @@ def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
     return CountSeries(p=p, max_n=max_n, counts=counts, tallies=tallies)
 
 
-def _count_naive(f: TernaryForm, p: int, n: int) -> int:
-    """Independent scalar count: enumerate P^2(F_{p^n}) and sum 1 + chi(f(P)).
-
-    Plain field-element arithmetic, no tables and no orbit logic; the charts
-    are swept with Horner in the last coordinate to keep this usable as a
-    test oracle up to F_81.
-    """
-    field = fq(p, n)
-    fcoef = _int_coefficients_mod(f, p)
-    elems = list(field.elements())
-    chi_of = {field.encode(v): quadratic_character(v) for v in elems}
-    consts = {c: field.from_int(c) for c in set(fcoef.values())}
-    zero = field.zero
-    total = 0
-    for y in elems:
-        ypow = [field.one]
-        for _ in range(6):
-            ypow.append(ypow[-1] * y)
-        ck = [zero] * 7
-        for (e0, e1, e2), c in fcoef.items():
-            ck[e2] = ck[e2] + consts[c] * ypow[e1]
-        for z in elems:
-            v = ck[6]
-            for k in range(5, -1, -1):
-                v = v * z + ck[k]
-            total += 1 + chi_of[field.encode(v)]
-    gz = [zero] * 7
-    for (e0, e1, e2), c in fcoef.items():
-        if e0 == 0:
-            gz[e2] = consts[c]
-    for z in elems:
-        v = gz[6]
-        for k in range(5, -1, -1):
-            v = v * z + gz[k]
-        total += 1 + chi_of[field.encode(v)]
-    total += 1 + chi_of[field.encode(field.from_int(fcoef.get((0, 0, 6), 0)))]
-    return total
-
-
-def count_points(f: TernaryForm, p: int, n: int, strategy: str = "orbit") -> int:
+def count_points(f: TernaryForm, p: int, n: int) -> int:
     """N = #{P in P^2(F_{p^n})} weighted by 1 + chi(f(P)): the point count of
     the double cover w^2 = f."""
-    if strategy == "naive":
-        if p == 2:
-            raise CountingError("characteristic 2 is unsupported")
-        N = _count_naive(f, p, n)
-        check_weil_bound(p, n, N)
-        return N
-    if strategy != "orbit":
-        raise ValueError(f"unknown strategy {strategy!r}")
     return count_series(f, p, n).counts[n - 1]
 
 
@@ -481,11 +434,11 @@ def unit_root_bound(fd: FrobeniusData) -> int:
 # Tritangent lines
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TritangentScan:
     prime: int
     line: ProjLine | None
-    degenerate_lines: list[ProjLine]
+    degenerate_lines: tuple[ProjLine, ...]
     lines_scanned: int
 
 
@@ -512,6 +465,7 @@ def _is_square_binary_form(g: UniPoly, degree: int) -> bool:
     return all(m % 2 == 0 for _, m in squarefree_decomposition(g))
 
 
+@functools.lru_cache(maxsize=64)
 def tritangent_scan(f: TernaryForm, p: int) -> TritangentScan:
     """Scan every line of P^2(F_p) for tritangency: the restriction of f must
     be a nonzero constant times a perfect square."""
@@ -526,8 +480,8 @@ def tritangent_scan(f: TernaryForm, p: int) -> TritangentScan:
             degenerate.append(line)
             continue
         if _is_square_binary_form(g, ff.degree):
-            return TritangentScan(prime=p, line=line, degenerate_lines=degenerate, lines_scanned=scanned)
-    return TritangentScan(prime=p, line=None, degenerate_lines=degenerate, lines_scanned=scanned)
+            return TritangentScan(p, line, tuple(degenerate), scanned)
+    return TritangentScan(p, None, tuple(degenerate), scanned)
 
 
 def find_tritangent(f: TernaryForm, p: int) -> ProjLine | None:

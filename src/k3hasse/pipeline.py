@@ -1,17 +1,22 @@
-"""The end-to-end search pipeline and the worked verification.
+"""The certificate, the staged search and the worked verification.
 
-``verify_example`` re-derives the complete certification of the shipped
-example from its fixtures: the factorization chain for the discriminant
-integers, the local-point table, the tritangent pair, the count series and
-Frobenius charpoly, the per-prime singularity analysis, the invariant profile
-and the final Brauer-Manin verdict.  Any mismatch with a fixture is a hard
-failure naming the leg.
+``certify`` runs the seven stages of the certificate on one sextet, each leg
+once and in order: the coefficient hypotheses, smoothness over Q and F_3, the
+tritangent pair (a line mod 3, none mod the first good prime p' >= 5), small
+local points, the count series with the rank-1 certificate, the bad primes,
+and the local points, singular loci and invariant profile behind the
+Brauer-Manin verdict.  A failing stage raises ``Rejected`` naming it.
 
-``search`` runs the staged filter over random seed sextets.  Stage 6 over Z
-(the discriminant integers of a fresh candidate) is a heavy elimination
-outside this artifact's scope, so stages 6 and 7 require a caller-supplied
-bad-prime fixture; without one the search reports candidates that survived
-stages 1-5.
+``search`` feeds random seed sextets to ``certify``.  Stage 6 over Z (the
+discriminant integers of a fresh candidate) is a heavy elimination outside
+this artifact's scope, so stages 6 and 7 need a bad-prime list as evidence;
+without one the search reports candidates that survived stages 1-5.
+
+``verify_example`` checks the factorization chain and a recomputed prefix of
+the counts, certifies the shipped example with its fixture evidence, and
+compares the result with the printed data: the local-point table, p' = 11,
+the functional-equation sign, the charpoly and the unit-root bound.  Any
+mismatch is a hard failure naming the leg.
 """
 
 from __future__ import annotations
@@ -20,14 +25,16 @@ import importlib.resources
 import json
 import logging
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
-from .arith import cofactor_gcd, probable_prime, strip_small_factors
-from .badred import SingularReport, singular_points, verify_bad_prime_list
+from .arith import probable_prime, strip_small_factors
+from .badred import singular_points, verify_bad_prime_list
 from .brauer import (
     LocalSolubilityUndecided,
+    ProfileInconclusive,
     build_invariant_profile,
     bm_verdict,
     certify_everywhere_local,
@@ -35,8 +42,11 @@ from .brauer import (
 )
 from .localfield import Place
 from .picard import (
+    CountingError,
     CountSeries,
+    InconsistentCounts,
     RankInconclusive,
+    SignAmbiguous,
     certify_rank_one,
     count_series,
     find_tritangent,
@@ -83,13 +93,9 @@ CHARPOLY_DEG20 = [3, 3, 5, 5, 6, 2, 2, -3, -4, -8, -6, -8, -4, -3, 2, 2, 6, 5, 5
 
 
 def expected_normalized_charpoly() -> list[Fraction]:
-    """(1/3)(t - 1)(t + 1) * (degree-20 factor), ascending coefficients."""
-    quad = [-1, 0, 1]
-    prod = [0] * (len(CHARPOLY_DEG20) + 2)
-    for i, ci in enumerate(quad):
-        for j, cj in enumerate(CHARPOLY_DEG20):
-            prod[i + j] += ci * cj
-    return [Fraction(c, 3) for c in prod]
+    """(1/3)(t^2 - 1) * (degree-20 factor), ascending coefficients."""
+    shifted, padded = [0, 0] + CHARPOLY_DEG20, CHARPOLY_DEG20 + [0, 0]
+    return [Fraction(a - b, 3) for a, b in zip(shifted, padded)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ def load_fixtures() -> Fixtures:
 
 
 # ---------------------------------------------------------------------------
-# The worked verification
+# The report and the factorization chain
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -155,32 +161,21 @@ class ObstructionReport:
     notes: list[str] = dataclass_field(default_factory=list)
 
     def to_json_dict(self) -> dict:
+        """Every leg that is set; empty notes and counts are left out, the
+        tritangent line becomes a list and big primes decimal strings."""
         out = {
             "verdict": self.verdict,
-            "sextet": {k: [int(c) for c in getattr(self.sextet, k).coefficients()]
-                       for k in "ABCDEF"},
+            "sextet": json.loads(self.sextet.to_json()),
         }
-        for key in (
-            "seed", "draw_index", "smooth_over_q", "smooth_mod_3", "real_conditions",
-            "two_adic_conditions", "tritangent_prime", "no_tritangent_prime",
-            "counts", "counts_recomputed_to", "charpoly_sign", "unit_root_bound",
-            "rank", "invariant_total", "notes",
-        ):
+        for key in (f.name for f in fields(self)[2:]):
             val = getattr(self, key)
-            if val is not None and val != []:
-                out[key] = val
-        if self.tritangent_line is not None:
-            out["tritangent_line"] = list(self.tritangent_line)
-        if self.local_witnesses is not None:
-            out["local_witnesses"] = self.local_witnesses
-        if self.bad_primes is not None:
-            out["bad_primes"] = [str(p) for p in self.bad_primes]
-        if self.singular_analysis is not None:
-            out["singular_analysis"] = self.singular_analysis
-        if self.invariant_profile is not None:
-            out["invariant_profile"] = self.invariant_profile
-        if self.factorization is not None:
-            out["factorization"] = self.factorization
+            if val is None or (key in ("counts", "notes") and not val):
+                continue
+            if key == "tritangent_line":
+                val = list(val)
+            elif key == "bad_primes":
+                val = [str(p) for p in val]
+            out[key] = val
         return out
 
     def to_json(self) -> str:
@@ -225,7 +220,7 @@ def verify_factorization_chain(fx: Fixtures) -> dict:
     factors_n, n_prime = strip_small_factors(fx.n)
     if dict(factors_n) != N_SMALL_FACTORS:
         raise FixtureMismatch("factorization of n", f"got {factors_n}")
-    g = cofactor_gcd(m_prime, n_prime)
+    g = gcd(m_prime, n_prime)
     if g != fx.gcd_printed:
         raise FixtureMismatch("gcd(m', n')", "Euclid gcd differs from the printed value")
     if not probable_prime(g):
@@ -236,11 +231,7 @@ def verify_factorization_chain(fx: Fixtures) -> dict:
         raise FixtureMismatch(
             "reassembly of m'", "m' is not gcd(m',n') times the square of the 66-digit prime"
         )
-    product = 1
-    for p, e in factors_m:
-        product *= p**e
-    product *= g * fx.prime66 * fx.prime66
-    if product != fx.m:
+    if prod(p**e for p, e in factors_m) * g * fx.prime66**2 != fx.m:
         raise FixtureMismatch("reassembly of m", "certified factors do not multiply back to m")
     bad = sorted([p for p, _ in factors_m] + [fx.prime66, g])
     if tuple(sorted(fx.bad_primes)) != tuple(bad):
@@ -254,121 +245,8 @@ def verify_factorization_chain(fx: Fixtures) -> dict:
     }
 
 
-def verify_example(depth: int = 6, full_count: bool = False) -> ObstructionReport:
-    """Re-derive every leg of the worked example from fixtures; a mismatch is a
-    hard failure.  Counts are recomputed up to ``depth`` (all ten under
-    ``full_count``) and fixture-checked beyond."""
-    fx = load_fixtures()
-    X = build_k3(fx.sextet)
-    f = X.branch_sextic
-    notes = []
-
-    # coefficient hypotheses and smoothness
-    real_ok = check_real_conditions(fx.sextet)
-    two_ok = check_2adic_conditions(fx.sextet)
-    if not (real_ok and two_ok):
-        raise FixtureMismatch("coefficient hypotheses", "definiteness or congruences fail")
-    smooth_q = is_smooth_curve(f)
-    smooth_3 = is_smooth_curve(reduce_mod(f, prime_field(3)))
-    if not (smooth_q and smooth_3):
-        raise FixtureMismatch("smoothness", "branch curve not smooth over Q and F_3")
-
-    factorization = verify_factorization_chain(fx)
-
-    # bad primes: confirmed singular, spot checks smooth
-    verify_bad_prime_list(f, fx.bad_primes, fx.good_spot_checks)
-
-    # local points, checked against the printed table values
-    attestation = certify_everywhere_local(X, fx.bad_primes, box=1)
-    notes.append(attestation.weil_rule)
-    expected = dict(TABLE1_VALUES)
-    expected[fx.prime66] = expected.pop("prime66")
-    expected[fx.gcd_printed] = expected.pop("gcd")
-    for p, want in expected.items():
-        pt = attestation.witnesses.get(Place.finite(p))
-        if pt is None or pt.value != want:
-            raise FixtureMismatch(
-                "local point table", f"value at p = {p} is {pt and pt.value}, expected {want}"
-            )
-
-    # tritangents
-    line3 = find_tritangent(f, 3)
-    if line3 is None:
-        raise FixtureMismatch("tritangent at 3", "no line found")
-    if find_tritangent(f, 11) is not None:
-        raise FixtureMismatch("tritangent at 11", "unexpected tritangent line")
-
-    # counts: recompute a prefix, fixture-check the rest
-    recompute_to = 10 if full_count else min(depth, 10)
-    if recompute_to > 0:
-        series = count_series(f, fx.counts_p, recompute_to)
-        if tuple(series.counts) != fx.counts[:recompute_to]:
-            raise FixtureMismatch(
-                "point counts", f"recomputed N_1..N_{recompute_to} differ from the fixture"
-            )
-    if recompute_to < 10:
-        notes.append(
-            f"counts N_{recompute_to + 1}..N_10 taken from the fixture"
-            " (recompute with full_count)"
-        )
-    full = CountSeries.from_counts(fx.counts_p, list(fx.counts))
-
-    # charpoly, sign, printed coefficients, unit-root bound, rank certificate
-    fd = frobenius_charpoly(full)
-    if fd.sign != -1:
-        raise FixtureMismatch("functional equation sign", f"got {fd.sign}")
-    if fd.normalized != expected_normalized_charpoly():
-        raise FixtureMismatch("charpoly", "normalized coefficients differ from the printed ones")
-    bound = unit_root_bound(fd)
-    if bound != 2:
-        raise FixtureMismatch("unit-root bound", f"got {bound}")
-    cert = certify_rank_one(X, 3, 11, counts=full)
-
-    # per-prime singular analysis (nodal, r < 8 at every odd bad prime)
-    reports: dict[int, SingularReport] = {}
-    for p in fx.bad_primes:
-        if p == 2:
-            continue
-        rep = singular_points(f, p, 6)
-        if not rep.all_nodes_and_r_lt8:
-            raise FixtureMismatch(
-                "singular locus", f"p = {p} is not r < 8 ordinary double points"
-            )
-        reports[p] = rep
-
-    # invariant profile and verdict
-    profile = build_invariant_profile(X, fx.bad_primes, singular_reports=reports)
-    verdict = bm_verdict(profile)
-    if verdict != "obstruction":
-        raise FixtureMismatch("Brauer-Manin verdict", verdict)
-
-    return ObstructionReport(
-        sextet=fx.sextet,
-        verdict="obstruction certified",
-        smooth_over_q=smooth_q,
-        smooth_mod_3=smooth_3,
-        real_conditions=real_ok,
-        two_adic_conditions=two_ok,
-        tritangent_prime=3,
-        tritangent_line=tuple(c.val for c in line3.coords),
-        no_tritangent_prime=11,
-        counts=list(fx.counts),
-        counts_recomputed_to=recompute_to,
-        charpoly_sign=fd.sign,
-        unit_root_bound=bound,
-        rank=cert.rank,
-        local_witnesses=_witnesses_json(attestation),
-        bad_primes=list(fx.bad_primes),
-        singular_analysis={str(p): rep.to_json_dict() for p, rep in reports.items()},
-        invariant_profile=_profile_json(profile),
-        invariant_total=str(profile.total()),
-        factorization=factorization,
-        notes=notes,
-    )
-
-
 # ---------------------------------------------------------------------------
-# The staged search
+# The certificate: stages 1-7, shared by the search and the worked example
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -380,28 +258,223 @@ class SearchConfig:
     counting_depth: int = 10
     max_draws: int = 10
     steps: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)
-    replay_sextet: QuadricSextet | None = None
-    precomputed_counts: CountSeries | None = None
-    bad_primes_fixture: tuple[int, ...] | None = None
-    good_spot_checks: tuple[int, ...] = (3, 11, 13)
 
     def __post_init__(self):
         if self.coefficient_bound < 1 or self.counting_depth < 1 or self.local_point_box < 1:
             raise ValueError("search ranges must be nonempty")
 
 
-def _allowed(lo: int, hi: int, residue_mod: tuple[int, int] | None, sign: int) -> list[int]:
-    """Integers in [lo, hi] with the given congruence and strict sign."""
-    out = []
-    for v in range(lo, hi + 1):
-        if sign > 0 and v <= 0:
-            continue
-        if sign < 0 and v >= 0:
-            continue
-        if residue_mod is not None and v % residue_mod[1] != residue_mod[0] % residue_mod[1]:
-            continue
-        out.append(v)
-    return out
+#: the leg of the certificate each stage decides
+STAGE_LEGS = {
+    1: "coefficient hypotheses",
+    2: "smoothness",
+    3: "tritangents",
+    4: "local points",
+    5: "rank certificate",
+    6: "bad primes",
+    7: "invariant profile",
+}
+
+
+class Rejected(Exception):
+    """A candidate failed the leg of the given stage."""
+
+    def __init__(self, stage: int, reason: str):
+        super().__init__(f"stage {stage} ({STAGE_LEGS[stage]}): {reason}")
+        self.stage = stage
+        self.reason = reason
+
+
+def certify(
+    sextet: QuadricSextet,
+    config: SearchConfig,
+    *,
+    counts: CountSeries | None = None,
+    bad_primes=None,
+    good_spot_checks=(),
+) -> ObstructionReport:
+    """Run the enabled stages of ``config.steps`` in order on one sextet and
+    return its report; the first failing stage raises :class:`Rejected`.
+
+    The evidence is optional: ``counts`` replaces the stage-5 count series,
+    and ``bad_primes`` (with ``good_spot_checks``, primes attested good) is
+    the discriminant's bad-prime list that stages 6-7 need.  Without it those
+    stages are skipped and the verdict stays "candidate".
+    """
+    steps = set(config.steps)
+    report = ObstructionReport(
+        sextet=sextet,
+        verdict="candidate",
+        real_conditions=check_real_conditions(sextet),
+        two_adic_conditions=check_2adic_conditions(sextet),
+    )
+    if 1 in steps:
+        if not report.two_adic_conditions:
+            raise Rejected(1, "2-adic congruences fail")
+        if not report.real_conditions:
+            raise Rejected(1, "definiteness pattern fails")
+    X = build_k3(sextet)
+    f = X.branch_sextic
+
+    if 2 in steps:
+        if not is_smooth_curve(f):
+            raise Rejected(2, "branch curve singular over Q")
+        if not is_smooth_curve(reduce_mod(f, prime_field(3))):
+            raise Rejected(2, "branch curve singular mod 3")
+        report.smooth_over_q = report.smooth_mod_3 = True
+
+    if 3 in steps:
+        line = find_tritangent(f, 3)
+        if line is None:
+            raise Rejected(3, "no tritangent line mod 3")
+        report.tritangent_prime = 3
+        report.tritangent_line = tuple(c.val for c in line.coords)
+        lo, hi = config.tritangent_window
+        for p in range(max(lo, 5), hi + 1):
+            if not probable_prime(p):
+                continue
+            try:
+                if not is_smooth_curve(reduce_mod(f, prime_field(p))):
+                    continue
+            except ValueError:
+                continue
+            if find_tritangent(f, p) is None:
+                report.no_tritangent_prime = p
+                break
+        else:
+            raise Rejected(3, "no tritangent-free good prime in the window")
+
+    if 4 in steps:
+        places = [Place.real()] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+        for place in places:
+            if find_local_point(X, place, box=config.local_point_box) is None:
+                raise Rejected(4, f"no local point found at {place} (possible false negative)")
+
+    if 5 in steps:
+        if counts is None:
+            counts = count_series(f, 3, config.counting_depth)
+        report.counts = list(counts.counts)
+        try:
+            cert = certify_rank_one(X, 3, report.no_tritangent_prime or 11, counts=counts)
+        except (RankInconclusive, CountingError, SignAmbiguous, InconsistentCounts) as exc:
+            raise Rejected(5, str(exc)) from exc
+        report.charpoly_sign = cert.charpoly.sign
+        report.unit_root_bound = cert.unit_root_bound
+        report.rank = cert.rank
+
+    if not {6, 7} & steps:
+        return report
+    if bad_primes is None:
+        report.notes.append(
+            "steps 6-7 skipped: no discriminant fixture supplied "
+            "(the Z-elimination for fresh candidates is outside this artifact)"
+        )
+        report.verdict = "candidate (stages 1-5 passed; obstruction not certified)"
+        return report
+    if 6 in steps:
+        try:
+            verify_bad_prime_list(f, bad_primes, good_spot_checks)
+        except AssertionError as exc:
+            raise Rejected(6, str(exc)) from exc
+        report.bad_primes = list(bad_primes)
+    if 7 in steps:
+        try:
+            attestation = certify_everywhere_local(X, bad_primes, box=config.local_point_box)
+        except LocalSolubilityUndecided as exc:
+            raise Rejected(7, str(exc)) from exc
+        report.local_witnesses = _witnesses_json(attestation)
+        report.notes.append(attestation.weil_rule)
+        reports = {}
+        for p in bad_primes:
+            if p == 2:
+                continue
+            reports[p] = singular_points(f, p, 6)
+            if not reports[p].all_nodes_and_r_lt8:
+                raise Rejected(7, f"singular locus at {p} is not r < 8 ordinary double points")
+        report.singular_analysis = {str(p): r.to_json_dict() for p, r in reports.items()}
+        profile = build_invariant_profile(X, bad_primes, singular_reports=reports)
+        report.invariant_profile = _profile_json(profile)
+        report.invariant_total = str(profile.total())
+        try:
+            verdict = bm_verdict(profile)
+        except ProfileInconclusive as exc:
+            raise Rejected(7, str(exc)) from exc
+        if verdict != "obstruction":
+            raise Rejected(7, "invariant profile sums to zero: no obstruction from the class")
+        report.verdict = "obstruction certified"
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The worked verification
+# ---------------------------------------------------------------------------
+
+def verify_example(depth: int = 6, full_count: bool = False) -> ObstructionReport:
+    """Certify the worked example with its fixture evidence and compare every
+    leg with the printed data; a mismatch is a hard failure naming the leg.
+    Counts are recomputed up to ``depth`` (all ten under ``full_count``) and
+    taken from the fixture beyond."""
+    fx = load_fixtures()
+    factorization = verify_factorization_chain(fx)
+
+    recompute_to = 10 if full_count else min(depth, 10)
+    if recompute_to > 0:
+        series = count_series(build_k3(fx.sextet).branch_sextic, fx.counts_p, recompute_to)
+        if tuple(series.counts) != fx.counts[:recompute_to]:
+            raise FixtureMismatch(
+                "point counts", f"recomputed N_1..N_{recompute_to} differ from the fixture"
+            )
+    full = CountSeries.from_counts(fx.counts_p, list(fx.counts))
+
+    try:
+        report = certify(
+            fx.sextet,
+            SearchConfig(local_point_box=1),
+            counts=full,
+            bad_primes=fx.bad_primes,
+            good_spot_checks=fx.good_spot_checks,
+        )
+    except Rejected as exc:
+        raise FixtureMismatch(STAGE_LEGS[exc.stage], exc.reason) from exc
+
+    named = {"prime66": fx.prime66, "gcd": fx.gcd_printed}
+    for key, want in TABLE1_VALUES.items():
+        p = named.get(key, key)
+        got = report.local_witnesses.get(str(p), {}).get("value")
+        if got != str(want):
+            raise FixtureMismatch(
+                "local point table", f"value at p = {p} is {got}, expected {want}"
+            )
+    if report.no_tritangent_prime != 11:
+        raise FixtureMismatch(
+            "tritangent at 11", f"first tritangent-free prime is {report.no_tritangent_prime}"
+        )
+    fd = frobenius_charpoly(full)
+    if fd.sign != -1:
+        raise FixtureMismatch("functional equation sign", f"got {fd.sign}")
+    if fd.normalized != expected_normalized_charpoly():
+        raise FixtureMismatch("charpoly", "normalized coefficients differ from the printed ones")
+    bound = unit_root_bound(fd)
+    if bound != 2:
+        raise FixtureMismatch("unit-root bound", f"got {bound}")
+
+    report.counts_recomputed_to = recompute_to
+    report.factorization = factorization
+    if recompute_to < 10:
+        report.notes.append(
+            f"counts N_{recompute_to + 1}..N_10 taken from the fixture"
+            " (recompute with full_count)"
+        )
+    return report
+
+# ---------------------------------------------------------------------------
+# The staged search
+# ---------------------------------------------------------------------------
+
+def _allowed(lo: int, hi: int, residue_mod: tuple[int, int], sign: int) -> list[int]:
+    """Integers in [lo, hi] with the given congruence and strict sign (0: any)."""
+    r, m = residue_mod
+    return [v for v in range(lo, hi + 1) if (sign == 0 or v * sign > 0) and (v - r) % m == 0]
 
 
 def draw_sextet(rng: random.Random, bound: int) -> QuadricSextet | None:
@@ -430,29 +503,18 @@ def draw_sextet(rng: random.Random, bound: int) -> QuadricSextet | None:
 
 
 def search_events(config: SearchConfig):
-    """Yield ("rejected", index, step, reason) and ("report", index, report)."""
+    """Yield ("rejected", index, stage, reason) and ("report", index, report)."""
     rng = random.Random(config.seed)
-    steps = set(config.steps)
     for index in range(config.max_draws):
-        if config.replay_sextet is not None and index == 0:
-            sextet = config.replay_sextet
-        else:
-            sextet = draw_sextet(rng, config.coefficient_bound)
-        if 1 in steps:
-            if sextet is None:
-                yield ("rejected", index, 1, "coefficient range admits no valid draw")
-                continue
-            if not check_2adic_conditions(sextet):
-                yield ("rejected", index, 1, "2-adic congruences fail")
-                continue
-            if not check_real_conditions(sextet):
-                yield ("rejected", index, 1, "definiteness pattern fails")
-                continue
+        sextet = draw_sextet(rng, config.coefficient_bound)
         if sextet is None:
+            if 1 in config.steps:
+                yield ("rejected", index, 1, "coefficient range admits no valid draw")
             continue
-        report = _evaluate_candidate(sextet, config, steps)
-        if isinstance(report, tuple):
-            yield ("rejected", index, *report)
+        try:
+            report = certify(sextet, config)
+        except Rejected as exc:
+            yield ("rejected", index, exc.stage, exc.reason)
             continue
         report.seed = config.seed
         report.draw_index = index
@@ -467,105 +529,3 @@ def search(config: SearchConfig):
         else:
             _kind, index, step, reason = event
             log.info("draw %d rejected at step %d: %s", index, step, reason)
-
-
-def _evaluate_candidate(sextet: QuadricSextet, config: SearchConfig, steps):
-    X = build_k3(sextet)
-    f = X.branch_sextic
-    report = ObstructionReport(sextet=sextet, verdict="candidate")
-    report.real_conditions = check_real_conditions(sextet)
-    report.two_adic_conditions = check_2adic_conditions(sextet)
-
-    if 2 in steps:
-        if not is_smooth_curve(f):
-            return (2, "branch curve singular over Q")
-        if not is_smooth_curve(reduce_mod(f, prime_field(3))):
-            return (2, "branch curve singular mod 3")
-        report.smooth_over_q = report.smooth_mod_3 = True
-
-    if 3 in steps:
-        line = find_tritangent(f, 3)
-        if line is None:
-            return (3, "no tritangent line mod 3")
-        report.tritangent_prime = 3
-        report.tritangent_line = tuple(c.val for c in line.coords)
-        lo, hi = config.tritangent_window
-        p_prime = None
-        for p in range(max(lo, 5), hi + 1):
-            if not probable_prime(p):
-                continue
-            try:
-                if not is_smooth_curve(reduce_mod(f, prime_field(p))):
-                    continue
-            except ValueError:
-                continue
-            if find_tritangent(f, p) is None:
-                p_prime = p
-                break
-        if p_prime is None:
-            return (3, "no tritangent-free good prime in the window")
-        report.no_tritangent_prime = p_prime
-
-    if 4 in steps:
-        places = [Place.real()] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
-        for place in places:
-            if find_local_point(X, place, box=config.local_point_box) is None:
-                return (4, f"no local point found at {place} (possible false negative)")
-
-    if 5 in steps:
-        counts = config.precomputed_counts
-        if counts is None:
-            counts = count_series(f, 3, config.counting_depth)
-        report.counts = list(counts.counts)
-        try:
-            fd = frobenius_charpoly(counts)
-        except Exception as exc:
-            return (5, f"charpoly reconstruction failed: {exc}")
-        bound = unit_root_bound(fd)
-        report.charpoly_sign = fd.sign
-        report.unit_root_bound = bound
-        if bound > 2:
-            return (5, f"unit-root bound {bound} exceeds 2")
-        try:
-            cert = certify_rank_one(
-                X, 3, report.no_tritangent_prime or 11, counts=counts
-            )
-            report.rank = cert.rank
-        except RankInconclusive as exc:
-            return (5, str(exc))
-
-    if {6, 7} & steps:
-        if config.bad_primes_fixture is None:
-            report.notes.append(
-                "steps 6-7 skipped: no discriminant fixture supplied "
-                "(the Z-elimination for fresh candidates is outside this artifact)"
-            )
-            report.verdict = "candidate (stages 1-5 passed; obstruction not certified)"
-            return report
-        bad = config.bad_primes_fixture
-        if 6 in steps:
-            verify_bad_prime_list(f, bad, config.good_spot_checks)
-            report.bad_primes = list(bad)
-        if 7 in steps:
-            try:
-                attestation = certify_everywhere_local(X, bad, box=config.local_point_box)
-            except LocalSolubilityUndecided as exc:
-                return (7, str(exc))
-            report.local_witnesses = _witnesses_json(attestation)
-            reports = {}
-            for p in bad:
-                if p == 2:
-                    continue
-                rep = singular_points(f, p, 6)
-                if not rep.all_nodes_and_r_lt8:
-                    return (7, f"singular locus at {p} is not r < 8 nodes")
-                reports[p] = rep
-            report.singular_analysis = {str(p): r.to_json_dict() for p, r in reports.items()}
-            profile = build_invariant_profile(X, bad, singular_reports=reports)
-            report.invariant_profile = _profile_json(profile)
-            report.invariant_total = str(profile.total())
-            verdict = bm_verdict(profile)
-            if verdict != "obstruction":
-                return (7, "invariant profile sums to zero: no obstruction from the class")
-            report.verdict = "obstruction certified"
-    return report

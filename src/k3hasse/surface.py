@@ -43,14 +43,27 @@ class QuadricSextet:
     @classmethod
     def from_coefficients(cls, rows) -> "QuadricSextet":
         """Six rows of six integers, each [x0^2, x0x1, x0x2, x1^2, x1x2, x2^2]."""
-        rows = list(rows)
+        rows = [list(row) for row in rows]
         if len(rows) != 6:
             raise ValueError("a sextet needs 6 quadratic forms")
+        for key, row in zip(FORM_KEYS, rows):
+            for c in row:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise TypeError(f"form {key}: coefficient {c!r} is not an int")
         return cls(*(TernaryForm.from_coefficients(2, row) for row in rows))
 
     @classmethod
     def from_json(cls, text: str) -> "QuadricSextet":
+        """An object with exactly the keys "A".."F", each six integers."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a sextet is a JSON object with keys A..F")
+        for key in FORM_KEYS:
+            if key not in data:
+                raise ValueError(f"sextet JSON lacks the key {key!r}")
+        for key in data:
+            if key not in FORM_KEYS:
+                raise ValueError(f"sextet JSON has the unknown key {key!r}")
         return cls.from_coefficients(data[k] for k in FORM_KEYS)
 
     def to_json(self) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from k3hasse.arith import cofactor_gcd, probable_prime, strip_small_factors
+from k3hasse.arith import probable_prime, strip_small_factors
 from .oracles import trial_division_is_prime
 
 
@@ -66,19 +66,3 @@ def test_strip_small_factors_reassembles():
         for p in (2, 3, 5, 7, 11):
             assert cofactor % p != 0 or p > 10**4
 
-
-def test_cofactor_gcd_basic():
-    assert cofactor_gcd(42, 42) == 42
-    assert cofactor_gcd(2**100, 3**100) == 1
-    with pytest.raises(ValueError):
-        cofactor_gcd(0, 5)
-
-
-def test_cofactor_gcd_commutative_and_divides():
-    rng = random.Random(13)
-    for _ in range(50):
-        a = rng.getrandbits(256) + 1
-        b = rng.getrandbits(256) + 1
-        g = cofactor_gcd(a, b)
-        assert g == cofactor_gcd(b, a)
-        assert a % g == 0 and b % g == 0

@@ -6,8 +6,10 @@ import pytest
 from k3hasse.badred import (
     DegenerateReduction,
     NotBadPrime,
+    RegularizationError,
     is_bad_prime,
     jacobian_system,
+    regularize,
     singular_points,
     verify_bad_prime_list,
 )
@@ -95,6 +97,19 @@ def test_is_bad_prime_rejects_degenerate_and_even():
         is_bad_prime(f, 5)
     with pytest.raises(ValueError):
         is_bad_prime(f, 2)
+
+
+def test_regularize_extends_a_prime_field_through_fq():
+    """x0^3 x2 - x0 x2^3 vanishes at every [a:b:1] over F_3, so the frame
+    needs F_9: the canonical fq(3, 2), modulus t^2 + 1."""
+    F3 = prime_field(3)
+    g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
+    with pytest.raises(RegularizationError):
+        regularize([g], F3, allow_extension=False)
+    fld, a, b, (h,) = regularize([g], F3)
+    assert fld is fq(3, 2)
+    assert [c.val for c in fld.modulus.coeffs] == [1, 0, 1]
+    assert h.evaluate((fld.zero, fld.zero, fld.one))
 
 
 def test_is_bad_prime_agrees_with_exhaustive_search(example_sextic):

@@ -5,7 +5,6 @@ import pytest
 from k3hasse.finitefield import (
     ExtensionField,
     fq,
-    make_field,
     prime_field,
     quadratic_character,
     roots_in_extensions,
@@ -14,15 +13,15 @@ from k3hasse.poly import UniPoly
 
 
 def test_make_field_canonical_moduli():
-    F3 = make_field(3, 1)
+    F3 = fq(3, 1)
     assert [c.val for c in F3.modulus.coeffs] == [0, 1]  # t
-    F9 = make_field(3, 2)
+    F9 = fq(3, 2)
     assert [c.val for c in F9.modulus.coeffs] == [1, 0, 1]  # t^2 + 1
     assert F9.order == 9
 
 
 def test_make_field_big_extension_modulus_is_irreducible():
-    F = make_field(3, 10)
+    F = fq(3, 10)
     assert F.order == 59049
     # independent irreducibility check: x^(3^10) == x mod modulus, and the
     # intermediate Frobenius powers fix no proper subfield polynomial
@@ -61,9 +60,11 @@ def test_make_field_big_extension_modulus_is_irreducible():
 
 def test_make_field_rejects_composites():
     with pytest.raises(ValueError):
-        make_field(15, 2)
-    with pytest.raises(ValueError):
-        make_field(7, 0)
+        fq(15, 2)
+    with pytest.raises(ValueError, match="degree"):
+        fq(7, 0)
+    with pytest.raises(ValueError, match="degree"):
+        fq(7, -1)
 
 
 def test_quadratic_character_examples():

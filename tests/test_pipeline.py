@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import json
 
 import pytest
 
+from k3hasse import badred, picard
 from k3hasse.picard import CountSeries
 from k3hasse.pipeline import (
     FixtureMismatch,
+    Rejected,
     SearchConfig,
+    certify,
     draw_sextet,
-    search,
     search_events,
     verify_example,
     verify_factorization_chain,
@@ -104,33 +107,88 @@ def test_search_monotonicity():
     assert survivors(more) <= survivors(base)
 
 
-def test_search_replays_the_worked_example(fixtures):
-    config = SearchConfig(
-        seed=0,
-        max_draws=1,
-        replay_sextet=fixtures.sextet,
-        precomputed_counts=CountSeries.from_counts(3, list(fixtures.counts)),
-        bad_primes_fixture=fixtures.bad_primes,
+def _certify_fixture(fixtures, **evidence):
+    return certify(
+        fixtures.sextet,
+        SearchConfig(local_point_box=1),
+        counts=CountSeries.from_counts(3, list(fixtures.counts)),
+        **evidence,
     )
-    reports = list(search(config))
-    assert len(reports) == 1
-    report = reports[0]
+
+
+def test_search_replays_the_worked_example(fixtures):
+    """certify, the search's path, certifies the worked example from its
+    fixture evidence."""
+    report = _certify_fixture(fixtures, bad_primes=fixtures.bad_primes)
     assert report.verdict == "obstruction certified"
     assert report.no_tritangent_prime == 11
     assert report.unit_root_bound == 2
     assert report.invariant_total == "1/2"
-    assert report.draw_index == 0
+    assert report.draw_index is None  # only search_events numbers draws
 
 
 def test_search_without_discriminant_fixture_stops_at_stage_5(fixtures):
-    config = SearchConfig(
-        seed=0,
-        max_draws=1,
-        replay_sextet=fixtures.sextet,
-        precomputed_counts=CountSeries.from_counts(3, list(fixtures.counts)),
-        bad_primes_fixture=None,
-    )
-    reports = list(search(config))
-    assert len(reports) == 1
-    assert reports[0].verdict.startswith("candidate")
-    assert any("discriminant fixture" in n for n in reports[0].notes)
+    report = _certify_fixture(fixtures)
+    assert report.verdict.startswith("candidate")
+    assert any("discriminant fixture" in n for n in report.notes)
+
+
+def test_certify_agrees_with_verify_example(fixtures):
+    """verify_example is certify on the fixture evidence plus comparisons, so
+    the two reports agree on every leg the comparisons do not add."""
+    evidence = dict(bad_primes=fixtures.bad_primes, good_spot_checks=fixtures.good_spot_checks)
+    got = _certify_fixture(fixtures, **evidence).to_json_dict()
+    want = verify_example(depth=2).to_json_dict()
+    for key in ("factorization", "counts_recomputed_to", "notes"):
+        want.pop(key)
+        got.pop(key, None)
+    assert got == want
+
+
+def test_certify_rejection_names_the_stage(fixtures):
+    with pytest.raises(Rejected) as err:
+        _certify_fixture(fixtures, bad_primes=(5, 13))
+    assert err.value.stage == 6
+    assert "13" in err.value.reason
+    tight = SearchConfig(tritangent_window=(5, 7), steps=(1, 2, 3))
+    with pytest.raises(Rejected) as err:
+        certify(fixtures.sextet, tight)
+    assert (err.value.stage, err.value.reason) == (3, "no tritangent-free good prime in the window")
+
+
+def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
+    tampered = dataclasses.replace(fixtures, good_spot_checks=(5,))
+    monkeypatch.setattr("k3hasse.pipeline.load_fixtures", lambda: tampered)
+    with pytest.raises(FixtureMismatch) as err:
+        verify_example(depth=1)
+    assert err.value.leg == "bad primes"
+    assert "good spot check 5" in str(err.value)
+
+
+def test_verify_example_decides_each_leg_once(monkeypatch):
+    """verify_example(depth=2) decides singularity once per distinct form
+    (over Q, mod 3, 11, 13 and mod each of the nine odd bad primes) and
+    scans for tritangents once per prime (3 and 11)."""
+    decisions, scans, depth = [], [], [0]
+    system_has_common_zero = badred._system_has_common_zero
+
+    def counted_decision(system, fld):
+        decisions.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return system_has_common_zero(system, fld)
+        finally:
+            depth[0] -= 1
+
+    def counted_scan(f, p):
+        scans.append(p)
+        return scan(f, p)
+
+    scan = picard.tritangent_scan.__wrapped__
+    monkeypatch.setattr(badred, "_system_has_common_zero", counted_decision)
+    monkeypatch.setattr(picard, "tritangent_scan", functools.lru_cache(maxsize=64)(counted_scan))
+    badred.singular_locus_nonempty.cache_clear()
+    verify_example(depth=2)
+    badred.singular_locus_nonempty.cache_clear()
+    assert sum(decisions) == 13
+    assert sorted(scans) == [3, 11]

@@ -1,4 +1,7 @@
+import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +154,22 @@ def test_real_conditions_imply_positive_minors(example_surface):
 def test_sextet_json_roundtrip(example_sextet):
     text = example_sextet.to_json()
     assert QuadricSextet.from_json(text) == example_sextet
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "7", None, Fraction(1)])
+def test_sextet_rejects_non_integer_coefficients(example_sextet, bad):
+    rows = [getattr(example_sextet, k).coefficients() for k in "ABCDEF"]
+    rows[4][2] = bad
+    with pytest.raises(TypeError, match=f"form E: coefficient {re.escape(repr(bad))}"):
+        QuadricSextet.from_coefficients(rows)
+
+
+def test_sextet_json_rejects_missing_and_extra_keys(example_sextet):
+    data = json.loads(example_sextet.to_json())
+    missing = {k: v for k, v in data.items() if k != "C"}
+    with pytest.raises(ValueError, match="lacks the key 'C'"):
+        QuadricSextet.from_json(json.dumps(missing))
+    with pytest.raises(ValueError, match="unknown key 'G'"):
+        QuadricSextet.from_json(json.dumps({**data, "G": [0] * 6}))
+    with pytest.raises(ValueError, match="JSON object"):
+        QuadricSextet.from_json(json.dumps([data[k] for k in "ABCDEF"]))
