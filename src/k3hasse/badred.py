@@ -7,17 +7,25 @@ candidate image of a singular point.  Whether a candidate actually supports a
 common zero of the whole system is decided by gcds of the specialised
 univariate polynomials computed simultaneously over K[u]/(G) with
 dynamic-evaluation splitting at zero divisors, so no factorization over Q is
-ever needed.  Over a finite field the same chain plus genuine factorization
-of G locates the singular points, which are then classified as nodes through
-the 2x2 Hessian of a local dehomogenization.
+ever needed.
+
+The elimination (frame, transformed system, the gcd on the line y0 = 0, and
+lazily the chart polynomials and G) is memoised per (system, field) in
+``_eliminate``.  The decision and the node locator read the same result: over
+a finite field, factoring the gcd on y0 = 0 and G locates the singular points
+without a second chain, and they are classified as nodes through the 2x2
+Hessian of a local dehomogenization.  The locator needs a frame over F_p
+itself and raises RegularizationError when only an extension has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import lcm
+from typing import Any
 
 from .poly import (
     TernaryForm,
@@ -25,6 +33,7 @@ from .poly import (
     bivariate_gcd,
     int_poly_gcd,
     poly_gcd,
+    poly_gcdex,
     resultant,
     squarefree_part,
     ternary_to_t_over_u,
@@ -106,16 +115,15 @@ def _finite_pairs(fld):
         raise NotImplementedError("regularization over a large extension field")
 
 
-def regularize(system: list[TernaryForm], fld, allow_extension=True):
+def regularize(system: list[TernaryForm], fld):
     """Find a coordinate change x0 -> x0 + a*x2, x1 -> x1 + b*x2 after which no
     form of the system vanishes at [0:0:1].
 
     The field is Q or a prime field F_p.  Over a tiny F_p the frame may need
     a scalar extension (singularity over the closure is insensitive to it):
     the system is lifted into F_{p^2}, then F_{p^4}, and so on, until a frame
-    exists; ``allow_extension=False`` forbids that and raises instead.
-    Returns (field, a, b, transformed_system) with a, b elements of the
-    returned field.
+    exists.  Returns (field, a, b, transformed_system) with a, b elements of
+    the returned field.
     """
     if fld.characteristic == 0:
         k = 0
@@ -132,7 +140,7 @@ def regularize(system: list[TernaryForm], fld, allow_extension=True):
         for ea, eb in _finite_pairs(current):
             if all(g.evaluate((ea, eb, current.one)) for g in cur_system):
                 return current, ea, eb, _transform_system(cur_system, current, ea, eb)
-        if not allow_extension or fld.degree != 1:
+        if fld.degree != 1:
             raise RegularizationError("no regularizing frame over the base field")
         current = fq(fld.characteristic, 2 * current.degree)
         cur_system = [g.map_coefficients(current.from_base) for g in system]
@@ -145,7 +153,7 @@ def _transform_system(system, fld, ea, eb):
 
 
 # ---------------------------------------------------------------------------
-# The decision chain
+# The shared elimination and the decision chain
 # ---------------------------------------------------------------------------
 
 def _field_gcd(fld):
@@ -156,38 +164,52 @@ def _field_gcd(fld):
     return poly_gcd
 
 
-def _infinity_gcd(system, fld) -> UniPoly:
-    """gcd of the specialisations g(0, 1, t)."""
-    zero, one = fld.zero, fld.one
-    gcd_fn = _field_gcd(fld)
-    g = UniPoly()
-    for form in system:
-        uni = form.to_uni_in(2, {0: zero, 1: one})
-        g = gcd_fn(g, uni) if not g.is_zero() else gcd_fn(uni, UniPoly())
-        if g.degree == 0:
-            break
-    return g
+@dataclass(frozen=True)
+class _Elimination:
+    """One Jacobian system after regularisation: the field it lives over, the
+    frame (a, b), the transformed system and the gcd ``ginf`` of the
+    specialisations g(0, 1, t), which carries the points on the line y0 = 0."""
 
+    fld: Any
+    a: Any
+    b: Any
+    system: tuple
+    ginf: UniPoly
 
-def _chart_polys(system, fld) -> list[UniPoly]:
-    """g(1, u, t) as t-polynomials over K[u]; regularization guarantees the
-    t-leading coefficients are nonzero constants."""
-    return [ternary_to_t_over_u(g, fld.one) for g in system]
-
-
-def _pairwise_resultant_gcd(polys: list[UniPoly], gcd_fn):
-    """gcd over K[u] of all pairwise t-resultants; None signals a pair with a
-    common positive-degree factor (identically zero resultant)."""
-    G = UniPoly()
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
+    @cached_property
+    def chart(self) -> tuple[list[UniPoly], UniPoly | None, tuple | None]:
+        """(polys, G, zero_pair) for the chart y0 = 1: the t-polynomials
+        g(1, u, t) over K[u] (regularisation makes their t-leading coefficients
+        nonzero constants), the gcd G over K[u] of their pairwise t-resultants,
+        and the first pair whose resultant vanishes identically, in which case
+        G is None."""
+        polys = [ternary_to_t_over_u(g, self.fld.one) for g in self.system]
+        gcd_fn = _field_gcd(self.fld)
+        G = UniPoly()
+        for i, j in combinations(range(len(polys)), 2):
             res = resultant(polys[i], polys[j])  # element of K[u]
             if res.is_zero():
-                return None, (i, j)
-            G = gcd_fn(G, res) if not G.is_zero() else gcd_fn(res, UniPoly())
+                return polys, None, (i, j)
+            G = gcd_fn(G, res)
             if G.degree == 0:
-                return G, None
-    return G, None
+                break
+        return polys, G, None
+
+
+@lru_cache(maxsize=64)
+def _eliminate(system: tuple, fld) -> _Elimination:
+    """The elimination of a system over Q or F_p, once per (system, field):
+    the bad-prime decision and the node locator both read it.  The chart part
+    is computed on first use, so a decision that stops on the line y0 = 0
+    never runs the resultant chain."""
+    reg_fld, a, b, tsystem = regularize(list(system), fld)
+    gcd_fn = _field_gcd(reg_fld)
+    ginf = UniPoly()
+    for form in tsystem:
+        ginf = gcd_fn(ginf, form.to_uni_in(2, {0: reg_fld.zero, 1: reg_fld.one}))
+        if ginf.degree == 0:
+            break
+    return _Elimination(reg_fld, a, b, tuple(tsystem), ginf)
 
 
 @lru_cache(maxsize=64)
@@ -221,16 +243,15 @@ def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:
         return False
     if len(system) == 1:
         return True
-    reg_fld, _a, _b, tsystem = regularize(system, fld)
-    if _infinity_gcd(tsystem, reg_fld).degree > 0:
+    elim = _eliminate(tuple(system), fld)
+    if elim.ginf.degree > 0:
         return True
-    polys = _chart_polys(tsystem, reg_fld)
-    G, zero_pair = _pairwise_resultant_gcd(polys, _field_gcd(reg_fld))
+    polys, G, zero_pair = elim.chart
     if zero_pair is not None:
-        return _split_common_factor(tsystem, reg_fld, zero_pair)
+        return _split_common_factor(elim.system, elim.fld, zero_pair)
     if G.degree == 0:
         return False
-    if reg_fld.characteristic == 0:
+    if elim.fld.characteristic == 0:
         # the dynamic-evaluation stage works over the fraction field
         polys = [
             UniPoly([c.map_coefficients(Fraction) for c in P.coeffs]) for P in polys
@@ -314,19 +335,9 @@ def _d5_inv(c: UniPoly, B: UniPoly) -> UniPoly:
     c = c % B
     if c.is_zero():
         return None
-    g = poly_gcd(c, B)
+    g, inv = poly_gcdex(c, B)
     if g.degree == 0:
-        # extended Euclid for the inverse
-        r0, r1 = B, c
-        s0, s1 = UniPoly(), UniPoly.const(c.lc ** 0)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        inv_lc = r0.lc ** 0 / r0.lc
-        return (s0 * inv_lc) % B
-    if g.degree == B.degree:
-        return None
+        return inv
     raise _Split(g)
 
 
@@ -472,6 +483,14 @@ def _lift_to(dst, src, elem):
     return elem
 
 
+def _root_field(irr: UniPoly, fld):
+    """A field holding a root of the monic irreducible irr over fld, and the root."""
+    if irr.degree == 1:
+        return fld, -irr.coeffs[0]
+    host = ExtensionField(fld, irr)
+    return host, host.gen
+
+
 def _classify_point(f_mod: TernaryForm, coords, fld) -> str:
     """node iff the gradient vanishes and the 2x2 Hessian of the local
     dehomogenization is nonsingular at the point."""
@@ -502,8 +521,14 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         raise DegenerateReduction(f"the form vanishes identically mod {p}")
     if not singular_locus_nonempty(fp):
         raise NotBadPrime(f"{p} is a prime of good reduction")
-    system = [g for g in jacobian_system(fp) if not g.is_zero()]
-    reg_fld, ea, eb, tsystem = regularize(system, fld, allow_extension=False)
+    elim = _eliminate(tuple(jacobian_system(fp)), fld)
+    if elim.fld is not fld:
+        raise RegularizationError(f"the singular points mod {p} need a frame over an extension")
+    polys, G, zero_pair = elim.chart
+    if zero_pair is not None:
+        raise NotImplementedError(
+            "positive-dimensional singular locus; not a finite set of points"
+        )
     notes: list[str] = []
     points: list[SingularPoint] = []
     unresolved = 0
@@ -512,8 +537,8 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     def record(y_coords, host_fld):
         """Transform back, normalise, classify and append."""
         y0, y1, y2 = y_coords
-        a = _lift_to(host_fld, fld, ea)
-        b = _lift_to(host_fld, fld, eb)
+        a = _lift_to(host_fld, fld, elim.a)
+        b = _lift_to(host_fld, fld, elim.b)
         x = (y0 + a * y2, y1 + b * y2, y2)
         pivot = next(c for c in x if c)
         inv = host_fld.one / pivot
@@ -523,72 +548,42 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         points.append(SingularPoint(coords=x, residue_degree=rdeg, kind=kind))
 
     # the line y0 = 0
-    ginf = _infinity_gcd(tsystem, reg_fld)
-    if ginf.degree > 0:
-        for irr, _mult in irreducible_factors(ginf, reg_fld):
-            k = irr.degree
-            if k > degree_bound:
+    if elim.ginf.degree > 0:
+        for irr, _mult in irreducible_factors(elim.ginf, fld):
+            if irr.degree > degree_bound:
                 unresolved += 1
                 fully_accounted = False
                 continue
-            if k == 1:
-                host = reg_fld
-                tau = -irr.coeffs[0]
-            else:
-                host = ExtensionField(reg_fld, irr)
-                tau = host.gen
+            host, tau = _root_field(irr, fld)
             record((host.zero, host.one, tau), host)
 
     # the chart y0 = 1
-    polys = _chart_polys(tsystem, reg_fld)
-    G, zero_pair = _pairwise_resultant_gcd(polys, poly_gcd)
-    if zero_pair is not None:
-        raise NotImplementedError(
-            "positive-dimensional singular locus; not a finite set of points"
-        )
     if G.degree > 0:
-        for pi, _mult in irreducible_factors(G, reg_fld):
+        for pi, _mult in irreducible_factors(G, fld):
             k = pi.degree
             if k > degree_bound:
                 unresolved += 1
                 fully_accounted = False
                 continue
-            if k == 1:
-                L1 = reg_fld
-                uroot = -pi.coeffs[0]
-            else:
-                L1 = ExtensionField(reg_fld, pi)
-                uroot = L1.gen
-            # specialise each t-poly at u = uroot
-            specialised = []
-            for P in polys:
-                coeffs = [
-                    UniPoly([_lift_to(L1, reg_fld, c) for c in cu.coeffs]).evaluate(uroot)
-                    for cu in P.coeffs
-                ]
-                specialised.append(UniPoly(coeffs))
+            L1, uroot = _root_field(pi, fld)
+            # specialise each t-poly at u = uroot and take the gcd
             ghat = UniPoly()
-            for q_ in specialised:
-                ghat = poly_gcd(ghat, q_) if not ghat.is_zero() else q_.monic()
+            for P in polys:
+                ghat = poly_gcd(ghat, UniPoly([
+                    UniPoly([_lift_to(L1, fld, c) for c in cu.coeffs]).evaluate(uroot)
+                    for cu in P.coeffs
+                ]))
                 if ghat.degree == 0:
                     break
             if ghat.degree == 0:
                 continue  # spurious candidate
             for h2, _m2 in irreducible_factors(ghat, L1):
-                j = h2.degree
-                if k * j > degree_bound:
+                if k * h2.degree > degree_bound:
                     unresolved += 1
                     fully_accounted = False
                     continue
-                if j == 1:
-                    host = L1
-                    tau = -h2.coeffs[0]
-                    u_in_host = uroot
-                else:
-                    host = ExtensionField(L1, h2)
-                    tau = host.gen
-                    u_in_host = _lift_to(host, L1, uroot)
-                record((host.one, u_in_host, tau), host)
+                host, tau = _root_field(h2, L1)
+                record((host.one, _lift_to(host, L1, uroot), tau), host)
 
     r = sum(pt.residue_degree for pt in points)
     all_nodes = (

@@ -2,7 +2,7 @@
 symbol representatives, local-point search, invariant evaluation and the
 Brauer-Manin verdict.
 
-Local points are stored with exact rational coordinates.  A p-adic point is a
+Local points are integer triples, evaluated on ints.  A p-adic point is a
 square certificate: an integer triple whose f-value is a nonzero square in
 Q_p (unit square values Hensel-lift for odd p); a real point is a triple with
 positive f-value.  Invariants never need the w-coordinate because every
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .arith import probable_prime
 from .localfield import INV_HALF, INV_ZERO, Invariant, Place, hilbert_symbol, invariant_sum, padic_square
@@ -88,49 +87,29 @@ def representatives(q: QuadricSextet) -> list[QuaternionRep]:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    x: tuple[Fraction, Fraction, Fraction]
+    x: tuple[int, int, int]
     place: Place
-    value: Fraction  # f(x), certified nonzero square in the completion
-    w: Fraction | None = None  # exact square root when one exists over Q
-
-    def coords_json(self):
-        return [str(c) for c in self.x]
+    value: int  # f(x), certified nonzero square in the completion
 
 
-def certify_point(X: K3Surface, x, place: Place) -> SurfacePoint | None:
-    """Certify the triple at the place: positive f-value at R, nonzero p-adic
-    square at a finite place."""
-    x = tuple(Fraction(c) for c in x)
-    value = Fraction(X.branch_sextic.evaluate(x))
+def certify_point(X: K3Surface, x: tuple[int, int, int], place: Place) -> SurfacePoint | None:
+    """Certify the integer triple at the place: positive f-value at R, nonzero
+    p-adic square at a finite place."""
+    value = X.branch_sextic.evaluate(x)
     if value == 0:
         return None
     ok = value > 0 if place.is_real else padic_square(value, place.p)
     if not ok:
         return None
-    w = None
-    if value > 0:
-        r = _exact_sqrt(value)
-        if r is not None:
-            w = r
-    return SurfacePoint(x=x, place=place, value=value, w=w)
-
-
-def _exact_sqrt(a: Fraction) -> Fraction | None:
-    import math
-
-    ns = math.isqrt(a.numerator)
-    ds = math.isqrt(a.denominator)
-    if ns * ns == a.numerator and ds * ds == a.denominator:
-        return Fraction(ns, ds)
-    return None
+    return SurfacePoint(x=x, place=place, value=value)
 
 
 def evaluate_invariant(q: QuadricSextet, P: SurfacePoint, place: Place) -> Invariant:
     """Local invariant of the class at a certified point: the Hilbert symbol of
     the first representative whose entries are both nonzero there."""
     for rep in representatives(q):
-        lv = Fraction(rep.left.evaluate(P.x))
-        rv = Fraction(rep.right.evaluate(P.x))
+        lv = rep.left.evaluate(P.x)
+        rv = rep.right.evaluate(P.x)
         if lv != 0 and rv != 0:
             return hilbert_symbol(lv, rv, place)
     raise IndeterminateAtPoint(
@@ -241,10 +220,6 @@ class PlaceInvariant:
 class InvariantProfile:
     entries: dict  # Place -> PlaceInvariant
     eliminations: list[str]  # rules justifying the absent places
-
-    def value_at(self, place: Place) -> Invariant:
-        entry = self.entries.get(place)
-        return entry.value if entry is not None else INV_ZERO
 
     def total(self) -> Invariant:
         return invariant_sum(e.value for e in self.entries.values())

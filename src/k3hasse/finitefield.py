@@ -1,5 +1,5 @@
 """Arithmetic in F_p and F_{p^n}: elements, characters, Frobenius orbits,
-distinct-degree splitting and root finding in extensions.
+and factorization of univariate polynomials into irreducibles.
 
 Fields are immutable and cached; elements are lightweight wrappers so the
 generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import probable_prime, strip_small_factors
-from .poly import UniPoly, poly_gcd, squarefree_decomposition
+from .poly import UniPoly, poly_gcd, poly_gcdex, squarefree_decomposition
 
 TABLE_LIMIT = 2**20
 
@@ -229,9 +229,6 @@ class ExtensionField(FiniteField):
     def from_base(self, a: FFElem) -> FFElem:
         return FFElem(self, self._pad([a]))
 
-    def from_poly(self, poly: UniPoly) -> FFElem:
-        return FFElem(self, self._pad((poly % self.modulus).coeffs))
-
     def random_element(self, rng) -> FFElem:
         return FFElem(self, tuple(self.base.random_element(rng) for _ in range(self.rel_degree)))
 
@@ -239,9 +236,6 @@ class ExtensionField(FiniteField):
     def gen(self) -> FFElem:
         """The class of t."""
         return FFElem(self, self._pad([self.base.zero, self.base.one]))
-
-    def to_poly(self, a: FFElem) -> UniPoly:
-        return UniPoly(a.val)
 
     def _fmt(self, val):
         return "[" + ", ".join(self.base._fmt(c.val) for c in val) + "]"
@@ -277,16 +271,7 @@ class ExtensionField(FiniteField):
         poly = UniPoly(a)
         if poly.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid: find u with u * poly = 1 mod modulus
-        r0, r1 = self.modulus, poly
-        s0, s1 = UniPoly(), UniPoly.const(self.base.one)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        # r0 = gcd, a unit in the base field
-        inv_lc = self.base.one / r0.lc
-        return self._pad([c * inv_lc for c in s0.coeffs])
+        return self._pad(poly_gcdex(poly, self.modulus)[1].coeffs)
 
     def encode(self, a: FFElem) -> int:
         """Base-p digit encoding (prime base fields only)."""
@@ -544,31 +529,4 @@ def irreducible_factors(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, i
         for fac, d in distinct_degree_factorization(sqfree, field):
             for irr in equal_degree_factorization(fac, d, field):
                 out.append((irr, mult))
-    return out
-
-
-def roots_in_extensions(g: UniPoly, field: FiniteField, max_degree: int):
-    """All roots of g in F_{q^e} for e <= max_degree, over the given base.
-
-    Returns (root, exact_degree, multiplicity) triples; ``exact_degree`` is
-    the absolute degree of the root over the prime field, and conjugate roots
-    are listed individually (inside an extension field whose modulus is the
-    root's minimal polynomial over the base).
-    """
-    if g.is_zero():
-        raise ValueError("root finding on the zero polynomial")
-    out = []
-    for irr, mult in irreducible_factors(g, field):
-        e = irr.degree
-        if e > max_degree:
-            continue
-        if e == 1:
-            root = -irr.coeffs[0]
-            out.append((root, field.element_degree(root), mult))
-            continue
-        ext = ExtensionField(field, irr)
-        root = ext.gen
-        for _ in range(e):
-            out.append((root, ext.element_degree(root), mult))
-            root = ext.frobenius(root)
     return out

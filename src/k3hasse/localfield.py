@@ -89,10 +89,6 @@ def padic_square(a: Fraction | int, p: int) -> bool:
     return pow(r, (p - 1) // 2, p) == 1
 
 
-def real_square(a: Fraction | int) -> bool:
-    return Fraction(a) > 0
-
-
 def _eps2(u: int) -> int:
     """(u - 1)/2 mod 2 for odd u."""
     return (u - 1) // 2 % 2

@@ -178,12 +178,6 @@ def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
     return CountSeries(p=p, max_n=max_n, counts=counts, tallies=tallies)
 
 
-def count_points(f: TernaryForm, p: int, n: int) -> int:
-    """N = #{P in P^2(F_{p^n})} weighted by 1 + chi(f(P)): the point count of
-    the double cover w^2 = f."""
-    return count_series(f, p, n).counts[n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Frobenius characteristic polynomial
 # ---------------------------------------------------------------------------

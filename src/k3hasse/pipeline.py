@@ -471,35 +471,37 @@ def verify_example(depth: int = 6, full_count: bool = False) -> ObstructionRepor
 # The staged search
 # ---------------------------------------------------------------------------
 
-def _allowed(lo: int, hi: int, residue_mod: tuple[int, int], sign: int) -> list[int]:
-    """Integers in [lo, hi] with the given congruence and strict sign (0: any)."""
-    r, m = residue_mod
-    return [v for v in range(lo, hi + 1) if (sign == 0 or v * sign > 0) and (v - r) % m == 0]
+#: ((residue, modulus), sign) of each coefficient of A..F, row by row, for the
+#: 2-adic congruences and the diagonal sign pattern; sign 0 = free,
+#: +1 positive, -1 negative
+_PATTERNS = (
+    ((1, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((0, 8), -1),
+    ((1, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((0, 2), +1),
+    ((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((1, 2), +1),
+    ((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((1, 8), -1), ((0, 8), 0), ((0, 8), -1),
+    ((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((1, 2), +1), ((0, 2), 0), ((0, 2), +1),
+    ((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((1, 8), -1),
+)
+
+
+@lru_cache(maxsize=8)
+def _choice_table(bound: int) -> tuple[tuple[int, ...], ...]:
+    """The integers in [-bound, bound] allowed for each of the 36 coefficients."""
+    return tuple(
+        tuple(v for v in range(-bound, bound + 1) if (sign == 0 or v * sign > 0) and (v - r) % m == 0)
+        for (r, m), sign in _PATTERNS
+    )
 
 
 def draw_sextet(rng: random.Random, bound: int) -> QuadricSextet | None:
     """A random sextet honoring the 2-adic congruences and the diagonal sign
     pattern; None when the range admits no valid coefficient for some slot."""
-    lo, hi = -bound, bound
-    # (residue, modulus), sign: 0 = free, +1 positive, -1 negative
-    patterns = {
-        "A": [((1, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((0, 8), -1)],
-        "B": [((1, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((0, 2), +1)],
-        "C": [((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((1, 2), +1)],
-        "D": [((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((1, 8), -1), ((0, 8), 0), ((0, 8), -1)],
-        "E": [((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((1, 2), +1), ((0, 2), 0), ((0, 2), +1)],
-        "F": [((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((1, 8), -1)],
-    }
-    rows = []
-    for key in "ABCDEF":
-        row = []
-        for residue, sign in patterns[key]:
-            choices = _allowed(lo, hi, residue, sign)
-            if not choices:
-                return None
-            row.append(rng.choice(choices))
-        rows.append(row)
-    return QuadricSextet.from_coefficients(rows)
+    values = []
+    for choices in _choice_table(bound):
+        if not choices:
+            return None
+        values.append(rng.choice(choices))
+    return QuadricSextet.from_coefficients(values[i:i + 6] for i in range(0, 36, 6))
 
 
 def search_events(config: SearchConfig):

@@ -222,6 +222,20 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return f.monic() if not f.is_zero() else f
 
 
+def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Monic gcd d of a and a nonzero b over a field, with a cofactor s such
+    that s*a = d mod b; for deg a < deg b, deg s < deg b, so s = a^-1 mod b
+    when d = 1."""
+    r0, r1 = b, a
+    s0, s1 = UniPoly(), UniPoly.const(b.lc ** 0)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    inv_lc = b.lc ** 0 / r0.lc
+    return r0 * inv_lc, s0 * inv_lc
+
+
 def _int_content(f: UniPoly) -> int:
     import math
 

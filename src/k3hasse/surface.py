@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .poly import TernaryForm
 
@@ -72,9 +71,6 @@ class QuadricSextet:
             indent=2,
         )
 
-    def is_degenerate(self) -> bool:
-        return any(form.is_zero() for form in self.forms())
-
 
 @dataclass(frozen=True)
 class K3Surface:
@@ -101,18 +97,6 @@ def swap_projection(q: QuadricSextet) -> QuadricSextet:
     return QuadricSextet.from_coefficients(
         [[matrix[i][j] for i in range(6)] for j in range(6)]
     )
-
-
-def bidegree_form(q: QuadricSextet) -> dict:
-    """The (2,2) form as a map (x-monomial, y-monomial) -> coefficient."""
-    from .poly import monomials_of_degree
-
-    ymons = monomials_of_degree(2)
-    out = {}
-    for form, ymon in zip(q.forms(), ymons):
-        for xmon, c in form.terms.items():
-            out[(xmon, ymon)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +199,3 @@ def reduce_mod(form: TernaryForm, field) -> TernaryForm:
     return TernaryForm(
         form.degree, {m: field.from_int(c) for m, c in form.terms.items()}
     )
-
-
-def to_rational(form: TernaryForm) -> TernaryForm:
-    return form.map_coefficients(Fraction)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from k3hasse import badred
 from k3hasse.badred import (
     DegenerateReduction,
     NotBadPrime,
@@ -104,12 +105,49 @@ def test_regularize_extends_a_prime_field_through_fq():
     needs F_9: the canonical fq(3, 2), modulus t^2 + 1."""
     F3 = prime_field(3)
     g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
-    with pytest.raises(RegularizationError):
-        regularize([g], F3, allow_extension=False)
     fld, a, b, (h,) = regularize([g], F3)
     assert fld is fq(3, 2)
     assert [c.val for c in fld.modulus.coeffs] == [1, 0, 1]
     assert h.evaluate((fld.zero, fld.zero, fld.one))
+
+
+def test_singular_points_needs_a_frame_over_the_prime_field():
+    """(x0^3 x2 - x0 x2^3)(x0^2 + x1^2 + x2^2) is bad mod 3, but its Jacobian
+    system has a frame only over F_9, where the node locator does not work."""
+    f = TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}) * TernaryForm(
+        2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
+    )
+    assert is_bad_prime(f, 3)
+    with pytest.raises(RegularizationError):
+        singular_points(f, 3, 6)
+
+
+def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeypatch):
+    """After is_bad_prime(f, p), singular_points(f, p) computes no new
+    resultant.  Mod 7 the decision runs the resultant chain; mod 5 it stops on
+    the line y0 = 0 ([0:1:0] is singular) before the chain, which only the
+    node locator then needs."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return resultant(f, g)
+
+    def resultants(p):
+        badred._eliminate.cache_clear()
+        badred.singular_locus_nonempty.cache_clear()
+        calls.clear()
+        assert is_bad_prime(example_sextic, p)
+        decided = len(calls)
+        singular_points(example_sextic, p, 6)
+        return decided, len(calls)
+
+    resultant = badred.resultant
+    monkeypatch.setattr(badred, "resultant", counted)
+    decided, total = resultants(7)
+    assert decided > 0 and total == decided
+    decided, total = resultants(5)
+    assert decided == 0 and total > 0
 
 
 def test_is_bad_prime_agrees_with_exhaustive_search(example_sextic):

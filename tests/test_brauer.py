@@ -64,6 +64,12 @@ def test_find_local_point_table1_rows(example_surface):
     assert pt.value == 80019
 
 
+def test_local_points_are_integer_triples(example_surface):
+    for place in (Place.real(), Place.finite(2), Place.finite(5), Place.finite(89)):
+        pt = find_local_point(example_surface, place, box=1)
+        assert all(type(c) is int for c in pt.x) and type(pt.value) is int, place
+
+
 def test_find_local_point_not_found():
     # w^2 = -(x0^2+x1^2+x2^2)^3 has no real points
     s = TernaryForm(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
@@ -185,7 +191,7 @@ def test_bm_verdict_cases():
 
 def test_profile_builder_on_example_surface(example_surface, fixtures):
     profile = build_invariant_profile(example_surface, fixtures.bad_primes)
-    assert profile.value_at(Place.real()) == INV_HALF
+    assert profile.entries[Place.real()].value == INV_HALF
     for place, entry in profile.entries.items():
         assert entry.constant
         assert entry.basis.startswith("theorem")

@@ -5,9 +5,9 @@ import pytest
 from k3hasse.finitefield import (
     ExtensionField,
     fq,
+    irreducible_factors,
     prime_field,
     quadratic_character,
-    roots_in_extensions,
 )
 from k3hasse.poly import UniPoly
 
@@ -102,23 +102,26 @@ def test_character_transfer_rule_exhaustive(n):
 
 
 def test_roots_in_extensions_examples():
+    """Roots in extensions are the roots of the irreducible factors, each in
+    the extension that its factor defines."""
     F3 = fq(3, 1)
     zero, one = F3.zero, F3.one
     x3mx = UniPoly([zero, -one, zero, one])
-    roots = roots_in_extensions(x3mx, F3, 1)
-    assert sorted(r.val for r, _, _ in roots) == [0, 1, 2]
-    assert all(d == 1 and m == 1 for _, d, m in roots)
+    factors = irreducible_factors(x3mx, F3)
+    assert sorted((-irr.coeffs[0]).val for irr, _ in factors) == [0, 1, 2]
+    assert all(irr.degree == 1 and m == 1 for irr, m in factors)
 
     x2p1 = UniPoly([one, zero, one])
-    roots = roots_in_extensions(x2p1, F3, 2)
-    assert len(roots) == 2
-    assert all(d == 2 and m == 1 for _, d, m in roots)
-    r0, r1 = roots[0][0], roots[1][0]
-    assert r0 != r1 and r0 * r0 == -r0.field.one
+    ((irr, m),) = irreducible_factors(x2p1, F3)
+    assert irr.degree == 2 and m == 1
+    ext = ExtensionField(F3, irr)
+    r0, r1 = ext.gen, ext.frobenius(ext.gen)
+    assert ext.element_degree(r0) == ext.element_degree(r1) == 2
+    assert r0 != r1 and r0 * r0 == -ext.one
 
     xm1 = UniPoly([-one, one])
-    roots = roots_in_extensions(xm1, F3, 3)
-    assert len(roots) == 1 and roots[0][0] == one
+    ((irr, m),) = irreducible_factors(xm1, F3)
+    assert -irr.coeffs[0] == one and m == 1
 
 
 def test_roots_counted_with_multiplicity():
@@ -128,8 +131,8 @@ def test_roots_counted_with_multiplicity():
         deg = rng.randrange(1, 4)
         coeffs = [F5.decode(rng.randrange(5)) for _ in range(deg)] + [F5.one]
         g = UniPoly(coeffs) ** rng.randrange(1, 3)
-        roots = roots_in_extensions(g, F5, g.degree)
-        assert sum(m for _, _, m in roots) == g.degree
+        factors = irreducible_factors(g, F5)
+        assert sum(m * irr.degree for irr, m in factors) == g.degree
 
 
 def test_extension_field_arithmetic_axioms():
