@@ -8,6 +8,7 @@ separators.
 from __future__ import annotations
 
 import functools
+import math
 
 # Miller-Rabin with these witnesses is deterministic for n < 3.3 * 10^24.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -37,7 +38,20 @@ def probable_prime(n: int, rounds: int = 64, witnesses=None) -> bool:
     False means certainly composite.  True means prime with error probability
     at most 4^(-rounds); for n below 3.3 * 10^24 a fixed witness set makes the
     answer deterministic.  An explicit ``witnesses`` list overrides both.
+    Without one the answer is memoised, so a prime that several legs test
+    (and every ``Place`` built on it) pays the rounds once.
     """
+    if witnesses is None:
+        return _probable_prime(n, rounds)
+    return _miller_rabin(n, rounds, witnesses)
+
+
+@functools.lru_cache(maxsize=1024)
+def _probable_prime(n: int, rounds: int) -> bool:
+    return _miller_rabin(n, rounds, None)
+
+
+def _miller_rabin(n: int, rounds: int, witnesses) -> bool:
     if n <= 1:
         raise ValueError("probable_prime requires n > 1")
     if rounds < 1:
@@ -79,14 +93,15 @@ def strip_small_factors(n: int, bound: int = 10**6) -> tuple[list[tuple[int, int
 
     Returns ``(factors, cofactor)`` with factors a list of (prime, multiplicity)
     pairs; the product of the factors times the cofactor is exactly n, and the
-    cofactor has no prime factor <= bound.
+    cofactor has no prime factor <= bound.  The sieve stops at
+    min(bound, isqrt(n)): what is left after those primes is 1 or a prime.
     """
     if n <= 0:
         raise ValueError("strip_small_factors requires n > 0")
     if bound < 2:
         raise ValueError("bound must be >= 2")
     factors = []
-    for p in _primes_up_to(bound):
+    for p in _primes_up_to(min(bound, math.isqrt(n))):
         if p * p > n:
             break
         if n % p == 0:

@@ -9,6 +9,16 @@ univariate polynomials computed simultaneously over K[u]/(G) with
 dynamic-evaluation splitting at zero divisors, so no factorization over Q is
 ever needed.
 
+The chart resultants go through ``resultant``.  Over a finite field they are
+computed by evaluation and interpolation on int codes
+(``finitefield.resultant_by_evaluation``): regularisation makes every
+t-leading coefficient a nonzero constant, so deg_u Res_t(g_i, g_j) <=
+deg g_i * deg g_j = D by Bezout, and D + 1 values of u determine it.  F_p with
+p > D evaluates on ints mod p; a smaller field (F_3 and its lift F_9, F_5,
+F_7 .. F_23 for the sextic's D = 25 or 30) evaluates in fq(p, k) with p^k > D,
+on discrete logs.  Over Z the subresultant chain runs, and ``int_poly_gcd``
+first tries its coprimality certificate mod 2^61 - 1.
+
 The elimination (frame, transformed system, the gcd on the line y0 = 0, and
 lazily the chart polynomials and G) is memoised per (system, field) in
 ``_eliminate``.  The decision and the node locator read the same result: over
@@ -34,11 +44,17 @@ from .poly import (
     int_poly_gcd,
     poly_gcd,
     poly_gcdex,
-    resultant,
+    resultant as subresultant,
     squarefree_part,
     ternary_to_t_over_u,
 )
-from .finitefield import ExtensionField, fq, irreducible_factors, prime_field
+from .finitefield import (
+    ExtensionField,
+    fq,
+    irreducible_factors,
+    prime_field,
+    resultant_by_evaluation,
+)
 
 
 class DegenerateReduction(ValueError):
@@ -155,6 +171,16 @@ def _transform_system(system, fld, ea, eb):
 # ---------------------------------------------------------------------------
 # The shared elimination and the decision chain
 # ---------------------------------------------------------------------------
+
+def resultant(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Res_t(f, g) in K[u] of two chart polynomials: by evaluation and
+    interpolation on int codes over a finite field (the chart's t-leading
+    coefficients are nonzero constants, so deg_u Res <= deg_t f * deg_t g),
+    by the subresultant chain over Z."""
+    if isinstance(f.lc.lc, int):
+        return subresultant(f, g)
+    return resultant_by_evaluation(f, g)
+
 
 def _field_gcd(fld):
     """The gcd to use over the coefficient domain: primitive subresultant gcd

@@ -5,7 +5,8 @@ Fields are immutable and cached; elements are lightweight wrappers so the
 generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
 Small fields (order <= 2^20) additionally carry numpy discrete-log and
 Zech-logarithm tables; the point-counting kernel works on those raw arrays
-directly, in the log domain.
+directly, in the log domain.  The same tables, as lists (``LogArith``),
+serve ``resultant_by_evaluation``, the elimination's resultant over F[u].
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ from functools import cached_property
 import numpy as np
 
 from .arith import probable_prime, strip_small_factors
-from .poly import UniPoly, poly_gcd, poly_gcdex, squarefree_decomposition
+from .poly import (
+    ModP,
+    UniPoly,
+    code_eval,
+    code_interpolate,
+    code_resultant,
+    poly_gcd,
+    poly_gcdex,
+    squarefree_decomposition,
+)
 
 TABLE_LIMIT = 2**20
 
@@ -143,6 +153,11 @@ class FiniteField:
         if self.order > TABLE_LIMIT:
             raise ValueError("field too large to enumerate")
         return (self.decode(i) for i in range(self.order))
+
+    @cached_property
+    def _embeddings(self) -> dict:
+        """Memo of ``_embedding``: evaluation field -> (images, preimage)."""
+        return {}
 
 
 class PrimeField(FiniteField):
@@ -297,6 +312,10 @@ class ExtensionField(FiniteField):
             raise ValueError("tables require a prime base field")
         return FieldTables(self)
 
+    @cached_property
+    def log_arith(self) -> "LogArith":
+        return LogArith(self.tables)
+
 
 class FieldTables:
     """Discrete-log, Zech-log, Frobenius and exact-degree tables for a small
@@ -372,6 +391,50 @@ class FieldTables:
             cur = self.frob[cur]
         reps = np.nonzero(orbmin == ar)[0]
         return [(int(r), int(self.deg[r])) for r in reps]
+
+
+class LogArith:
+    """A small field on discrete logs, in the interface of ``poly.ModP``: a
+    nonzero x is coded by k in [0, q - 1) with x = g^k, and 0 by -1.
+    Multiplication adds logs; x + y = x (1 + y/x) reads the Zech logarithm
+    ``zech[k] = log(1 + g^k)``.  The lists are ``FieldTables``' arrays
+    converted once, with their zero sentinel mapped to -1."""
+
+    def __init__(self, tables: FieldTables):
+        m = tables.q - 1
+        self.m = m
+        # -1 = g^(m/2) in odd characteristic
+        self.half = m // 2 if tables.p % 2 else 0
+        self.zero, self.one = -1, 0
+        self.log = [k if k < m else -1 for k in tables.log.tolist()]
+        self.zech = [k if k < m else -1 for k in tables.zech[:m].tolist()]
+
+    def add(self, a: int, b: int) -> int:
+        if a < 0:
+            return b
+        if b < 0:
+            return a
+        z = self.zech[(b - a) % self.m]
+        return -1 if z < 0 else (a + z) % self.m
+
+    def neg(self, a: int) -> int:
+        return a if a < 0 else (a + self.half) % self.m
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        return -1 if a < 0 or b < 0 else (a + b) % self.m
+
+    def inv(self, a: int) -> int:
+        if a < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return -a % self.m
+
+    def pow(self, a: int, e: int) -> int:
+        if e == 0:
+            return 0
+        return -1 if a < 0 else a * e % self.m
 
 
 def _powers(field: FiniteField, g: FFElem, count: int) -> np.ndarray:
@@ -530,3 +593,82 @@ def irreducible_factors(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, i
             for irr in equal_degree_factorization(fac, d, field):
                 out.append((irr, mult))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Resultants over F[u] by evaluation and interpolation
+# ---------------------------------------------------------------------------
+
+def _embedding(fld: FiniteField, E: ExtensionField) -> tuple[list[int], dict]:
+    """The log in E of every element of fld, indexed by its code, and the
+    element of fld behind each image.  A prime field maps a to the element
+    with code a; an extension maps its generator to a root in E of its
+    modulus.  Memoised on fld."""
+    if E not in fld._embeddings:
+        A = E.log_arith
+        if fld is E:
+            images = A.log
+        elif isinstance(fld, PrimeField):
+            images = A.log[: fld.p]
+        else:
+            base_images = _embedding(fld.base, E)[0]
+            mu = [base_images[fld.base.encode(c)] for c in fld.modulus.coeffs]
+            # codes -1 .. m - 1 are every element of E
+            root = next(x for x in range(-1, A.m) if code_eval(A, mu, x) == A.zero)
+            b, images = fld.base.order, []
+            for code in range(fld.order):
+                digits, rest = [], code
+                for _ in range(fld.rel_degree):
+                    digits.append(base_images[rest % b])
+                    rest //= b
+                images.append(code_eval(A, digits, root))
+        fld._embeddings[E] = images, {img: fld.decode(code) for code, img in enumerate(images)}
+    return fld._embeddings[E]
+
+
+def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Res_t(f, g) in F[u] of t-polynomials f, g over F[u], F a finite
+    field, with the Sylvester convention, by evaluation at D + 1 points u0,
+    a univariate Euclid resultant of f(u0, t) and g(u0, t) at each, and
+    Newton interpolation, all on int codes.
+
+    Bound: when each t-leading coefficient is a nonzero constant and the
+    t^k coefficient has u-degree at most deg_t - k (the chart of a form
+    regular in the last variable, which regularisation provides), the
+    specialisations keep their t-degrees and deg_u Res <= deg_t f * deg_t g =
+    D, the Bezout bound.  Other inputs raise ValueError.
+
+    Evaluation field E: F_p itself, on ints mod p, when F = F_p and p > D.
+    Otherwise E = fq(p, k) with k the least multiple of [F : F_p] such that
+    p^k > D, on discrete logs (``LogArith``), and F embeds in E through a root
+    of its modulus; the result lies in the image of F and is mapped back.
+    """
+    fld = f.lc.lc.field
+    for P in (f, g):
+        if P.lc.degree != 0 or any(c.degree > P.degree - k for k, c in enumerate(P.coeffs)):
+            raise ValueError(
+                "the Bezout bound needs a constant t-leading coefficient and "
+                "u-degree at most deg_t - k at t^k"
+            )
+    D = f.degree * g.degree
+    p = fld.characteristic
+    if isinstance(fld, PrimeField) and p > D:
+        A, points = ModP(p), range(D + 1)
+        encode = lambda c: c.val
+        decode = lambda v: FFElem(fld, v)
+    else:
+        k = fld.degree
+        while p**k <= D:
+            k += fld.degree
+        E = fq(p, k)
+        A, points = E.log_arith, range(-1, D)  # 0, g^0, .., g^(D-1)
+        images, preimage = _embedding(fld, E)
+        encode = lambda c: images[fld.encode(c)]
+        decode = preimage.__getitem__
+    fc = [[encode(c) for c in cu.coeffs] for cu in f.coeffs]
+    gc = [[encode(c) for c in cu.coeffs] for cu in g.coeffs]
+    values = [
+        code_resultant(A, [code_eval(A, c, x) for c in fc], [code_eval(A, c, x) for c in gc])
+        for x in points
+    ]
+    return UniPoly([decode(c) for c in code_interpolate(A, points, values)])

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .arith import probable_prime, strip_small_factors
-from .badred import singular_points, verify_bad_prime_list
+from .badred import RegularizationError, singular_points, verify_bad_prime_list
 from .brauer import (
     LocalSolubilityUndecided,
     ProfileInconclusive,
@@ -41,9 +41,13 @@ from .brauer import (
     find_local_point,
 )
 from .localfield import Place
-from .picard import (
+# frobenius_charpoly and unit_root_bound are not called here (the report
+# carries the stage-5 charpoly); bench/layers.py traces the charpoly layer
+# through these module bindings, so they stay imported.
+from .picard import (  # noqa: F401
     CountingError,
     CountSeries,
+    FrobeniusData,
     InconsistentCounts,
     RankInconclusive,
     SignAmbiguous,
@@ -159,6 +163,10 @@ class ObstructionReport:
     invariant_total: str | None = None
     factorization: dict | None = None
     notes: list[str] = dataclass_field(default_factory=list)
+    #: the stage-5 charpoly, handed back for comparison; not part of the JSON
+    frobenius: FrobeniusData | None = dataclass_field(
+        default=None, repr=False, compare=False, metadata={"json": False}
+    )
 
     def to_json_dict(self) -> dict:
         """Every leg that is set; empty notes and counts are left out, the
@@ -167,7 +175,7 @@ class ObstructionReport:
             "verdict": self.verdict,
             "sextet": json.loads(self.sextet.to_json()),
         }
-        for key in (f.name for f in fields(self)[2:]):
+        for key in (f.name for f in fields(self)[2:] if f.metadata.get("json", True)):
             val = getattr(self, key)
             if val is None or (key in ("counts", "notes") and not val):
                 continue
@@ -358,6 +366,7 @@ def certify(
             cert = certify_rank_one(X, 3, report.no_tritangent_prime or 11, counts=counts)
         except (RankInconclusive, CountingError, SignAmbiguous, InconsistentCounts) as exc:
             raise Rejected(5, str(exc)) from exc
+        report.frobenius = cert.charpoly
         report.charpoly_sign = cert.charpoly.sign
         report.unit_root_bound = cert.unit_root_bound
         report.rank = cert.rank
@@ -388,7 +397,10 @@ def certify(
         for p in bad_primes:
             if p == 2:
                 continue
-            reports[p] = singular_points(f, p, 6)
+            try:
+                reports[p] = singular_points(f, p, 6)
+            except RegularizationError as exc:
+                raise Rejected(7, f"singular points mod {p} not located: {exc}") from exc
             if not reports[p].all_nodes_and_r_lt8:
                 raise Rejected(7, f"singular locus at {p} is not r < 8 ordinary double points")
         report.singular_analysis = {str(p): r.to_json_dict() for p, r in reports.items()}
@@ -449,14 +461,13 @@ def verify_example(depth: int = 6, full_count: bool = False) -> ObstructionRepor
         raise FixtureMismatch(
             "tritangent at 11", f"first tritangent-free prime is {report.no_tritangent_prime}"
         )
-    fd = frobenius_charpoly(full)
+    fd = report.frobenius
     if fd.sign != -1:
         raise FixtureMismatch("functional equation sign", f"got {fd.sign}")
     if fd.normalized != expected_normalized_charpoly():
         raise FixtureMismatch("charpoly", "normalized coefficients differ from the printed ones")
-    bound = unit_root_bound(fd)
-    if bound != 2:
-        raise FixtureMismatch("unit-root bound", f"got {bound}")
+    if report.unit_root_bound != 2:
+        raise FixtureMismatch("unit-root bound", f"got {report.unit_root_bound}")
 
     report.counts_recomputed_to = recompute_to
     report.factorization = factorization

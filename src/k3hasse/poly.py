@@ -5,6 +5,12 @@ finite-field elements all work, as do nested ``UniPoly`` coefficients (used by
 the elimination machinery, which treats ternary forms as polynomials in one
 variable over polynomials in another).
 
+Hot loops over finite fields run on int codes instead: ``ModP`` (ints mod p)
+and the discrete-log arithmetic of ``finitefield`` share one interface, and
+``code_resultant``, ``code_interpolate`` and ``code_gcd_degree`` are written
+against it.  Over Z, ``resultant`` is the subresultant chain and
+``int_poly_gcd`` first tries a coprimality certificate mod 2^61 - 1.
+
 Ternary forms are homogeneous and serialise in graded-lex order with
 x0 > x1 > x2; a quadratic form is the 6 coefficients of
 [x0^2, x0x1, x0x2, x1^2, x1x2, x2^2], a sextic the analogous 28.
@@ -12,6 +18,7 @@ x0 > x1 > x2; a quadratic form is the 6 coefficients of
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable
 
 
@@ -237,8 +244,6 @@ def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 
 def _int_content(f: UniPoly) -> int:
-    import math
-
     c = 0
     for x in f.coeffs:
         c = math.gcd(c, x)
@@ -252,17 +257,29 @@ def _int_primitive(f: UniPoly) -> UniPoly:
     return UniPoly([x // c for x in f.coeffs])
 
 
-def int_poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Primitive gcd of integer polynomials by the subresultant remainder
-    sequence (coefficient growth stays polynomial, unlike naive rational
-    Euclid on big-coefficient inputs)."""
-    import math
+#: the prime of the modular coprimality certificate in ``int_poly_gcd``
+GCD_CERTIFICATE_PRIME = (1 << 61) - 1
 
+
+def int_poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Primitive gcd of integer polynomials, times the gcd of the contents.
+
+    First a certificate mod the prime P = 2^61 - 1: when P divides neither
+    leading coefficient, the primitive gcd h over Z keeps its degree mod P
+    and divides both reductions, so a gcd of degree 0 mod P proves h = 1 and
+    the answer is the content gcd, exactly.  Otherwise the subresultant
+    remainder sequence runs (coefficient growth stays polynomial, unlike
+    naive rational Euclid on big-coefficient inputs)."""
     if f.is_zero():
         return _int_primitive(g)
     if g.is_zero():
         return _int_primitive(f)
     cont = math.gcd(_int_content(f), _int_content(g))
+    P = GCD_CERTIFICATE_PRIME
+    if f.lc % P and g.lc % P:
+        A = ModP(P)
+        if code_gcd_degree(A, [c % P for c in f.coeffs], [c % P for c in g.coeffs]) == 0:
+            return UniPoly([cont])
     f, g = _int_primitive(f), _int_primitive(g)
     if f.degree < g.degree:
         f, g = g, f
@@ -302,7 +319,9 @@ def resultant(f: UniPoly, g: UniPoly):
     """Resultant with the Sylvester-determinant convention.
 
     Computed by the subresultant algorithm, so integer (and nested-polynomial)
-    coefficients stay fraction-free.
+    coefficients stay fraction-free.  The elimination uses it over Z; over a
+    finite field it uses ``finitefield.resultant_by_evaluation``, which the
+    tests compare with this one.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -337,6 +356,118 @@ def resultant(f: UniPoly, g: UniPoly):
             if f.degree > 1:
                 return sign * _coeff_div(num, h ** (f.degree - 1))
             return sign * num
+
+
+# ---------------------------------------------------------------------------
+# Univariate arithmetic on int codes
+# ---------------------------------------------------------------------------
+#
+# The routines below work on lists of field elements coded as plain ints,
+# lowest degree first, with a nonzero last entry (the empty list is 0).  The
+# field is an arithmetic object with the interface of ModP: ``zero``, ``one``,
+# ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow`` on codes.
+
+class ModP:
+    """F_p on the ints 0 .. p - 1."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.zero, self.one = 0, 1
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.p)
+
+
+def code_eval(A, cs: list, x):
+    """The value of a coded polynomial at the coded point x (Horner)."""
+    add, mul = A.add, A.mul
+    acc = A.zero
+    for c in reversed(cs):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
+def code_rem(A, f: list, g: list) -> list:
+    """The remainder of f by a nonzero g."""
+    sub, mul, zero = A.sub, A.mul, A.zero
+    r = list(f)
+    dg = len(g) - 1
+    inv = A.inv(g[-1])
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r.pop()
+        if c == zero:
+            continue
+        q = mul(c, inv)
+        for j in range(dg):
+            r[i - dg + j] = sub(r[i - dg + j], mul(q, g[j]))
+    while r and r[-1] == zero:
+        r.pop()
+    return r
+
+
+def code_gcd_degree(A, f: list, g: list) -> int:
+    """The degree of gcd(f, g) for f nonzero (Euclid)."""
+    while g:
+        f, g = g, code_rem(A, f, g)
+    return len(f) - 1
+
+
+def code_resultant(A, f: list, g: list):
+    """Res(f, g) of nonzero f, g with the Sylvester convention, by Euclid:
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for the
+    remainder r of f by g, and Res(f, c) = c^(deg f) for a constant c."""
+    res = A.one
+    while len(g) > 1:
+        r = code_rem(A, f, g)
+        if not r:
+            return A.zero
+        df, dg = len(f) - 1, len(g) - 1
+        if df & dg & 1:
+            res = A.neg(res)
+        res = A.mul(res, A.pow(g[-1], df - len(r) + 1))
+        f, g = g, r
+    return A.mul(res, A.pow(g[0], len(f) - 1))
+
+
+def code_interpolate(A, xs, ys) -> list:
+    """The polynomial of degree < len(xs) through the points (x, y), x
+    distinct, in Newton's incremental form (one inversion per point), then
+    expanded to coefficients."""
+    add, sub, mul = A.add, A.sub, A.mul
+    xs = list(xs)
+    newton = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        value, weight = A.zero, A.one
+        for j in range(k):
+            value = add(value, mul(newton[j], weight))
+            weight = mul(weight, sub(x, xs[j]))
+        newton.append(mul(sub(y, value), A.inv(weight)))
+    cs: list = []
+    for k in range(len(newton) - 1, -1, -1):
+        # cs <- cs * (u - x_k) + newton[k]
+        minus_x = A.neg(xs[k])
+        cs = [A.zero] + cs
+        for j in range(len(cs) - 1):
+            cs[j] = add(cs[j], mul(minus_x, cs[j + 1]))
+        cs[0] = add(cs[0], newton[k])
+    while cs and cs[-1] == A.zero:
+        cs.pop()
+    return cs
 
 
 def squarefree_decomposition(g: UniPoly) -> list[tuple[UniPoly, int]]:

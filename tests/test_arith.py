@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from k3hasse import arith
 from k3hasse.arith import probable_prime, strip_small_factors
+from k3hasse.localfield import Place
 from .oracles import trial_division_is_prime
 
 
@@ -38,6 +40,50 @@ def test_probable_prime_explicit_witnesses_are_deterministic():
     # 2047 = 23 * 89 is a strong pseudoprime to base 2 only
     assert probable_prime(2047, witnesses=[2])
     assert not probable_prime(2047, witnesses=[2, 3])
+
+
+def test_probable_prime_tests_each_number_once(fixtures, monkeypatch):
+    """Places on the 66-digit prime, built twice, and a second test of it run
+    the Miller-Rabin rounds once; explicit witnesses are never memoised."""
+    calls = []
+    miller_rabin = arith._miller_rabin
+
+    def counted(n, rounds, witnesses):
+        calls.append(n)
+        return miller_rabin(n, rounds, witnesses)
+
+    monkeypatch.setattr(arith, "_miller_rabin", counted)
+    arith._probable_prime.cache_clear()
+    Place.finite(fixtures.prime66)
+    Place.finite(fixtures.prime66)
+    assert probable_prime(fixtures.prime66)
+    assert calls == [fixtures.prime66]
+    assert probable_prime(2047, witnesses=[2]) and probable_prime(2047, witnesses=[2])
+    assert calls.count(2047) == 2
+
+
+def test_strip_small_factors_sieves_to_the_square_root(monkeypatch):
+    """The sieve stops at min(bound, isqrt(n)), and the factorization is
+    still complete below the bound."""
+    sieved = []
+    primes_up_to = arith._primes_up_to.__wrapped__
+
+    def counted(bound):
+        sieved.append(bound)
+        return primes_up_to(bound)
+
+    monkeypatch.setattr(arith, "_primes_up_to", counted)
+    assert strip_small_factors(80, bound=1 << 20) == ([(2, 4), (5, 1)], 1)
+    assert strip_small_factors(4) == ([(2, 2)], 1)
+    assert sieved == [8, 2]
+    for n in range(1, 3000):
+        factors, cofactor = strip_small_factors(n, bound=50)
+        assert all(trial_division_is_prime(p) for p, _ in factors)
+        assert all(cofactor % p for p in range(2, 51))
+        product = cofactor
+        for p, e in factors:
+            product *= p**e
+        assert product == n
 
 
 def test_strip_small_factors_trivial_cases():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from k3hasse.badred import (
     verify_bad_prime_list,
 )
 from k3hasse.finitefield import fq, prime_field
-from k3hasse.poly import TernaryForm, monomials_of_degree
+from k3hasse.poly import TernaryForm, monomials_of_degree, resultant, ternary_to_t_over_u
 from k3hasse.surface import reduce_mod
 
 
@@ -109,6 +110,17 @@ def test_regularize_extends_a_prime_field_through_fq():
     assert fld is fq(3, 2)
     assert [c.val for c in fld.modulus.coeffs] == [1, 0, 1]
     assert h.evaluate((fld.zero, fld.zero, fld.one))
+
+
+def test_chart_resultants_of_the_lifted_mod_3_system(example_sextic):
+    """The example's mod-3 Jacobian system has a frame only over F_9; every
+    chart resultant, computed on int codes in F_81, equals the subresultant."""
+    F3 = prime_field(3)
+    elim = badred._eliminate(tuple(jacobian_system(reduce_mod(example_sextic, F3))), F3)
+    assert elim.fld is fq(3, 2)
+    polys = [ternary_to_t_over_u(g, elim.fld.one) for g in elim.system]
+    for P, Q in combinations(polys, 2):
+        assert badred.resultant(P, Q) == resultant(P, Q)
 
 
 def test_singular_points_needs_a_frame_over_the_prime_field():

@@ -6,10 +6,12 @@ from k3hasse.finitefield import (
     ExtensionField,
     fq,
     irreducible_factors,
+    is_irreducible,
     prime_field,
     quadratic_character,
+    resultant_by_evaluation,
 )
-from k3hasse.poly import UniPoly
+from k3hasse.poly import TernaryForm, UniPoly, resultant, ternary_to_t_over_u
 
 
 def test_make_field_canonical_moduli():
@@ -210,3 +212,73 @@ def test_tower_extension_field():
     g = tower.gen
     assert g ** (tower.order - 1) == tower.one
     assert tower.element_degree(tower.from_int(2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# Resultants by evaluation and interpolation, against the subresultant chain
+# ---------------------------------------------------------------------------
+
+def _quadratic_tower_over_f9():
+    """F_81 as a quadratic extension of F_9 (not the canonical fq(3, 4))."""
+    F9 = fq(3, 2)
+    for k in range(F9.order**2):
+        cand = UniPoly([F9.decode(k % 9), F9.decode(k // 9), F9.one])
+        if is_irreducible(cand, F9):
+            return ExtensionField(F9, cand)
+
+
+def _random_chart(fld, d, rng):
+    """g(1, u, t) for a random form g of degree d with g(0, 0, 1) = 1, the
+    shape regularisation gives every chart polynomial."""
+    terms = {(i, j, d - i - j): fld.random_element(rng) for i in range(d + 1) for j in range(d + 1 - i)}
+    terms[(0, 0, d)] = fld.one
+    return ternary_to_t_over_u(TernaryForm(d, terms), fld.one)
+
+
+@pytest.mark.parametrize("name", ["F3", "F9", "F5", "F7", "F13", "F89", "prime66", "F81-tower"])
+def test_resultant_by_evaluation_matches_the_subresultant(name, fixtures):
+    """Every evaluation-field case: F_3, F_5 and F_7 evaluate in fq(p, k),
+    F_9 in F_81 through a root of its modulus, F_13 in F_169 or itself
+    (D = 25 or < 13), F_89 and the 66-digit prime in themselves, and a
+    non-canonical F_81 in fq(3, 4) through its tower."""
+    fld = {
+        "F3": prime_field(3), "F9": fq(3, 2), "F5": prime_field(5), "F7": prime_field(7),
+        "F13": prime_field(13), "F89": prime_field(89), "prime66": prime_field(fixtures.prime66),
+        "F81-tower": _quadratic_tower_over_f9(),
+    }[name]
+    rng = random.Random(name)
+    at_bound = 0
+    for d1, d2 in [(5, 5), (5, 6), (3, 3), (2, 3), (1, 4), (0, 3), (4, 1)]:
+        f, g = _random_chart(fld, d1, rng), _random_chart(fld, d2, rng)
+        got = resultant_by_evaluation(f, g)
+        assert got == resultant(f, g), (d1, d2)
+        at_bound += got.degree == d1 * d2
+    assert at_bound  # generic charts reach the Bezout bound
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_resultant_by_evaluation_reaches_the_bound_and_zero(p, n):
+    """Res_t(t - u, t^m + u^m) = 2 u^m has degree exactly D = m, and two
+    charts with a common factor have an identically zero resultant."""
+    fld = fq(p, n)
+    u, one, zero = UniPoly([fld.zero, fld.one]), UniPoly([fld.one]), UniPoly()
+    for m in (2, 4, 6):
+        f = UniPoly([-u, one])
+        g = UniPoly([u ** m] + [zero] * (m - 1) + [one])
+        got = resultant_by_evaluation(f, g)
+        assert got.degree == m and got == resultant(f, g)
+    rng = random.Random(p * n)
+    h = _random_chart(fld, 2, rng)
+    f = h * _random_chart(fld, 3, rng)
+    g = h * _random_chart(fld, 2, rng)
+    assert resultant_by_evaluation(f, g).is_zero()
+    assert resultant(f, g).is_zero()
+
+
+def test_resultant_by_evaluation_needs_the_bezout_shape():
+    F7 = prime_field(7)
+    u, one = UniPoly([F7.zero, F7.one]), UniPoly([F7.one])
+    with pytest.raises(ValueError):  # t-leading coefficient u
+        resultant_by_evaluation(UniPoly([one, u]), UniPoly([u, one]))
+    with pytest.raises(ValueError):  # u^2 at t^0 of a t-linear polynomial
+        resultant_by_evaluation(UniPoly([u * u, one]), UniPoly([u, one]))

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from k3hasse import badred, picard
+from k3hasse import badred, picard, pipeline
+from k3hasse.badred import RegularizationError
 from k3hasse.picard import CountSeries
 from k3hasse.pipeline import (
     FixtureMismatch,
@@ -167,6 +168,22 @@ def test_certify_rejection_names_the_stage(fixtures):
     assert (err.value.stage, err.value.reason) == (3, "no tritangent-free good prime in the window")
 
 
+def test_stage_7_rejects_a_prime_whose_frame_needs_an_extension(fixtures, monkeypatch):
+    """singular_points raises RegularizationError when the frame of a bad
+    prime exists only over an extension; certify names that prime in a
+    stage-7 rejection."""
+
+    def no_frame(f, p, degree_bound):
+        raise RegularizationError(f"the singular points mod {p} need a frame over an extension")
+
+    monkeypatch.setattr(pipeline, "singular_points", no_frame)
+    with pytest.raises(Rejected) as err:
+        _certify_fixture(fixtures, bad_primes=fixtures.bad_primes)
+    first = next(p for p in fixtures.bad_primes if p != 2)
+    assert err.value.stage == 7
+    assert f"mod {first} not located" in err.value.reason
+
+
 def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
     tampered = dataclasses.replace(fixtures, good_spot_checks=(5,))
     monkeypatch.setattr("k3hasse.pipeline.load_fixtures", lambda: tampered)
@@ -179,9 +196,9 @@ def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
 def test_verify_example_decides_each_leg_once(monkeypatch):
     """verify_example(depth=2) decides singularity once per distinct form
     (over Q, mod 3, 11, 13 and mod each of the nine odd bad primes), runs the
-    elimination (regularize) once per distinct Jacobian system and scans for
-    tritangents once per prime (3 and 11)."""
-    decisions, frames, scans, depth = [], [], [], [0]
+    elimination (regularize) once per distinct Jacobian system, scans for
+    tritangents once per prime (3 and 11) and computes the charpoly once."""
+    decisions, frames, scans, charpolys, depth = [], [], [], [], [0]
     system_has_common_zero = badred._system_has_common_zero
     regularize = badred.regularize
 
@@ -201,7 +218,14 @@ def test_verify_example_decides_each_leg_once(monkeypatch):
         scans.append(p)
         return scan(f, p)
 
+    def counted_charpoly(counts):
+        charpolys.append(counts.p)
+        return frobenius_charpoly(counts)
+
     scan = picard.tritangent_scan.__wrapped__
+    frobenius_charpoly = picard.frobenius_charpoly
+    monkeypatch.setattr(picard, "frobenius_charpoly", counted_charpoly)
+    monkeypatch.setattr(pipeline, "frobenius_charpoly", counted_charpoly)
     monkeypatch.setattr(badred, "_system_has_common_zero", counted_decision)
     monkeypatch.setattr(badred, "regularize", counted_regularize)
     monkeypatch.setattr(picard, "tritangent_scan", functools.lru_cache(maxsize=64)(counted_scan))
@@ -213,3 +237,4 @@ def test_verify_example_decides_each_leg_once(monkeypatch):
     assert sum(decisions) == 13
     assert frames and len(frames) == len(set(frames))
     assert sorted(scans) == [3, 11]
+    assert charpolys == [3]

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from k3hasse import poly
 from k3hasse.finitefield import fq
 from k3hasse.poly import (
+    GCD_CERTIFICATE_PRIME,
     ProjLine,
     TernaryForm,
     UniPoly,
+    int_poly_gcd,
     monomials_of_degree,
     poly_gcd,
     restrict_to_line,
@@ -52,6 +55,42 @@ def test_resultant_swap_symmetry():
         g = UniPoly([Fraction(rng.randrange(-5, 6)) for _ in range(dg)] + [Fraction(rng.randrange(1, 4))])
         sign = -1 if (f.degree % 2 and g.degree % 2) else 1
         assert resultant(f, g) == sign * resultant(g, f)
+
+
+def test_int_poly_gcd_certificate_needs_unit_leading_coefficients():
+    """(P x + 1)(x + 3) and (P x + 1)(x + 5), P = 2^61 - 1, are coprime mod P,
+    where both reduce to degree 1, but share P x + 1 over Z."""
+    P = GCD_CERTIFICATE_PRIME
+    h = UniPoly([1, P])
+    f, g = h * UniPoly([3, 1]), h * UniPoly([5, 1])
+    assert int_poly_gcd(f, g) == h
+    assert int_poly_gcd(f.scale(6), g.scale(-4)) == h.scale(2)
+    assert int_poly_gcd(f, UniPoly([3, 1]) * UniPoly([7, 1])) == UniPoly([3, 1])
+
+
+def test_int_poly_gcd_certificate_agrees_with_the_prs_gcd(monkeypatch):
+    """Random integer polynomials with a common factor h (often 1) and big
+    coefficients: the gcd with the certificate equals the gcd from the
+    subresultant remainder sequence alone."""
+    rng = random.Random(29)
+
+    def rand(deg, digits):
+        bound = 10**digits
+        return UniPoly([rng.randrange(-bound, bound) for _ in range(deg)] + [rng.randrange(1, bound)])
+
+    cases = []
+    for k in range(80):
+        h = rand(rng.randrange(0, 4), 3) if k % 2 else UniPoly([rng.randrange(1, 50)])
+        f = h * rand(rng.randrange(0, 6), rng.choice((2, 40, 300)))
+        g = h * rand(rng.randrange(0, 6), rng.choice((2, 40, 300)))
+        got = int_poly_gcd(f, g)
+        assert got.degree >= h.degree
+        cases.append((f, g, got))
+    certified = sum(got.degree == 0 for _f, _g, got in cases)
+    monkeypatch.setattr(poly, "code_gcd_degree", lambda A, f, g: 1)  # never certify
+    for f, g, got in cases:
+        assert int_poly_gcd(f, g) == got
+    assert certified > 20
 
 
 def test_squarefree_examples():
