@@ -6,7 +6,8 @@ seconds).  The counts determine the Frobenius characteristic polynomial
 on middle cohomology up to the sign of its functional equation; the sign is
 fixed by the requirement that all roots have modulus 3.  Exactly two
 normalized eigenvalues are roots of unity, so the geometric Picard rank over
-F_3 is 2, generated by the pullback of the tritangent line 2x0 + x2 = 0.
+F_3 is 2, generated by the pullback of the tritangent line 2x0 + x2 = 0,
+printed as its normalised int triple (l0, l1, l2) = (1, 0, 2).
 Because the reduction mod 11 has no tritangent line, rank 2 cannot lift, and
 the surface over Q has rank 1.
 """
@@ -35,7 +36,7 @@ print("normalized charpoly (ascending):")
 print(" ", [str(c) for c in fd.normalized])
 print("unit-root bound:", unit_root_bound(fd))
 
-print("\ntritangent line mod 3:", find_tritangent(f, 3))
+print("\ntritangent line l0 x0 + l1 x1 + l2 x2 = 0 mod 3, (l0, l1, l2):", find_tritangent(f, 3))
 print("tritangent line mod 11:", find_tritangent(f, 11))
 
 cert = certify_rank_one(X, 3, 11, counts=full)

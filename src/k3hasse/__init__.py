@@ -6,7 +6,7 @@ The package is organised bottom-up:
 
 - ``arith``:       exact integer services (probable primes, trial division)
 - ``poly``:        ternary forms and univariate polynomials over exact rings
-- ``finitefield``: F_p and F_{p^n} arithmetic, characters, factorization
+- ``finitefield``: F_p and F_{p^n} arithmetic, Zech logs, factorization
 - ``localfield``:  places of Q, p-adic squares, Hilbert symbols
 - ``surface``:     the K3 double cover w^2 = f built from six quadrics
 - ``badred``:      bad-reduction analysis via resultant-chain elimination

@@ -141,11 +141,18 @@ def find_local_point(X: K3Surface, place: Place, box: int = 1) -> SurfacePoint |
     return None
 
 
-def sample_local_points(X: K3Surface, place: Place, count: int, max_box: int = 6) -> list[SurfacePoint]:
-    """Up to ``count`` certified points from growing boxes."""
+#: the largest box the invariant sampling grows to, and the points it wants
+#: at the real place, at 2 and, to corroborate a witness, at a bad prime
+SAMPLE_MAX_BOX = 6
+REAL_SAMPLES = PADIC_SAMPLES = 25
+CORROBORATING_SAMPLES = 20
+
+
+def sample_local_points(X: K3Surface, place: Place, count: int) -> list[SurfacePoint]:
+    """Up to ``count`` certified points from boxes growing to SAMPLE_MAX_BOX."""
     out = []
     seen = set()
-    for box in range(1, max_box + 1):
+    for box in range(1, SAMPLE_MAX_BOX + 1):
         for x in _box_triples(box):
             if x in seen:
                 continue
@@ -278,12 +285,8 @@ def _sampled_entry(q, X, place, basis_theorem, expected, samples_wanted, witness
 def build_invariant_profile(
     X: K3Surface,
     bad_primes,
-    real_samples: int = 25,
-    padic_samples: int = 25,
-    corroborate: int = 20,
     witness_box: int = 2,
     singular_reports: dict | None = None,
-    degree_bound: int = 6,
 ) -> InvariantProfile:
     """Per-place invariants of the class with their justification.
 
@@ -303,14 +306,14 @@ def build_invariant_profile(
     entries[real] = _sampled_entry(
         q, X, real,
         "theorem:negative-definite-ADF-positive-definite-BCE" if check_real_conditions(q) else None,
-        INV_HALF, real_samples,
+        INV_HALF, REAL_SAMPLES,
     )
 
     two = Place.finite(2)
     entries[two] = _sampled_entry(
         q, X, two,
         "theorem:2-adic-coefficient-congruences" if check_2adic_conditions(q) else None,
-        INV_ZERO, padic_samples,
+        INV_ZERO, PADIC_SAMPLES,
     )
 
     reports = dict(singular_reports or {})
@@ -319,7 +322,7 @@ def build_invariant_profile(
             continue
         place = Place.finite(p)
         if p not in reports:
-            reports[p] = singular_points(X.branch_sextic, p, degree_bound)
+            reports[p] = singular_points(X.branch_sextic, p)
         report = reports[p]
         witness = find_local_point(X, place, box=witness_box)
         if witness is None:
@@ -329,7 +332,7 @@ def build_invariant_profile(
             )
             continue
         value = evaluate_invariant(q, witness, place)
-        pts = sample_local_points(X, place, corroborate)
+        pts = sample_local_points(X, place, CORROBORATING_SAMPLES)
         values = {evaluate_invariant(q, P, place) for P in pts} | {value}
         if report.all_nodes_and_r_lt8:
             if len(values) != 1:

@@ -95,9 +95,9 @@ def _cmd_tritangent(args) -> int:
     scan = tritangent_scan(X.branch_sextic, args.p)
     _emit({
         "p": args.p,
-        "line": None if scan.line is None else [c.val for c in scan.line.coords],
+        "line": scan.line,
         "lines_scanned": scan.lines_scanned,
-        "degenerate_lines": [[c.val for c in l.coords] for l in scan.degenerate_lines],
+        "degenerate_lines": scan.degenerate_lines,
     })
     return 0
 
@@ -114,7 +114,7 @@ def _cmd_picard(args) -> int:
         "rank": cert.rank,
         "p": cert.p,
         "p_prime": cert.p_prime,
-        "tritangent_line": [c.val for c in cert.tritangent_line.coords],
+        "tritangent_line": cert.tritangent_line,
         "unit_root_bound": cert.unit_root_bound,
         "charpoly_sign": cert.charpoly.sign,
         "counts": cert.counts.counts,

@@ -1,5 +1,5 @@
-"""Arithmetic in F_p and F_{p^n}: elements, characters, Frobenius orbits,
-and factorization of univariate polynomials into irreducibles.
+"""Arithmetic in F_p and F_{p^n}: elements, Frobenius orbits, and
+factorization of univariate polynomials into irreducibles.
 
 Fields are immutable and cached; elements are lightweight wrappers so the
 generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
@@ -526,16 +526,6 @@ def fq(p: int, n: int) -> FiniteField:
         if cand.degree == n and is_irreducible(cand, base):
             return ExtensionField(base, cand)
     raise AssertionError("no irreducible modulus found")
-
-
-def quadratic_character(a: FFElem) -> int:
-    """0 for zero, +1 for nonzero squares, -1 for nonsquares (odd q)."""
-    field = a.field
-    if field.characteristic == 2:
-        raise ValueError("quadratic character needs odd characteristic")
-    if not a:
-        return 0
-    return 1 if a ** ((field.order - 1) // 2) == field.one else -1
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ Horner evaluation over all z in F_{p^d} runs on logs: multiplying by z adds
 log z, and adding a constant c is log c + Z(log v - log c) with the Zech
 logarithm Z(k) = log(1 + g^k).  Zero is a sentinel log that the tables
 absorb, and chi(v) is the parity of log v because q - 1 is even.
+
+The tritangent scan runs on ints mod p too.  A line is an int triple; f
+restricts to it in one pass over its terms, and the restriction g is a
+constant times a square when its multiplicity at infinity is even and the
+monic square root read off the top half of g/lc(g) squares back to it.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from math import comb
 
 import numpy as np
 
-from .poly import ProjLine, TernaryForm, UniPoly, restrict_to_line, squarefree_decomposition
-from .finitefield import TABLE_LIMIT, FiniteField, fq, prime_field
+from .arith import probable_prime
+from .poly import TernaryForm, UniPoly, squarefree_decomposition
+from .finitefield import TABLE_LIMIT, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
 
 
@@ -219,10 +225,11 @@ def _weil_plausible(coefficients, q: int) -> bool:
     return bool(np.all(np.abs(np.abs(roots) - q) <= 0.3 * q))
 
 
-def _weil_conform(coefficients, q: int, rel_tol: float = 1e-6) -> bool:
-    """All roots of modulus q, via companion-matrix eigenvalues of the exact
-    squarefree part (repeated roots scatter numerically far beyond any usable
-    tolerance, so multiplicities are removed exactly first)."""
+def _weil_conform(coefficients, q: int) -> bool:
+    """All roots of modulus q to a relative 1e-6, via companion-matrix
+    eigenvalues of the exact squarefree part (repeated roots scatter
+    numerically far beyond any usable tolerance, so multiplicities are
+    removed exactly first)."""
     poly = UniPoly([Fraction(c) for c in coefficients])
     try:
         sqfree = [fac for fac, _ in squarefree_decomposition(poly)]
@@ -233,7 +240,7 @@ def _weil_conform(coefficients, q: int, rel_tol: float = 1e-6) -> bool:
         prod = prod * fac
     cs = [float(c) for c in prod.coeffs]
     roots = np.roots(cs[::-1])
-    return bool(np.all(np.abs(np.abs(roots) - q) <= q * rel_tol))
+    return bool(np.all(np.abs(np.abs(roots) - q) <= q * 1e-6))
 
 
 def _complete_with_sign(a_top: dict[int, Fraction], eps: int, q: int):
@@ -431,54 +438,85 @@ def unit_root_bound(fd: FrobeniusData) -> int:
 @dataclass(frozen=True)
 class TritangentScan:
     prime: int
-    line: ProjLine | None
-    degenerate_lines: tuple[ProjLine, ...]
+    line: tuple[int, int, int] | None
+    degenerate_lines: tuple[tuple[int, int, int], ...]
     lines_scanned: int
 
 
-def enumerate_lines(field: FiniteField):
-    """All p^2 + p + 1 lines of the dual plane in normalized lex order."""
-    one, zero = field.one, field.zero
-    for a in range(field.order):
-        ea = field.decode(a)
-        for b in range(field.order):
-            yield ProjLine(one, ea, field.decode(b))
-    for b in range(field.order):
-        yield ProjLine(zero, one, field.decode(b))
-    yield ProjLine(zero, zero, one)
+def enumerate_lines(p: int):
+    """All p^2 + p + 1 lines l0 x0 + l1 x1 + l2 x2 = 0 of P^2(F_p) as int
+    triples, first nonzero coordinate 1, in lex order: (1, a, b), (0, 1, b),
+    (0, 0, 1)."""
+    for a in range(p):
+        for b in range(p):
+            yield (1, a, b)
+    for b in range(p):
+        yield (0, 1, b)
+    yield (0, 0, 1)
 
 
-def _is_square_binary_form(g: UniPoly, degree: int) -> bool:
-    """Is the binary form with dehomogenisation g (and degree ``degree``) a
-    nonzero constant times a perfect square?"""
-    inf_mult = degree - g.degree
-    if inf_mult % 2:
+def _restriction(fcoef: dict, degree: int, line: tuple[int, int, int], p: int) -> list[int]:
+    """g(t), f mod p on the line, lowest degree first without trailing zeros.
+
+    The pivot coordinate is x_i = -(l_j x_j + l_k x_k); x_j = 1 and x_k = t
+    parametrise the line, and degree - deg g is the multiplicity at infinity.
+    """
+    i = line.index(1)
+    j, k = (n for n in range(3) if n != i)
+    a, b = -line[j], -line[k]
+    powers = [[1]]  # coefficients of x_i^e = (a + b t)^e
+    for _ in range(degree):
+        prev = powers[-1]
+        powers.append([(a * u + b * v) % p for u, v in zip(prev + [0], [0] + prev)])
+    g = [0] * (degree + 1)
+    for mon, c in fcoef.items():
+        for n, u in enumerate(powers[mon[i]], start=mon[k]):
+            g[n] += c * u
+    g = [c % p for c in g]
+    while g and not g[-1]:
+        g.pop()
+    return g
+
+
+def _is_square_times_constant(g: list[int], degree: int, p: int) -> bool:
+    """Is the binary form of degree ``degree`` with nonzero dehomogenisation
+    g a constant times a square?  Exactly when degree - deg g is even and the
+    monic h read off the top half of g/lc(g) (p odd, so 2 is a unit) squares
+    back to g/lc(g): a monic square root is unique."""
+    n = len(g) - 1
+    if (degree - n) % 2 or n % 2:
         return False
-    if g.degree == 0:
-        return True
-    return all(m % 2 == 0 for _, m in squarefree_decomposition(g))
+    inv, m, half = pow(g[-1], -1, p), n // 2, (p + 1) // 2
+    h = [0] * m + [1]
+    for e in range(n - 1, -1, -1):
+        # t^e of h^2 without the still unknown 2 h[e - m] (for e >= m)
+        rest = sum(h[r] * h[e - r] for r in range(max(0, e - m), min(e, m) + 1))
+        if e >= m:
+            h[e - m] = (g[e] * inv - rest) * half % p
+        elif (g[e] * inv - rest) % p:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=64)
 def tritangent_scan(f: TernaryForm, p: int) -> TritangentScan:
     """Scan every line of P^2(F_p) for tritangency: the restriction of f must
-    be a nonzero constant times a perfect square."""
-    field = prime_field(p)
-    ff = f if hasattr(next(iter(f.terms.values())), "field") else reduce_mod(f, field)
+    be a nonzero constant times a perfect square.  Lines on which f vanishes
+    are recorded as degenerate and not matched."""
+    if p == 2 or not probable_prime(p):
+        raise ValueError(f"the tritangent scan needs an odd prime, not {p}")
+    fcoef = _int_coefficients_mod(f, p)
     degenerate = []
-    scanned = 0
-    for line in enumerate_lines(field):
-        scanned += 1
-        g, _inf = restrict_to_line(ff, line)
-        if g.is_zero():
+    for scanned, line in enumerate(enumerate_lines(p), start=1):
+        g = _restriction(fcoef, f.degree, line, p)
+        if not g:
             degenerate.append(line)
-            continue
-        if _is_square_binary_form(g, ff.degree):
+        elif _is_square_times_constant(g, f.degree, p):
             return TritangentScan(p, line, tuple(degenerate), scanned)
     return TritangentScan(p, None, tuple(degenerate), scanned)
 
 
-def find_tritangent(f: TernaryForm, p: int) -> ProjLine | None:
+def find_tritangent(f: TernaryForm, p: int) -> tuple[int, int, int] | None:
     return tritangent_scan(f, p).line
 
 
@@ -490,7 +528,7 @@ def find_tritangent(f: TernaryForm, p: int) -> ProjLine | None:
 class RankCertificate:
     p: int
     p_prime: int
-    tritangent_line: ProjLine
+    tritangent_line: tuple[int, int, int]
     unit_root_bound: int
     counts: CountSeries
     charpoly: FrobeniusData
@@ -505,7 +543,17 @@ def certify_rank_one(
     depth: int = 10,
 ) -> RankCertificate:
     """Geometric Picard rank 1, from a tritangent line and unit-root bound 2
-    at p together with tritangent absence at p_prime."""
+    at p together with tritangent absence at p_prime.
+
+    The scan at p_prime sees only F_{p_prime}-rational lines, and that is
+    enough.  Were the rank over Q-bar 2, specialisation at p would map
+    Pic(X over Q-bar) onto <H, C>, with C a component of pi^*(l) for the
+    tritangent l mod p.  So X over Q-bar would have a tritangent line l' with
+    pi^*(l') = C + C' and C' = H - C.  Galois fixes H and the intersection
+    form, and C and C' are the only classes D with D^2 = -2 and D.H = 1, so
+    Galois fixes or swaps them: l' is defined over Q.  Its reduction is an
+    F_{p_prime}-rational tritangent line.
+    """
     if p == p_prime:
         raise ValueError("the two primes must be distinct")
     if p == 2 or p_prime == 2:

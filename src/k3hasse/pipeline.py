@@ -58,6 +58,7 @@ from .picard import (  # noqa: F401
     unit_root_bound,
 )
 from .surface import (
+    COEFFICIENT_PATTERNS,
     QuadricSextet,
     build_k3,
     check_2adic_conditions,
@@ -327,7 +328,10 @@ def certify(
     if 2 in steps:
         if not is_smooth_curve(f):
             raise Rejected(2, "branch curve singular over Q")
-        if not is_smooth_curve(reduce_mod(f, prime_field(3))):
+        f3 = reduce_mod(f, prime_field(3))
+        if f3.is_zero():
+            raise Rejected(2, "branch form vanishes mod 3")
+        if not is_smooth_curve(f3):
             raise Rejected(2, "branch curve singular mod 3")
         report.smooth_over_q = report.smooth_mod_3 = True
 
@@ -336,7 +340,7 @@ def certify(
         if line is None:
             raise Rejected(3, "no tritangent line mod 3")
         report.tritangent_prime = 3
-        report.tritangent_line = tuple(c.val for c in line.coords)
+        report.tritangent_line = line
         lo, hi = config.tritangent_window
         for p in range(max(lo, 5), hi + 1):
             if not probable_prime(p):
@@ -482,25 +486,12 @@ def verify_example(depth: int = 6, full_count: bool = False) -> ObstructionRepor
 # The staged search
 # ---------------------------------------------------------------------------
 
-#: ((residue, modulus), sign) of each coefficient of A..F, row by row, for the
-#: 2-adic congruences and the diagonal sign pattern; sign 0 = free,
-#: +1 positive, -1 negative
-_PATTERNS = (
-    ((1, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((0, 8), -1),
-    ((1, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((0, 2), +1),
-    ((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((1, 2), +1),
-    ((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((1, 8), -1), ((0, 8), 0), ((0, 8), -1),
-    ((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((1, 2), +1), ((0, 2), 0), ((0, 2), +1),
-    ((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((1, 8), -1),
-)
-
-
 @lru_cache(maxsize=8)
 def _choice_table(bound: int) -> tuple[tuple[int, ...], ...]:
     """The integers in [-bound, bound] allowed for each of the 36 coefficients."""
     return tuple(
         tuple(v for v in range(-bound, bound + 1) if (sign == 0 or v * sign > 0) and (v - r) % m == 0)
-        for (r, m), sign in _PATTERNS
+        for (r, m), sign in COEFFICIENT_PATTERNS
     )
 
 

@@ -721,83 +721,6 @@ class TernaryForm:
         return UniPoly([zero if b is None else b for b in buckets])
 
 
-class ProjLine:
-    """A line in the projective plane by dual coordinates (l0, l1, l2),
-    normalised so the first nonzero coordinate is 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, l0, l1, l2):
-        coords = (l0, l1, l2)
-        pivot = None
-        for c in coords:
-            if c:
-                pivot = c
-                break
-        if pivot is None:
-            raise ValueError("line coordinates cannot all vanish")
-        inv = _coeff_div(pivot ** 0, pivot)
-        self.coords = tuple(c * inv for c in coords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjLine) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"ProjLine{self.coords}"
-
-
-def line_parametrization(line: ProjLine):
-    """The fixed degree-1 parametrization [s:t] -> point on the line.
-
-    Returns the pair of substitution triples (point at s=1 as polynomials in t
-    is not materialised; instead we give the two basis points P(1,0), P(0,1)).
-    For l0 != 0 the map is [-(l1 s + l2 t)/l0 : s : t]; for l0 = 0, l1 != 0 it
-    is [s : -l2 t / l1 : t]; for l0 = l1 = 0 it is [s : t : 0].
-    """
-    l0, l1, l2 = line.coords
-    one = (l0 if l0 else (l1 if l1 else l2)) ** 0
-    zero = one * 0
-    if l0:
-        inv = _coeff_div(one, l0)
-        ps = (-(l1 * inv), one, zero)
-        pt = (-(l2 * inv), zero, one)
-    elif l1:
-        inv = _coeff_div(one, l1)
-        ps = (one, zero, zero)
-        pt = (zero, -(l2 * inv), one)
-    else:
-        ps = (one, zero, zero)
-        pt = (zero, one, zero)
-    return ps, pt
-
-
-def restrict_to_line(f: TernaryForm, line: ProjLine) -> tuple[UniPoly, Any]:
-    """Restrict a homogeneous form to a line along the fixed parametrization.
-
-    Returns ``(g, at_infinity)`` where g(t) is the dehomogenised restriction at
-    s = 1 and ``at_infinity`` is the value at the parameter point [0:1]; the
-    pair determines the restricted binary form of degree deg f.
-    """
-    ps, pt = line_parametrization(line)
-    # point(s, t) = s * ps + t * pt; expand f(point(1, t)) as a polynomial in t
-    # by substituting x_i -> ps_i + t * pt_i, i.e. a univariate in t per variable.
-    subs = [UniPoly([a, b]) for a, b in zip(ps, pt)]
-    total = None
-    for (e0, e1, e2), c in f.terms.items():
-        term = UniPoly.const(c)
-        for e, s in ((e0, subs[0]), (e1, subs[1]), (e2, subs[2])):
-            for _ in range(e):
-                term = term * s
-        total = term if total is None else total + term
-    if total is None:
-        total = UniPoly()
-    at_inf = f.evaluate(pt)
-    return total, at_inf
-
-
 # ---------------------------------------------------------------------------
 # Bivariate/ternary helpers for the elimination machinery
 # ---------------------------------------------------------------------------

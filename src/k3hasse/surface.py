@@ -159,39 +159,25 @@ def check_real_conditions(q: QuadricSextet) -> bool:
     )
 
 
-def _v2(n: int) -> float:
-    if n == 0:
-        return float("inf")
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+#: ((residue, modulus), sign) of each coefficient of A..F, row by row: the
+#: 2-adic congruences (mod 8 with residue 0 is v_2 >= 3, residue 1 mod 2 is
+#: odd) and the diagonal sign pattern of the definiteness conditions; sign 0
+#: is free, +1 positive, -1 negative
+COEFFICIENT_PATTERNS = (
+    ((1, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((0, 8), -1),
+    ((1, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((0, 2), +1),
+    ((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((0, 2), +1), ((0, 2), 0), ((1, 2), +1),
+    ((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((1, 8), -1), ((0, 8), 0), ((0, 8), -1),
+    ((0, 2), +1), ((0, 2), 0), ((0, 2), 0), ((1, 2), +1), ((0, 2), 0), ((0, 2), +1),
+    ((0, 8), -1), ((0, 8), 0), ((0, 8), 0), ((0, 8), -1), ((0, 8), 0), ((1, 8), -1),
+)
 
 
 def check_2adic_conditions(q: QuadricSextet) -> bool:
-    """The six coefficient-wise congruence/valuation conditions that force the
-    2-adic invariant of the quaternion class to vanish."""
-    a = q.A.coefficients()
-    b = q.B.coefficients()
-    c = q.C.coefficients()
-    d = q.D.coefficients()
-    e = q.E.coefficients()
-    f = q.F.coefficients()
-    return (
-        a[0] % 8 == 1
-        and all(_v2(a[i]) >= 3 for i in (1, 2, 3, 4, 5))
-        and _v2(b[0]) == 0
-        and all(_v2(b[i]) >= 1 for i in (1, 2, 3, 4, 5))
-        and _v2(c[5]) == 0
-        and all(_v2(c[i]) >= 1 for i in (0, 1, 2, 3, 4))
-        and d[3] % 8 == 1
-        and all(_v2(d[i]) >= 3 for i in (0, 1, 2, 4, 5))
-        and _v2(e[3]) == 0
-        and all(_v2(e[i]) >= 1 for i in (0, 1, 2, 4, 5))
-        and f[5] % 8 == 1
-        and all(_v2(f[i]) >= 3 for i in (0, 1, 2, 3, 4))
-    )
+    """The coefficient-wise congruences of ``COEFFICIENT_PATTERNS`` that force
+    the 2-adic invariant of the quaternion class to vanish."""
+    coefficients = [c for form in q.forms() for c in form.coefficients()]
+    return all((c - r) % m == 0 for c, ((r, m), _) in zip(coefficients, COEFFICIENT_PATTERNS))
 
 
 def reduce_mod(form: TernaryForm, field) -> TernaryForm:

@@ -2,19 +2,24 @@
 
 Everything here is deliberately elementary (trial division, exhaustive
 searches, digit-by-digit lifting) and shares no code path with the
-implementations under test, with one exception: the naive point count runs on
-the library's finite-field arithmetic (``fq``, ``FFElem``, the quadratic
-character) and its coefficient reduction, so it checks the orbit counting
-kernel and its tables, not the field arithmetic underneath.
+implementations under test, with two exceptions.  The naive point count runs
+on the library's finite-field arithmetic (``fq``, ``FFElem``) and its
+coefficient reduction, so it checks the orbit counting kernel and its tables,
+not the field arithmetic underneath.  The naive tritangent scan restricts the
+form to each line with ``UniPoly`` products of field elements and tests
+squares by the library's squarefree decomposition, so it checks the scan on
+ints mod p, not those.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Any
 
-from k3hasse.finitefield import fq, quadratic_character
-from k3hasse.picard import CountingError, _int_coefficients_mod, check_weil_bound
-from k3hasse.poly import TernaryForm
+from k3hasse.finitefield import FFElem, FiniteField, fq, prime_field
+from k3hasse.picard import CountingError, TritangentScan, _int_coefficients_mod, check_weil_bound
+from k3hasse.poly import TernaryForm, UniPoly, _coeff_div, squarefree_decomposition
+from k3hasse.surface import reduce_mod
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -162,6 +167,16 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
     return det
 
 
+def quadratic_character(a: FFElem) -> int:
+    """0 for zero, +1 for nonzero squares, -1 for nonsquares (odd q)."""
+    field = a.field
+    if field.characteristic == 2:
+        raise ValueError("quadratic character needs odd characteristic")
+    if not a:
+        return 0
+    return 1 if a ** ((field.order - 1) // 2) == field.one else -1
+
+
 def _count_naive(f: TernaryForm, p: int, n: int) -> int:
     """Independent scalar count: enumerate P^2(F_{p^n}) and sum 1 + chi(f(P)).
 
@@ -208,3 +223,125 @@ def count_points_naive(f: TernaryForm, p: int, n: int) -> int:
     N = _count_naive(f, p, n)
     check_weil_bound(p, n, N)
     return N
+
+
+# ---------------------------------------------------------------------------
+# The generic tritangent scan: lines of field elements, UniPoly restriction
+# ---------------------------------------------------------------------------
+
+class ProjLine:
+    """A line in the projective plane by dual coordinates (l0, l1, l2),
+    normalised so the first nonzero coordinate is 1."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, l0, l1, l2):
+        coords = (l0, l1, l2)
+        pivot = None
+        for c in coords:
+            if c:
+                pivot = c
+                break
+        if pivot is None:
+            raise ValueError("line coordinates cannot all vanish")
+        inv = _coeff_div(pivot ** 0, pivot)
+        self.coords = tuple(c * inv for c in coords)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ProjLine) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"ProjLine{self.coords}"
+
+
+def line_parametrization(line: ProjLine):
+    """The fixed degree-1 parametrization [s:t] -> point on the line.
+
+    Returns the pair of substitution triples (point at s=1 as polynomials in t
+    is not materialised; instead we give the two basis points P(1,0), P(0,1)).
+    For l0 != 0 the map is [-(l1 s + l2 t)/l0 : s : t]; for l0 = 0, l1 != 0 it
+    is [s : -l2 t / l1 : t]; for l0 = l1 = 0 it is [s : t : 0].
+    """
+    l0, l1, l2 = line.coords
+    one = (l0 if l0 else (l1 if l1 else l2)) ** 0
+    zero = one * 0
+    if l0:
+        inv = _coeff_div(one, l0)
+        ps = (-(l1 * inv), one, zero)
+        pt = (-(l2 * inv), zero, one)
+    elif l1:
+        inv = _coeff_div(one, l1)
+        ps = (one, zero, zero)
+        pt = (zero, -(l2 * inv), one)
+    else:
+        ps = (one, zero, zero)
+        pt = (zero, one, zero)
+    return ps, pt
+
+
+def restrict_to_line(f: TernaryForm, line: ProjLine) -> tuple[UniPoly, Any]:
+    """Restrict a homogeneous form to a line along the fixed parametrization.
+
+    Returns ``(g, at_infinity)`` where g(t) is the dehomogenised restriction at
+    s = 1 and ``at_infinity`` is the value at the parameter point [0:1]; the
+    pair determines the restricted binary form of degree deg f.
+    """
+    ps, pt = line_parametrization(line)
+    # point(s, t) = s * ps + t * pt; expand f(point(1, t)) as a polynomial in t
+    # by substituting x_i -> ps_i + t * pt_i, i.e. a univariate in t per variable.
+    subs = [UniPoly([a, b]) for a, b in zip(ps, pt)]
+    total = None
+    for (e0, e1, e2), c in f.terms.items():
+        term = UniPoly.const(c)
+        for e, s in ((e0, subs[0]), (e1, subs[1]), (e2, subs[2])):
+            for _ in range(e):
+                term = term * s
+        total = term if total is None else total + term
+    if total is None:
+        total = UniPoly()
+    at_inf = f.evaluate(pt)
+    return total, at_inf
+
+
+def enumerate_lines(field: FiniteField):
+    """All p^2 + p + 1 lines of the dual plane in normalized lex order."""
+    one, zero = field.one, field.zero
+    for a in range(field.order):
+        ea = field.decode(a)
+        for b in range(field.order):
+            yield ProjLine(one, ea, field.decode(b))
+    for b in range(field.order):
+        yield ProjLine(zero, one, field.decode(b))
+    yield ProjLine(zero, zero, one)
+
+
+def _is_square_binary_form(g: UniPoly, degree: int) -> bool:
+    """Is the binary form with dehomogenisation g (and degree ``degree``) a
+    nonzero constant times a perfect square?"""
+    inf_mult = degree - g.degree
+    if inf_mult % 2:
+        return False
+    if g.degree == 0:
+        return True
+    return all(m % 2 == 0 for _, m in squarefree_decomposition(g))
+
+
+def tritangent_scan_naive(f: TernaryForm, p: int) -> TritangentScan:
+    """Scan every line of P^2(F_p) for tritangency: the restriction of f must
+    be a nonzero constant times a perfect square.  Lines are ``ProjLine``s."""
+    field = prime_field(p)
+    ff = f if hasattr(next(iter(f.terms.values())), "field") else reduce_mod(f, field)
+    degenerate = []
+    scanned = 0
+    for line in enumerate_lines(field):
+        scanned += 1
+        g, _inf = restrict_to_line(ff, line)
+        if g.is_zero():
+            degenerate.append(line)
+            continue
+        if _is_square_binary_form(g, ff.degree):
+            return TritangentScan(p, line, tuple(degenerate), scanned)
+    return TritangentScan(p, None, tuple(degenerate), scanned)

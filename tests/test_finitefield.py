@@ -8,10 +8,11 @@ from k3hasse.finitefield import (
     irreducible_factors,
     is_irreducible,
     prime_field,
-    quadratic_character,
     resultant_by_evaluation,
 )
 from k3hasse.poly import TernaryForm, UniPoly, resultant, ternary_to_t_over_u
+
+from .oracles import quadratic_character
 
 
 def test_make_field_canonical_moduli():

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from k3hasse.finitefield import TABLE_LIMIT, fq, prime_field, quadratic_character
+from k3hasse.finitefield import TABLE_LIMIT, fq, prime_field
 from k3hasse.picard import (
     CountSeries,
     CountingError,
@@ -12,8 +12,10 @@ from k3hasse.picard import (
     H2_DIM,
     RankInconclusive,
     SignAmbiguous,
+    _is_square_times_constant,
     _level_tallies,
     _int_coefficients_mod,
+    _restriction,
     certify_rank_one,
     count_series,
     cyclotomic_polynomial,
@@ -24,10 +26,11 @@ from k3hasse.picard import (
     tritangent_scan,
     unit_root_bound,
 )
-from k3hasse.poly import ProjLine, TernaryForm, monomials_of_degree, restrict_to_line, squarefree_decomposition
-from k3hasse.surface import reduce_mod
+from k3hasse.pipeline import draw_sextet, load_fixtures
+from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree
+from k3hasse.surface import build_k3, is_smooth_curve, reduce_mod
 
-from .oracles import count_points_naive
+from .oracles import _is_square_binary_form, count_points_naive, quadratic_character, tritangent_scan_naive
 
 
 def test_count_points_example_values(example_sextic):
@@ -275,9 +278,8 @@ def test_euler_phi_and_cyclotomic():
 
 
 def test_tritangent_example_results(example_sextic):
-    F3 = prime_field(3)
     line = find_tritangent(example_sextic, 3)
-    assert line == ProjLine(F3.from_int(2), F3.zero, F3.one)  # 2 x0 + x2 = 0
+    assert line == (1, 0, 2)  # x0 + 2 x2 = 0, i.e. 2 x0 + x2 = 0
     assert find_tritangent(example_sextic, 11) is None
 
 
@@ -286,18 +288,87 @@ def test_tritangent_sixth_power_and_degenerate_flag():
     scan = tritangent_scan(f, 3)
     assert scan.line is not None
     # the line x0 = 0 carries the zero restriction and is flagged, not matched
-    F3 = prime_field(3)
-    assert ProjLine(F3.one, F3.zero, F3.zero) in scan.degenerate_lines
+    assert (1, 0, 0) in scan.degenerate_lines
     # the specific line x0 = x1 restricts to a sixth power
-    line = ProjLine(F3.one, F3.from_int(-1), F3.zero)
-    g, _ = restrict_to_line(reduce_mod(f, F3), line)
-    assert all(m % 2 == 0 for _, m in squarefree_decomposition(g))
+    g = _restriction(_int_coefficients_mod(f, 3), 6, (1, 2, 0), 3)
+    assert g == [1] and _is_square_times_constant(g, 6, 3)
+
+
+def _comparison_forms():
+    """The shipped sextic, 40 drawn branch sextics and five sparse forms."""
+    fx = load_fixtures()
+    rng = random.Random(7)
+    drawn = [build_k3(draw_sextet(rng, 40)).branch_sextic for _ in range(40)]
+    x0, x1, x2 = (TernaryForm(1, {m: 1}) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    q = x0 * x0 + x1 * x2
+    sparse = [
+        x0 * x0 * x0 * x0 * x0 * x0 + x1 * x1 * x1 * x1 * x1 * x1,
+        q * q * (x0 * x1 + x2 * x2),
+        x0 * x1 * x1 * x1 * x1 * x1 + x2 * x2 * x2 * x2 * x2 * x2,
+        x0 * x1 * x2 * x0 * x1 * x2,
+        x0 * x0 * (x1 * x1 * x1 * x1 - x2 * x2 * x2 * x2),
+    ]
+    return [build_k3(fx.sextet).branch_sextic] + drawn + sparse
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_tritangent_scan_matches_the_naive_scan(p):
+    """Line, degenerate lines and lines scanned agree with the generic scan
+    over field elements on every comparison form."""
+
+    def ints(line):
+        return None if line is None else tuple(c.val for c in line.coords)
+
+    for f in _comparison_forms():
+        want = tritangent_scan_naive(f, p)
+        got = tritangent_scan.__wrapped__(f, p)
+        assert got.line == ints(want.line)
+        assert got.degenerate_lines == tuple(ints(l) for l in want.degenerate_lines)
+        assert got.lines_scanned == want.lines_scanned
+
+
+def test_square_test_matches_the_squarefree_decomposition():
+    """The monic-square-root test agrees with even squarefree multiplicities
+    on random restrictions and on constructed squares, at every multiplicity
+    at infinity."""
+    rng = random.Random(5)
+    for p in (3, 5, 7, 11):
+        field = fq(p, 1)
+        for _ in range(300):
+            n = rng.randrange(0, 7)
+            if rng.random() < 0.5:
+                h = [rng.randrange(p) for _ in range(n // 2)] + [1]
+                g = [0] * (2 * len(h) - 1)
+                for i, u in enumerate(h):
+                    for j, v in enumerate(h):
+                        g[i + j] += u * v
+                g = [c * rng.randrange(1, p) % p for c in g]
+            else:
+                g = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+            want = _is_square_binary_form(UniPoly([field.from_int(c) for c in g]), 6)
+            assert _is_square_times_constant(g, 6, p) is want, (p, g)
+
+
+def test_a_rational_tritangent_is_found_at_every_good_prime():
+    """f = g^2 + l k has the Q-rational tritangent l = x0 + x1 + x2, so every
+    prime of good reduction has an F_p-rational tritangent line and none can
+    serve as p'."""
+    rng = random.Random(1)
+    g = TernaryForm(3, {m: rng.randrange(-3, 4) for m in monomials_of_degree(3)})
+    k = TernaryForm(5, {m: rng.randrange(-3, 4) for m in monomials_of_degree(5)})
+    ell = TernaryForm(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    f = g * g + ell * k
+    good = [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if is_smooth_curve(reduce_mod(f, prime_field(p)))]
+    assert len(good) >= 5
+    for p in good:
+        scan = tritangent_scan(f, p)
+        # l is the line (1, 1, 1), the (p + 2)-nd one scanned
+        assert scan.line is not None and scan.lines_scanned <= p + 2, p
 
 
 def test_line_enumeration_counts():
     for p in (3, 5, 7, 11):
-        field = prime_field(p)
-        lines = list(enumerate_lines(field))
+        lines = list(enumerate_lines(p))
         assert len(lines) == p * p + p + 1
         assert len(set(lines)) == len(lines)
 

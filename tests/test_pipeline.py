@@ -18,7 +18,7 @@ from k3hasse.pipeline import (
     verify_example,
     verify_factorization_chain,
 )
-from k3hasse.surface import check_2adic_conditions
+from k3hasse.surface import QuadricSextet, check_2adic_conditions
 import random
 
 
@@ -166,6 +166,15 @@ def test_certify_rejection_names_the_stage(fixtures):
     with pytest.raises(Rejected) as err:
         certify(fixtures.sextet, tight)
     assert (err.value.stage, err.value.reason) == (3, "no tritangent-free good prime in the window")
+
+
+def test_stage_2_rejects_a_branch_form_that_vanishes_mod_3(fixtures):
+    """Every form scaled by 9 keeps the 2-adic congruences (9 = 1 mod 8) and
+    the definiteness, so stage 1 passes; f scales by 9^3 and vanishes mod 3."""
+    scaled = QuadricSextet(*(form.scale(9) for form in fixtures.sextet.forms()))
+    with pytest.raises(Rejected) as err:
+        certify(scaled, SearchConfig(steps=(1, 2)))
+    assert (err.value.stage, err.value.reason) == (2, "branch form vanishes mod 3")
 
 
 def test_stage_7_rejects_a_prime_whose_frame_needs_an_extension(fixtures, monkeypatch):

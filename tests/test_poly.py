@@ -7,18 +7,16 @@ from k3hasse import poly
 from k3hasse.finitefield import fq
 from k3hasse.poly import (
     GCD_CERTIFICATE_PRIME,
-    ProjLine,
     TernaryForm,
     UniPoly,
     int_poly_gcd,
     monomials_of_degree,
     poly_gcd,
-    restrict_to_line,
     resultant,
     squarefree_decomposition,
 )
 from k3hasse.surface import reduce_mod
-from .oracles import sylvester_resultant
+from .oracles import ProjLine, line_parametrization, restrict_to_line, sylvester_resultant
 
 
 def frac_poly(*coeffs):
@@ -171,8 +169,6 @@ def test_restrict_matches_pointwise_evaluation():
             Fraction(rng.randrange(1, 3)),
         )
         g, _ = restrict_to_line(f, line)
-        from k3hasse.poly import line_parametrization
-
         ps, pt = line_parametrization(line)
         t = Fraction(rng.randrange(-5, 6))
         point = tuple(a + t * b for a, b in zip(ps, pt))

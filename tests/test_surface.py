@@ -10,6 +10,7 @@ from k3hasse.finitefield import prime_field
 from k3hasse.localfield import Place
 from k3hasse.poly import TernaryForm
 from k3hasse.surface import (
+    COEFFICIENT_PATTERNS,
     QuadricSextet,
     build_k3,
     check_2adic_conditions,
@@ -138,6 +139,17 @@ def test_2adic_conditions(example_sextet):
     assert not check_2adic_conditions(with_a(a1))  # 3 != 1 mod 8
     a2 = list(a); a2[1] = 4
     assert not check_2adic_conditions(with_a(a2))  # v_2 = 2 < 3
+
+
+def test_2adic_conditions_per_slot(example_sextet):
+    """Each of the 36 coefficients of the shipped sextet: a shift by half its
+    modulus breaks the 2-adic conditions, a shift by the modulus keeps them."""
+    rows = [form.coefficients() for form in example_sextet.forms()]
+    for slot, ((_, m), _) in enumerate(COEFFICIENT_PATTERNS):
+        for shift, holds in ((m // 2, False), (m, True)):
+            moved = [list(row) for row in rows]
+            moved[slot // 6][slot % 6] += shift
+            assert check_2adic_conditions(QuadricSextet.from_coefficients(moved)) is holds, (slot, shift)
 
 
 def test_real_conditions_imply_positive_minors(example_surface):
