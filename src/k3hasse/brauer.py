@@ -11,6 +11,7 @@ symbol entry is a form in x0, x1, x2 alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
@@ -69,7 +70,10 @@ class QuaternionRep:
     right: TernaryForm
 
 
-def representatives(q: QuadricSextet) -> list[QuaternionRep]:
+@functools.lru_cache(maxsize=16)
+def representatives(q: QuadricSextet) -> tuple[QuaternionRep, ...]:
+    """The six representatives, built once per sextet: every local point
+    evaluates them, and the minors are degree-4 products."""
     m = minors(q)
     table = {
         "-M_A": -m.M_A,
@@ -79,10 +83,10 @@ def representatives(q: QuadricSextet) -> list[QuaternionRep]:
         "D": q.D,
         "F": q.F,
     }
-    return [
+    return tuple(
         QuaternionRep(tag=f"({l},{r})", left=table[l], right=table[r])
         for l, r in REPRESENTATIVE_TAGS
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -129,9 +133,12 @@ def _box_triples(box: int):
         yield x
 
 
+@functools.lru_cache(maxsize=64)
 def find_local_point(X: K3Surface, place: Place, box: int = 1) -> SurfacePoint | None:
     """First integer triple in the box (lexicographic scan) whose f-value is a
-    nonzero square in the completion; not-found is not a proof of insolubility."""
+    nonzero square in the completion; not-found is not a proof of insolubility.
+    Memoised, so the local-point stage of the search and the everywhere-local
+    attestation scan each (surface, place, box) once."""
     if box < 1:
         raise ValueError("box must be >= 1")
     for x in _box_triples(box):

@@ -3,6 +3,9 @@
 All I/O is JSON on files or standard streams.  A sextet file is an object with
 keys "A".."F", each a 6-integer array in the monomial order
 [x0^2, x0x1, x0x2, x1^2, x1x2, x2^2]; big integers travel as decimal strings.
+A bad input, an unreadable file, a fixture mismatch or a rejected stage exits
+with status 2 and one JSON object {"error", "leg", "message"} on standard
+error, "leg" naming the leg of the certificate or null.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .picard import (
     unit_root_bound,
 )
 from .pipeline import (
+    FixtureMismatch,
+    Rejected,
     SearchConfig,
     _profile_json,
     search,
@@ -222,7 +227,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify_example)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FixtureMismatch, Rejected, ValueError, TypeError, OSError) as exc:
+        # ValueError covers json.JSONDecodeError and malformed sextets
+        error = {"error": type(exc).__name__, "leg": getattr(exc, "leg", None), "message": str(exc)}
+        json.dump(error, sys.stderr)
+        sys.stderr.write("\n")
+        return 2
 
 
 if __name__ == "__main__":

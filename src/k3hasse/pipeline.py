@@ -291,6 +291,7 @@ class Rejected(Exception):
     def __init__(self, stage: int, reason: str):
         super().__init__(f"stage {stage} ({STAGE_LEGS[stage]}): {reason}")
         self.stage = stage
+        self.leg = STAGE_LEGS[stage]
         self.reason = reason
 
 

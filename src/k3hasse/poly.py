@@ -18,6 +18,7 @@ x0 > x1 > x2; a quadratic form is the 6 coefficients of
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Iterable
 
@@ -550,10 +551,16 @@ def squarefree_part(g: UniPoly) -> UniPoly:
 
 def monomials_of_degree(degree: int) -> list[tuple[int, int, int]]:
     """Exponent triples of total degree, graded-lex descending with x0 > x1 > x2."""
-    return sorted(
+    return list(_monomial_order(degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_order(degree: int) -> tuple[tuple[int, int, int], ...]:
+    """The order of :func:`monomials_of_degree`, sorted once per degree."""
+    return tuple(sorted(
         ((i, j, degree - i - j) for i in range(degree + 1) for j in range(degree - i + 1)),
         reverse=True,
-    )
+    ))
 
 
 class TernaryForm:
@@ -573,14 +580,14 @@ class TernaryForm:
 
     @classmethod
     def from_coefficients(cls, degree: int, coeffs) -> "TernaryForm":
-        mons = monomials_of_degree(degree)
+        mons = _monomial_order(degree)
         coeffs = list(coeffs)
         if len(coeffs) != len(mons):
             raise ValueError(f"degree-{degree} form needs {len(mons)} coefficients")
         return cls(degree, dict(zip(mons, coeffs)))
 
     def coefficients(self, zero=0) -> list:
-        return [self.terms.get(m, zero) for m in monomials_of_degree(self.degree)]
+        return [self.terms.get(m, zero) for m in _monomial_order(self.degree)]
 
     def coefficient(self, mon: tuple[int, int, int], zero=0):
         return self.terms.get(mon, zero)

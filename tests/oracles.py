@@ -1,7 +1,7 @@
 """Independent oracles the tests check the library against.
 
-Everything here is deliberately elementary (trial division, exhaustive
-searches, digit-by-digit lifting) and shares no code path with the
+Everything here is deliberately elementary (trial division, Euler's criterion,
+exhaustive searches, digit-by-digit lifting) and shares no code path with the
 implementations under test, with two exceptions.  The naive point count runs
 on the library's finite-field arithmetic (``fq``, ``FFElem``) and its
 coefficient reduction, so it checks the orbit counting kernel and its tables,
@@ -39,6 +39,13 @@ def padic_valuation_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def legendre_euler(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p by Euler's criterion,
+    a^((p - 1)/2) mod p read as 0, 1 or -1."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def exhaustive_padic_square(a: int, p: int, extra: int = 3) -> bool:

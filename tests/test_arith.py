@@ -86,6 +86,20 @@ def test_strip_small_factors_sieves_to_the_square_root(monkeypatch):
         assert product == n
 
 
+def test_primes_up_to_matches_trial_division():
+    primes_up_to = arith._primes_up_to.__wrapped__
+    naive = [n for n in range(2001) if trial_division_is_prime(n)]
+    for bound in range(2001):
+        assert primes_up_to(bound) == tuple(p for p in naive if p <= bound), bound
+
+
+def test_primes_up_to_a_million():
+    primes = arith._primes_up_to.__wrapped__(10**6)
+    assert len(primes) == 78_498
+    assert primes[-1] == 999_983
+    assert primes[:5] == (2, 3, 5, 7, 11)
+
+
 def test_strip_small_factors_trivial_cases():
     assert strip_small_factors(1) == ([], 1)
     assert strip_small_factors(360, bound=10) == ([(2, 3), (3, 2), (5, 1)], 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3hasse import brauer
 from k3hasse.brauer import (
     IndeterminateAtPoint,
     LocalSolubilityUndecided,
@@ -53,6 +54,28 @@ def test_headline_symbol_is_first_representative(example_sextet):
     assert rep.tag == "(-M_F,A)"
     assert rep.left == example_sextet.B * example_sextet.B - (example_sextet.A * example_sextet.D).scale(4)
     assert rep.right == example_sextet.A
+
+
+def test_representatives_are_built_once_per_sextet(example_sextet):
+    reps = representatives(example_sextet)
+    assert isinstance(reps, tuple) and len(reps) == 6
+    assert representatives(example_sextet) is reps
+
+
+def test_profile_computes_the_minors_once(example_surface, fixtures, monkeypatch):
+    computed = []
+    minors_of = brauer.minors
+
+    def counted(q):
+        computed.append(q)
+        return minors_of(q)
+
+    monkeypatch.setattr(brauer, "minors", counted)
+    representatives.cache_clear()
+    profile = build_invariant_profile(example_surface, fixtures.bad_primes)
+    representatives.cache_clear()
+    assert computed == [example_surface.sextet]
+    assert sum(e.samples for e in profile.entries.values()) > 200
 
 
 def test_find_local_point_table1_rows(example_surface):

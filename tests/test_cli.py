@@ -1,0 +1,73 @@
+import dataclasses
+import json
+
+from k3hasse.cli import main
+
+
+def _error(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_construct_writes_the_branch_sextic(example_sextet, example_sextic, tmp_path, capsys):
+    path = tmp_path / "sextet.json"
+    path.write_text(example_sextet.to_json())
+    assert main(["construct", "--sextet", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["sextic"] == example_sextic.coefficients()
+
+
+def test_construct_on_a_sextet_missing_a_form(example_sextet, tmp_path, capsys):
+    data = json.loads(example_sextet.to_json())
+    del data["F"]
+    path = tmp_path / "sextet.json"
+    path.write_text(json.dumps(data))
+    assert main(["construct", "--sextet", str(path)]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": "sextet JSON lacks the key 'F'",
+    }
+
+
+def test_construct_on_a_non_json_file(tmp_path, capsys):
+    path = tmp_path / "sextet.json"
+    path.write_text("A = [1, 0, 0, 1, 0, 1]\n")
+    assert main(["construct", "--sextet", str(path)]) == 2
+    error = _error(capsys)
+    assert error["error"] == "JSONDecodeError"
+    assert error["leg"] is None
+    assert error["message"].startswith("Expecting value")
+
+
+def test_construct_on_a_non_integer_coefficient(example_sextet, tmp_path, capsys):
+    data = json.loads(example_sextet.to_json())
+    data["B"][0] = 1.5
+    path = tmp_path / "sextet.json"
+    path.write_text(json.dumps(data))
+    assert main(["construct", "--sextet", str(path)]) == 2
+    assert _error(capsys) == {
+        "error": "TypeError",
+        "leg": None,
+        "message": "form B: coefficient 1.5 is not an int",
+    }
+
+
+def test_construct_on_a_missing_file(tmp_path, capsys):
+    assert main(["construct", "--sextet", str(tmp_path / "absent.json")]) == 2
+    error = _error(capsys)
+    assert error["error"] == "FileNotFoundError"
+    assert error["leg"] is None
+
+
+def test_verify_example_names_the_mismatched_leg(fixtures, monkeypatch, capsys):
+    tampered = dataclasses.replace(fixtures, good_spot_checks=(5,))
+    monkeypatch.setattr("k3hasse.pipeline.load_fixtures", lambda: tampered)
+    assert main(["verify-example", "--depth", "1"]) == 2
+    error = _error(capsys)
+    assert error["error"] == "FixtureMismatch"
+    assert error["leg"] == "bad primes"
+    assert "good spot check 5" in error["message"]

@@ -9,9 +9,15 @@ from k3hasse.localfield import (
     Place,
     hilbert_symbol,
     invariant_sum,
+    jacobi_symbol,
     padic_square,
 )
-from .oracles import conic_locally_soluble, exhaustive_padic_square
+from .oracles import (
+    conic_locally_soluble,
+    exhaustive_padic_square,
+    legendre_euler,
+    trial_division_is_prime,
+)
 
 
 def test_padic_square_examples():
@@ -109,6 +115,70 @@ def test_symbol_matches_conic_solubility_oracle():
             soluble = conic_locally_soluble(a, b, p)
             symbol = hilbert_symbol(a, b, Place.finite(p))
             assert (symbol == INV_ZERO) == soluble, (a, b, p)
+
+
+def test_jacobi_symbol_matches_euler_for_every_residue_of_small_primes():
+    for p in range(3, 200, 2):
+        if trial_division_is_prime(p):
+            for a in range(p):
+                assert jacobi_symbol(a, p) == legendre_euler(a, p), (a, p)
+
+
+def test_jacobi_symbol_matches_euler_at_the_big_bad_primes(fixtures):
+    rng = random.Random(17)
+    prime186 = fixtures.bad_primes[-1]
+    assert len(str(fixtures.prime66)) == 66 and len(str(prime186)) == 186
+    for p in (fixtures.prime66, prime186):
+        for _ in range(500):
+            for a in (rng.randrange(-10**6, 10**6), rng.randrange(p)):
+                assert jacobi_symbol(a, p) == legendre_euler(a, p), (a, p)
+
+
+def test_jacobi_symbol_negative_and_zero_residues(fixtures):
+    for p in (3, 5, 7, 11, 13, 89, 650779, fixtures.prime66, fixtures.bad_primes[-1]):
+        assert jacobi_symbol(0, p) == jacobi_symbol(p, p) == jacobi_symbol(-7 * p, p) == 0
+        # (-1/p) = -1 iff p = 3 mod 4
+        assert jacobi_symbol(-1, p) == legendre_euler(-1, p) == (-1 if p % 4 == 3 else 1)
+        for a in (-2, -3, -12, -(10**40) - 1):
+            assert jacobi_symbol(a, p) == jacobi_symbol(a + 5 * p, p) == legendre_euler(a, p)
+
+
+def test_jacobi_symbol_is_multiplicative_in_the_modulus():
+    """For odd composite n the symbol is the product of the Legendre symbols
+    of the prime factors of n, with multiplicity."""
+    for n in range(1, 300, 2):
+        factors, m, d = [], n, 3
+        while m > 1:
+            while m % d == 0:
+                factors.append(d)
+                m //= d
+            d += 2
+        for a in range(-n, 2 * n):
+            want = 1
+            for q in factors:
+                want *= legendre_euler(a, q)
+            assert jacobi_symbol(a, n) == want, (a, n)
+    for n in (0, -3, 2, 10):
+        with pytest.raises(ValueError):
+            jacobi_symbol(1, n)
+
+
+def test_square_tests_at_the_big_bad_primes_match_euler(fixtures):
+    """padic_square and the tame Hilbert symbol read their residues by
+    reciprocity; Euler's criterion gives the same answers."""
+    rng = random.Random(19)
+    for p in (fixtures.prime66, fixtures.bad_primes[-1]):
+        place = Place.finite(p)
+        for _ in range(50):
+            u = rng.randrange(1, 10**9) * rng.choice([1, -1])
+            v = rng.randrange(1, 10**9) * rng.choice([1, -1])
+            square = legendre_euler(u, p) == 1
+            assert padic_square(u, p) == padic_square(u * p * p, p) == square
+            assert not padic_square(u * p, p)
+            assert padic_square(Fraction(u, v * v), p) == square
+            assert hilbert_symbol(u, v, place) == INV_ZERO
+            want = INV_ZERO if legendre_euler(v, p) == 1 else INV_HALF
+            assert hilbert_symbol(u * p, v, place) == want
 
 
 def test_place_validation_and_order():

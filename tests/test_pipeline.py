@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from k3hasse import badred, picard, pipeline
+from k3hasse import badred, brauer, picard, pipeline
 from k3hasse.badred import RegularizationError
 from k3hasse.picard import CountSeries
 from k3hasse.pipeline import (
@@ -247,3 +247,26 @@ def test_verify_example_decides_each_leg_once(monkeypatch):
     assert frames and len(frames) == len(set(frames))
     assert sorted(scans) == [3, 11]
     assert charpolys == [3]
+
+
+def test_verify_example_searches_each_place_and_box_once(monkeypatch):
+    """Stage 4, the everywhere-local attestation and the witnesses of the
+    invariant profile share the memoised local-point search: during
+    verify_example(depth=1) the search itself runs once per distinct
+    (place, box), whatever the call style of each caller."""
+    find = brauer.find_local_point
+    requests = []
+
+    def recorded(X, place, *args, **kwargs):
+        box = kwargs.get("box", args[0] if args else 1)
+        requests.append((place, box))
+        return find(X, place, *args, **kwargs)
+
+    monkeypatch.setattr(brauer, "find_local_point", recorded)
+    monkeypatch.setattr(pipeline, "find_local_point", recorded)
+    find.cache_clear()
+    verify_example(depth=1)
+    searches = find.cache_info().misses
+    find.cache_clear()
+    assert searches == len(set(requests))
+    assert len(requests) > searches

@@ -201,3 +201,19 @@ def test_ternary_serialization_order():
     assert len(monomials_of_degree(6)) == 28
     form = TernaryForm.from_coefficients(2, [1, 2, 3, 4, 5, 6])
     assert form.coefficients() == [1, 2, 3, 4, 5, 6]
+
+
+def test_monomials_of_degree_is_a_fresh_list_each_call():
+    """The order is computed once per degree; callers get their own list."""
+    mons = monomials_of_degree(2)
+    mons.reverse()
+    mons.append((9, 9, 9))
+    assert monomials_of_degree(2) == [
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
+    ]
+    assert TernaryForm.from_coefficients(2, [1, 2, 3, 4, 5, 6]).coefficient((2, 0, 0)) == 1
+    for d in range(8):
+        mons = monomials_of_degree(d)
+        assert len(mons) == (d + 1) * (d + 2) // 2
+        assert all(min(m) >= 0 and sum(m) == d for m in mons)
+        assert all(a > b for a, b in zip(mons, mons[1:]))
