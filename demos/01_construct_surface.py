@@ -7,8 +7,16 @@ K3 surface of degree 2.  The same sextet, read with the roles of the two P^2
 factors exchanged, gives a second K3.
 """
 
+from k3hasse.finitefield import prime_field
 from k3hasse.pipeline import load_fixtures
-from k3hasse.surface import build_k3, check_2adic_conditions, check_real_conditions, is_smooth_curve, swap_projection
+from k3hasse.surface import (
+    build_k3,
+    check_2adic_conditions,
+    check_real_conditions,
+    is_smooth_curve,
+    reduce_mod,
+    swap_projection,
+)
 
 sextet = load_fixtures().sextet
 print("seed quadrics:")
@@ -21,7 +29,8 @@ print("\nbranch sextic (graded-lex coefficients):")
 print(" ", f.coefficients())
 print("\nf(0, 0, -1) =", f.evaluate((0, 0, -1)))
 
-print("\nsmooth over Q:", is_smooth_curve(f))
+# a nonzero sextic that is smooth mod 3 is smooth over Q
+print("\nsmooth mod 3, hence over Q:", is_smooth_curve(reduce_mod(f, prime_field(3))))
 print("definiteness pattern (A,D,F negative / B,C,E positive):", check_real_conditions(sextet))
 print("2-adic coefficient congruences:", check_2adic_conditions(sextet))
 

@@ -3,9 +3,9 @@
 Stage 1 draws coefficients directly in the required congruence classes and
 sign pattern, then rejection-samples the definiteness hypotheses (most draws
 fail there, as expected: random quadrics with the right diagonal signs are
-rarely definite).  Stage 2 checks smoothness over Q and F_3, stage 3 demands
-a tritangent line mod 3 together with a tritangent-free good prime below 100,
-stage 4 searches small local points.  Stages 5-7 (counting, bad primes,
+rarely definite).  Stage 2 checks smoothness mod 3, which implies smoothness
+over Q, stage 3 demands a tritangent line mod 3 together with a
+tritangent-free good prime below 100, stage 4 searches small local points.  Stages 5-7 (counting, bad primes,
 invariants) need minutes per candidate and a discriminant fixture, so this
 demo stops after stage 4; see 05_full_certification.py for the full run on
 the worked example.

@@ -1,23 +1,23 @@
 """Bad-reduction analysis of the branch sextic.
 
-Whether f mod p is singular is decided purely by resultant chains: after a
-linear change of coordinates making every form in the Jacobian system regular
-in x2, the pairwise x2-resultants are binary forms whose gcd G carries every
-candidate image of a singular point.  Whether a candidate actually supports a
-common zero of the whole system is decided by gcds of the specialised
-univariate polynomials computed simultaneously over K[u]/(G) with
-dynamic-evaluation splitting at zero divisors, so no factorization over Q is
-ever needed.
+Whether a form over a finite field is singular is decided purely by
+resultant chains: after a linear change of coordinates making every form in
+the Jacobian system regular in x2, the pairwise x2-resultants are binary forms
+whose gcd G carries every candidate image of a singular point.  Whether a
+candidate actually supports a common zero of the whole system is decided by
+gcds of the specialised univariate polynomials computed simultaneously over
+K[u]/(G) with dynamic-evaluation splitting at zero divisors, so the decision
+needs no factorization.  Every elimination runs over a finite field;
+smoothness over Q follows from smoothness mod a prime (see
+``pipeline.certify``).
 
-The chart resultants go through ``resultant``.  Over a finite field they are
-computed by evaluation and interpolation on int codes
-(``finitefield.resultant_by_evaluation``): regularisation makes every
-t-leading coefficient a nonzero constant, so deg_u Res_t(g_i, g_j) <=
-deg g_i * deg g_j = D by Bezout, and D + 1 values of u determine it.  F_p with
-p > D evaluates on ints mod p; a smaller field (F_3 and its lift F_9, F_5,
-F_7 .. F_23 for the sextic's D = 25 or 30) evaluates in fq(p, k) with p^k > D,
-on discrete logs.  Over Z the subresultant chain runs, and ``int_poly_gcd``
-first tries its coprimality certificate mod 2^61 - 1.
+The chart resultants go through ``resultant``, computed by evaluation and
+interpolation on int codes (``finitefield.resultant_by_evaluation``):
+regularisation makes every t-leading coefficient a nonzero constant, so
+deg_u Res_t(g_i, g_j) <= deg g_i * deg g_j = D by Bezout, and D + 1 values of
+u determine it.  F_p with p > D evaluates on ints mod p; a smaller field (F_3
+and its lift F_9, F_5, F_7 .. F_23 for the sextic's D = 25 or 30) evaluates in
+fq(p, k) with p^k > D, on discrete logs.
 
 The elimination (frame, transformed system, the gcd on the line y0 = 0, and
 lazily the chart polynomials and G) is memoised per (system, field) in
@@ -31,7 +31,6 @@ itself and raises RegularizationError when only an extension has one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
@@ -41,10 +40,8 @@ from .poly import (
     TernaryForm,
     UniPoly,
     bivariate_gcd,
-    int_poly_gcd,
     poly_gcd,
     poly_gcdex,
-    resultant as subresultant,
     squarefree_part,
     ternary_to_t_over_u,
 )
@@ -65,44 +62,23 @@ class NotBadPrime(ValueError):
     """singular_points called at a prime of good reduction."""
 
 
-class _RationalField:
-    """Minimal shim so the elimination runs in characteristic 0.
-
-    Arithmetic stays on plain ints (the resultant chain is fraction-free);
-    only the final dynamic-evaluation stage moves to Fraction.
-    """
-
-    characteristic = 0
-
-    def from_int(self, k: int) -> int:
-        return k
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-
-QQ = _RationalField()
-
-
 def _coefficient_field(form: TernaryForm):
-    for c in form.terms.values():
-        fld = getattr(c, "field", None)
-        return fld if fld is not None else QQ
-    return QQ
+    """The finite field of a nonzero form's coefficients."""
+    if form.is_zero():
+        raise ValueError("zero form")
+    fld = getattr(next(iter(form.terms.values())), "field", None)
+    if fld is None:
+        raise TypeError(
+            "the elimination runs over finite fields only: reduce the form mod a prime"
+        )
+    return fld
 
 
 def jacobian_system(f: TernaryForm) -> list[TernaryForm]:
     """f's partials, plus f itself when the characteristic divides deg f
     (Euler's relation makes f redundant otherwise)."""
-    fld = _coefficient_field(f)
-    char = fld.characteristic
     system = [f.partial(i) for i in range(3)]
-    if char and f.degree % char == 0:
+    if f.degree % _coefficient_field(f).characteristic == 0:
         system.append(f)
     return [g for g in system if not g.is_zero()]
 
@@ -135,22 +111,12 @@ def regularize(system: list[TernaryForm], fld):
     """Find a coordinate change x0 -> x0 + a*x2, x1 -> x1 + b*x2 after which no
     form of the system vanishes at [0:0:1].
 
-    The field is Q or a prime field F_p.  Over a tiny F_p the frame may need
+    The field is a prime field F_p.  Over a tiny F_p the frame may need
     a scalar extension (singularity over the closure is insensitive to it):
     the system is lifted into F_{p^2}, then F_{p^4}, and so on, until a frame
     exists.  Returns (field, a, b, transformed_system) with a, b elements of
     the returned field.
     """
-    if fld.characteristic == 0:
-        k = 0
-        while True:
-            for a in range(-k, k + 1):
-                for b in range(-k, k + 1):
-                    if max(abs(a), abs(b)) != k:
-                        continue
-                    if all(g.evaluate((a, b, 1)) for g in system):
-                        return fld, a, b, _transform_system(system, fld, a, b)
-            k += 1
     current, cur_system = fld, system
     while True:
         for ea, eb in _finite_pairs(current):
@@ -172,22 +138,8 @@ def _transform_system(system, fld, ea, eb):
 # The shared elimination and the decision chain
 # ---------------------------------------------------------------------------
 
-def resultant(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Res_t(f, g) in K[u] of two chart polynomials: by evaluation and
-    interpolation on int codes over a finite field (the chart's t-leading
-    coefficients are nonzero constants, so deg_u Res <= deg_t f * deg_t g),
-    by the subresultant chain over Z."""
-    if isinstance(f.lc.lc, int):
-        return subresultant(f, g)
-    return resultant_by_evaluation(f, g)
-
-
-def _field_gcd(fld):
-    """The gcd to use over the coefficient domain: primitive subresultant gcd
-    on ints in characteristic 0, monic Euclid over a finite field."""
-    if fld.characteristic == 0:
-        return int_poly_gcd
-    return poly_gcd
+#: Res_t(f, g) in K[u] of two chart polynomials, the binding the chart calls
+resultant = resultant_by_evaluation
 
 
 @dataclass(frozen=True)
@@ -210,13 +162,12 @@ class _Elimination:
         and the first pair whose resultant vanishes identically, in which case
         G is None."""
         polys = [ternary_to_t_over_u(g, self.fld.one) for g in self.system]
-        gcd_fn = _field_gcd(self.fld)
         G = UniPoly()
         for i, j in combinations(range(len(polys)), 2):
             res = resultant(polys[i], polys[j])  # element of K[u]
             if res.is_zero():
                 return polys, None, (i, j)
-            G = gcd_fn(G, res)
+            G = poly_gcd(G, res)
             if G.degree == 0:
                 break
         return polys, G, None
@@ -224,15 +175,14 @@ class _Elimination:
 
 @lru_cache(maxsize=64)
 def _eliminate(system: tuple, fld) -> _Elimination:
-    """The elimination of a system over Q or F_p, once per (system, field):
+    """The elimination of a system over F_p, once per (system, field):
     the bad-prime decision and the node locator both read it.  The chart part
     is computed on first use, so a decision that stops on the line y0 = 0
     never runs the resultant chain."""
     reg_fld, a, b, tsystem = regularize(list(system), fld)
-    gcd_fn = _field_gcd(reg_fld)
     ginf = UniPoly()
     for form in tsystem:
-        ginf = gcd_fn(ginf, form.to_uni_in(2, {0: reg_fld.zero, 1: reg_fld.one}))
+        ginf = poly_gcd(ginf, form.to_uni_in(2, {0: reg_fld.zero, 1: reg_fld.one}))
         if ginf.degree == 0:
             break
     return _Elimination(reg_fld, a, b, tuple(tsystem), ginf)
@@ -240,25 +190,11 @@ def _eliminate(system: tuple, fld) -> _Elimination:
 
 @lru_cache(maxsize=64)
 def singular_locus_nonempty(f: TernaryForm) -> bool:
-    """Does f = 0 have a singular point over the algebraic closure?"""
-    if f.is_zero():
-        raise ValueError("zero form")
+    """Does f = 0 have a singular point over the algebraic closure of its
+    coefficient field, a finite field?  The zero form raises ValueError, a
+    form over Z or Q TypeError."""
     fld = _coefficient_field(f)
-    if fld.characteristic == 0:
-        f = _clear_denominators(f)
-    system = jacobian_system(f)
-    return _system_has_common_zero(system, fld)
-
-
-def _clear_denominators(f: TernaryForm) -> TernaryForm:
-    """Scale a rational form to integer coefficients (same zero locus)."""
-    denom = 1
-    for c in f.terms.values():
-        denom = lcm(denom, Fraction(c).denominator)
-    return TernaryForm(
-        f.degree,
-        {m: int(Fraction(c) * denom) for m, c in f.terms.items()},
-    )
+    return _system_has_common_zero(jacobian_system(f), fld)
 
 
 def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:
@@ -277,12 +213,6 @@ def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:
         return _split_common_factor(elim.system, elim.fld, zero_pair)
     if G.degree == 0:
         return False
-    if elim.fld.characteristic == 0:
-        # the dynamic-evaluation stage works over the fraction field
-        polys = [
-            UniPoly([c.map_coefficients(Fraction) for c in P.coeffs]) for P in polys
-        ]
-        G = G.map_coefficients(Fraction)
     ghat = squarefree_part(G.monic())
     return _d5_any_common_root(polys, ghat)
 
@@ -323,27 +253,19 @@ def _split_common_factor(system, fld, pair) -> bool:
     V(H) union V(g_i/H, g_j/H) and recurse on both branches."""
     i, j = pair
     gi, gj = system[i], system[j]
-    if fld.characteristic == 0:
-        gi = gi.map_coefficients(Fraction)
-        gj = gj.map_coefficients(Fraction)
-        normalize = _clear_denominators
-        one = Fraction(1)
-    else:
-        normalize = lambda form: form
-        one = fld.one
-    Pi = ternary_to_t_over_u(gi, one)
-    Pj = ternary_to_t_over_u(gj, one)
+    Pi = ternary_to_t_over_u(gi, fld.one)
+    Pj = ternary_to_t_over_u(gj, fld.one)
     Hb = bivariate_gcd(Pi, Pj)
     H = _homogenize_bivariate(Hb, fld)
     rest = [g for k, g in enumerate(system) if k not in (i, j)]
-    if _system_has_common_zero(rest + [normalize(H)], fld):
+    if _system_has_common_zero(rest + [H], fld):
         return True
     qi = _ternary_exact_div(gi, H)
     qj = _ternary_exact_div(gj, H)
     if qi.degree == 0 or qj.degree == 0:
         # a cofactor is a nonzero constant, so the second branch is empty
         return False
-    return _system_has_common_zero(rest + [normalize(qi), normalize(qj)], fld)
+    return _system_has_common_zero(rest + [qi, qj], fld)
 
 
 # ---------------------------------------------------------------------------

@@ -356,15 +356,26 @@ def frobenius_charpoly(counts: CountSeries) -> FrobeniusData:
             if verdict == "unknown":
                 plus_unknown = True
                 continue
+            found = None
             for a11 in cands:
                 a_try = dict(a_top)
                 a_try[11] = Fraction(a11)
                 filled_try = _complete_with_sign(a_try, eps, q)
-                if filled_try in (None, "inconsistent"):
-                    continue
-                if _weil_plausible(filled_try, q) and _weil_conform(filled_try, q):
-                    survivors.append((eps, filled_try))
+                conform = (
+                    filled_try not in (None, "inconsistent")
+                    and _weil_plausible(filled_try, q)
+                    and _weil_conform(filled_try, q)
+                )
+                if found is not None:
+                    # the conforming a_11 form an interval, so the neighbour
+                    # of the first one decides whether it is the only one
+                    if conform:
+                        raise SignAmbiguous("sign ambiguous, need N_11")
                     break
+                if conform:
+                    found = filled_try
+            if found is not None:
+                survivors.append((eps, found))
             continue
         if _weil_conform(filled, q):
             survivors.append((eps, filled))

@@ -1,11 +1,12 @@
 """The certificate, the staged search and the worked verification.
 
 ``certify`` runs the seven stages of the certificate on one sextet, each leg
-once and in order: the coefficient hypotheses, smoothness over Q and F_3, the
-tritangent pair (a line mod 3, none mod the first good prime p' >= 5), small
-local points, the count series with the rank-1 certificate, the bad primes,
-and the local points, singular loci and invariant profile behind the
-Brauer-Manin verdict.  A failing stage raises ``Rejected`` naming it.
+once and in order: the coefficient hypotheses, smoothness mod 3 (which implies
+smoothness over Q), the tritangent pair (a line mod 3, none mod the first good
+prime p' >= 5), small local points, the count series with the rank-1
+certificate, the bad primes, and the local points, singular loci and
+invariant profile behind the Brauer-Manin verdict.  A failing stage raises
+``Rejected`` naming it.
 
 ``search`` feeds random seed sextets to ``certify``.  Stage 6 over Z (the
 discriminant integers of a fresh candidate) is a heavy elimination outside
@@ -327,8 +328,10 @@ def certify(
     f = X.branch_sextic
 
     if 2 in steps:
-        if not is_smooth_curve(f):
-            raise Rejected(2, "branch curve singular over Q")
+        # Smooth mod 3 implies smooth over Q: a singular point of f over Q-bar,
+        # scaled to be integral at a prime above 3 with a unit coordinate,
+        # reduces to a common zero of f and its partials over F_3-bar, which
+        # is a singular point of the curve f mod 3 once that form is nonzero.
         f3 = reduce_mod(f, prime_field(3))
         if f3.is_zero():
             raise Rejected(2, "branch form vanishes mod 3")

@@ -7,9 +7,7 @@ variable over polynomials in another).
 
 Hot loops over finite fields run on int codes instead: ``ModP`` (ints mod p)
 and the discrete-log arithmetic of ``finitefield`` share one interface, and
-``code_resultant``, ``code_interpolate`` and ``code_gcd_degree`` are written
-against it.  Over Z, ``resultant`` is the subresultant chain and
-``int_poly_gcd`` first tries a coprimality certificate mod 2^61 - 1.
+``code_resultant`` and ``code_interpolate`` are written against it.
 
 Ternary forms are homogeneous and serialise in graded-lex order with
 x0 > x1 > x2; a quadratic form is the 6 coefficients of
@@ -19,7 +17,6 @@ x0 > x1 > x2; a quadratic form is the 6 coefficients of
 from __future__ import annotations
 
 import functools
-import math
 from typing import Any, Iterable
 
 
@@ -244,64 +241,6 @@ def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return r0 * inv_lc, s0 * inv_lc
 
 
-def _int_content(f: UniPoly) -> int:
-    c = 0
-    for x in f.coeffs:
-        c = math.gcd(c, x)
-    return c or 1
-
-
-def _int_primitive(f: UniPoly) -> UniPoly:
-    c = _int_content(f)
-    if f.coeffs and f.lc < 0:
-        c = -c
-    return UniPoly([x // c for x in f.coeffs])
-
-
-#: the prime of the modular coprimality certificate in ``int_poly_gcd``
-GCD_CERTIFICATE_PRIME = (1 << 61) - 1
-
-
-def int_poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Primitive gcd of integer polynomials, times the gcd of the contents.
-
-    First a certificate mod the prime P = 2^61 - 1: when P divides neither
-    leading coefficient, the primitive gcd h over Z keeps its degree mod P
-    and divides both reductions, so a gcd of degree 0 mod P proves h = 1 and
-    the answer is the content gcd, exactly.  Otherwise the subresultant
-    remainder sequence runs (coefficient growth stays polynomial, unlike
-    naive rational Euclid on big-coefficient inputs)."""
-    if f.is_zero():
-        return _int_primitive(g)
-    if g.is_zero():
-        return _int_primitive(f)
-    cont = math.gcd(_int_content(f), _int_content(g))
-    P = GCD_CERTIFICATE_PRIME
-    if f.lc % P and g.lc % P:
-        A = ModP(P)
-        if code_gcd_degree(A, [c % P for c in f.coeffs], [c % P for c in g.coeffs]) == 0:
-            return UniPoly([cont])
-    f, g = _int_primitive(f), _int_primitive(g)
-    if f.degree < g.degree:
-        f, g = g, f
-    h = 1
-    gg = 1
-    while True:
-        d = f.degree - g.degree
-        rem = _pseudo_rem(f, g)
-        if rem.is_zero():
-            break
-        f = g
-        denom = gg * h**d
-        g = UniPoly([c // denom for c in rem.coeffs])
-        gg = f.lc
-        if d > 0:
-            h = gg**d // h ** (d - 1) if d > 1 else gg**d
-        if g.degree == 0:
-            return UniPoly([cont])
-    return _int_primitive(g).scale(cont)
-
-
 def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
     """prem(a, b) = remainder of lc(b)^(deg a - deg b + 1) * a by b."""
     d = a.degree - b.degree
@@ -314,49 +253,6 @@ def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
         k = rem.degree - b.degree
         rem = rem.scale(lcb) - b.shift(k).scale(rem.lc)
     return rem
-
-
-def resultant(f: UniPoly, g: UniPoly):
-    """Resultant with the Sylvester-determinant convention.
-
-    Computed by the subresultant algorithm, so integer (and nested-polynomial)
-    coefficients stay fraction-free.  The elimination uses it over Z; over a
-    finite field it uses ``finitefield.resultant_by_evaluation``, which the
-    tests compare with this one.
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    one = f.lc ** 0
-    sign = one
-    if f.degree < g.degree:
-        if f.degree % 2 and g.degree % 2:
-            sign = -sign
-        f, g = g, f
-    if g.degree == 0:
-        return sign * g.lc ** f.degree
-    h = one
-    gg = one
-    while True:
-        d = f.degree - g.degree
-        if f.degree % 2 and g.degree % 2:
-            sign = -sign
-        rem = _pseudo_rem(f, g)
-        f = g
-        denom = gg * h ** d
-        g = UniPoly([_coeff_div(c, denom) for c in rem.coeffs])
-        gg = f.lc
-        if d > 0:
-            # h <- gg^d / h^(d-1), exact in the coefficient domain
-            num = gg ** d
-            h = _coeff_div(num, h ** (d - 1)) if d > 1 else num
-        if g.is_zero():
-            return sign * (f.lc * 0)
-        if g.degree == 0:
-            # res = sign * lc(g)^deg(f) / h^(deg(f)-1)
-            num = g.lc ** f.degree
-            if f.degree > 1:
-                return sign * _coeff_div(num, h ** (f.degree - 1))
-            return sign * num
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +315,6 @@ def code_rem(A, f: list, g: list) -> list:
     while r and r[-1] == zero:
         r.pop()
     return r
-
-
-def code_gcd_degree(A, f: list, g: list) -> int:
-    """The degree of gcd(f, g) for f nonzero (Euclid)."""
-    while g:
-        f, g = g, code_rem(A, f, g)
-    return len(f) - 1
 
 
 def code_resultant(A, f: list, g: list):
@@ -606,7 +495,7 @@ class TernaryForm:
         )
 
     def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -104,10 +104,13 @@ def swap_projection(q: QuadricSextet) -> QuadricSextet:
 # ---------------------------------------------------------------------------
 
 def is_smooth_curve(f: TernaryForm) -> bool:
-    """Is the plane curve f = 0 smooth over the algebraic closure?
+    """Is the plane curve f = 0, over a finite field, smooth over the
+    algebraic closure?
 
-    Decided by the resultant-chain elimination of :mod:`k3hasse.badred`, over
-    the coefficient field of f (Q for int or Fraction coefficients).
+    Decided by the resultant-chain elimination of :mod:`k3hasse.badred` over
+    the coefficient field of f.  A form over Z or Q raises TypeError: reduce
+    it mod a prime of good reduction, whose smoothness implies smoothness
+    over Q.  The zero form raises ValueError.
     """
     from .badred import singular_locus_nonempty
 

@@ -2,13 +2,16 @@
 
 Everything here is deliberately elementary (trial division, Euler's criterion,
 exhaustive searches, digit-by-digit lifting) and shares no code path with the
-implementations under test, with two exceptions.  The naive point count runs
+implementations under test, with three exceptions.  The naive point count runs
 on the library's finite-field arithmetic (``fq``, ``FFElem``) and its
 coefficient reduction, so it checks the orbit counting kernel and its tables,
 not the field arithmetic underneath.  The naive tritangent scan restricts the
-form to each line with ``UniPoly`` products of field elements and tests
-squares by the library's squarefree decomposition, so it checks the scan on
-ints mod p, not those.
+integer form to each line with ``UniPoly`` products over Z, reduces the result
+into F_p and tests squares by the library's squarefree decomposition, so it
+checks the scan on ints mod p, not those.  The subresultant ``resultant``
+runs on the library's ``UniPoly`` and pseudo-remainder; it is the reference
+for the elimination's resultant by evaluation and interpolation, and is itself
+checked against the Sylvester determinant.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from typing import Any
 
 from k3hasse.finitefield import FFElem, FiniteField, fq, prime_field
 from k3hasse.picard import CountingError, TritangentScan, _int_coefficients_mod, check_weil_bound
-from k3hasse.poly import TernaryForm, UniPoly, _coeff_div, squarefree_decomposition
-from k3hasse.surface import reduce_mod
+from k3hasse.poly import TernaryForm, UniPoly, _coeff_div, _pseudo_rem, squarefree_decomposition
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -172,6 +174,49 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
                 for c2 in range(col, size):
                     rows[r][c2] -= factor * rows[col][c2]
     return det
+
+
+def resultant(f: UniPoly, g: UniPoly):
+    """Resultant with the Sylvester-determinant convention.
+
+    Computed by the subresultant algorithm, so integer (and nested-polynomial)
+    coefficients stay fraction-free.  The elimination computes its resultants
+    with ``finitefield.resultant_by_evaluation``, which the tests compare with
+    this one.
+    """
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial")
+    one = f.lc ** 0
+    sign = one
+    if f.degree < g.degree:
+        if f.degree % 2 and g.degree % 2:
+            sign = -sign
+        f, g = g, f
+    if g.degree == 0:
+        return sign * g.lc ** f.degree
+    h = one
+    gg = one
+    while True:
+        d = f.degree - g.degree
+        if f.degree % 2 and g.degree % 2:
+            sign = -sign
+        rem = _pseudo_rem(f, g)
+        f = g
+        denom = gg * h ** d
+        g = UniPoly([_coeff_div(c, denom) for c in rem.coeffs])
+        gg = f.lc
+        if d > 0:
+            # h <- gg^d / h^(d-1), exact in the coefficient domain
+            num = gg ** d
+            h = _coeff_div(num, h ** (d - 1)) if d > 1 else num
+        if g.is_zero():
+            return sign * (f.lc * 0)
+        if g.degree == 0:
+            # res = sign * lc(g)^deg(f) / h^(deg(f)-1)
+            num = g.lc ** f.degree
+            if f.degree > 1:
+                return sign * _coeff_div(num, h ** (f.degree - 1))
+            return sign * num
 
 
 def quadratic_character(a: FFElem) -> int:
@@ -336,19 +381,38 @@ def _is_square_binary_form(g: UniPoly, degree: int) -> bool:
     return all(m % 2 == 0 for _, m in squarefree_decomposition(g))
 
 
+def _restrict_integer_form(f: TernaryForm, line: ProjLine, field) -> UniPoly:
+    """The dehomogenised restriction of the integer form f to a line over
+    F_p: f(ps + t pt) over Z along the integer representatives of the line's
+    parametrization, with the powers of each substitution built once, then
+    reduced into the field."""
+    ps, pt = line_parametrization(line)
+    powers = []
+    for a, b in zip(ps, pt):
+        sub = UniPoly([a.val, b.val])
+        row = [UniPoly([1])]
+        for _ in range(f.degree):
+            row.append(row[-1] * sub)
+        powers.append(row)
+    total = UniPoly()
+    for (e0, e1, e2), c in f.terms.items():
+        total = total + (powers[0][e0] * powers[1][e1] * powers[2][e2]).scale(c)
+    return UniPoly([field.from_int(c) for c in total.coeffs])
+
+
 def tritangent_scan_naive(f: TernaryForm, p: int) -> TritangentScan:
-    """Scan every line of P^2(F_p) for tritangency: the restriction of f must
-    be a nonzero constant times a perfect square.  Lines are ``ProjLine``s."""
+    """Scan every line of P^2(F_p) for tritangency: the restriction of the
+    integer form f must be a nonzero constant times a perfect square.  Lines
+    are ``ProjLine``s."""
     field = prime_field(p)
-    ff = f if hasattr(next(iter(f.terms.values())), "field") else reduce_mod(f, field)
     degenerate = []
     scanned = 0
     for line in enumerate_lines(field):
         scanned += 1
-        g, _inf = restrict_to_line(ff, line)
+        g = _restrict_integer_form(f, line, field)
         if g.is_zero():
             degenerate.append(line)
             continue
-        if _is_square_binary_form(g, ff.degree):
+        if _is_square_binary_form(g, f.degree):
             return TritangentScan(p, line, tuple(degenerate), scanned)
     return TritangentScan(p, None, tuple(degenerate), scanned)

@@ -10,9 +10,9 @@ from k3hasse.finitefield import (
     prime_field,
     resultant_by_evaluation,
 )
-from k3hasse.poly import TernaryForm, UniPoly, resultant, ternary_to_t_over_u
+from k3hasse.poly import TernaryForm, UniPoly, ternary_to_t_over_u
 
-from .oracles import quadratic_character
+from .oracles import quadratic_character, resultant
 
 
 def test_make_field_canonical_moduli():

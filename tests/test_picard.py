@@ -247,6 +247,26 @@ def test_charpoly_round_trip_on_synthetic_eigenvalues():
     assert signs_seen == {-1, 1}
 
 
+def test_charpoly_undetermined_middle_coefficient_is_ambiguous():
+    """Pairs T^2 - kT + 9: with ten counts the + sign leaves a_11 open and
+    more than one value of it is Weil-conform, so the counts do not determine
+    the charpoly; the eleventh count does."""
+    q = 3
+    factors = [
+        [Fraction(q * q), Fraction(-k), Fraction(1)]
+        for k in (-5, -1, 0, 0, 1, 2, 3, 3, 4, 4, 5)
+    ]
+    poly, sums = _forward_power_sums(factors, q, 11)
+    counts = [int(sums[n - 1]) + 1 + q ** (2 * n) for n in range(1, 12)]
+    with pytest.raises(SignAmbiguous, match="need N_11"):
+        frobenius_charpoly(CountSeries.from_counts(q, counts[:10]))
+    fd = frobenius_charpoly(CountSeries.from_counts(q, counts))
+    assert fd.sign == 1
+    assert fd.coefficients == poly
+    assert fd.coefficients[11] == -82545480
+    assert unit_root_bound(fd) == 8
+
+
 def test_unit_root_bound_trivial_polys():
     q = 3
 

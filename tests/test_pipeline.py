@@ -243,7 +243,7 @@ def test_verify_example_decides_each_leg_once(monkeypatch):
     verify_example(depth=2)
     badred.singular_locus_nonempty.cache_clear()
     badred._eliminate.cache_clear()
-    assert sum(decisions) == 13
+    assert sum(decisions) == 12
     assert frames and len(frames) == len(set(frames))
     assert sorted(scans) == [3, 11]
     assert charpolys == [3]

@@ -3,20 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from k3hasse import poly
 from k3hasse.finitefield import fq
 from k3hasse.poly import (
-    GCD_CERTIFICATE_PRIME,
     TernaryForm,
     UniPoly,
-    int_poly_gcd,
     monomials_of_degree,
     poly_gcd,
-    resultant,
     squarefree_decomposition,
 )
 from k3hasse.surface import reduce_mod
-from .oracles import ProjLine, line_parametrization, restrict_to_line, sylvester_resultant
+from .oracles import ProjLine, line_parametrization, restrict_to_line, resultant, sylvester_resultant
 
 
 def frac_poly(*coeffs):
@@ -53,42 +49,6 @@ def test_resultant_swap_symmetry():
         g = UniPoly([Fraction(rng.randrange(-5, 6)) for _ in range(dg)] + [Fraction(rng.randrange(1, 4))])
         sign = -1 if (f.degree % 2 and g.degree % 2) else 1
         assert resultant(f, g) == sign * resultant(g, f)
-
-
-def test_int_poly_gcd_certificate_needs_unit_leading_coefficients():
-    """(P x + 1)(x + 3) and (P x + 1)(x + 5), P = 2^61 - 1, are coprime mod P,
-    where both reduce to degree 1, but share P x + 1 over Z."""
-    P = GCD_CERTIFICATE_PRIME
-    h = UniPoly([1, P])
-    f, g = h * UniPoly([3, 1]), h * UniPoly([5, 1])
-    assert int_poly_gcd(f, g) == h
-    assert int_poly_gcd(f.scale(6), g.scale(-4)) == h.scale(2)
-    assert int_poly_gcd(f, UniPoly([3, 1]) * UniPoly([7, 1])) == UniPoly([3, 1])
-
-
-def test_int_poly_gcd_certificate_agrees_with_the_prs_gcd(monkeypatch):
-    """Random integer polynomials with a common factor h (often 1) and big
-    coefficients: the gcd with the certificate equals the gcd from the
-    subresultant remainder sequence alone."""
-    rng = random.Random(29)
-
-    def rand(deg, digits):
-        bound = 10**digits
-        return UniPoly([rng.randrange(-bound, bound) for _ in range(deg)] + [rng.randrange(1, bound)])
-
-    cases = []
-    for k in range(80):
-        h = rand(rng.randrange(0, 4), 3) if k % 2 else UniPoly([rng.randrange(1, 50)])
-        f = h * rand(rng.randrange(0, 6), rng.choice((2, 40, 300)))
-        g = h * rand(rng.randrange(0, 6), rng.choice((2, 40, 300)))
-        got = int_poly_gcd(f, g)
-        assert got.degree >= h.degree
-        cases.append((f, g, got))
-    certified = sum(got.degree == 0 for _f, _g, got in cases)
-    monkeypatch.setattr(poly, "code_gcd_degree", lambda A, f, g: 1)  # never certify
-    for f, g, got in cases:
-        assert int_poly_gcd(f, g) == got
-    assert certified > 20
 
 
 def test_squarefree_examples():
@@ -201,6 +161,25 @@ def test_ternary_serialization_order():
     assert len(monomials_of_degree(6)) == 28
     form = TernaryForm.from_coefficients(2, [1, 2, 3, 4, 5, 6])
     assert form.coefficients() == [1, 2, 3, 4, 5, 6]
+
+
+def test_equal_forms_hash_equal_whatever_the_term_order():
+    """Forms built from the same terms in different orders, over Z and over a
+    finite field, are equal and hash equal; a different degree or coefficient
+    makes them unequal."""
+    rng = random.Random(11)
+    F7 = fq(7, 1)
+    for _ in range(20):
+        items = [(m, rng.randrange(-9, 10)) for m in monomials_of_degree(6)]
+        shuffled = list(items)
+        rng.shuffle(shuffled)
+        f, g = TernaryForm(6, dict(items)), TernaryForm(6, dict(shuffled))
+        assert list(f.terms) != list(g.terms) or len(f.terms) < 2
+        assert f == g and hash(f) == hash(g)
+        fp, gp = reduce_mod(f, F7), reduce_mod(g, F7)
+        assert fp == gp and hash(fp) == hash(gp)
+        assert len({f, g, f + TernaryForm(6, {(6, 0, 0): 1})}) == 2
+    assert TernaryForm(2, {}) != TernaryForm(3, {})
 
 
 def test_monomials_of_degree_is_a_fresh_list_each_call():

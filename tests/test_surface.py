@@ -100,11 +100,20 @@ def test_both_projection_orders_give_matching_discriminants():
 
 
 def test_smoothness_examples(example_sextic):
-    assert is_smooth_curve(example_sextic)
+    """Smoothness is decided over finite fields only: the example sextic is
+    smooth mod 3 and singular mod 5, a form over Z or Q raises TypeError, and
+    the zero form raises ValueError before any type check."""
     assert is_smooth_curve(reduce_mod(example_sextic, prime_field(3)))
-    assert not is_smooth_curve(TernaryForm(6, {(2, 4, 0): 1}))
+    assert not is_smooth_curve(reduce_mod(example_sextic, prime_field(5)))
+    for p in (3, 5, 7):
+        assert not is_smooth_curve(reduce_mod(TernaryForm(6, {(2, 4, 0): 1}), prime_field(p)))
+    for form in (example_sextic, example_sextic.map_coefficients(Fraction)):
+        with pytest.raises(TypeError, match="mod a prime"):
+            is_smooth_curve(form)
     with pytest.raises(ValueError):
         is_smooth_curve(TernaryForm(6, {}))
+    with pytest.raises(ValueError):
+        is_smooth_curve(reduce_mod(TernaryForm(6, {(6, 0, 0): 3}), prime_field(3)))
 
 
 def test_real_conditions(example_sextet):
