@@ -6,26 +6,27 @@ the Jacobian system regular in x2, the pairwise x2-resultants are binary forms
 whose gcd G carries every candidate image of a singular point.  Whether a
 candidate actually supports a common zero of the whole system is decided by
 gcds of the specialised univariate polynomials computed simultaneously over
-K[u]/(G) with dynamic-evaluation splitting at zero divisors, so the decision
-needs no factorization.  Every elimination runs over a finite field;
+K[u]/(G) with dynamic-evaluation (D5) splitting at zero divisors, so the
+decision needs no factorization.  Every elimination runs over a finite field;
 smoothness over Q follows from smoothness mod a prime (see
 ``pipeline.certify``).
 
-The chart resultants go through ``resultant``, computed by evaluation and
-interpolation on int codes (``finitefield.resultant_by_evaluation``):
-regularisation makes every t-leading coefficient a nonzero constant, so
-deg_u Res_t(g_i, g_j) <= deg g_i * deg g_j = D by Bezout, and D + 1 values of
-u determine it.  F_p with p > D evaluates on ints mod p; a smaller field (F_3
-and its lift F_9, F_5, F_7 .. F_23 for the sextic's D = 25 or 30) evaluates in
-fq(p, k) with p^k > D, on discrete logs.
+The whole chain runs on one representation, int codes in the arithmetic of
+``finitefield.evaluation_arith`` for the Bezout bound D = deg g_i * deg g_j
+of the chart resultants: ints mod p when p > D, else discrete logs in
+fq(p, k) with p^k > D (F_3 and its lift F_9, F_5 .. F_23 for the sextic's
+D = 25 or 30).  The frame search, the substitution, the charts, the
+resultants (``resultant``), the gcds and D5 all work on code lists; a gcd,
+and a common root over the closure, do not change under field extension.
 
-The elimination (frame, transformed system, the gcd on the line y0 = 0, and
-lazily the chart polynomials and G) is memoised per (system, field) in
-``_eliminate``.  The decision and the node locator read the same result: over
-a finite field, factoring the gcd on y0 = 0 and G locates the singular points
-without a second chain, and they are classified as nodes through the 2x2
-Hessian of a local dehomogenization.  The locator needs a frame over F_p
-itself and raises RegularizationError when only an extension has one.
+The elimination is memoised per (system, field) in ``_eliminate``, its
+chart part computed on first use, and the decision and the node locator
+read the same result: ``singular_points`` decodes the gcd on y0 = 0, G and
+the charts to ``UniPoly``s over F_p once, factors them to locate the
+singular points without a second chain, and classifies them as nodes
+through the 2x2 Hessian of a local dehomogenization.  It needs a frame over
+F_p (RegularizationError) and finitely many candidates
+(PositiveDimensionalLocus).
 """
 
 from __future__ import annotations
@@ -33,24 +34,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Any
 
 from .poly import (
     TernaryForm,
     UniPoly,
     bivariate_gcd,
+    code_divmod,
+    code_gcd,
+    code_gcdex,
+    code_mul,
+    code_rem,
+    code_sub,
     poly_gcd,
-    poly_gcdex,
-    squarefree_part,
     ternary_to_t_over_u,
 )
 from .finitefield import (
     ExtensionField,
+    code_chart_resultant,
+    evaluation_arith,
     fq,
     irreducible_factors,
     prime_field,
-    resultant_by_evaluation,
 )
 
 
@@ -60,6 +66,11 @@ class DegenerateReduction(ValueError):
 
 class NotBadPrime(ValueError):
     """singular_points called at a prime of good reduction."""
+
+
+class PositiveDimensionalLocus(ValueError):
+    """The singular locus mod p is, or may be, a curve rather than finitely
+    many points."""
 
 
 def _coefficient_field(form: TernaryForm):
@@ -84,93 +95,136 @@ def jacobian_system(f: TernaryForm) -> list[TernaryForm]:
 
 
 # ---------------------------------------------------------------------------
-# Regularization: move the system away from [0:0:1]
+# Regularization: move the system away from [0:0:1], on codes
 # ---------------------------------------------------------------------------
 
 class RegularizationError(RuntimeError):
     """No admissible coordinate frame was found."""
 
 
-def _finite_pairs(fld):
-    """Candidate (a, b) elements: the full plane for small fields, a small
-    integer grid (guaranteed by Schwartz-Zippel: 4 curves of degree <= 6
+def _frame_candidates(fld):
+    """Candidate (a, b), as int encodings: the full plane for small fields, a
+    small integer grid (guaranteed by Schwartz-Zippel: 4 curves of degree <= 6
     cannot cover a 512x512 grid of distinct residues) for big prime fields."""
     if fld.order <= 1 << 14:
-        for a in range(fld.order):
-            for b in range(fld.order):
-                yield fld.decode(a), fld.decode(b)
+        side = range(fld.order)
     elif fld.characteristic > 512:
-        for a in range(512):
-            for b in range(512):
-                yield fld.from_int(a), fld.from_int(b)
+        side = range(512)
     else:
         raise NotImplementedError("regularization over a large extension field")
+    return ((a, b) for a in side for b in side)
+
+
+def _code_value(A, terms, pa, pb):
+    """The coded form sum c x0^e0 x1^e1 x2^e2 at (a, b, 1), from the powers
+    of a and b."""
+    add, mul = A.add, A.mul
+    acc = A.zero
+    for (e0, e1, _), c in terms:
+        acc = add(acc, mul(c, mul(pa[e0], pb[e1])))
+    return acc
+
+
+def _transform(A, terms, d, pa, pb):
+    """The coded form g(y0 + a y2, y1 + b y2, y2) as the dense array h with
+    h[k][j] the coefficient of y0^(d-j-k) y1^j y2^k; row k is the t^k
+    coefficient of the chart g(1, u, t) as a u-polynomial."""
+    add, mul, zero = A.add, A.mul, A.zero
+    # the nonzero (i, C(e, i) x^i) of (1 + x)^e, for x = a and x = b
+    ta, tb = ([
+        [(i, ci) for i in range(e + 1) if (ci := mul(A.from_int(comb(e, i)), px[i])) != zero]
+        for e in range(d + 1)
+    ] for px in (pa, pb))
+    h = [[zero] * (d + 1 - k) for k in range(d + 1)]
+    for (e0, e1, e2), c in terms:
+        for i, ci in ta[e0]:
+            ci = mul(c, ci)
+            for l, cl in tb[e1]:
+                row = h[e2 + i + l]
+                row[e1 - l] = add(row[e1 - l], mul(ci, cl))
+    return h
 
 
 def regularize(system: list[TernaryForm], fld):
     """Find a coordinate change x0 -> x0 + a*x2, x1 -> x1 + b*x2 after which no
-    form of the system vanishes at [0:0:1].
+    form of the system vanishes at [0:0:1], and apply it on codes.
 
-    The field is a prime field F_p.  Over a tiny F_p the frame may need
-    a scalar extension (singularity over the closure is insensitive to it):
-    the system is lifted into F_{p^2}, then F_{p^4}, and so on, until a frame
-    exists.  Returns (field, a, b, transformed_system) with a, b elements of
-    the returned field.
+    The system is encoded once per candidate field in the arithmetic
+    ``evaluation_arith`` picks for the Bezout bound D of its chart
+    resultants.  Over a tiny F_p the frame may need a scalar extension
+    (singularity over the closure is insensitive to it): the search moves to
+    F_{p^2}, then F_{p^4}, and so on, until a frame exists.  Returns
+    (field, a, b, A, decode, transformed) with a, b elements of the returned
+    field and each transformed form the dense array of ``_transform``.
     """
-    current, cur_system = fld, system
+    top = sorted(g.degree for g in system)[-2:]
+    D = top[0] * top[-1]
+    current = fld
     while True:
-        for ea, eb in _finite_pairs(current):
-            if all(g.evaluate((ea, eb, current.one)) for g in cur_system):
-                return current, ea, eb, _transform_system(cur_system, current, ea, eb)
+        A, code, decode = evaluation_arith(current, D)
+        coded = [[(m, code(fld.encode(c))) for m, c in g.terms.items()] for g in system]
+        powers = lambda x: [A.pow(code(x), e) for e in range(top[-1] + 1)]
+        for a, b in _frame_candidates(current):
+            pa, pb = powers(a), powers(b)
+            if all(_code_value(A, t, pa, pb) != A.zero for t in coded):
+                h = [_transform(A, t, g.degree, pa, pb) for t, g in zip(coded, system)]
+                return current, current.decode(a), current.decode(b), A, decode, h
         if fld.degree != 1:
             raise RegularizationError("no regularizing frame over the base field")
         current = fq(fld.characteristic, 2 * current.degree)
-        cur_system = [g.map_coefficients(current.from_base) for g in system]
-
-
-def _transform_system(system, fld, ea, eb):
-    one, zero = fld.one, fld.zero
-    matrix = [[one, zero, ea], [zero, one, eb], [zero, zero, one]]
-    return [g.compose_linear(matrix) for g in system]
 
 
 # ---------------------------------------------------------------------------
 # The shared elimination and the decision chain
 # ---------------------------------------------------------------------------
 
-#: Res_t(f, g) in K[u] of two chart polynomials, the binding the chart calls
-resultant = resultant_by_evaluation
+#: Res_t(f, g) in K[u] of two coded chart polynomials, the binding the chart calls
+resultant = code_chart_resultant
 
 
 @dataclass(frozen=True)
 class _Elimination:
-    """One Jacobian system after regularisation: the field it lives over, the
-    frame (a, b), the transformed system and the gcd ``ginf`` of the
-    specialisations g(0, 1, t), which carries the points on the line y0 = 0."""
+    """One Jacobian system after regularisation, on codes of the arithmetic
+    A: the field of the frame (a, b), ``decode`` from codes to its elements,
+    the charts g(1, u, t) of the transformed forms (t-coefficient lists of
+    coded u-polynomials) and the coded gcd ``ginf`` of the specialisations
+    g(0, 1, t), which carries the points on the line y0 = 0."""
 
     fld: Any
     a: Any
     b: Any
-    system: tuple
-    ginf: UniPoly
+    A: Any
+    decode: Any
+    charts: tuple
+    ginf: list
 
     @cached_property
-    def chart(self) -> tuple[list[UniPoly], UniPoly | None, tuple | None]:
-        """(polys, G, zero_pair) for the chart y0 = 1: the t-polynomials
-        g(1, u, t) over K[u] (regularisation makes their t-leading coefficients
-        nonzero constants), the gcd G over K[u] of their pairwise t-resultants,
-        and the first pair whose resultant vanishes identically, in which case
-        G is None."""
-        polys = [ternary_to_t_over_u(g, self.fld.one) for g in self.system]
-        G = UniPoly()
-        for i, j in combinations(range(len(polys)), 2):
-            res = resultant(polys[i], polys[j])  # element of K[u]
-            if res.is_zero():
-                return polys, None, (i, j)
-            G = poly_gcd(G, res)
-            if G.degree == 0:
+    def chart(self) -> tuple[list | None, tuple | None]:
+        """(G, zero_pair) for the chart y0 = 1: the coded gcd G over K[u] of
+        the charts' pairwise t-resultants, and the first pair whose resultant
+        vanishes identically, in which case G is None."""
+        G: list = []
+        for i, j in combinations(range(len(self.charts)), 2):
+            res = resultant(self.A, self.charts[i], self.charts[j])
+            if not res:
+                return None, (i, j)
+            G = code_gcd(self.A, G, res)
+            if len(G) == 1:
                 break
-        return polys, G, None
+        return G, None
+
+    def uni(self, cs: list) -> UniPoly:
+        return UniPoly([self.decode(c) for c in cs])
+
+    def forms(self) -> list[TernaryForm]:
+        """The transformed forms, decoded."""
+        return [
+            TernaryForm(len(P) - 1, {
+                (len(P) - 1 - j - k, j, k): self.decode(c)
+                for k, row in enumerate(P) for j, c in enumerate(row)
+            })
+            for P in self.charts
+        ]
 
 
 @lru_cache(maxsize=64)
@@ -179,13 +233,17 @@ def _eliminate(system: tuple, fld) -> _Elimination:
     the bad-prime decision and the node locator both read it.  The chart part
     is computed on first use, so a decision that stops on the line y0 = 0
     never runs the resultant chain."""
-    reg_fld, a, b, tsystem = regularize(list(system), fld)
-    ginf = UniPoly()
-    for form in tsystem:
-        ginf = poly_gcd(ginf, form.to_uni_in(2, {0: reg_fld.zero, 1: reg_fld.one}))
-        if ginf.degree == 0:
+    reg_fld, a, b, A, decode, transformed = regularize(list(system), fld)
+    # the frame makes every y2^d coefficient h[d][0] nonzero
+    ginf: list = []
+    for h in transformed:
+        ginf = code_gcd(A, ginf, [row[-1] for row in h])
+        if len(ginf) == 1:
             break
-    return _Elimination(reg_fld, a, b, tuple(tsystem), ginf)
+    for row in (row for h in transformed for row in h):
+        while row and row[-1] == A.zero:
+            row.pop()
+    return _Elimination(reg_fld, a, b, A, decode, tuple(transformed), ginf)
 
 
 @lru_cache(maxsize=64)
@@ -206,15 +264,12 @@ def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:
     if len(system) == 1:
         return True
     elim = _eliminate(tuple(system), fld)
-    if elim.ginf.degree > 0:
+    if len(elim.ginf) > 1:
         return True
-    polys, G, zero_pair = elim.chart
+    G, zero_pair = elim.chart
     if zero_pair is not None:
-        return _split_common_factor(elim.system, elim.fld, zero_pair)
-    if G.degree == 0:
-        return False
-    ghat = squarefree_part(G.monic())
-    return _d5_any_common_root(polys, ghat)
+        return _split_common_factor(elim.forms(), elim.fld, zero_pair)
+    return len(G) > 1 and _d5_any_common_root(elim.A, elim.charts, G)
 
 
 def _homogenize_bivariate(P: UniPoly, fld) -> TernaryForm:
@@ -269,92 +324,56 @@ def _split_common_factor(system, fld, pair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic evaluation (D5) over K[u]/(modulus)
+# Dynamic evaluation (D5) over K[u]/(B)
 # ---------------------------------------------------------------------------
 
 class _Split(Exception):
-    def __init__(self, divisor: UniPoly):
+    def __init__(self, divisor: list):
         self.divisor = divisor
 
 
-def _d5_inv(c: UniPoly, B: UniPoly) -> UniPoly:
-    """Inverse of c modulo B, or raise _Split on a proper zero divisor;
-    returns None when c = 0 mod B."""
-    c = c % B
-    if c.is_zero():
-        return None
-    g, inv = poly_gcdex(c, B)
-    if g.degree == 0:
-        return inv
-    raise _Split(g)
+class _Residues:
+    """K[u]/(B) on coded u-polynomials of degree < deg B, in the part of the
+    interface of ``poly.ModP`` that ``code_gcd`` uses, treated as a field:
+    ``inv`` raises _Split with the proper factor gcd(c, B) of B at a zero
+    divisor c."""
+
+    def __init__(self, A, B: list):
+        self.A, self.B, self.zero = A, B, []
+
+    def sub(self, x, y):
+        return code_sub(self.A, x, y)
+
+    def mul(self, x, y):
+        return code_rem(self.A, code_mul(self.A, x, y), self.B)
+
+    def inv(self, x):
+        d, s = code_gcdex(self.A, x, self.B)
+        if len(d) > 1:
+            raise _Split(d)
+        return s
 
 
-def _d5_strip(poly: UniPoly, B: UniPoly) -> UniPoly:
-    """Reduce coefficients mod B and strip leading coefficients that vanish,
-    splitting if a leading coefficient is a proper zero divisor."""
-    coeffs = [c % B for c in poly.coeffs]
-    while coeffs:
-        lc = coeffs[-1]
-        if lc.is_zero():
-            coeffs.pop()
-            continue
-        g = poly_gcd(lc, B)
-        if g.degree == 0:
-            break
-        if g.degree == B.degree:
-            coeffs.pop()
-            continue
-        raise _Split(g)
-    return UniPoly(coeffs)
-
-
-def _d5_mod(f: UniPoly, g: UniPoly, B: UniPoly) -> UniPoly:
-    """Remainder of f by g where the leading coefficient of g is invertible
-    mod B (callers guarantee this via _d5_strip)."""
-    inv = _d5_inv(g.lc, B)
-    rem = list(f.coeffs)
-    dg = g.degree
-    while len(rem) - 1 >= dg:
-        lc = rem[-1] % B
-        if lc.is_zero():
-            rem.pop()
-            continue
-        t = (lc * inv) % B
-        k = len(rem) - 1 - dg
-        for idx, c in enumerate(g.coeffs):
-            rem[k + idx] = (rem[k + idx] - t * c) % B
-        rem.pop()
-    return UniPoly([c % B for c in rem])
-
-
-def _d5_any_common_root(polys: list[UniPoly], modulus: UniPoly) -> bool:
-    """True iff for some root u0 of the (squarefree) modulus the univariate
-    specialisations of all the t-polynomials share a common root."""
-    stack = [(modulus, polys)]
+def _d5_any_common_root(A, charts, B: list) -> bool:
+    """True iff for some root u0 of B the specialisations t -> P(u0, t) of
+    all the charts share a root: their gcd over K[u]/(B) by Euclid, as if
+    that ring were a field, splitting B at a zero divisor.  B need not be
+    squarefree: every step divides by units mod B only, which stay units at
+    each root of B, and a split strictly lowers deg B."""
+    stack = [B]
     while stack:
-        B, ps = stack.pop()
-        if B.degree == 0:
-            continue
+        B = stack.pop()
+        R = _Residues(A, B)
         try:
-            g = _d5_strip(ps[0], B)
-            for h in ps[1:]:
-                h = _d5_strip(h, B)
-                # Euclidean gcd of g and h mod B
-                while True:
-                    if h.is_zero():
-                        break
-                    if h.degree == 0:
-                        g = h
-                        break
-                    g, h = h, _d5_strip(_d5_mod(g, h, B), B)
-                if g.degree == 0 and not g.is_zero():
+            g: list = []
+            for P in charts:
+                g = code_gcd(R, g, [code_rem(A, c, B) for c in P])
+                if len(g) == 1:
                     break
-            if g.degree >= 1:
+            if len(g) > 1:
                 return True
-        except _Split as s:
-            w = s.divisor
-            stack.append((w, ps))
-            stack.append((B.exact_div(w), ps))
+        except _Split as split:
+            stack += [split.divisor, code_divmod(A, B, split.divisor)[0]]
     return False
 
 
@@ -469,14 +488,17 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         raise DegenerateReduction(f"the form vanishes identically mod {p}")
     if not singular_locus_nonempty(fp):
         raise NotBadPrime(f"{p} is a prime of good reduction")
-    elim = _eliminate(tuple(jacobian_system(fp)), fld)
+    system = jacobian_system(fp)
+    if len(system) == 1:
+        raise PositiveDimensionalLocus(f"mod {p} the Jacobian system is one form, whose zeros are a curve")
+    elim = _eliminate(tuple(system), fld)
     if elim.fld is not fld:
         raise RegularizationError(f"the singular points mod {p} need a frame over an extension")
-    polys, G, zero_pair = elim.chart
+    G, zero_pair = elim.chart
     if zero_pair is not None:
-        raise NotImplementedError(
-            "positive-dimensional singular locus; not a finite set of points"
-        )
+        raise PositiveDimensionalLocus(f"mod {p} two forms of the Jacobian system share a factor")
+    ginf, G = elim.uni(elim.ginf), elim.uni(G)
+    polys = [UniPoly([elim.uni(c) for c in P]) for P in elim.charts]
     notes: list[str] = []
     points: list[SingularPoint] = []
     unresolved = 0
@@ -496,8 +518,8 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         points.append(SingularPoint(coords=x, residue_degree=rdeg, kind=kind))
 
     # the line y0 = 0
-    if elim.ginf.degree > 0:
-        for irr, _mult in irreducible_factors(elim.ginf, fld):
+    if ginf.degree > 0:
+        for irr, _mult in irreducible_factors(ginf, fld):
             if irr.degree > degree_bound:
                 unresolved += 1
                 fully_accounted = False

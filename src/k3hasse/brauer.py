@@ -96,10 +96,17 @@ class SurfacePoint:
     value: int  # f(x), certified nonzero square in the completion
 
 
+@functools.lru_cache(maxsize=4096)
+def branch_value(f: TernaryForm, x: tuple[int, int, int]) -> int:
+    """f(x), once per (sextic, triple): sampling visits the same triples at
+    every place."""
+    return f.evaluate(x)
+
+
 def certify_point(X: K3Surface, x: tuple[int, int, int], place: Place) -> SurfacePoint | None:
     """Certify the integer triple at the place: positive f-value at R, nonzero
     p-adic square at a finite place."""
-    value = X.branch_sextic.evaluate(x)
+    value = branch_value(X.branch_sextic, x)
     if value == 0:
         return None
     ok = value > 0 if place.is_real else padic_square(value, place.p)

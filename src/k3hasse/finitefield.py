@@ -6,7 +6,8 @@ generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
 Small fields (order <= 2^20) additionally carry numpy discrete-log and
 Zech-logarithm tables; the point-counting kernel works on those raw arrays
 directly, in the log domain.  The same tables, as lists (``LogArith``),
-serve ``resultant_by_evaluation``, the elimination's resultant over F[u].
+are the arithmetic ``evaluation_arith`` gives the elimination of
+:mod:`k3hasse.badred` on small fields, with ``resultant_by_evaluation``.
 """
 
 from __future__ import annotations
@@ -402,7 +403,7 @@ class LogArith:
 
     def __init__(self, tables: FieldTables):
         m = tables.q - 1
-        self.m = m
+        self.m, self.p = m, tables.p
         # -1 = g^(m/2) in odd characteristic
         self.half = m // 2 if tables.p % 2 else 0
         self.zero, self.one = -1, 0
@@ -435,6 +436,9 @@ class LogArith:
         if e == 0:
             return 0
         return -1 if a < 0 else a * e % self.m
+
+    def from_int(self, n: int) -> int:
+        return self.log[n % self.p]
 
 
 def _powers(field: FiniteField, g: FFElem, count: int) -> np.ndarray:
@@ -616,22 +620,48 @@ def _embedding(fld: FiniteField, E: ExtensionField) -> tuple[list[int], dict]:
     return fld._embeddings[E]
 
 
+def evaluation_arith(fld: FiniteField, D: int):
+    """(A, code, decode): an arithmetic with more than D elements holding
+    fld, ``code`` from fld's int encodings to codes and ``decode`` back.  A is
+    ``ModP(p)`` when fld = F_p and p > D, else fq(p, k).log_arith with k the
+    least multiple of [fld : F_p] such that p^k > D, fld embedded through a
+    root of its modulus."""
+    p = fld.characteristic
+    if isinstance(fld, PrimeField) and p > D:
+        return ModP(p), int, fld.decode
+    k = fld.degree
+    while p**k <= D:
+        k += fld.degree
+    E = fq(p, k)
+    images, preimage = _embedding(fld, E)
+    return E.log_arith, images.__getitem__, preimage.__getitem__
+
+
+def code_chart_resultant(A, f: list, g: list) -> list:
+    """``resultant_by_evaluation`` on codes: f and g are lists of coded
+    u-polynomials, and A has more than D = deg_t f * deg_t g elements, so the
+    codes A.zero .. A.zero + D are D + 1 distinct points (0 .. D under
+    ``ModP``, 0, g^0, .., g^(D-1) under ``LogArith``)."""
+    D = (len(f) - 1) * (len(g) - 1)
+    points = range(A.zero, A.zero + D + 1)
+    values = [
+        code_resultant(A, [code_eval(A, c, x) for c in f], [code_eval(A, c, x) for c in g])
+        for x in points
+    ]
+    return code_interpolate(A, points, values)
+
+
 def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
     """Res_t(f, g) in F[u] of t-polynomials f, g over F[u], F a finite
-    field, with the Sylvester convention, by evaluation at D + 1 points u0,
-    a univariate Euclid resultant of f(u0, t) and g(u0, t) at each, and
-    Newton interpolation, all on int codes.
+    field, with the Sylvester convention: a univariate Euclid resultant of
+    f(u0, t) and g(u0, t) at D + 1 points u0, D = deg_t f * deg_t g, then
+    Newton interpolation, on codes in ``evaluation_arith(F, D)``.
 
     Bound: when each t-leading coefficient is a nonzero constant and the
     t^k coefficient has u-degree at most deg_t - k (the chart of a form
     regular in the last variable, which regularisation provides), the
-    specialisations keep their t-degrees and deg_u Res <= deg_t f * deg_t g =
-    D, the Bezout bound.  Other inputs raise ValueError.
-
-    Evaluation field E: F_p itself, on ints mod p, when F = F_p and p > D.
-    Otherwise E = fq(p, k) with k the least multiple of [F : F_p] such that
-    p^k > D, on discrete logs (``LogArith``), and F embeds in E through a root
-    of its modulus; the result lies in the image of F and is mapped back.
+    specialisations keep their t-degrees and deg_u Res <= D, the Bezout
+    bound.  Other inputs raise ValueError.
     """
     fld = f.lc.lc.field
     for P in (f, g):
@@ -640,25 +670,6 @@ def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
                 "the Bezout bound needs a constant t-leading coefficient and "
                 "u-degree at most deg_t - k at t^k"
             )
-    D = f.degree * g.degree
-    p = fld.characteristic
-    if isinstance(fld, PrimeField) and p > D:
-        A, points = ModP(p), range(D + 1)
-        encode = lambda c: c.val
-        decode = lambda v: FFElem(fld, v)
-    else:
-        k = fld.degree
-        while p**k <= D:
-            k += fld.degree
-        E = fq(p, k)
-        A, points = E.log_arith, range(-1, D)  # 0, g^0, .., g^(D-1)
-        images, preimage = _embedding(fld, E)
-        encode = lambda c: images[fld.encode(c)]
-        decode = preimage.__getitem__
-    fc = [[encode(c) for c in cu.coeffs] for cu in f.coeffs]
-    gc = [[encode(c) for c in cu.coeffs] for cu in g.coeffs]
-    values = [
-        code_resultant(A, [code_eval(A, c, x) for c in fc], [code_eval(A, c, x) for c in gc])
-        for x in points
-    ]
-    return UniPoly([decode(c) for c in code_interpolate(A, points, values)])
+    A, code, decode = evaluation_arith(fld, f.degree * g.degree)
+    fc, gc = ([[code(fld.encode(c)) for c in cu.coeffs] for cu in P.coeffs] for P in (f, g))
+    return UniPoly([decode(c) for c in code_chart_resultant(A, fc, gc)])

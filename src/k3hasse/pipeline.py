@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .arith import probable_prime, strip_small_factors
-from .badred import RegularizationError, singular_points, verify_bad_prime_list
+from .badred import PositiveDimensionalLocus, RegularizationError, singular_points, verify_bad_prime_list
 from .brauer import (
     LocalSolubilityUndecided,
     ProfileInconclusive,
@@ -407,7 +407,7 @@ def certify(
                 continue
             try:
                 reports[p] = singular_points(f, p, 6)
-            except RegularizationError as exc:
+            except (RegularizationError, PositiveDimensionalLocus) as exc:
                 raise Rejected(7, f"singular points mod {p} not located: {exc}") from exc
             if not reports[p].all_nodes_and_r_lt8:
                 raise Rejected(7, f"singular locus at {p} is not r < 8 ordinary double points")

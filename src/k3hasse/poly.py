@@ -7,7 +7,8 @@ variable over polynomials in another).
 
 Hot loops over finite fields run on int codes instead: ``ModP`` (ints mod p)
 and the discrete-log arithmetic of ``finitefield`` share one interface, and
-``code_resultant`` and ``code_interpolate`` are written against it.
+the ``code_*`` routines (division, gcds, resultant, interpolation) are
+written against it, so they also run over any ring offering it.
 
 Ternary forms are homogeneous and serialise in graded-lex order with
 x0 > x1 > x2; a quadratic form is the 6 coefficients of
@@ -289,6 +290,9 @@ class ModP:
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
 
+    def from_int(self, n: int) -> int:
+        return n % self.p
+
 
 def code_eval(A, cs: list, x):
     """The value of a coded polynomial at the coded point x (Horner)."""
@@ -299,22 +303,69 @@ def code_eval(A, cs: list, x):
     return acc
 
 
-def code_rem(A, f: list, g: list) -> list:
-    """The remainder of f by a nonzero g."""
+def code_divmod(A, f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by a nonzero g."""
     sub, mul, zero = A.sub, A.mul, A.zero
     r = list(f)
     dg = len(g) - 1
     inv = A.inv(g[-1])
+    q = [zero] * max(len(r) - dg, 0)
     for i in range(len(r) - 1, dg - 1, -1):
         c = r.pop()
         if c == zero:
             continue
-        q = mul(c, inv)
+        q[i - dg] = t = mul(c, inv)
         for j in range(dg):
-            r[i - dg + j] = sub(r[i - dg + j], mul(q, g[j]))
+            r[i - dg + j] = sub(r[i - dg + j], mul(t, g[j]))
     while r and r[-1] == zero:
         r.pop()
-    return r
+    return q, r
+
+
+def code_rem(A, f: list, g: list) -> list:
+    """The remainder of f by a nonzero g."""
+    return code_divmod(A, f, g)[1]
+
+
+def code_sub(A, f: list, g: list) -> list:
+    zero = A.zero
+    n = max(len(f), len(g))
+    f, g = f + [zero] * (n - len(f)), g + [zero] * (n - len(g))
+    d = [A.sub(c, e) for c, e in zip(f, g)]
+    while d and d[-1] == zero:
+        d.pop()
+    return d
+
+
+def code_mul(A, f: list, g: list) -> list:
+    if not f or not g:
+        return []
+    add, mul = A.add, A.mul
+    out = [A.zero] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(g):
+            out[i + j] = add(out[i + j], mul(c, d))
+    return out
+
+
+def code_gcd(A, f: list, g: list) -> list:
+    """The monic gcd of f and g, not both 0."""
+    while g:
+        f, g = g, code_rem(A, f, g)
+    inv = A.inv(f[-1])
+    return [A.mul(c, inv) for c in f]
+
+
+def code_gcdex(A, a: list, b: list) -> tuple[list, list]:
+    """The monic gcd d of a and a nonzero b with s such that s*a = d mod b,
+    as ``poly_gcdex``: s = a^-1 mod b when d = 1 and deg a < deg b."""
+    r0, r1, s0, s1 = b, a, [], [A.one]
+    while r1:
+        q, r = code_divmod(A, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, code_sub(A, s0, code_mul(A, q, s1))
+    inv = A.inv(r0[-1])
+    return [A.mul(c, inv) for c in r0], [A.mul(c, inv) for c in s0]
 
 
 def code_resultant(A, f: list, g: list):
@@ -424,13 +475,6 @@ def _squarefree_charp(g: UniPoly, p: int) -> list[tuple[UniPoly, int]]:
     if c.degree > 0:
         sub = squarefree_decomposition(_pth_root_poly(c, p))
         out.extend((f, m * p) for f, m in sub)
-    return out
-
-
-def squarefree_part(g: UniPoly) -> UniPoly:
-    out = UniPoly.const(g.lc ** 0)
-    for fac, _ in squarefree_decomposition(g):
-        out = out * fac
     return out
 
 
@@ -568,53 +612,6 @@ class TernaryForm:
 
     def map_coefficients(self, fn) -> "TernaryForm":
         return TernaryForm(self.degree, {m: fn(c) for m, c in self.terms.items()})
-
-    def compose_linear(self, matrix) -> "TernaryForm":
-        """Substitute x_i -> sum_j matrix[i][j] * y_j."""
-        rows = [
-            TernaryForm(1, {(1, 0, 0): matrix[i][0], (0, 1, 0): matrix[i][1], (0, 0, 1): matrix[i][2]})
-            for i in range(3)
-        ]
-        total = None
-        for (e0, e1, e2), c in self.terms.items():
-            term = None
-            for e, row in ((e0, rows[0]), (e1, rows[1]), (e2, rows[2])):
-                for _ in range(e):
-                    term = row if term is None else term * row
-            if term is None:
-                term = TernaryForm(0, {(0, 0, 0): c ** 0})
-            term = term.scale(c)
-            if term.degree != self.degree:
-                # pad degree for constant-only products (cannot happen for forms
-                # of positive degree, guarded for completeness)
-                raise ValueError("degenerate substitution")
-            total = term if total is None else total + term
-        if total is None:
-            return TernaryForm(self.degree)
-        return total
-
-    def to_uni_in(self, var: int, sub: dict) -> UniPoly:
-        """Specialise all variables but x_var via ``sub`` and return a
-        univariate polynomial in x_var."""
-        maxdeg = self.degree
-        buckets: list = [None] * (maxdeg + 1)
-        for m, c in self.terms.items():
-            t = c
-            for j in range(3):
-                if j == var:
-                    continue
-                for _ in range(m[j]):
-                    t = t * sub[j]
-            k = m[var]
-            buckets[k] = t if buckets[k] is None else buckets[k] + t
-        zero = None
-        for b in buckets:
-            if b is not None:
-                zero = b * 0
-                break
-        if zero is None:
-            return UniPoly()
-        return UniPoly([zero if b is None else b for b in buckets])
 
 
 # ---------------------------------------------------------------------------

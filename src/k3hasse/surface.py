@@ -14,7 +14,9 @@ integral.  Serialisation follows the fixed monomial order of
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .poly import TernaryForm
 
@@ -39,6 +41,16 @@ class QuadricSextet:
     def forms(self) -> tuple[TernaryForm, ...]:
         return tuple(getattr(self, key) for key in FORM_KEYS)
 
+    @cached_property
+    def coefficients(self) -> tuple[int, ...]:
+        """The 36 coefficients of A..F, row by row, read once per sextet
+        (``from_coefficients`` fills them in from its input)."""
+        return tuple(c for form in self.forms() for c in form.coefficients())
+
+    def rows(self) -> list[tuple[int, ...]]:
+        c = self.coefficients
+        return [c[i:i + 6] for i in range(0, 36, 6)]
+
     @classmethod
     def from_coefficients(cls, rows) -> "QuadricSextet":
         """Six rows of six integers, each [x0^2, x0x1, x0x2, x1^2, x1x2, x2^2]."""
@@ -49,7 +61,9 @@ class QuadricSextet:
             for c in row:
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"form {key}: coefficient {c!r} is not an int")
-        return cls(*(TernaryForm.from_coefficients(2, row) for row in rows))
+        q = cls(*(TernaryForm.from_coefficients(2, row) for row in rows))
+        q.__dict__["coefficients"] = tuple(c for row in rows for c in row)
+        return q
 
     @classmethod
     def from_json(cls, text: str) -> "QuadricSextet":
@@ -67,7 +81,7 @@ class QuadricSextet:
 
     def to_json(self) -> str:
         return json.dumps(
-            {k: [int(c) for c in getattr(self, k).coefficients()] for k in FORM_KEYS},
+            {k: [int(c) for c in row] for k, row in zip(FORM_KEYS, self.rows())},
             indent=2,
         )
 
@@ -93,10 +107,7 @@ def swap_projection(q: QuadricSextet) -> QuadricSextet:
     The 6x6 coefficient matrix (forms by monomials) transposes, so the
     operation is an involution.
     """
-    matrix = [form.coefficients() for form in q.forms()]
-    return QuadricSextet.from_coefficients(
-        [[matrix[i][j] for i in range(6)] for j in range(6)]
-    )
+    return QuadricSextet.from_coefficients(zip(*q.rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -119,46 +130,24 @@ def is_smooth_curve(f: TernaryForm) -> bool:
     return not singular_locus_nonempty(f)
 
 
-def _doubled_gram(form: TernaryForm) -> list[list[int]]:
-    c = form.coefficients()
-    return [
-        [2 * c[0], c[1], c[2]],
-        [c[1], 2 * c[3], c[4]],
-        [c[2], c[4], 2 * c[5]],
-    ]
-
-
-def _leading_minors(m) -> tuple[int, int, int]:
-    m1 = m[0][0]
-    m2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    m3 = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def _is_definite(c, sign: int) -> bool:
+    """Is the quadratic form with coefficient row c definite of the given
+    sign?  Exact signs of the leading principal minors of its doubled Gram
+    matrix [[2c0, c1, c2], [c1, 2c3, c4], [c2, c4, 2c5]]."""
+    m1 = 2 * c[0]
+    m2 = 4 * c[0] * c[3] - c[1] * c[1]
+    m3 = 8 * c[0] * c[3] * c[5] + 2 * c[1] * c[4] * c[2] - 2 * (
+        c[0] * c[4] * c[4] + c[1] * c[1] * c[5] + c[2] * c[2] * c[3]
     )
-    return m1, m2, m3
-
-
-def is_positive_definite(form: TernaryForm) -> bool:
-    m1, m2, m3 = _leading_minors(_doubled_gram(form))
-    return m1 > 0 and m2 > 0 and m3 > 0
-
-
-def is_negative_definite(form: TernaryForm) -> bool:
-    m1, m2, m3 = _leading_minors(_doubled_gram(form))
-    return m1 < 0 and m2 > 0 and m3 < 0
+    return sign * m1 > 0 and m2 > 0 and sign * m3 > 0
 
 
 def check_real_conditions(q: QuadricSextet) -> bool:
-    """A, D, F negative definite and B, C, E positive definite (exact signs of
-    the leading principal minors of the doubled Gram matrices)."""
+    """A, D, F negative definite and B, C, E positive definite."""
+    A, B, C, D, E, F = q.rows()
     return (
-        is_negative_definite(q.A)
-        and is_negative_definite(q.D)
-        and is_negative_definite(q.F)
-        and is_positive_definite(q.B)
-        and is_positive_definite(q.C)
-        and is_positive_definite(q.E)
+        _is_definite(A, -1) and _is_definite(D, -1) and _is_definite(F, -1)
+        and _is_definite(B, +1) and _is_definite(C, +1) and _is_definite(E, +1)
     )
 
 
@@ -176,11 +165,13 @@ COEFFICIENT_PATTERNS = (
 )
 
 
+_RESIDUES, _MODULI = zip(*(rm for rm, _ in COEFFICIENT_PATTERNS))
+
+
 def check_2adic_conditions(q: QuadricSextet) -> bool:
     """The coefficient-wise congruences of ``COEFFICIENT_PATTERNS`` that force
     the 2-adic invariant of the quaternion class to vanish."""
-    coefficients = [c for form in q.forms() for c in form.coefficients()]
-    return all((c - r) % m == 0 for c, ((r, m), _) in zip(coefficients, COEFFICIENT_PATTERNS))
+    return tuple(map(operator.mod, q.coefficients, _MODULI)) == _RESIDUES
 
 
 def reduce_mod(form: TernaryForm, field) -> TernaryForm:

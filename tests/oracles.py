@@ -2,7 +2,7 @@
 
 Everything here is deliberately elementary (trial division, Euler's criterion,
 exhaustive searches, digit-by-digit lifting) and shares no code path with the
-implementations under test, with three exceptions.  The naive point count runs
+implementations under test, with four exceptions.  The naive point count runs
 on the library's finite-field arithmetic (``fq``, ``FFElem``) and its
 coefficient reduction, so it checks the orbit counting kernel and its tables,
 not the field arithmetic underneath.  The naive tritangent scan restricts the
@@ -11,17 +11,33 @@ into F_p and tests squares by the library's squarefree decomposition, so it
 checks the scan on ints mod p, not those.  The subresultant ``resultant``
 runs on the library's ``UniPoly`` and pseudo-remainder; it is the reference
 for the elimination's resultant by evaluation and interpolation, and is itself
-checked against the Sylvester determinant.
+checked against the Sylvester determinant.  The common-zero decision
+``unipoly_common_zero`` is the elimination chain on ``UniPoly``s of field
+elements (``poly_gcd``, ``poly_gcdex``, the subresultant) and borrows the
+library's shared-factor helpers; it is the reference for the chain on int
+codes in ``badred``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Any
 
+from k3hasse.badred import _homogenize_bivariate, _ternary_exact_div
 from k3hasse.finitefield import FFElem, FiniteField, fq, prime_field
 from k3hasse.picard import CountingError, TritangentScan, _int_coefficients_mod, check_weil_bound
-from k3hasse.poly import TernaryForm, UniPoly, _coeff_div, _pseudo_rem, squarefree_decomposition
+from k3hasse.poly import (
+    TernaryForm,
+    UniPoly,
+    _coeff_div,
+    _pseudo_rem,
+    bivariate_gcd,
+    poly_gcd,
+    poly_gcdex,
+    squarefree_decomposition,
+    ternary_to_t_over_u,
+)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -217,6 +233,168 @@ def resultant(f: UniPoly, g: UniPoly):
             if f.degree > 1:
                 return sign * _coeff_div(num, h ** (f.degree - 1))
             return sign * num
+
+
+def compose_linear(form: TernaryForm, matrix) -> TernaryForm:
+    """The form with x_i -> sum_j matrix[i][j] * y_j substituted."""
+    rows = [
+        TernaryForm(1, {(1, 0, 0): matrix[i][0], (0, 1, 0): matrix[i][1], (0, 0, 1): matrix[i][2]})
+        for i in range(3)
+    ]
+    total = TernaryForm(form.degree)
+    for (e0, e1, e2), c in form.terms.items():
+        term = TernaryForm(0, {(0, 0, 0): c})
+        for e, row in ((e0, rows[0]), (e1, rows[1]), (e2, rows[2])):
+            for _ in range(e):
+                term = term * row
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The common-zero decision on UniPolys of field elements
+# ---------------------------------------------------------------------------
+#
+# The reference for ``badred._system_has_common_zero``, which runs on int
+# codes: the same chain on ``UniPoly``s of ``FFElem``s, with the frame found
+# and applied on field elements, the subresultant for every chart resultant,
+# and dynamic evaluation modulo the squarefree part of G.
+
+def unipoly_frame(system: list[TernaryForm], fld):
+    """(field, a, b, transformed system) of the first frame x0 -> x0 + a x2,
+    x1 -> x1 + b x2 in the enumeration of ``badred.regularize``, over fld,
+    then F_{p^2}, F_{p^4} .. for a prime fld."""
+    current, cur_system = fld, system
+    while True:
+        if current.order <= 1 << 14:
+            side = [current.decode(k) for k in range(current.order)]
+        else:
+            side = [current.from_int(k) for k in range(512)]
+        for ea in side:
+            for eb in side:
+                if all(g.evaluate((ea, eb, current.one)) for g in cur_system):
+                    one, zero = current.one, current.zero
+                    matrix = [[one, zero, ea], [zero, one, eb], [zero, zero, one]]
+                    return current, ea, eb, [compose_linear(g, matrix) for g in cur_system]
+        if fld.degree != 1:
+            raise ValueError("no frame over the base field")
+        current = fq(fld.characteristic, 2 * current.degree)
+        cur_system = [g.map_coefficients(current.from_base) for g in system]
+
+
+class _Split(Exception):
+    def __init__(self, divisor: UniPoly):
+        self.divisor = divisor
+
+
+def _d5_inv(c: UniPoly, B: UniPoly) -> UniPoly:
+    c = c % B
+    if c.is_zero():
+        return None
+    g, inv = poly_gcdex(c, B)
+    if g.degree == 0:
+        return inv
+    raise _Split(g)
+
+
+def _d5_strip(poly: UniPoly, B: UniPoly) -> UniPoly:
+    coeffs = [c % B for c in poly.coeffs]
+    while coeffs:
+        lc = coeffs[-1]
+        if lc.is_zero():
+            coeffs.pop()
+            continue
+        g = poly_gcd(lc, B)
+        if g.degree == 0:
+            break
+        if g.degree == B.degree:
+            coeffs.pop()
+            continue
+        raise _Split(g)
+    return UniPoly(coeffs)
+
+
+def _d5_mod(f: UniPoly, g: UniPoly, B: UniPoly) -> UniPoly:
+    inv = _d5_inv(g.lc, B)
+    rem = list(f.coeffs)
+    dg = g.degree
+    while len(rem) - 1 >= dg:
+        lc = rem[-1] % B
+        if lc.is_zero():
+            rem.pop()
+            continue
+        t = (lc * inv) % B
+        k = len(rem) - 1 - dg
+        for idx, c in enumerate(g.coeffs):
+            rem[k + idx] = (rem[k + idx] - t * c) % B
+        rem.pop()
+    return UniPoly([c % B for c in rem])
+
+
+def _d5_any_common_root(polys: list[UniPoly], modulus: UniPoly) -> bool:
+    """True iff for some root u0 of the squarefree modulus the univariate
+    specialisations of all the t-polynomials share a common root."""
+    stack = [(modulus, polys)]
+    while stack:
+        B, ps = stack.pop()
+        if B.degree == 0:
+            continue
+        try:
+            g = _d5_strip(ps[0], B)
+            for h in ps[1:]:
+                h = _d5_strip(h, B)
+                while True:
+                    if h.is_zero():
+                        break
+                    if h.degree == 0:
+                        g = h
+                        break
+                    g, h = h, _d5_strip(_d5_mod(g, h, B), B)
+                if g.degree == 0 and not g.is_zero():
+                    break
+            if g.degree >= 1:
+                return True
+        except _Split as s:
+            stack.append((s.divisor, ps))
+            stack.append((B.exact_div(s.divisor), ps))
+    return False
+
+
+def _squarefree_part(g: UniPoly) -> UniPoly:
+    out = UniPoly.const(g.lc ** 0)
+    for fac, _ in squarefree_decomposition(g):
+        out = out * fac
+    return out
+
+
+def unipoly_common_zero(system: list[TernaryForm], fld) -> bool:
+    """Do the forms of the system have a common zero over the closure of
+    fld?  Decided on UniPolys of field elements."""
+    system = [g for g in system if not g.is_zero()]
+    if any(g.degree == 0 for g in system):
+        return False
+    if len(system) == 1:
+        return True
+    fld, _a, _b, system = unipoly_frame(system, fld)
+    ginf = UniPoly()
+    for g in system:
+        ginf = poly_gcd(ginf, UniPoly([g.coefficient((0, g.degree - k, k), fld.zero) for k in range(g.degree + 1)]))
+    if ginf.degree > 0:
+        return True
+    polys = [ternary_to_t_over_u(g, fld.one) for g in system]
+    G = UniPoly()
+    for i, j in combinations(range(len(polys)), 2):
+        res = resultant(polys[i], polys[j])
+        if res.is_zero():
+            # the two forms share a factor H: V(H) with the rest, or the cofactors
+            H = _homogenize_bivariate(bivariate_gcd(polys[i], polys[j]), fld)
+            rest = [g for k, g in enumerate(system) if k not in (i, j)]
+            if unipoly_common_zero(rest + [H], fld):
+                return True
+            qi, qj = _ternary_exact_div(system[i], H), _ternary_exact_div(system[j], H)
+            return qi.degree > 0 and qj.degree > 0 and unipoly_common_zero(rest + [qi, qj], fld)
+        G = poly_gcd(G, res)
+    return G.degree > 0 and _d5_any_common_root(polys, _squarefree_part(G.monic()))
 
 
 def quadratic_character(a: FFElem) -> int:

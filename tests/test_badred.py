@@ -8,6 +8,7 @@ from k3hasse import badred
 from k3hasse.badred import (
     DegenerateReduction,
     NotBadPrime,
+    PositiveDimensionalLocus,
     RegularizationError,
     is_bad_prime,
     jacobian_system,
@@ -16,10 +17,16 @@ from k3hasse.badred import (
     verify_bad_prime_list,
 )
 from k3hasse.finitefield import fq, prime_field
-from k3hasse.poly import TernaryForm, monomials_of_degree, ternary_to_t_over_u
-from k3hasse.surface import reduce_mod
+from k3hasse.poly import (
+    TernaryForm,
+    UniPoly,
+    monomials_of_degree,
+    squarefree_decomposition,
+    ternary_to_t_over_u,
+)
+from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
-from .oracles import resultant
+from .oracles import compose_linear, resultant, unipoly_common_zero, unipoly_frame
 
 
 def _exhaustive_singular_search(f: TernaryForm, p: int, max_e: int) -> bool:
@@ -105,24 +112,31 @@ def test_is_bad_prime_rejects_degenerate_and_even():
 
 def test_regularize_extends_a_prime_field_through_fq():
     """x0^3 x2 - x0 x2^3 vanishes at every [a:b:1] over F_3, so the frame
-    needs F_9: the canonical fq(3, 2), modulus t^2 + 1."""
+    needs F_9: the canonical fq(3, 2), modulus t^2 + 1.  The coded
+    transformed form decodes to the substitution made on field elements."""
     F3 = prime_field(3)
     g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
-    fld, a, b, (h,) = regularize([g], F3)
+    fld, a, b, A, decode, (h,) = regularize([g], F3)
     assert fld is fq(3, 2)
     assert [c.val for c in fld.modulus.coeffs] == [1, 0, 1]
-    assert h.evaluate((fld.zero, fld.zero, fld.one))
+    assert decode(h[4][0])  # the y2^4 coefficient, h(0, 0, 1)
+    frame = [[fld.one, fld.zero, a], [fld.zero, fld.one, b], [fld.zero, fld.zero, fld.one]]
+    want = compose_linear(g.map_coefficients(fld.from_base), frame)
+    got = {(4 - j - k, j, k): decode(c) for k, row in enumerate(h) for j, c in enumerate(row)}
+    assert TernaryForm(4, got) == want
 
 
 def test_chart_resultants_of_the_lifted_mod_3_system(example_sextic):
     """The example's mod-3 Jacobian system has a frame only over F_9; every
-    chart resultant, computed on int codes in F_81, equals the subresultant."""
+    chart resultant, computed on int codes in F_81, decodes to the
+    subresultant of the decoded charts."""
     F3 = prime_field(3)
     elim = badred._eliminate(tuple(jacobian_system(reduce_mod(example_sextic, F3))), F3)
     assert elim.fld is fq(3, 2)
-    polys = [ternary_to_t_over_u(g, elim.fld.one) for g in elim.system]
-    for P, Q in combinations(polys, 2):
-        assert badred.resultant(P, Q) == resultant(P, Q)
+    decoded = [UniPoly([elim.uni(c) for c in P]) for P in elim.charts]
+    assert decoded == [ternary_to_t_over_u(g, elim.fld.one) for g in elim.forms()]
+    for (P, Pd), (Q, Qd) in combinations(zip(elim.charts, decoded), 2):
+        assert elim.uni(badred.resultant(elim.A, P, Q)) == resultant(Pd, Qd)
 
 
 def test_singular_points_needs_a_frame_over_the_prime_field():
@@ -136,20 +150,18 @@ def test_singular_points_needs_a_frame_over_the_prime_field():
         singular_points(f, 3, 6)
 
 
-def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeypatch):
+def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeypatch, fresh_memos):
     """After is_bad_prime(f, p), singular_points(f, p) computes no new
     resultant.  Mod 7 the decision runs the resultant chain; mod 5 it stops on
     the line y0 = 0 ([0:1:0] is singular) before the chain, which only the
     node locator then needs."""
     calls = []
 
-    def counted(f, g):
+    def counted(A, f, g):
         calls.append((f, g))
-        return resultant(f, g)
+        return resultant(A, f, g)
 
     def resultants(p):
-        badred._eliminate.cache_clear()
-        badred.singular_locus_nonempty.cache_clear()
         calls.clear()
         assert is_bad_prime(example_sextic, p)
         decided = len(calls)
@@ -216,17 +228,93 @@ def test_singular_points_requires_bad_prime():
         singular_points(fermat, 7, 6)
 
 
-def test_non_reduced_forms_trigger_the_shared_factor_split():
-    """A repeated factor makes every pair of partials share it, so the pairwise
-    resultants vanish identically and the variety-splitting branch runs."""
+def _non_reduced_forms() -> list[TernaryForm]:
+    """L^2 Q^2 and L^2 C4: a repeated factor makes every pair of partials
+    share it."""
     L = TernaryForm(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 2})
     Q = TernaryForm(2, {(1, 1, 0): 1, (0, 0, 2): 1})
     C4 = TernaryForm(
         4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (1, 1, 2): 3}
     )
-    for f in (L * L * Q * Q, L * L * C4):
+    return [L * L * Q * Q, L * L * C4]
+
+
+def test_non_reduced_forms_trigger_the_shared_factor_split():
+    """A repeated factor makes every pair of partials share it, so the pairwise
+    resultants vanish identically and the variety-splitting branch runs."""
+    for f in _non_reduced_forms():
         for p in (3, 5, 7):
             assert is_bad_prime(f, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 31])
+def test_code_decision_matches_the_unipoly_oracle(p):
+    """The decision on int codes (discrete logs for p = 3 .. 13, ints mod p
+    for p = 29, 31) equals the UniPoly chain of the oracle, from the same
+    frame, on 40 drawn sextics, forced rational nodes and non-reduced forms;
+    a singular point the exhaustive search finds is never missed."""
+    F = prime_field(p)
+    rng = random.Random(7)
+    cases = [_random_form(rng) for _ in range(40)]
+    cases += [_force_rational_node(rng) for _ in range(5)] + _non_reduced_forms()
+    verdicts = set()
+    for f in cases:
+        fp = reduce_mod(f, F)
+        if fp.is_zero():
+            continue
+        system = jacobian_system(fp)
+        got = badred._system_has_common_zero(system, F)
+        assert got == unipoly_common_zero(system, F), f
+        verdicts.add(got)
+        if len(system) > 1 and all(g.degree > 0 for g in system):
+            elim = badred._eliminate(tuple(system), F)
+            assert (elim.fld, elim.a, elim.b) == unipoly_frame(system, F)[:3], f
+        if _exhaustive_singular_search(fp, p, 2 if p <= 7 else 1):
+            assert got, f
+    assert verdicts == {True, False}
+
+
+def test_d5_keeps_a_factor_of_g_whose_multiplicity_p_divides():
+    """Three cubic and quartic curves through [1:0:1], pairwise with contact
+    of order 3 there, and no common point on x0 = 0: mod 3 the gcd G of the
+    chart resultants is u^9, whose derivative vanishes.  D5 modulo G itself
+    finds the common point, as the oracle does."""
+    F3 = prime_field(3)
+    x0, x1, x2 = (TernaryForm(1, {m: 1}) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    s = x2 - x0
+    g1 = s * x0 * x0 - x1 * x1 * x1 + s * s * s
+    g2 = s * x0 * x0 + x1 * x1 * x1 + s * s * s
+    g3 = g1 * x2 + x1 * x1 * x1 * x1
+    system = [reduce_mod(g, F3) for g in (g1, g2, g3)]
+    elim = badred._eliminate(tuple(system), F3)
+    assert len(elim.ginf) == 1  # nothing on the line y0 = 0
+    G, zero_pair = elim.chart
+    assert zero_pair is None
+    assert [(fac.degree, m) for fac, m in squarefree_decomposition(elim.uni(G))] == [(1, 9)]
+    assert badred._system_has_common_zero(system, F3)
+    assert unipoly_common_zero(system, F3)
+
+
+def _positive_dimensional_sextet(A) -> QuadricSextet:
+    B = C = [5, 0, 0, 5, 0, 5]
+    return QuadricSextet.from_coefficients(
+        [A, B, C, [c + 5 for c in A], [10, 0, 0, 5, 0, 10], [c - 5 for c in A]]
+    )
+
+
+@pytest.mark.parametrize("A, cause", [
+    ([-1, 0, 0, -5, 0, -5], "one form"),  # f = 4 x0^6 mod 5
+    ([-3, 1, 0, -4, 1, -2], "share a factor"),
+])
+def test_singular_points_rejects_a_positive_dimensional_locus(A, cause):
+    """Mod 5 the first sextet's Jacobian system is the single form 4 x0^5,
+    whose singular locus is the line x0 = 0; the second's partials share a
+    factor (a chart resultant vanishes identically).  Neither is a finite
+    set of points for the locator."""
+    f = build_k3(_positive_dimensional_sextet(A)).branch_sextic
+    assert is_bad_prime(f, 5)
+    with pytest.raises(PositiveDimensionalLocus, match=cause):
+        singular_points(f, 5, 6)
 
 
 def test_reported_nodes_pass_independent_hessian_check(example_sextic):
@@ -268,7 +356,7 @@ def test_frame_invariance_of_singular_sets(example_sextic):
                 )
                 if det % p:
                     break
-            g = example_sextic.compose_linear(m)
+            g = compose_linear(example_sextic, m)
             rep = singular_points(g, p, 6)
             assert rep.r == base.r
             assert sorted((pt.residue_degree, pt.kind) for pt in rep.points) == base_sig

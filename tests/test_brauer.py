@@ -62,7 +62,7 @@ def test_representatives_are_built_once_per_sextet(example_sextet):
     assert representatives(example_sextet) is reps
 
 
-def test_profile_computes_the_minors_once(example_surface, fixtures, monkeypatch):
+def test_profile_computes_the_minors_once(example_surface, fixtures, monkeypatch, fresh_memos):
     computed = []
     minors_of = brauer.minors
 
@@ -71,11 +71,24 @@ def test_profile_computes_the_minors_once(example_surface, fixtures, monkeypatch
         return minors_of(q)
 
     monkeypatch.setattr(brauer, "minors", counted)
-    representatives.cache_clear()
     profile = build_invariant_profile(example_surface, fixtures.bad_primes)
-    representatives.cache_clear()
     assert computed == [example_surface.sextet]
     assert sum(e.samples for e in profile.entries.values()) > 200
+
+
+def test_profile_evaluates_the_sextic_once_per_triple(example_surface, fixtures, monkeypatch, fresh_memos):
+    """The invariant profile samples the same triples at every place; the
+    branch sextic is evaluated once per distinct triple."""
+    triples = []
+    certify = brauer.certify_point
+
+    def recorded(X, x, place):
+        triples.append(x)
+        return certify(X, x, place)
+
+    monkeypatch.setattr(brauer, "certify_point", recorded)
+    build_invariant_profile(example_surface, fixtures.bad_primes)
+    assert brauer.branch_value.cache_info().misses == len(set(triples)) < len(triples)
 
 
 def test_find_local_point_table1_rows(example_surface):

@@ -71,3 +71,17 @@ def test_verify_example_names_the_mismatched_leg(fixtures, monkeypatch, capsys):
     assert error["error"] == "FixtureMismatch"
     assert error["leg"] == "bad primes"
     assert "good spot check 5" in error["message"]
+
+
+def test_badprimes_on_a_positive_dimensional_singular_locus(tmp_path, capsys):
+    """Mod 5 this sextet's branch form is 4 x0^6, singular along x0 = 0: the
+    report is a typed error, not a finite list of points."""
+    A = [-1, 0, 0, -5, 0, -5]
+    rows = [A, [5, 0, 0, 5, 0, 5], [5, 0, 0, 5, 0, 5], [c + 5 for c in A], [10, 0, 0, 5, 0, 10], [c - 5 for c in A]]
+    sextet, primes = tmp_path / "sextet.json", tmp_path / "primes.json"
+    sextet.write_text(json.dumps(dict(zip("ABCDEF", rows))))
+    primes.write_text('["5"]')
+    assert main(["badprimes", "--sextet", str(sextet), "--primes", str(primes)]) == 2
+    error = _error(capsys)
+    assert error["error"] == "PositiveDimensionalLocus"
+    assert error["message"].startswith("mod 5 the Jacobian system is one form")

@@ -119,6 +119,24 @@ def test_search_monotonicity():
     assert survivors(more) <= survivors(base)
 
 
+#: the draws of search seed 0 that stage 2 rejects (branch curve singular
+#: mod 3), recorded before the elimination moved onto int codes
+SEED_0_STAGE_2 = [97, 190, 371, 623, 1273, 1341, 1452, 1666, 2307, 2322, 2486, 2551, 2594, 2675, 2685, 2802]
+
+
+def test_search_funnel_of_seed_0_is_pinned():
+    """Search seed 0 over 3,000 draws, stages 1-4: which draws each stage
+    rejects and which survive."""
+    events = list(search_events(SearchConfig(seed=0, max_draws=3000, steps=(1, 2, 3, 4))))
+    rejected = {}
+    for event in events:
+        if event[0] == "rejected":
+            rejected.setdefault(event[2], []).append(event[1])
+    assert {stage: len(draws) for stage, draws in rejected.items()} == {1: 2980, 2: 16, 3: 1}
+    assert rejected[2] == SEED_0_STAGE_2
+    assert [e[1] for e in events if e[0] == "report"] == [1305, 1604, 2206]
+
+
 def _certify_fixture(fixtures, **evidence):
     return certify(
         fixtures.sextet,
@@ -193,6 +211,24 @@ def test_stage_7_rejects_a_prime_whose_frame_needs_an_extension(fixtures, monkey
     assert f"mod {first} not located" in err.value.reason
 
 
+@pytest.mark.parametrize("A", [[-1, 0, 0, -5, 0, -5], [-3, 1, 0, -4, 1, -2]])
+def test_stage_7_rejects_a_positive_dimensional_singular_locus(A, monkeypatch):
+    """Mod 5 these sextets have a singular locus the locator cannot list (a
+    single-form Jacobian system, a shared factor of two partials); certify
+    names the prime in a stage-7 rejection.  The local-point attestation,
+    which fails at R for them, is stubbed to reach the locator."""
+    B = C = [5, 0, 0, 5, 0, 5]
+    sextet = QuadricSextet.from_coefficients(
+        [A, B, C, [c + 5 for c in A], [10, 0, 0, 5, 0, 10], [c - 5 for c in A]]
+    )
+    attestation = brauer.LocalPointsAttestation(witnesses={}, checked_places=[], weil_rule="")
+    monkeypatch.setattr(pipeline, "certify_everywhere_local", lambda X, primes, box: attestation)
+    with pytest.raises(Rejected) as err:
+        certify(sextet, SearchConfig(steps=(7,)), bad_primes=(5,))
+    assert err.value.stage == 7
+    assert err.value.reason.startswith("singular points mod 5 not located")
+
+
 def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
     tampered = dataclasses.replace(fixtures, good_spot_checks=(5,))
     monkeypatch.setattr("k3hasse.pipeline.load_fixtures", lambda: tampered)
@@ -202,7 +238,7 @@ def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
     assert "good spot check 5" in str(err.value)
 
 
-def test_verify_example_decides_each_leg_once(monkeypatch):
+def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
     """verify_example(depth=2) decides singularity once per distinct form
     (over Q, mod 3, 11, 13 and mod each of the nine odd bad primes), runs the
     elimination (regularize) once per distinct Jacobian system, scans for
@@ -238,18 +274,14 @@ def test_verify_example_decides_each_leg_once(monkeypatch):
     monkeypatch.setattr(badred, "_system_has_common_zero", counted_decision)
     monkeypatch.setattr(badred, "regularize", counted_regularize)
     monkeypatch.setattr(picard, "tritangent_scan", functools.lru_cache(maxsize=64)(counted_scan))
-    badred.singular_locus_nonempty.cache_clear()
-    badred._eliminate.cache_clear()
     verify_example(depth=2)
-    badred.singular_locus_nonempty.cache_clear()
-    badred._eliminate.cache_clear()
     assert sum(decisions) == 12
     assert frames and len(frames) == len(set(frames))
     assert sorted(scans) == [3, 11]
     assert charpolys == [3]
 
 
-def test_verify_example_searches_each_place_and_box_once(monkeypatch):
+def test_verify_example_searches_each_place_and_box_once(monkeypatch, fresh_memos):
     """Stage 4, the everywhere-local attestation and the witnesses of the
     invariant profile share the memoised local-point search: during
     verify_example(depth=1) the search itself runs once per distinct
@@ -264,9 +296,7 @@ def test_verify_example_searches_each_place_and_box_once(monkeypatch):
 
     monkeypatch.setattr(brauer, "find_local_point", recorded)
     monkeypatch.setattr(pipeline, "find_local_point", recorded)
-    find.cache_clear()
     verify_example(depth=1)
     searches = find.cache_info().misses
-    find.cache_clear()
     assert searches == len(set(requests))
     assert len(requests) > searches

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from k3hasse.finitefield import fq
+from k3hasse.finitefield import evaluation_arith, fq
 from k3hasse.poly import (
     TernaryForm,
     UniPoly,
+    code_divmod,
+    code_gcd,
+    code_gcdex,
     monomials_of_degree,
     poly_gcd,
+    poly_gcdex,
     squarefree_decomposition,
 )
 from k3hasse.surface import reduce_mod
@@ -92,6 +96,29 @@ def test_squarefree_reassembles_over_finite_fields(p, n):
         for i in range(len(dec)):
             for j in range(i + 1, len(dec)):
                 assert poly_gcd(dec[i][0], dec[j][0]).degree == 0
+
+
+@pytest.mark.parametrize("p, n, D", [(3, 1, 30), (3, 2, 30), (7, 1, 25), (29, 1, 25)])
+def test_code_division_and_gcds_match_the_unipoly_ones(p, n, D):
+    """code_divmod, code_gcd and code_gcdex on the codes of
+    ``evaluation_arith`` (discrete logs, or ints mod 29) decode to divmod,
+    poly_gcd and poly_gcdex on field elements, common factors included."""
+    field = fq(p, n)
+    A, code, decode = evaluation_arith(field, D)
+    enc = lambda f: [code(field.encode(c)) for c in f.coeffs]
+    dec = lambda cs: UniPoly([decode(c) for c in cs])
+    rng = random.Random(p * n)
+    for _ in range(20):
+        h = _random_field_poly(rng, field, rng.randrange(0, 3))
+        f = h * _random_field_poly(rng, field, rng.randrange(0, 6))
+        g = h * _random_field_poly(rng, field, rng.randrange(1, 5))
+        if f.is_zero() or g.is_zero():
+            continue
+        q, r = code_divmod(A, enc(f), enc(g))
+        assert (dec(q), dec(r)) == divmod(f, g)
+        assert dec(code_gcd(A, enc(f), enc(g))) == poly_gcd(f, g)
+        d, s = code_gcdex(A, enc(f % g), enc(g))
+        assert (dec(d), dec(s)) == poly_gcdex(f % g, g)
 
 
 def test_evaluate_is_ring_homomorphism():

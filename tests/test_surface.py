@@ -161,6 +161,17 @@ def test_2adic_conditions_per_slot(example_sextet):
             assert check_2adic_conditions(QuadricSextet.from_coefficients(moved)) is holds, (slot, shift)
 
 
+def test_sextet_coefficients_agree_however_the_sextet_is_built(example_sextet):
+    """from_coefficients keeps the 36 coefficients of its input, which both
+    coefficient checks read; a sextet built from forms reads them off the
+    forms.  The two agree."""
+    from_forms = QuadricSextet(*example_sextet.forms())
+    assert "coefficients" not in from_forms.__dict__
+    want = tuple(c for form in example_sextet.forms() for c in form.coefficients())
+    assert from_forms.coefficients == want
+    assert QuadricSextet.from_coefficients(example_sextet.rows()).__dict__["coefficients"] == want
+
+
 def test_real_conditions_imply_positive_minors(example_surface):
     """At sampled real points of w^2 = f, all three minors are positive."""
     m = minors(example_surface.sextet)
