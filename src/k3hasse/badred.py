@@ -10,6 +10,9 @@ K[u]/(G) with dynamic-evaluation (D5) splitting at zero divisors, so the
 decision needs no factorization.  Every elimination runs over a finite field;
 smoothness over Q follows from smoothness mod a prime (see
 ``pipeline.certify``).
+A point of P^2(F_p) where the whole system vanishes answers "singular"
+first, scanned on ints mod p when p^2 + p + 1 <= D + 1 (mod 3 only for a
+sextic, D = 30); "smooth" is answered by the elimination alone.
 
 The whole chain runs on one representation, int codes in the arithmetic of
 ``finitefield.evaluation_arith`` for the Bezout bound D = deg g_i * deg g_j
@@ -252,7 +255,26 @@ def singular_locus_nonempty(f: TernaryForm) -> bool:
     coefficient field, a finite field?  The zero form raises ValueError, a
     form over Z or Q TypeError."""
     fld = _coefficient_field(f)
-    return _system_has_common_zero(jacobian_system(f), fld)
+    system = jacobian_system(f)
+    if system and _rational_witness(system, fld):
+        return True
+    return _system_has_common_zero(system, fld)
+
+
+def _rational_witness(system: list[TernaryForm], fld) -> bool:
+    """Does every form of the system vanish at a point of P^2(F_p), fld = F_p,
+    scanned on ints mod p while those points are no more than the D + 1
+    evaluation points of one chart resultant (D as in ``regularize``)?"""
+    p, top = fld.characteristic, sorted(g.degree for g in system)[-2:]
+    if fld.degree != 1 or p * p + p + 1 > top[0] * top[-1] + 1:
+        return False
+    coded = [[(m, fld.encode(c)) for m, c in g.terms.items()] for g in system]
+    points = [(1, y, z) for y in range(p) for z in range(p)]
+    points += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+    return any(
+        all(sum(c * x0**e0 * x1**e1 * x2**e2 for (e0, e1, e2), c in t) % p == 0 for t in coded)
+        for x0, x1, x2 in points
+    )
 
 
 def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:

@@ -169,6 +169,8 @@ def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
     """Counts N_1..N_max_n by the orbit kernel, sharing the per-degree sweeps."""
     if p == 2:
         raise CountingError("characteristic 2 is unsupported")
+    if max_n < 1:
+        raise CountingError(f"the count series needs a depth of at least 1, got {max_n}")
     if f.degree != 6:
         raise CountingError("the branch form must be a sextic")
     over = next((n for n in range(1, max_n + 1) if p**n > TABLE_LIMIT), None)

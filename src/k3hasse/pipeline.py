@@ -272,6 +272,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.coefficient_bound < 1 or self.counting_depth < 1 or self.local_point_box < 1:
             raise ValueError("search ranges must be nonempty")
+        if self.max_draws < 0:
+            raise ValueError(f"max_draws must be at least 0, got {self.max_draws}")
+        lo, hi = self.tritangent_window
+        if not any(map(probable_prime, range(max(lo, 5), hi + 1))):
+            raise ValueError(f"the tritangent window {self.tritangent_window} holds no prime >= 5")
 
 
 #: the leg of the certificate each stage decides
@@ -507,7 +512,7 @@ def draw_sextet(rng: random.Random, bound: int) -> QuadricSextet | None:
         if not choices:
             return None
         values.append(rng.choice(choices))
-    return QuadricSextet.from_coefficients(values[i:i + 6] for i in range(0, 36, 6))
+    return QuadricSextet(tuple(values))
 
 
 def search_events(config: SearchConfig):

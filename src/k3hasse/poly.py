@@ -18,6 +18,7 @@ x0 > x1 > x2; a quadratic form is the 6 coefficients of
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 
@@ -265,12 +266,12 @@ def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
 # field is an arithmetic object with the interface of ModP: ``zero``, ``one``,
 # ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow`` on codes.
 
+@dataclass(frozen=True)
 class ModP:
-    """F_p on the ints 0 .. p - 1."""
+    """F_p on the ints 0 .. p - 1; two instances for one p are equal."""
 
-    def __init__(self, p: int):
-        self.p = p
-        self.zero, self.one = 0, 1
+    p: int
+    zero, one = 0, 1
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -385,19 +386,32 @@ def code_resultant(A, f: list, g: list):
     return A.mul(res, A.pow(g[0], len(f) - 1))
 
 
-def code_interpolate(A, xs, ys) -> list:
-    """The polynomial of degree < len(xs) through the points (x, y), x
-    distinct, in Newton's incremental form (one inversion per point), then
-    expanded to coefficients."""
-    add, sub, mul = A.add, A.sub, A.mul
-    xs = list(xs)
-    newton = []
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        value, weight = A.zero, A.one
+@functools.lru_cache(maxsize=None)
+def newton_weights(A, xs: range) -> tuple:
+    """For each point x_k, the products prod_{i<j} (x_k - x_i), j < k, and
+    the inverse of prod_{j<k} (x_k - x_j): once per points and arithmetic
+    (``ModP`` compares by p, a ``LogArith`` is one per fq(p, k))."""
+    out = []
+    for k, x in enumerate(xs):
+        prods, weight = [], A.one
         for j in range(k):
-            value = add(value, mul(newton[j], weight))
-            weight = mul(weight, sub(x, xs[j]))
-        newton.append(mul(sub(y, value), A.inv(weight)))
+            prods.append(weight)
+            weight = A.mul(weight, A.sub(x, xs[j]))
+        out.append((tuple(prods), A.inv(weight)))
+    return tuple(out)
+
+
+def code_interpolate(A, xs: range, ys) -> list:
+    """The polynomial of degree < len(xs) through the points (x, y), x
+    distinct, in Newton's incremental form with the weights of
+    ``newton_weights``, then expanded to coefficients."""
+    add, sub, mul = A.add, A.sub, A.mul
+    newton = []
+    for y, (prods, inv) in zip(ys, newton_weights(A, xs)):
+        value = A.zero
+        for c, weight in zip(newton, prods):
+            value = add(value, mul(c, weight))
+        newton.append(mul(sub(y, value), inv))
     cs: list = []
     for k in range(len(newton) - 1, -1, -1):
         # cs <- cs * (u - x_k) + newton[k]

@@ -7,8 +7,9 @@ bidegree-(2,2) hypersurface
 
 and the double cover w^2 = f with branch sextic f = -(1/2) det M for
 M = [[2A, B, C], [B, 2D, E], [C, E, 2F]].  The determinant structure makes f
-integral.  Serialisation follows the fixed monomial order of
-:func:`k3hasse.poly.monomials_of_degree`.
+integral.  A sextet is its 36 integer coefficients in the monomial order of
+:func:`k3hasse.poly.monomials_of_degree`, which stage 1 reads; the six forms
+are built on first use (``forms()``, ``A`` .. ``F``, ``build_k3``).
 """
 
 from __future__ import annotations
@@ -25,27 +26,26 @@ FORM_KEYS = ("A", "B", "C", "D", "E", "F")
 
 @dataclass(frozen=True)
 class QuadricSextet:
-    A: TernaryForm
-    B: TernaryForm
-    C: TernaryForm
-    D: TernaryForm
-    E: TernaryForm
-    F: TernaryForm
+    """A..F as their 36 integer coefficients, row by row, which equality and
+    hashing read; the ``TernaryForm``s are built on first use."""
+
+    coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        for key in FORM_KEYS:
-            form = getattr(self, key)
-            if form.degree != 2:
-                raise ValueError(f"form {key} must have degree 2")
-
-    def forms(self) -> tuple[TernaryForm, ...]:
-        return tuple(getattr(self, key) for key in FORM_KEYS)
+        if len(self.coefficients) != 36:
+            raise ValueError("a sextet needs 6 quadratic forms of 6 coefficients")
+        for i, c in enumerate(self.coefficients):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"form {FORM_KEYS[i // 6]}: coefficient {c!r} is not an int")
 
     @cached_property
-    def coefficients(self) -> tuple[int, ...]:
-        """The 36 coefficients of A..F, row by row, read once per sextet
-        (``from_coefficients`` fills them in from its input)."""
-        return tuple(c for form in self.forms() for c in form.coefficients())
+    def _forms(self) -> tuple[TernaryForm, ...]:
+        return tuple(TernaryForm.from_coefficients(2, row) for row in self.rows())
+
+    def forms(self) -> tuple[TernaryForm, ...]:
+        return self._forms
+
+    A, B, C, D, E, F = (property(lambda self, i=i: self._forms[i]) for i in range(6))
 
     def rows(self) -> list[tuple[int, ...]]:
         c = self.coefficients
@@ -54,16 +54,15 @@ class QuadricSextet:
     @classmethod
     def from_coefficients(cls, rows) -> "QuadricSextet":
         """Six rows of six integers, each [x0^2, x0x1, x0x2, x1^2, x1x2, x2^2]."""
-        rows = [list(row) for row in rows]
-        if len(rows) != 6:
-            raise ValueError("a sextet needs 6 quadratic forms")
-        for key, row in zip(FORM_KEYS, rows):
-            for c in row:
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TypeError(f"form {key}: coefficient {c!r} is not an int")
-        q = cls(*(TernaryForm.from_coefficients(2, row) for row in rows))
-        q.__dict__["coefficients"] = tuple(c for row in rows for c in row)
-        return q
+        rows = [tuple(row) for row in rows]
+        if len(rows) != 6 or any(len(row) != 6 for row in rows):
+            raise ValueError("a sextet needs 6 quadratic forms of 6 coefficients")
+        return cls(sum(rows, ()))
+
+    @classmethod
+    def from_forms(cls, *forms: TernaryForm) -> "QuadricSextet":
+        """The sextet of six quadratic forms A..F with integer coefficients."""
+        return cls.from_coefficients(form.coefficients() for form in forms)
 
     @classmethod
     def from_json(cls, text: str) -> "QuadricSextet":
@@ -125,8 +124,6 @@ def is_smooth_curve(f: TernaryForm) -> bool:
     """
     from .badred import singular_locus_nonempty
 
-    if f.is_zero():
-        raise ValueError("smoothness of the zero form")
     return not singular_locus_nonempty(f)
 
 

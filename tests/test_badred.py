@@ -150,16 +150,24 @@ def test_singular_points_needs_a_frame_over_the_prime_field():
         singular_points(f, 3, 6)
 
 
+def _count_resultants(monkeypatch) -> list:
+    calls = []
+    resultant = badred.resultant
+
+    def counted(A, f, g):
+        calls.append((f, g))
+        return resultant(A, f, g)
+
+    monkeypatch.setattr(badred, "resultant", counted)
+    return calls
+
+
 def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeypatch, fresh_memos):
     """After is_bad_prime(f, p), singular_points(f, p) computes no new
     resultant.  Mod 7 the decision runs the resultant chain; mod 5 it stops on
     the line y0 = 0 ([0:1:0] is singular) before the chain, which only the
     node locator then needs."""
-    calls = []
-
-    def counted(A, f, g):
-        calls.append((f, g))
-        return resultant(A, f, g)
+    calls = _count_resultants(monkeypatch)
 
     def resultants(p):
         calls.clear()
@@ -168,12 +176,49 @@ def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeyp
         singular_points(example_sextic, p, 6)
         return decided, len(calls)
 
-    resultant = badred.resultant
-    monkeypatch.setattr(badred, "resultant", counted)
     decided, total = resultants(7)
     assert decided > 0 and total == decided
     decided, total = resultants(5)
     assert decided == 0 and total > 0
+
+
+def test_a_rational_node_mod_3_is_decided_without_a_resultant(monkeypatch, fresh_memos):
+    """P^2(F_3) has 13 points, fewer than the 31 evaluation points of one
+    chart resultant of the mod-3 system (D = 5 * 6): a node at [1:0:0],
+    which no frame moves onto the line y0 = 0, is found by the scan, and no
+    resultant is computed."""
+    calls = _count_resultants(monkeypatch)
+    node = _force_rational_node(random.Random(29))
+    f = TernaryForm(6, {(e2, e1, e0): c for (e0, e1, e2), c in node.terms.items()})
+    assert not reduce_mod(f, prime_field(3)).is_zero()
+    assert is_bad_prime(f, 3)
+    assert calls == []
+
+
+def _nodes_at_a_conjugate_pair(rng) -> TernaryForm:
+    """a x2^2 + b x2 Q + c Q^2, Q = x0^2 + x1^2, for random a, b, c over Z:
+    a sextic singular at the two points [1 : +-i : 0] of P^2(F_9), which are
+    conjugate over F_3."""
+    x2 = TernaryForm(1, {(0, 0, 1): 1})
+    Q = TernaryForm(2, {(2, 0, 0): 1, (0, 2, 0): 1})
+    a, b, c = (_random_form(rng, d, -1, 1) for d in (4, 3, 2))
+    return a * x2 * x2 + b * x2 * Q + c * Q * Q
+
+
+def test_singular_points_off_p2_f3_are_found_by_the_elimination(monkeypatch, fresh_memos):
+    """A sextic whose singular points mod 3 lie in P^2(F_9) but none in
+    P^2(F_3): the scan finds no witness, and the elimination decides it
+    singular."""
+    calls = _count_resultants(monkeypatch)
+    rng = random.Random(31)
+    f = _nodes_at_a_conjugate_pair(rng)
+    while _exhaustive_singular_search(f, 3, 1):
+        f = _nodes_at_a_conjugate_pair(rng)
+    assert _exhaustive_singular_search(f, 3, 2)
+    fp = reduce_mod(f, prime_field(3))
+    assert not badred._rational_witness(jacobian_system(fp), prime_field(3))
+    assert is_bad_prime(f, 3)
+    assert calls
 
 
 def test_is_bad_prime_agrees_with_exhaustive_search(example_sextic):

@@ -31,11 +31,11 @@ def _zero_form():
 
 def test_minors_trivial_cases(example_sextet):
     zero = _zero_form()
-    zs = QuadricSextet(zero, zero, zero, zero, zero, zero)
+    zs = QuadricSextet.from_forms(zero, zero, zero, zero, zero, zero)
     m = minors(zs)
     assert m.M_A.is_zero() and m.M_D.is_zero() and m.M_F.is_zero()
 
-    diag = QuadricSextet(example_sextet.A, zero, zero, example_sextet.D, zero, example_sextet.F)
+    diag = QuadricSextet.from_forms(example_sextet.A, zero, zero, example_sextet.D, zero, example_sextet.F)
     m = minors(diag)
     assert m.M_A == (example_sextet.D * example_sextet.F).scale(4)
     assert m.M_D == (example_sextet.A * example_sextet.F).scale(4)
@@ -135,7 +135,7 @@ def test_invariants_at_example_points(example_surface, example_sextet):
 
 def test_indeterminate_when_all_representatives_vanish():
     zero = _zero_form()
-    zs = QuadricSextet(zero, zero, zero, zero, zero, zero)
+    zs = QuadricSextet.from_forms(zero, zero, zero, zero, zero, zero)
     P = SurfacePoint(x=(Fraction(1), Fraction(0), Fraction(0)), place=Place.real(), value=Fraction(1))
     with pytest.raises(IndeterminateAtPoint):
         evaluate_invariant(zs, P, Place.real())

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from k3hasse.cli import main
 
 
@@ -85,3 +87,22 @@ def test_badprimes_on_a_positive_dimensional_singular_locus(tmp_path, capsys):
     error = _error(capsys)
     assert error["error"] == "PositiveDimensionalLocus"
     assert error["message"].startswith("mod 5 the Jacobian system is one form")
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_count_rejects_a_depth_below_1(example_sextet, tmp_path, capsys, depth):
+    path = tmp_path / "sextet.json"
+    path.write_text(example_sextet.to_json())
+    assert main(["count", "--sextet", str(path), "--depth", str(depth)]) == 2
+    error = _error(capsys)
+    assert error["error"] == "CountingError"
+    assert error["message"] == f"the count series needs a depth of at least 1, got {depth}"
+
+
+def test_search_rejects_a_negative_draw_count(capsys):
+    assert main(["search", "--max-draws", "-3"]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": "max_draws must be at least 0, got -3",
+    }

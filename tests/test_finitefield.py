@@ -10,7 +10,7 @@ from k3hasse.finitefield import (
     prime_field,
     resultant_by_evaluation,
 )
-from k3hasse.poly import TernaryForm, UniPoly, ternary_to_t_over_u
+from k3hasse.poly import TernaryForm, UniPoly, newton_weights, ternary_to_t_over_u
 
 from .oracles import quadratic_character, resultant
 
@@ -255,6 +255,20 @@ def test_resultant_by_evaluation_matches_the_subresultant(name, fixtures):
         assert got == resultant(f, g), (d1, d2)
         at_bound += got.degree == d1 * d2
     assert at_bound  # generic charts reach the Bezout bound
+
+
+@pytest.mark.parametrize("p", [7, 89])
+def test_newton_weights_are_computed_once_per_field_and_bound(p, fresh_memos):
+    """Each resultant_by_evaluation builds its arithmetic afresh (a new
+    ModP(89), fq(7, 2).log_arith); the interpolation weights are keyed by
+    field size and characteristic, so a second resultant of the same bound
+    reuses them, and both still equal the subresultant."""
+    fld, rng = prime_field(p), random.Random(p)
+    for _ in range(3):
+        f, g = _random_chart(fld, 5, rng), _random_chart(fld, 5, rng)
+        assert resultant_by_evaluation(f, g) == resultant(f, g)
+    info = newton_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (7, 1)])

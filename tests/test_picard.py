@@ -93,6 +93,12 @@ def test_count_series_rejects_fields_over_the_table_limit():
             count_series(f, p, max_n)
 
 
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_count_series_rejects_a_depth_below_1(example_sextic, max_n):
+    with pytest.raises(CountingError, match=f"depth of at least 1, got {max_n}"):
+        count_series(example_sextic, 3, max_n)
+
+
 def test_orbit_tallies_match_naive_point_classification(example_sextic):
     """Per-exact-degree tallies equal an exhaustive classification of the
     points of P^2(F_{3^d}) by minimal field and character value."""

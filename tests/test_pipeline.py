@@ -18,7 +18,8 @@ from k3hasse.pipeline import (
     verify_example,
     verify_factorization_chain,
 )
-from k3hasse.surface import QuadricSextet, check_2adic_conditions
+from k3hasse.poly import TernaryForm
+from k3hasse.surface import QuadricSextet, check_2adic_conditions, check_real_conditions
 import random
 
 
@@ -79,6 +80,32 @@ def test_draw_sextet_sequence_is_pinned():
     assert digest == "a5271faf0a68cdce6c80d0863e05a9544de5fde90fba6c6751561c631fe849de"
 
 
+def test_a_stage_1_reject_builds_no_form(monkeypatch):
+    """Stage 1 reads the 36 drawn integers only: over 300 draws of seed 0 the
+    six forms are built for the stage-1 survivors alone, by build_k3."""
+    built = []
+    from_coefficients = TernaryForm.from_coefficients.__func__
+    monkeypatch.setattr(TernaryForm, "from_coefficients", classmethod(
+        lambda cls, *args: built.append(1) or from_coefficients(cls, *args)
+    ))
+    events = list(search_events(SearchConfig(seed=0, max_draws=300, steps=(1,))))
+    survivors = sum(e[0] == "report" for e in events)
+    assert 0 < survivors < 300
+    assert len(built) == 6 * survivors
+    q = draw_sextet(random.Random(0), 40)
+    assert not check_real_conditions(q) and "_forms" not in q.__dict__
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_draws", -3, "max_draws must be at least 0"),
+    ("tritangent_window", (50, 10), "holds no prime"),
+    ("tritangent_window", (24, 28), "holds no prime"),
+])
+def test_search_config_rejects_an_empty_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**{field: value})
+
+
 def test_draw_sextet_impossible_range():
     rng = random.Random(5)
     # bound 4 leaves no residue 1 mod 8 negative value for A_1
@@ -124,10 +151,16 @@ def test_search_monotonicity():
 SEED_0_STAGE_2 = [97, 190, 371, 623, 1273, 1341, 1452, 1666, 2307, 2322, 2486, 2551, 2594, 2675, 2685, 2802]
 
 
-def test_search_funnel_of_seed_0_is_pinned():
+def test_search_funnel_of_seed_0_is_pinned(monkeypatch, fresh_memos):
     """Search seed 0 over 3,000 draws, stages 1-4: which draws each stage
-    rejects and which survive."""
+    rejects and which survive.  13 of the 16 stage-2 rejects have a singular
+    point in P^2(F_3), which the scan finds before any resultant: 42 chart
+    resultants in all (108 when every reject ran the elimination)."""
+    calls = []
+    resultant = badred.resultant
+    monkeypatch.setattr(badred, "resultant", lambda *args: calls.append(1) or resultant(*args))
     events = list(search_events(SearchConfig(seed=0, max_draws=3000, steps=(1, 2, 3, 4))))
+    assert len(calls) <= 42
     rejected = {}
     for event in events:
         if event[0] == "rejected":
@@ -189,7 +222,7 @@ def test_certify_rejection_names_the_stage(fixtures):
 def test_stage_2_rejects_a_branch_form_that_vanishes_mod_3(fixtures):
     """Every form scaled by 9 keeps the 2-adic congruences (9 = 1 mod 8) and
     the definiteness, so stage 1 passes; f scales by 9^3 and vanishes mod 3."""
-    scaled = QuadricSextet(*(form.scale(9) for form in fixtures.sextet.forms()))
+    scaled = QuadricSextet.from_forms(*(form.scale(9) for form in fixtures.sextet.forms()))
     with pytest.raises(Rejected) as err:
         certify(scaled, SearchConfig(steps=(1, 2)))
     assert (err.value.stage, err.value.reason) == (2, "branch form vanishes mod 3")

@@ -29,7 +29,7 @@ def _random_sextet(rng, lo=-9, hi=9):
 
 def _zero_sextet():
     zero = TernaryForm(2, {})
-    return QuadricSextet(zero, zero, zero, zero, zero, zero)
+    return QuadricSextet.from_forms(zero, zero, zero, zero, zero, zero)
 
 
 def test_build_k3_example_value(example_surface):
@@ -43,7 +43,7 @@ def test_build_k3_zero_and_diagonal():
     rng = random.Random(1)
     q = _random_sextet(rng)
     zero = TernaryForm(2, {})
-    diag = QuadricSextet(q.A, zero, zero, q.D, zero, q.F)
+    diag = QuadricSextet.from_forms(q.A, zero, zero, q.D, zero, q.F)
     expected = (q.A * q.D * q.F).scale(-4)
     assert build_k3(diag).branch_sextic == expected
 
@@ -119,13 +119,13 @@ def test_smoothness_examples(example_sextic):
 def test_real_conditions(example_sextet):
     assert check_real_conditions(example_sextet)
     # positive-definite slot violation (A must be negative definite)
-    bad = QuadricSextet(
+    bad = QuadricSextet.from_forms(
         TernaryForm.from_coefficients(2, [1, 0, 0, 0, 0, 0]),
         example_sextet.B, example_sextet.C, example_sextet.D, example_sextet.E, example_sextet.F,
     )
     assert not check_real_conditions(bad)
     # semidefinite B (rank-2 Gram matrix) is rejected: definite means strict
-    semi = QuadricSextet(
+    semi = QuadricSextet.from_forms(
         example_sextet.A,
         TernaryForm.from_coefficients(2, [1, 0, 0, 1, 0, 0]),
         example_sextet.C, example_sextet.D, example_sextet.E, example_sextet.F,
@@ -137,7 +137,7 @@ def test_2adic_conditions(example_sextet):
     assert check_2adic_conditions(example_sextet)
 
     def with_a(coeffs):
-        return QuadricSextet(
+        return QuadricSextet.from_forms(
             TernaryForm.from_coefficients(2, coeffs),
             example_sextet.B, example_sextet.C, example_sextet.D,
             example_sextet.E, example_sextet.F,
@@ -162,14 +162,19 @@ def test_2adic_conditions_per_slot(example_sextet):
 
 
 def test_sextet_coefficients_agree_however_the_sextet_is_built(example_sextet):
-    """from_coefficients keeps the 36 coefficients of its input, which both
-    coefficient checks read; a sextet built from forms reads them off the
-    forms.  The two agree."""
-    from_forms = QuadricSextet(*example_sextet.forms())
-    assert "coefficients" not in from_forms.__dict__
+    """A sextet is its 36 coefficients: built from forms or from rows, it is
+    equal and hashes equal, and from_coefficients builds no form until one
+    is asked for."""
+    from_forms = QuadricSextet.from_forms(*example_sextet.forms())
     want = tuple(c for form in example_sextet.forms() for c in form.coefficients())
-    assert from_forms.coefficients == want
-    assert QuadricSextet.from_coefficients(example_sextet.rows()).__dict__["coefficients"] == want
+    from_rows = QuadricSextet.from_coefficients(example_sextet.rows())
+    assert from_forms.coefficients == from_rows.coefficients == want
+    assert from_forms == from_rows and hash(from_forms) == hash(from_rows)
+    assert "_forms" not in from_rows.__dict__
+    assert from_rows.forms() == example_sextet.forms()
+    assert (from_rows.A, from_rows.F) == (example_sextet.A, example_sextet.F)
+    with pytest.raises(ValueError, match="6 quadratic forms"):
+        QuadricSextet.from_forms(*example_sextet.forms()[:5], TernaryForm(3, {}))
 
 
 def test_real_conditions_imply_positive_minors(example_surface):
