@@ -3,11 +3,12 @@ factorization of univariate polynomials into irreducibles.
 
 Fields are immutable and cached; elements are lightweight wrappers so the
 generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
-Small fields (order <= 2^20) additionally carry numpy discrete-log and
-Zech-logarithm tables; the point-counting kernel works on those raw arrays
-directly, in the log domain.  The same tables, as lists (``LogArith``),
-are the arithmetic ``evaluation_arith`` gives the elimination of
-:mod:`k3hasse.badred` on small fields, with ``resultant_by_evaluation``.
+A field and its tables are built on int codes, with no element arithmetic.
+Small fields (order <= 2^20) carry numpy discrete-log and Zech-logarithm
+tables; the point-counting kernel works on those raw arrays directly, in the
+log domain.  The same tables, as lists (``LogArith``), are the arithmetic
+``evaluation_arith`` gives the elimination of :mod:`k3hasse.badred` on small
+fields, with ``resultant_by_evaluation``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .poly import (
     ModP,
     UniPoly,
     code_eval,
+    code_gcd,
     code_interpolate,
     code_resultant,
+    code_sub,
     poly_gcd,
     poly_gcdex,
     squarefree_decomposition,
@@ -85,9 +88,6 @@ class FFElem:
             return NotImplemented
         return FFElem(self.field, self.field._add(self.val, self.field._neg(o.val)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -101,9 +101,6 @@ class FFElem:
         if o is None:
             return NotImplemented
         return FFElem(self.field, self.field._mul(self.val, self.field._inv(o.val)))
-
-    def __rtruediv__(self, other):
-        return self.field.from_int(other) / self
 
     def __pow__(self, e: int):
         if e < 0:
@@ -134,9 +131,6 @@ class FiniteField:
     def one(self) -> FFElem:
         return self.from_int(1)
 
-    def elem(self, val) -> FFElem:
-        return FFElem(self, val)
-
     def frobenius(self, a: FFElem) -> FFElem:
         return a ** self.characteristic
 
@@ -149,11 +143,17 @@ class FiniteField:
             e += 1
         return e
 
-    def elements(self):
-        """Iterate over all field elements (small fields only)."""
+    @cached_property
+    def tables(self) -> "FieldTables":
         if self.order > TABLE_LIMIT:
-            raise ValueError("field too large to enumerate")
-        return (self.decode(i) for i in range(self.order))
+            raise ValueError(f"field of order {self.order} exceeds the table limit")
+        if self.degree > 1 and not isinstance(self.base, PrimeField):
+            raise ValueError("tables require a prime base field")
+        return FieldTables(self)
+
+    @cached_property
+    def log_arith(self) -> "LogArith":
+        return LogArith(self.tables)
 
     @cached_property
     def _embeddings(self) -> dict:
@@ -178,12 +178,6 @@ class PrimeField(FiniteField):
 
     def random_element(self, rng) -> FFElem:
         return FFElem(self, rng.randrange(self.p))
-
-    @cached_property
-    def tables(self) -> "FieldTables":
-        if self.order > TABLE_LIMIT:
-            raise ValueError(f"field of order {self.order} exceeds the table limit")
-        return FieldTables(self)
 
     @cached_property
     def modulus(self) -> UniPoly:
@@ -303,46 +297,30 @@ class ExtensionField(FiniteField):
             k //= self.base.order
         return FFElem(self, tuple(digits))
 
-    # -- numpy tables for the counting kernel (prime base, order <= 2^20) ----
-
-    @cached_property
-    def tables(self) -> "FieldTables":
-        if self.order > TABLE_LIMIT:
-            raise ValueError(f"field of order {self.order} exceeds the table limit")
-        if not isinstance(self.base, PrimeField):
-            raise ValueError("tables require a prime base field")
-        return FieldTables(self)
-
-    @cached_property
-    def log_arith(self) -> "LogArith":
-        return LogArith(self.tables)
-
 
 class FieldTables:
     """Discrete-log, Zech-log, Frobenius and exact-degree tables for a small
     field whose elements are int-encoded by their base-p digits.
 
     With m = q - 1 and a generator g, ``log[x]`` is the discrete log of x != 0
-    and ``log[0] = zero``, a sentinel past any sum of three logs
-    (``zero = 3m - 2``).  For k < zero, ``exp[k] = g^k`` and
-    ``zech[k] = log(1 + g^k)``, the Zech logarithm, which is the sentinel where
-    1 + g^k = 0; ``exp[zero] = 0`` and ``zech[zero] = 0``.  Lookups use
-    ``take(..., mode="clip")``, so any index past the sentinel reads those
-    last entries: a product with a factor 0 is 0 and 0 + c is c, and no
-    operation branches on zero.
+    and ``log[0] = zero``, a sentinel past any sum of three logs and any
+    Zech index of ``vadd`` (``zero = 3m - 2``, or 2 in F_2).  For k < zero,
+    ``exp[k] = g^k`` and ``zech[k] = log(1 + g^k)``, the Zech logarithm, which
+    is the sentinel where 1 + g^k = 0; ``exp[zero] = 0`` and
+    ``zech[zero] = 0``.  Lookups use ``take(..., mode="clip")``, so any index
+    past the sentinel reads those last entries: a product with a factor 0 is
+    0 and 0 + c is c, and no operation branches on zero.
     """
 
     def __init__(self, field: FiniteField):
-        p = field.characteristic
-        q = field.order
-        n = field.degree
+        p, q, n = field.characteristic, field.order, field.degree
         m = q - 1
         self.field = field
         self.p, self.q, self.n = p, q, n
-        self.zero = zero = 3 * m - 2
-        gen = _find_generator(field)
-        self.generator = gen
-        powers = _powers(field, gen, m)
+        self.zero = zero = max(3 * m - 2, 2 * m)
+        mod = [c.val for c in field.modulus.coeffs]
+        self.generator = gen = _find_generator(p, mod)
+        powers = _powers(p, mod, gen, m)
         log = np.empty(q, dtype=np.int32)
         log[powers] = np.arange(m)
         log[0] = zero
@@ -441,36 +419,71 @@ class LogArith:
         return self.log[n % self.p]
 
 
-def _powers(field: FiniteField, g: FFElem, count: int) -> np.ndarray:
-    """Encodings of g^0 .. g^(count-1).  Each doubling step multiplies the
-    block found so far by the next power g^k, a linear map on base-p digit
-    vectors whose matrix has the digits of t^i g^k as rows."""
-    p, n = field.characteristic, field.degree
+def _digits(k: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of the code k, lowest first."""
+    return [k // p**i % p for i in range(n)]
+
+
+def _mulmod(f: list, g: list, mod: list, p: int) -> list:
+    """f g modulo the monic mod over F_p, on coefficient lists of length
+    deg mod, with one reduction mod p per coefficient."""
+    n = len(mod) - 1
+    out = [0] * (2 * n - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    for i in range(2 * n - 2, n - 1, -1):
+        c = out[i] % p
+        if c:
+            for j in range(n):
+                out[i - n + j] -= c * mod[j]
+    return [c % p for c in out[:n]]
+
+
+def _powmod(f: list, e: int, mod: list, p: int) -> list:
+    """f^e modulo mod, e >= 1, by square-and-multiply from the top bit;
+    plain pow in F_p itself."""
+    if len(f) == 1:
+        return [pow(f[0], e, p)]
+    out = f
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, mod, p)
+        if bit == "1":
+            out = _mulmod(out, f, mod, p)
+    return out
+
+
+def _powers(p: int, mod: list, g: int, count: int) -> np.ndarray:
+    """Codes of g^0 .. g^(count-1) in F_p[t]/(mod).  Each doubling step
+    multiplies the block found so far by the next power h = g^k, a linear map
+    on base-p digit vectors whose matrix has the digits of t^i h as rows."""
+    n = len(mod) - 1
     weights = p ** np.arange(n)
     digits = np.zeros((count, n), dtype=np.int64)
     digits[0, 0] = 1
-    k, h = 1, g
+    k, h = 1, _digits(g, p, n)
     while k < count:
-        rows = np.array([field.encode(field.decode(int(w)) * h) for w in weights])
+        # t^i has the code p^i
+        rows = [_mulmod(h, _digits(p**i, p, n), mod, p) for i in range(n)]
         block = digits[k : 2 * k]
-        np.matmul(digits[: len(block)], rows[:, None] // weights % p, out=block)
+        np.matmul(digits[: len(block)], np.array(rows, dtype=np.int64), out=block)
         block %= p
-        k, h = 2 * k, h * h
+        k, h = 2 * k, _mulmod(h, h, mod, p)
     return (digits @ weights).astype(np.int32)
 
 
-def _find_generator(field: ExtensionField) -> FFElem:
-    q = field.order
-    factors, cofactor = strip_small_factors(q - 1, bound=1 << 20)
-    if cofactor != 1:
-        raise ValueError("cannot factor group order")
-    primes = [f for f, _ in factors]
-    for k in range(2, q):
-        g = field.decode(k)
-        if not g:
-            continue
-        if all((g ** ((q - 1) // l)) != field.one for l in primes):
-            return g
+def _find_generator(p: int, mod: list) -> int:
+    """The least code g generating F_q^*, q = p^(deg mod): g^((q-1)/l) != 1
+    for every prime l | q - 1.  The search starts at 1, which generates F_2^*.
+    Trial division to 2^20 factors q - 1 completely for a table field."""
+    n = len(mod) - 1
+    q = p**n
+    factors, _ = strip_small_factors(q - 1, bound=TABLE_LIMIT)
+    one = _digits(1, p, n)
+    for k in range(1, q):
+        if all(_powmod(_digits(k, p, n), (q - 1) // l, mod, p) != one for l, _ in factors):
+            return k
     raise AssertionError("no generator found")
 
 
@@ -483,28 +496,18 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def is_irreducible(f: UniPoly, field: FiniteField) -> bool:
-    """Rabin irreducibility test over the coefficient field."""
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    q = field.order
-    x = UniPoly([field.zero, field.one])
-    xq = x
+def _rabin_irreducible(mod: list, p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 1980): a monic mod of degree n >= 2
+    over F_p is irreducible iff t^(p^n) = t modulo it and
+    gcd(t^(p^(n/l)) - t, mod) = 1 for every prime l | n."""
+    A, n = ModP(p), len(mod) - 1
+    frob = [[0, 1] + [0] * (n - 2)]  # t^(p^k) mod mod for k = 0 .. n
     for _ in range(n):
-        xq = xq.powmod(q, f)
-    if xq != x % f:
-        return False
-    for l in sorted({l for l, _ in strip_small_factors(n)[0]}):
-        e = n // l
-        xe = x
-        for _ in range(e):
-            xe = xe.powmod(q, f)
-        if poly_gcd(xe - x, f).degree != 0:
-            return False
-    return True
+        frob.append(_powmod(frob[-1], p, mod, p))
+    return frob[n] == frob[0] and all(
+        len(code_gcd(A, code_sub(A, frob[n // l], frob[0]), mod)) == 1
+        for l, _ in strip_small_factors(n)[0]
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,15 +523,14 @@ def fq(p: int, n: int) -> FiniteField:
     base = prime_field(p)
     if n == 1:
         return base
+    A = ModP(p)
     for k in range(p**n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            digits.append(base.from_int(kk % p))
-            kk //= p
-        cand = UniPoly(digits + [base.one])
-        if cand.degree == n and is_irreducible(cand, base):
-            return ExtensionField(base, cand)
+        mod = _digits(k, p, n) + [1]
+        # for n >= 2 a root proves mod reducible; Horner runs over at most
+        # 2^10 points, which is all of F_p for every table field
+        rootless = all(code_eval(A, mod, x) for x in range(min(p, 1 << 10)))
+        if rootless and _rabin_irreducible(mod, p):
+            return ExtensionField(base, UniPoly([base.decode(c) for c in mod]))
     raise AssertionError("no irreducible modulus found")
 
 

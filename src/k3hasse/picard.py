@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -429,18 +429,17 @@ def _cyclotomic_degrees_up_to_22() -> list[int]:
 def unit_root_bound(fd: FrobeniusData) -> int:
     """Number of normalized Frobenius eigenvalues that are roots of unity,
     counted with multiplicity: an upper bound for the geometric Picard rank
-    of the reduction."""
-    g = UniPoly(fd.normalized)
+    of the reduction.  The normalized charpoly, times the lcm of its
+    denominators, is divided in Z[T] by each monic Phi_d: exact there iff in Q[T]."""
+    scale = lcm(*(c.denominator for c in fd.normalized))
+    g = UniPoly([int(c * scale) for c in fd.normalized])
     bound = 0
     for d in _cyclotomic_degrees_up_to_22():
-        phi = cyclotomic_polynomial(d).map_coefficients(Fraction)
-        while True:
+        phi = cyclotomic_polynomial(d)
+        quo, rem = divmod(g, phi)
+        while rem.is_zero() and not quo.is_zero():
+            bound, g = bound + phi.degree, quo
             quo, rem = divmod(g, phi)
-            if rem.is_zero() and not quo.is_zero():
-                bound += phi.degree
-                g = quo
-            else:
-                break
     return bound
 
 

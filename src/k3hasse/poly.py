@@ -180,9 +180,6 @@ class UniPoly:
                 rem[k + j] = rem[k + j] - t * d
         return UniPoly(quo), UniPoly(rem[:db])
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 

@@ -34,9 +34,10 @@ class QuadricSextet:
     def __post_init__(self):
         if len(self.coefficients) != 36:
             raise ValueError("a sextet needs 6 quadratic forms of 6 coefficients")
-        for i, c in enumerate(self.coefficients):
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"form {FORM_KEYS[i // 6]}: coefficient {c!r} is not an int")
+        if set(map(type, self.coefficients)) != {int}:
+            for i, c in enumerate(self.coefficients):
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise TypeError(f"form {FORM_KEYS[i // 6]}: coefficient {c!r} is not an int")
 
     @cached_property
     def _forms(self) -> tuple[TernaryForm, ...]:

@@ -24,9 +24,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any
 
+from k3hasse.arith import strip_small_factors
 from k3hasse.badred import _homogenize_bivariate, _ternary_exact_div
 from k3hasse.finitefield import FFElem, FiniteField, fq, prime_field
-from k3hasse.picard import CountingError, TritangentScan, _int_coefficients_mod, check_weil_bound
+from k3hasse.picard import (
+    CountingError,
+    FrobeniusData,
+    TritangentScan,
+    _cyclotomic_degrees_up_to_22,
+    _int_coefficients_mod,
+    check_weil_bound,
+    cyclotomic_polynomial,
+)
 from k3hasse.poly import (
     TernaryForm,
     UniPoly,
@@ -397,6 +406,75 @@ def unipoly_common_zero(system: list[TernaryForm], fld) -> bool:
     return G.degree > 0 and _d5_any_common_root(polys, _squarefree_part(G.monic()))
 
 
+# ---------------------------------------------------------------------------
+# Field construction on field elements
+# ---------------------------------------------------------------------------
+#
+# The references for ``fq`` and ``FieldTables``, which build the modulus and
+# the generator on int codes: Rabin's test with ``UniPoly.powmod`` over any
+# base field, and the generator search by ``FFElem`` powers.
+
+def is_irreducible(f: UniPoly, field: FiniteField) -> bool:
+    """Rabin irreducibility test over the coefficient field."""
+    n = f.degree
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    q = field.order
+    x = UniPoly([field.zero, field.one])
+    xq = x
+    for _ in range(n):
+        xq = xq.powmod(q, f)
+    if xq != x % f:
+        return False
+    for l in sorted({l for l, _ in strip_small_factors(n)[0]}):
+        e = n // l
+        xe = x
+        for _ in range(e):
+            xe = xe.powmod(q, f)
+        if poly_gcd(xe - x, f).degree != 0:
+            return False
+    return True
+
+
+def canonical_modulus(p: int, n: int) -> list[int]:
+    """The coefficients of the first monic irreducible of degree n over F_p
+    in the enumeration of (c_0, ..., c_{n-1}) as base-p digits."""
+    base = prime_field(p)
+    for k in range(p**n):
+        cand = UniPoly([base.from_int(k // p**i) for i in range(n)] + [base.one])
+        if is_irreducible(cand, base):
+            return [c.val for c in cand.coeffs]
+
+
+def find_generator(field: FiniteField) -> int:
+    """The code of the least element generating field^*, by ``FFElem`` powers."""
+    q = field.order
+    primes = [l for l, _ in strip_small_factors(q - 1, bound=1 << 20)[0]]
+    for k in range(1, q):
+        g = field.decode(k)
+        if all(g ** ((q - 1) // l) != field.one for l in primes):
+            return k
+
+
+def unit_root_bound(fd: FrobeniusData) -> int:
+    """``picard.unit_root_bound`` in Q[T]: the normalized charpoly, as a
+    ``UniPoly`` of ``Fraction``s, divided by each Phi_d with phi(d) <= 22."""
+    g = UniPoly(fd.normalized)
+    bound = 0
+    for d in _cyclotomic_degrees_up_to_22():
+        phi = cyclotomic_polynomial(d).map_coefficients(Fraction)
+        while True:
+            quo, rem = divmod(g, phi)
+            if rem.is_zero() and not quo.is_zero():
+                bound += phi.degree
+                g = quo
+            else:
+                break
+    return bound
+
+
 def quadratic_character(a: FFElem) -> int:
     """0 for zero, +1 for nonzero squares, -1 for nonsquares (odd q)."""
     field = a.field
@@ -416,7 +494,7 @@ def _count_naive(f: TernaryForm, p: int, n: int) -> int:
     """
     field = fq(p, n)
     fcoef = _int_coefficients_mod(f, p)
-    elems = list(field.elements())
+    elems = [field.decode(k) for k in range(field.order)]
     chi_of = {field.encode(v): quadratic_character(v) for v in elems}
     consts = {c: field.from_int(c) for c in set(fcoef.values())}
     zero = field.zero

@@ -1,18 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
 from k3hasse.finitefield import (
     ExtensionField,
+    _find_generator,
+    _rabin_irreducible,
     fq,
     irreducible_factors,
-    is_irreducible,
     prime_field,
     resultant_by_evaluation,
 )
-from k3hasse.poly import TernaryForm, UniPoly, newton_weights, ternary_to_t_over_u
+from k3hasse.poly import ModP, TernaryForm, UniPoly, code_eval, newton_weights, ternary_to_t_over_u
 
-from .oracles import quadratic_character, resultant
+from .oracles import canonical_modulus, find_generator, is_irreducible, quadratic_character, resultant
 
 
 def test_make_field_canonical_moduli():
@@ -68,6 +70,74 @@ def test_make_field_rejects_composites():
         fq(7, 0)
     with pytest.raises(ValueError, match="degree"):
         fq(7, -1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_code_built_modulus_and_generator_match_the_ffelem_oracles(p):
+    """fq's modulus and the tables' generator, found on int codes, are the
+    ones the UniPoly Rabin test and the FFElem power search find, for every
+    p^n <= 3^10."""
+    n = 1
+    while p**n <= 3**10:
+        field = fq(p, n)
+        mod = [c.val for c in field.modulus.coeffs]
+        assert mod == (canonical_modulus(p, n) if n > 1 else [0, 1]), (p, n)
+        assert _find_generator(p, mod) == find_generator(field), (p, n)
+        n += 1
+
+
+@pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3)])
+def test_root_filter_and_rabin_decide_every_small_candidate(p, top):
+    """Every monic candidate of degree 2 .. top: no root in F_p and Rabin's
+    test on codes together agree with the UniPoly oracle."""
+    A, base = ModP(p), prime_field(p)
+    for n in range(2, top + 1):
+        for k in range(p**n):
+            mod = [k // p**i % p for i in range(n)] + [1]
+            rootless = all(code_eval(A, mod, x) for x in range(p))
+            oracle = is_irreducible(UniPoly([base.decode(c) for c in mod]), base)
+            assert (rootless and _rabin_irreducible(mod, p)) == oracle, mod
+
+
+def test_rabin_refuses_a_reducible_candidate_without_roots():
+    """(x^2 + 1)(x^2 + x + 2) = x^4 + x^3 + x + 2 over F_3 has no root, so
+    the root filter passes it; the gcd stage of Rabin's test refuses it."""
+    mod = [2, 1, 0, 1, 1]
+    assert all(code_eval(ModP(3), mod, x) for x in range(3))
+    assert not _rabin_irreducible(mod, 3)
+    assert _rabin_irreducible([c.val for c in fq(3, 4).modulus.coeffs], 3)
+
+
+def test_field_build_does_no_extension_field_multiplication(monkeypatch):
+    """A fresh fq(3, 9) and its tables are built on int codes: not one
+    ExtensionField product, and the same tables as the cached field."""
+    calls = []
+    mul = ExtensionField._mul
+    monkeypatch.setattr(ExtensionField, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    fresh = fq.__wrapped__(3, 9)
+    tables = fresh.tables
+    assert calls == []
+    cached = fq(3, 9).tables
+    assert tables.generator == cached.generator
+    for name in ("log", "exp", "zech", "frob", "deg"):
+        assert np.array_equal(getattr(tables, name), getattr(cached, name))
+
+
+def test_f2_builds_tables_with_generator_1():
+    """F_2^* is generated by 1, the first code the search tries; the log
+    tables and LogArith add and multiply correctly."""
+    F2 = prime_field(2)
+    t = F2.tables
+    assert t.generator == 1
+    A = F2.log_arith
+    xs, ys = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    assert t.vadd(xs, ys).tolist() == [0, 1, 1, 0]
+    assert t.vmul(xs, ys).tolist() == [0, 0, 0, 1]
+    for a in range(2):
+        for b in range(2):
+            assert A.add(A.from_int(a), A.from_int(b)) == A.from_int(a + b)
+            assert A.mul(A.from_int(a), A.from_int(b)) == A.from_int(a * b)
+            assert A.sub(A.from_int(a), A.from_int(b)) == A.from_int(a - b)
 
 
 def test_quadratic_character_examples():
@@ -196,8 +266,6 @@ def test_tower_extension_field():
     ext1 = fq(5, 2)
     # tower: degree-2 extension of F_25
     mod = None
-    from k3hasse.finitefield import is_irreducible
-
     for k in range(ext1.order**2):
         digits = []
         kk = k

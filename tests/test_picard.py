@@ -30,6 +30,7 @@ from k3hasse.pipeline import draw_sextet, load_fixtures
 from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree
 from k3hasse.surface import build_k3, is_smooth_curve, reduce_mod
 
+from . import oracles
 from .oracles import _is_square_binary_form, count_points_naive, quadratic_character, tritangent_scan_naive
 
 
@@ -105,7 +106,7 @@ def test_orbit_tallies_match_naive_point_classification(example_sextic):
     fcoef = _int_coefficients_mod(example_sextic, 3)
     for d in (1, 2, 3, 4):
         field = fq(3, d)
-        elems = list(field.elements())
+        elems = [field.decode(k) for k in range(field.order)]
         deg_of = {field.encode(v): field.element_degree(v) for v in elems}
         chi_of = {field.encode(v): quadratic_character(v) for v in elems}
         consts = {c: field.from_int(c) for c in set(fcoef.values())}
@@ -291,6 +292,26 @@ def test_unit_root_bound_trivial_polys():
     for _ in range(20):
         base = _poly_mul(base, [Fraction(-1), Fraction(1)])
     assert unit_root_bound(fd_from_normalized(base)) == 22
+
+
+def test_unit_root_bound_on_integers_matches_the_rational_division(fixtures):
+    """Division in Z[T] of the scaled normalized charpoly gives the bound of
+    division in Q[T]: on the shipped charpoly, and on products
+    Phi_a Phi_b h with h of rational coefficients, not always monic."""
+    fd = frobenius_charpoly(CountSeries.from_counts(3, list(fixtures.counts)))
+    assert unit_root_bound(fd) == oracles.unit_root_bound(fd) == 2
+    q, rng = 3, random.Random(22)
+    degrees = [d for d in range(1, 67) if euler_phi(d) <= 10]
+    for _ in range(40):
+        phi = cyclotomic_polynomial(rng.choice(degrees)) * cyclotomic_polynomial(rng.choice(degrees))
+        h = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 9, 5])) for _ in range(H2_DIM - phi.degree)]
+        h.append(Fraction(rng.choice([1, 1, 2, 7]), rng.choice([1, 3, 4])))
+        norm = list((phi.map_coefficients(Fraction) * UniPoly(h)).coeffs)
+        coeffs = [c * Fraction(q) ** (H2_DIM - i) for i, c in enumerate(norm)]
+        fd = FrobeniusData(q=q, power_sums=[], coefficients=coeffs, sign=1)
+        assert fd.normalized == norm
+        bound = unit_root_bound(fd)
+        assert bound == oracles.unit_root_bound(fd) and bound >= phi.degree
 
 
 def test_euler_phi_and_cyclotomic():

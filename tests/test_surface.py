@@ -201,6 +201,25 @@ def test_sextet_rejects_non_integer_coefficients(example_sextet, bad):
         QuadricSextet.from_coefficients(rows)
 
 
+def test_sextet_type_check_accepts_int_subclasses_and_names_the_first_bad_entry(example_sextet):
+    """Only a tuple of exact ints skips the per-coefficient check; an int
+    subclass other than bool still passes it, and a tuple with two bad
+    entries is refused for the first."""
+
+    class Int(int):
+        pass
+
+    coeffs = example_sextet.coefficients
+    assert QuadricSextet(tuple(map(Int, coeffs))) == example_sextet
+    bad = list(coeffs)
+    bad[7], bad[30] = 1.5, False
+    with pytest.raises(TypeError, match=r"^form B: coefficient 1\.5 is not an int$"):
+        QuadricSextet(tuple(bad))
+    bad[7] = 3
+    with pytest.raises(TypeError, match="form F: coefficient False is not an int"):
+        QuadricSextet(tuple(bad))
+
+
 def test_sextet_json_rejects_missing_and_extra_keys(example_sextet):
     data = json.loads(example_sextet.to_json())
     missing = {k: v for k, v in data.items() if k != "C"}
