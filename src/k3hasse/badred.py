@@ -19,42 +19,45 @@ The whole chain runs on one representation, int codes in the arithmetic of
 of the chart resultants: ints mod p when p > D, else discrete logs in
 fq(p, k) with p^k > D (F_3 and its lift F_9, F_5 .. F_23 for the sextic's
 D = 25 or 30).  The frame search, the substitution, the charts, the
-resultants (``resultant``), the gcds and D5 all work on code lists; a gcd,
-and a common root over the closure, do not change under field extension.
+resultants (``resultant``), the gcds, D5 and the split where two charts
+share a factor (its branches stay in the frame) all work on code lists; a
+gcd, and a common root over the closure, do not change under field
+extension.
 
 The elimination is memoised per (system, field) in ``_eliminate``, its
-chart part computed on first use, and the decision and the node locator
-read the same result: ``singular_points`` decodes the gcd on y0 = 0, G and
-the charts to ``UniPoly``s over F_p once, factors them to locate the
-singular points without a second chain, and classifies them as nodes
-through the 2x2 Hessian of a local dehomogenization.  It needs a frame over
-F_p (RegularizationError) and finitely many candidates
+line and chart parts computed on first use, and the decision and the node
+locator read the same result: ``singular_points`` reads the gcd on y0 = 0,
+G and the charts as ints mod p, factors them over F_p and over residue
+fields F_p[u]/(pi) (``poly.Residues``, the ring of D5 taken modulo an
+irreducible) to locate the singular points without a second chain, and
+classifies them as nodes through the 2x2 Hessian of a local
+dehomogenization.  It needs an odd p, a frame over F_p
+(RegularizationError) and finitely many candidates
 (PositiveDimensionalLocus).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Any
 
 from .poly import (
+    ModP,
+    Residues,
     TernaryForm,
-    UniPoly,
-    bivariate_gcd,
+    ZeroDivisorSplit,
     code_divmod,
+    code_eval,
     code_gcd,
-    code_gcdex,
+    code_interpolate,
     code_mul,
     code_rem,
     code_sub,
-    poly_gcd,
-    ternary_to_t_over_u,
 )
 from .finitefield import (
-    ExtensionField,
     code_chart_resultant,
     evaluation_arith,
     fq,
@@ -188,10 +191,9 @@ resultant = code_chart_resultant
 @dataclass(frozen=True)
 class _Elimination:
     """One Jacobian system after regularisation, on codes of the arithmetic
-    A: the field of the frame (a, b), ``decode`` from codes to its elements,
-    the charts g(1, u, t) of the transformed forms (t-coefficient lists of
-    coded u-polynomials) and the coded gcd ``ginf`` of the specialisations
-    g(0, 1, t), which carries the points on the line y0 = 0."""
+    A: the field of the frame (a, b), ``decode`` from codes to its elements
+    and the charts g(1, u, t) of the transformed forms (t-coefficient lists
+    of coded u-polynomials, the t^k row of u-degree at most deg g - k)."""
 
     fld: Any
     a: Any
@@ -199,7 +201,19 @@ class _Elimination:
     A: Any
     decode: Any
     charts: tuple
-    ginf: list
+
+    @cached_property
+    def ginf(self) -> list:
+        """The coded gcd of the g(0, 1, t), which carries the points on the
+        line y0 = 0: the u^(d-k) coefficients of the t^k rows of each chart."""
+        g: list = []
+        for P in self.charts:
+            d = len(P) - 1
+            at_infinity = [row[d - k] if d - k < len(row) else self.A.zero for k, row in enumerate(P)]
+            g = code_gcd(self.A, g, at_infinity)
+            if len(g) == 1:
+                break
+        return g
 
     @cached_property
     def chart(self) -> tuple[list | None, tuple | None]:
@@ -216,37 +230,19 @@ class _Elimination:
                 break
         return G, None
 
-    def uni(self, cs: list) -> UniPoly:
-        return UniPoly([self.decode(c) for c in cs])
-
-    def forms(self) -> list[TernaryForm]:
-        """The transformed forms, decoded."""
-        return [
-            TernaryForm(len(P) - 1, {
-                (len(P) - 1 - j - k, j, k): self.decode(c)
-                for k, row in enumerate(P) for j, c in enumerate(row)
-            })
-            for P in self.charts
-        ]
-
 
 @lru_cache(maxsize=64)
 def _eliminate(system: tuple, fld) -> _Elimination:
     """The elimination of a system over F_p, once per (system, field):
-    the bad-prime decision and the node locator both read it.  The chart part
-    is computed on first use, so a decision that stops on the line y0 = 0
-    never runs the resultant chain."""
+    the bad-prime decision and the node locator both read it.  The line
+    y0 = 0 and the chart part are computed on first use, so a decision that
+    stops on the line never runs the resultant chain."""
     reg_fld, a, b, A, decode, transformed = regularize(list(system), fld)
     # the frame makes every y2^d coefficient h[d][0] nonzero
-    ginf: list = []
-    for h in transformed:
-        ginf = code_gcd(A, ginf, [row[-1] for row in h])
-        if len(ginf) == 1:
-            break
     for row in (row for h in transformed for row in h):
         while row and row[-1] == A.zero:
             row.pop()
-    return _Elimination(reg_fld, a, b, A, decode, tuple(transformed), ginf)
+    return _Elimination(reg_fld, a, b, A, decode, tuple(transformed))
 
 
 @lru_cache(maxsize=64)
@@ -281,100 +277,61 @@ def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:
     system = [g for g in system if not g.is_zero()]
     if not system:
         raise ValueError("empty system")
-    if any(g.degree == 0 for g in system):
+    return _has_common_zero(_eliminate(tuple(system), fld))
+
+
+def _has_common_zero(elim: _Elimination) -> bool:
+    """Do the charts share a zero?  A nonzero constant has none and one
+    chart always has; else a point on the line y0 = 0, then in the chart
+    y0 = 1 by D5, or by the split where two charts share a factor."""
+    if any(len(P) == 1 for P in elim.charts):
         return False
-    if len(system) == 1:
-        return True
-    elim = _eliminate(tuple(system), fld)
-    if len(elim.ginf) > 1:
+    if len(elim.charts) == 1 or len(elim.ginf) > 1:
         return True
     G, zero_pair = elim.chart
     if zero_pair is not None:
-        return _split_common_factor(elim.forms(), elim.fld, zero_pair)
+        return _split_common_factor(elim, *zero_pair)
     return len(G) > 1 and _d5_any_common_root(elim.A, elim.charts, G)
 
 
-def _homogenize_bivariate(P: UniPoly, fld) -> TernaryForm:
-    """Homogenise an affine P(u, t) (t-poly over K[u]) back to a ternary form."""
-    total = 0
-    for k, cu in enumerate(P.coeffs):
-        if not cu.is_zero():
-            total = max(total, k + cu.degree)
-    terms = {}
-    for k, cu in enumerate(P.coeffs):
-        for j, c in enumerate(cu.coeffs):
-            if c:
-                terms[(total - j - k, j, k)] = c
-    return TernaryForm(total, terms)
+def _split_common_factor(elim: _Elimination, i: int, j: int) -> bool:
+    """Res_t(P_i, P_j) = 0: the charts share a t-monic factor H, and the
+    variety splits as V(H) with the rest union V(P_i/H, P_j/H) with the
+    rest.  Both branches recurse in the same frame and arithmetic: H and
+    its cofactors divide forms that do not vanish at [0:0:1].
+
+    H comes from the resultant's own D + 1 points x.  The gcd of P_i(x, t)
+    and P_j(x, t) has degree at least e = deg_t H, and is H(x, t) off the
+    roots of Res_t(P_i/H, P_j/H), at most (deg P_i - e)(deg P_j - e) <= D - e
+    of them.  So the least gcd degree is e, reached at e + 1 points or more,
+    and H interpolates from e + 1 of them."""
+    A, charts = elim.A, elim.charts
+    P, Q = charts[i], charts[j]
+    points = range(A.zero, A.zero + (len(P) - 1) * (len(Q) - 1) + 1)
+    at = lambda R, x: [code_eval(A, c, x) for c in R]
+    gcds = [code_gcd(A, at(P, x), at(Q, x)) for x in points]
+    e = min(map(len, gcds)) - 1
+    xs, ys = zip(*[(x, g) for x, g in zip(points, gcds) if len(g) == e + 1][: e + 1])
+    H = [code_interpolate(A, xs, [g[k] for g in ys]) for k in range(e + 1)]
+    rest = [R for k, R in enumerate(charts) if k not in (i, j)]
+    branch = lambda cs: _has_common_zero(replace(elim, charts=tuple(cs)))
+    return branch(rest + [H]) or branch(rest + [_t_quotient(A, P, H), _t_quotient(A, Q, H)])
 
 
-def _ternary_exact_div(f: TernaryForm, g: TernaryForm) -> TernaryForm:
-    """Exact division of homogeneous forms by leading-term elimination."""
-    out = {}
-    rem = f
-    glead = max(g.terms)
-    gc = g.terms[glead]
-    while rem.terms:
-        flead = max(rem.terms)
-        mono = tuple(a - b for a, b in zip(flead, glead))
-        if any(e < 0 for e in mono):
-            raise ValueError("inexact ternary division")
-        coeff = rem.terms[flead] / gc
-        out[mono] = coeff
-        rem = rem - TernaryForm(f.degree - g.degree, {mono: coeff}) * g
-    return TernaryForm(f.degree - g.degree, out)
-
-
-def _split_common_factor(system, fld, pair) -> bool:
-    """Handle Res = 0: the two forms share a factor H; split the variety as
-    V(H) union V(g_i/H, g_j/H) and recurse on both branches."""
-    i, j = pair
-    gi, gj = system[i], system[j]
-    Pi = ternary_to_t_over_u(gi, fld.one)
-    Pj = ternary_to_t_over_u(gj, fld.one)
-    Hb = bivariate_gcd(Pi, Pj)
-    H = _homogenize_bivariate(Hb, fld)
-    rest = [g for k, g in enumerate(system) if k not in (i, j)]
-    if _system_has_common_zero(rest + [H], fld):
-        return True
-    qi = _ternary_exact_div(gi, H)
-    qj = _ternary_exact_div(gj, H)
-    if qi.degree == 0 or qj.degree == 0:
-        # a cofactor is a nonzero constant, so the second branch is empty
-        return False
-    return _system_has_common_zero(rest + [qi, qj], fld)
+def _t_quotient(A, P: list, H: list) -> list:
+    """P / H for a t-monic chart H dividing the chart P over K[u]."""
+    P, Q, e = list(P), [], len(H) - 1
+    while len(P) > e:
+        c = P.pop()
+        Q.append(c)
+        for k in range(e):
+            P[len(P) - e + k] = code_sub(A, P[len(P) - e + k], code_mul(A, c, H[k]))
+    return Q[::-1]
 
 
 # ---------------------------------------------------------------------------
 # Dynamic evaluation (D5) over K[u]/(B)
 # ---------------------------------------------------------------------------
-
-class _Split(Exception):
-    def __init__(self, divisor: list):
-        self.divisor = divisor
-
-
-class _Residues:
-    """K[u]/(B) on coded u-polynomials of degree < deg B, in the part of the
-    interface of ``poly.ModP`` that ``code_gcd`` uses, treated as a field:
-    ``inv`` raises _Split with the proper factor gcd(c, B) of B at a zero
-    divisor c."""
-
-    def __init__(self, A, B: list):
-        self.A, self.B, self.zero = A, B, []
-
-    def sub(self, x, y):
-        return code_sub(self.A, x, y)
-
-    def mul(self, x, y):
-        return code_rem(self.A, code_mul(self.A, x, y), self.B)
-
-    def inv(self, x):
-        d, s = code_gcdex(self.A, x, self.B)
-        if len(d) > 1:
-            raise _Split(d)
-        return s
-
 
 def _d5_any_common_root(A, charts, B: list) -> bool:
     """True iff for some root u0 of B the specialisations t -> P(u0, t) of
@@ -385,7 +342,7 @@ def _d5_any_common_root(A, charts, B: list) -> bool:
     stack = [B]
     while stack:
         B = stack.pop()
-        R = _Residues(A, B)
+        R = Residues(A, B)
         try:
             g: list = []
             for P in charts:
@@ -394,7 +351,7 @@ def _d5_any_common_root(A, charts, B: list) -> bool:
                     break
             if len(g) > 1:
                 return True
-        except _Split as split:
+        except ZeroDivisorSplit as split:
             stack += [split.divisor, code_divmod(A, B, split.divisor)[0]]
     return False
 
@@ -403,32 +360,30 @@ def _d5_any_common_root(A, charts, B: list) -> bool:
 # Per-prime analysis
 # ---------------------------------------------------------------------------
 
-def is_bad_prime(f: TernaryForm, p: int) -> bool:
-    """Does the branch sextic acquire a singular point modulo p (p odd)?"""
-    if p == 2 or p < 3:
-        raise ValueError("is_bad_prime expects an odd prime")
+def _reduce(f: TernaryForm, p: int):
+    """(F_p, f mod p) for an odd prime p; a form vanishing mod p raises
+    DegenerateReduction."""
+    if p < 3:
+        raise ValueError(f"the bad-prime analysis expects an odd prime, got {p}")
     fld = prime_field(p)
     fp = f.map_coefficients(lambda c: fld.from_int(c))
     if fp.is_zero():
         raise DegenerateReduction(f"the form vanishes identically mod {p}")
-    return singular_locus_nonempty(fp)
+    return fld, fp
+
+
+def is_bad_prime(f: TernaryForm, p: int) -> bool:
+    """Does the branch sextic acquire a singular point modulo p (p odd)?"""
+    return singular_locus_nonempty(_reduce(f, p)[1])
 
 
 @dataclass
 class SingularPoint:
-    coords: tuple  # projective coordinates in a finite field, first nonzero = 1
+    #: projective coordinates, the first nonzero one 1: ints in F_p, else the
+    #: coefficient lists of residue polynomials, padded, nested for a tower
+    coords: list
     residue_degree: int
-    kind: str  # node | non-node | unresolved
-
-    def coords_json(self):
-        return [_elem_json(c) for c in self.coords]
-
-
-def _elem_json(elem):
-    val = elem.val
-    if isinstance(val, int):
-        return val
-    return [_elem_json(c) for c in val]
+    kind: str  # node | non-node
 
 
 @dataclass
@@ -441,73 +396,59 @@ class SingularReport:
     notes: list[str] = dataclass_field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "prime": str(self.prime),
-            "r": self.r,
-            "all_nodes_and_r_lt8": self.all_nodes_and_r_lt8,
-            "unresolved": self.unresolved,
-            "points": [
-                {
-                    "residue_degree": pt.residue_degree,
-                    "kind": pt.kind,
-                    "coords": pt.coords_json(),
-                }
-                for pt in self.points
-            ],
-            "notes": self.notes,
-        }
+        return {**asdict(self), "prime": str(self.prime)}
 
 
-def _lift_to(dst, src, elem):
-    """Embed elem of src into dst, where dst is src or a tower over src."""
-    if dst is src:
-        return elem
-    chain = []
-    cur = dst
-    while cur is not src:
-        chain.append(cur)
-        cur = cur.base
-    for fld in reversed(chain):
-        elem = fld.from_base(elem)
-    return elem
+def _root_field(K, irr: list):
+    """A field holding a root of the monic irreducible irr over K, and the
+    root: K itself for a linear irr, else K[u]/(irr) with the root u."""
+    if len(irr) == 2:
+        return K, K.neg(irr[0])
+    return Residues(K, irr), [K.zero, K.one]
 
 
-def _root_field(irr: UniPoly, fld):
-    """A field holding a root of the monic irreducible irr over fld, and the root."""
-    if irr.degree == 1:
-        return fld, -irr.coeffs[0]
-    host = ExtensionField(fld, irr)
-    return host, host.gen
+def _json(R, c):
+    """A coded element as the report writes it: an int of F_p, else the
+    padded coefficient list of its residue polynomial."""
+    if not isinstance(R, Residues):
+        return c
+    return [_json(R.A, e) for e in c + [R.A.zero] * (len(R.B) - 1 - len(c))]
 
 
-def _classify_point(f_mod: TernaryForm, coords, fld) -> str:
-    """node iff the gradient vanishes and the 2x2 Hessian of the local
-    dehomogenization is nonsingular at the point."""
-    pivot = next(i for i, c in enumerate(coords) if c)
-    others = [i for i in range(3) if i != pivot]
-    lift = lambda form: form.map_coefficients(lambda c: _lift_to(fld, c.field, c))
-    fl = lift(f_mod)
-    if fl.evaluate(coords):
+def _classify_point(f: TernaryForm, R, x) -> str:
+    """node iff the integer form f and its gradient vanish mod p at the
+    point x, coded in R, and the 2x2 Hessian of the local dehomogenization
+    is nonsingular there."""
+    powers = [[R.one] for _ in x]
+    for row, c in zip(powers, x):
+        for _ in range(f.degree):
+            row.append(R.mul(row[-1], c))
+
+    def value(g: TernaryForm):
+        acc = R.zero
+        for (e0, e1, e2), c in g.terms.items():
+            mono = R.mul(powers[0][e0], R.mul(powers[1][e1], powers[2][e2]))
+            acc = R.add(acc, R.mul(R.from_int(c), mono))
+        return acc
+
+    if any(value(g) != R.zero for g in (f, f.partial(0), f.partial(1), f.partial(2))):
         return "non-node"
-    for i in range(3):
-        if lift(f_mod.partial(i)).evaluate(coords):
-            return "non-node"
-    i, j = others
-    hii = lift(f_mod.partial(i).partial(i)).evaluate(coords)
-    hij = lift(f_mod.partial(i).partial(j)).evaluate(coords)
-    hjj = lift(f_mod.partial(j).partial(j)).evaluate(coords)
-    det = hii * hjj - hij * hij
-    return "node" if det else "non-node"
+    pivot = next(i for i, c in enumerate(x) if c != R.zero)
+    i, j = (k for k in range(3) if k != pivot)
+    hii, hij, hjj = (value(f.partial(m).partial(n)) for m, n in ((i, i), (i, j), (j, j)))
+    return "node" if R.sub(R.mul(hii, hjj), R.mul(hij, hij)) != R.zero else "non-node"
 
 
 def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularReport:
     """Locate and classify the geometric singular points of f mod p up to the
     given residue degree.  One representative per Galois orbit is reported and
-    r counts geometric points, so each orbit contributes its size."""
-    fld = prime_field(p)
-    fp = f.map_coefficients(lambda c: fld.from_int(c))
-    if fp.is_zero():
-        raise DegenerateReduction(f"the form vanishes identically mod {p}")
+    r counts geometric points, so each orbit contributes its size.
+
+    The memoised elimination is read as ints mod p, and each candidate is
+    factored over F_p: a root of an irreducible pi of degree k lives in
+    F_p[u]/(pi), and a root of a factor h of the chart gcd over that field
+    one level up, at residue degree k deg h."""
+    fld, fp = _reduce(f, p)
     if not singular_locus_nonempty(fp):
         raise NotBadPrime(f"{p} is a prime of good reduction")
     system = jacobian_system(fp)
@@ -519,82 +460,56 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     G, zero_pair = elim.chart
     if zero_pair is not None:
         raise PositiveDimensionalLocus(f"mod {p} two forms of the Jacobian system share a factor")
-    ginf, G = elim.uni(elim.ginf), elim.uni(G)
-    polys = [UniPoly([elim.uni(c) for c in P]) for P in elim.charts]
-    notes: list[str] = []
+    F = ModP(p)
+    ints = (lambda cs: cs) if elim.A == F else (lambda cs: [elim.decode(c).val for c in cs])
+    charts = [[ints(c) for c in P] for P in elim.charts]
     points: list[SingularPoint] = []
     unresolved = 0
-    fully_accounted = True
 
-    def record(y_coords, host_fld):
-        """Transform back, normalise, classify and append."""
-        y0, y1, y2 = y_coords
-        a = _lift_to(host_fld, fld, elim.a)
-        b = _lift_to(host_fld, fld, elim.b)
-        x = (y0 + a * y2, y1 + b * y2, y2)
-        pivot = next(c for c in x if c)
-        inv = host_fld.one / pivot
-        x = tuple(c * inv for c in x)
-        rdeg = lcm(*(host_fld.element_degree(c) for c in x))
-        kind = _classify_point(fp, x, host_fld)
-        points.append(SingularPoint(coords=x, residue_degree=rdeg, kind=kind))
+    def record(R, y0, y1, y2, degree):
+        """Transform back, normalise, classify and append, or count a point
+        beyond the degree bound as unresolved."""
+        nonlocal unresolved
+        if degree > degree_bound:
+            unresolved += 1
+            return
+        a, b = R.from_int(elim.a.val), R.from_int(elim.b.val)
+        x = (R.add(y0, R.mul(a, y2)), R.add(y1, R.mul(b, y2)), y2)
+        inv = R.inv(next(c for c in x if c != R.zero))
+        x = [R.mul(c, inv) for c in x]
+        points.append(SingularPoint([_json(R, c) for c in x], degree, _classify_point(f, R, x)))
 
     # the line y0 = 0
-    if ginf.degree > 0:
-        for irr, _mult in irreducible_factors(ginf, fld):
-            if irr.degree > degree_bound:
-                unresolved += 1
-                fully_accounted = False
-                continue
-            host, tau = _root_field(irr, fld)
-            record((host.zero, host.one, tau), host)
+    for irr, _ in irreducible_factors(F, p, 1, ints(elim.ginf)):
+        R, tau = _root_field(F, irr)
+        record(R, R.zero, R.one, tau, len(irr) - 1)
 
     # the chart y0 = 1
-    if G.degree > 0:
-        for pi, _mult in irreducible_factors(G, fld):
-            k = pi.degree
-            if k > degree_bound:
-                unresolved += 1
-                fully_accounted = False
-                continue
-            L1, uroot = _root_field(pi, fld)
-            # specialise each t-poly at u = uroot and take the gcd
-            ghat = UniPoly()
-            for P in polys:
-                ghat = poly_gcd(ghat, UniPoly([
-                    UniPoly([_lift_to(L1, fld, c) for c in cu.coeffs]).evaluate(uroot)
-                    for cu in P.coeffs
-                ]))
-                if ghat.degree == 0:
-                    break
-            if ghat.degree == 0:
-                continue  # spurious candidate
-            for h2, _m2 in irreducible_factors(ghat, L1):
-                if k * h2.degree > degree_bound:
-                    unresolved += 1
-                    fully_accounted = False
-                    continue
-                host, tau = _root_field(h2, L1)
-                record((host.one, _lift_to(host, L1, uroot), tau), host)
+    for pi, _ in irreducible_factors(F, p, 1, ints(G)):
+        k = len(pi) - 1
+        if k > degree_bound:
+            unresolved += 1
+            continue
+        L1, u0 = _root_field(F, pi)
+        # the gcd of the charts specialised at u = u0; a unit for a spurious candidate
+        ghat: list = []
+        for P in charts:
+            ghat = code_gcd(L1, ghat, [code_eval(L1, [L1.from_int(c) for c in cs], u0) for cs in P])
+            if len(ghat) == 1:
+                break
+        for h, _ in irreducible_factors(L1, p, k, ghat):
+            R, tau = _root_field(L1, h)
+            record(R, R.one, u0 if R is L1 else R.lift(u0), tau, k * (len(h) - 1))
 
     r = sum(pt.residue_degree for pt in points)
-    all_nodes = (
-        fully_accounted
-        and r < 8
-        and all(pt.kind == "node" for pt in points)
-        and bool(points)
-    )
-    if not fully_accounted:
-        notes.append(
-            f"candidates beyond residue degree {degree_bound} left unresolved"
-        )
+    nodes = bool(points) and all(pt.kind == "node" for pt in points)
     return SingularReport(
         prime=p,
         points=points,
         r=r,
-        all_nodes_and_r_lt8=all_nodes,
+        all_nodes_and_r_lt8=not unresolved and r < 8 and nodes,
         unresolved=unresolved,
-        notes=notes,
+        notes=[f"candidates beyond residue degree {degree_bound} left unresolved"] if unresolved else [],
     )
 
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .badred import singular_points, is_bad_prime
+from .badred import RegularizationError, singular_points, is_bad_prime
 from .brauer import build_invariant_profile, bm_verdict
 from .picard import (
     CountSeries,
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FixtureMismatch, Rejected, ValueError, TypeError, OSError) as exc:
+    except (FixtureMismatch, Rejected, RegularizationError, ValueError, TypeError, OSError) as exc:
         # ValueError covers json.JSONDecodeError and malformed sextets
         error = {"error": type(exc).__name__, "leg": getattr(exc, "leg", None), "message": str(exc)}
         json.dump(error, sys.stderr)

@@ -8,7 +8,9 @@ Small fields (order <= 2^20) carry numpy discrete-log and Zech-logarithm
 tables; the point-counting kernel works on those raw arrays directly, in the
 log domain.  The same tables, as lists (``LogArith``), are the arithmetic
 ``evaluation_arith`` gives the elimination of :mod:`k3hasse.badred` on small
-fields, with ``resultant_by_evaluation``.
+fields, with ``resultant_by_evaluation``.  ``irreducible_factors`` factors
+code lists over any field in the interface of ``poly.ModP``, such as the
+residue fields of the node locator.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ import numpy as np
 from .arith import probable_prime, strip_small_factors
 from .poly import (
     ModP,
+    Residues,
     UniPoly,
+    code_divmod,
     code_eval,
     code_gcd,
     code_interpolate,
+    code_rem,
     code_resultant,
     code_sub,
-    poly_gcd,
     poly_gcdex,
-    squarefree_decomposition,
 )
 
 TABLE_LIMIT = 2**20
@@ -538,57 +541,52 @@ def fq(p: int, n: int) -> FiniteField:
 # Factoring machinery over finite fields
 # ---------------------------------------------------------------------------
 
-def distinct_degree_factorization(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, int]]:
-    """Split a monic squarefree g into (product of its irreducible factors of
-    degree d, d) pairs."""
-    out = []
-    rem = g.monic()
-    q = field.order
-    x = UniPoly([field.zero, field.one])
-    h = x % rem
-    d = 0
-    while rem.degree > 0 and rem.degree > 2 * d:
+def irreducible_factors(A, p: int, n: int, g: list) -> list[tuple[list, int]]:
+    """The monic irreducible factors of a monic coded g, with
+    multiplicities, over a field A of odd order q = p^n in the interface of
+    ``poly.ModP`` with ``random``; powers mod g are taken in
+    ``poly.Residues``.  Distinct-degree splitting takes
+    N = gcd(g, t^(q^d) - t) for d = 1, 2, ..: once the factors of lower
+    degree are stripped from g with all their multiplicity, N is the product
+    of g's distinct irreducible factors of degree d, so no squarefree
+    decomposition is needed.  Cantor-Zassenhaus splits each N."""
+    x, d, out = [A.zero, A.one], 0, []
+    h = x
+    while len(g) > 2 * d + 2:
         d += 1
-        h = h.powmod(q, rem)
-        fac = poly_gcd(h - x, rem)
-        if fac.degree > 0:
-            out.append((fac, d))
-            rem = rem.exact_div(fac)
-            h = h % rem
-    if rem.degree > 0:
-        out.append((rem, rem.degree))
-    return out
-
-
-def equal_degree_factorization(g: UniPoly, d: int, field: FiniteField, rng=None) -> list[UniPoly]:
-    """Cantor-Zassenhaus split of a monic squarefree g all of whose irreducible
-    factors have degree d (odd characteristic)."""
-    if g.degree == d:
-        return [g.monic()]
-    if rng is None:
-        # deterministic per (field, degree profile) so factor splits reproduce
-        rng = random.Random((field.characteristic % (1 << 30)) * 1009 + field.degree * 31 + g.degree)
-    q = field.order
-    e = (q**d - 1) // 2
-    while True:
-        r = UniPoly([field.random_element(rng) for _ in range(g.degree)])
-        if r.degree < 1:
+        h = Residues(A, g).pow(h, p**n)
+        N = code_gcd(A, code_sub(A, h, x), g)
+        if len(N) == 1:
             continue
-        s = r.powmod(e, g) - UniPoly.const(field.one)
-        fac = poly_gcd(s, g)
-        if 0 < fac.degree < g.degree:
-            return (equal_degree_factorization(fac, d, field, rng)
-                    + equal_degree_factorization(g.exact_div(fac), d, field, rng))
-
-
-def irreducible_factors(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, int]]:
-    """Monic irreducible factors with multiplicities."""
-    out = []
-    for sqfree, mult in squarefree_decomposition(g):
-        for fac, d in distinct_degree_factorization(sqfree, field):
-            for irr in equal_degree_factorization(fac, d, field):
-                out.append((irr, mult))
+        for irr in _equal_degree_factors(A, p, n, N, d):
+            m = 0
+            while not (qr := code_divmod(A, g, irr))[1]:
+                g, m = qr[0], m + 1
+            out.append((irr, m))
+        h = code_rem(A, h, g)
+    if len(g) > 1:
+        out.append((g, 1))
     return out
+
+
+def _equal_degree_factors(A, p: int, n: int, g: list, d: int, rng=None) -> list[list]:
+    """Cantor-Zassenhaus split of a monic squarefree g all of whose
+    irreducible factors have degree d: gcd(r^((q^d - 1)/2) - 1, g) for random
+    r, which needs q odd."""
+    if len(g) - 1 == d:
+        return [g]
+    if rng is None:
+        # deterministic per (field, degree) so factor splits reproduce
+        rng = random.Random((p % (1 << 30)) * 1009 + n * 31 + len(g) - 1)
+    R, e = Residues(A, g), (p ** (n * d) - 1) // 2
+    while True:
+        r = R.random(rng)
+        if len(r) < 2:
+            continue
+        fac = code_gcd(A, R.sub(R.pow(r, e), R.one), g)
+        if 1 < len(fac) < len(g):
+            return (_equal_degree_factors(A, p, n, fac, d, rng)
+                    + _equal_degree_factors(A, p, n, code_divmod(A, g, fac)[0], d, rng))
 
 
 # ---------------------------------------------------------------------------

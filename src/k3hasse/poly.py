@@ -1,14 +1,14 @@
 """Univariate and trivariate polynomial arithmetic over exact coefficient rings.
 
-Coefficients are duck-typed: Python ints (ring Z), ``fractions.Fraction`` and
-finite-field elements all work, as do nested ``UniPoly`` coefficients (used by
-the elimination machinery, which treats ternary forms as polynomials in one
-variable over polynomials in another).
+``UniPoly`` and ``TernaryForm`` coefficients are duck-typed: Python ints
+(ring Z), ``fractions.Fraction`` and finite-field elements all work.  Over
+Q, ``UniPoly`` carries the charpoly and unit-root arithmetic of ``picard``.
 
-Hot loops over finite fields run on int codes instead: ``ModP`` (ints mod p)
-and the discrete-log arithmetic of ``finitefield`` share one interface, and
-the ``code_*`` routines (division, gcds, resultant, interpolation) are
-written against it, so they also run over any ring offering it.
+The certificate's computations over finite fields run on int codes
+instead: ``ModP`` (ints mod p), the discrete-log arithmetic of
+``finitefield`` and the residue fields of ``badred`` share one interface,
+and the ``code_*`` routines (division, gcds, resultant, interpolation)
+are written against it, so they run over any ring offering it.
 
 Ternary forms are homogeneous and serialise in graded-lex order with
 x0 > x1 > x2; a quadratic form is the 6 coefficients of
@@ -130,13 +130,6 @@ class UniPoly:
                 r = r * r
         return out
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return self
-        zero = self.coeffs[0] * 0
-        return UniPoly([zero] * k + list(self.coeffs))
-
     def scale(self, c) -> "UniPoly":
         """Multiply every coefficient by the ring element c.
 
@@ -197,17 +190,6 @@ class UniPoly:
         inv = _coeff_div(self.lc ** 0, self.lc)
         return UniPoly([c * inv for c in self.coeffs])
 
-    def powmod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        r = UniPoly.const(self.lc ** 0) if not self.is_zero() else UniPoly()
-        base = self % modulus
-        while e:
-            if e & 1:
-                r = (r * base) % modulus
-            e >>= 1
-            if e:
-                base = (base * base) % modulus
-        return r
-
 
 def _coeff_div(a, b):
     """a / b in the coefficient ring; exact for ints, true division otherwise."""
@@ -240,20 +222,6 @@ def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return r0 * inv_lc, s0 * inv_lc
 
 
-def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
-    """prem(a, b) = remainder of lc(b)^(deg a - deg b + 1) * a by b."""
-    d = a.degree - b.degree
-    lcb = b.lc
-    rem = a
-    for _ in range(d + 1):
-        if rem.degree < b.degree:
-            rem = rem.scale(lcb)
-            continue
-        k = rem.degree - b.degree
-        rem = rem.scale(lcb) - b.shift(k).scale(rem.lc)
-    return rem
-
-
 # ---------------------------------------------------------------------------
 # Univariate arithmetic on int codes
 # ---------------------------------------------------------------------------
@@ -261,7 +229,9 @@ def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
 # The routines below work on lists of field elements coded as plain ints,
 # lowest degree first, with a nonzero last entry (the empty list is 0).  The
 # field is an arithmetic object with the interface of ModP: ``zero``, ``one``,
-# ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``pow`` on codes.
+# ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow`` and ``from_int`` on
+# codes (``random`` only where a field is factored over).  ``Residues``
+# builds K[u]/(B) over any such K, itself in the interface.
 
 @dataclass(frozen=True)
 class ModP:
@@ -290,6 +260,9 @@ class ModP:
 
     def from_int(self, n: int) -> int:
         return n % self.p
+
+    def random(self, rng) -> int:
+        return rng.randrange(self.p)
 
 
 def code_eval(A, cs: list, x):
@@ -420,6 +393,64 @@ def code_interpolate(A, xs: range, ys) -> list:
     while cs and cs[-1] == A.zero:
         cs.pop()
     return cs
+
+
+class ZeroDivisorSplit(Exception):
+    """A zero divisor of ``Residues``, carrying the proper factor of B."""
+
+    def __init__(self, divisor: list):
+        self.divisor = divisor
+
+
+class Residues:
+    """K[u]/(B) on coded u-polynomials of degree < deg B over K, in the
+    interface of ``ModP``, treated as a field: ``inv`` raises
+    ZeroDivisorSplit with the proper factor gcd(c, B) of B at a zero divisor
+    c (dynamic evaluation).  For an irreducible B it is the field K(u0), with
+    u0 = [0, 1] a root of B and ``lift`` the embedding of K."""
+
+    def __init__(self, A, B: list):
+        self.A, self.B, self.zero = A, B, []
+        self.one = self.lift(A.one)
+
+    def lift(self, c) -> list:
+        return [] if c == self.A.zero else [c]
+
+    def from_int(self, n: int) -> list:
+        return self.lift(self.A.from_int(n))
+
+    def add(self, x, y):
+        return code_sub(self.A, x, self.neg(y))
+
+    def sub(self, x, y):
+        return code_sub(self.A, x, y)
+
+    def neg(self, x):
+        return [self.A.neg(c) for c in x]
+
+    def mul(self, x, y):
+        return code_rem(self.A, code_mul(self.A, x, y), self.B)
+
+    def inv(self, x):
+        d, s = code_gcdex(self.A, x, self.B)
+        if len(d) > 1:
+            raise ZeroDivisorSplit(d)
+        return s
+
+    def pow(self, x, e: int):
+        """x^e by square-and-multiply from the top bit."""
+        out = self.one
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, x)
+        return out
+
+    def random(self, rng) -> list:
+        r = [self.A.random(rng) for _ in range(len(self.B) - 1)]
+        while r and r[-1] == self.A.zero:
+            r.pop()
+        return r
 
 
 def squarefree_decomposition(g: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -623,67 +654,3 @@ class TernaryForm:
 
     def map_coefficients(self, fn) -> "TernaryForm":
         return TernaryForm(self.degree, {m: fn(c) for m, c in self.terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# Bivariate/ternary helpers for the elimination machinery
-# ---------------------------------------------------------------------------
-
-def ternary_to_t_over_u(form: TernaryForm, one) -> UniPoly:
-    """View g(1, u, t) as a polynomial in t whose coefficients are UniPoly in u.
-
-    ``one`` is the multiplicative unit of the coefficient field.
-    """
-    zero_u = UniPoly()
-    deg_t = max((m[2] for m in form.terms), default=0)
-    buckets: list[dict] = [dict() for _ in range(deg_t + 1)]
-    for (e0, e1, e2), c in form.terms.items():
-        b = buckets[e2]
-        b[e1] = b.get(e1, one * 0) + c
-    coeffs = []
-    for b in buckets:
-        if not b:
-            coeffs.append(zero_u)
-            continue
-        n = max(b)
-        coeffs.append(UniPoly([b.get(i, one * 0) for i in range(n + 1)]))
-    return UniPoly(coeffs)
-
-
-def bivariate_content_pp(P: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Content (gcd over K[u] of the t-coefficients) and primitive part of a
-    t-polynomial with UniPoly coefficients over a field."""
-    cont = UniPoly()
-    for c in P.coeffs:
-        if c.is_zero():
-            continue
-        cont = poly_gcd(cont, c) if not cont.is_zero() else c.monic()
-        if cont.degree == 0:
-            break
-    if cont.is_zero():
-        return cont, P
-    pp = UniPoly([c.exact_div(cont) for c in P.coeffs])
-    return cont, pp
-
-
-def bivariate_gcd(P: UniPoly, Q: UniPoly) -> UniPoly:
-    """Gcd of polynomials in t with UniPoly-over-a-field coefficients, by the
-    primitive polynomial remainder sequence."""
-    if P.is_zero():
-        return Q
-    if Q.is_zero():
-        return P
-    cp, P = bivariate_content_pp(P)
-    cq, Q = bivariate_content_pp(Q)
-    cont = poly_gcd(cp, cq)
-    if P.degree < Q.degree:
-        P, Q = Q, P
-    while not Q.is_zero() and Q.degree > 0:
-        rem = _pseudo_rem(P, Q)
-        if not rem.is_zero():
-            _, rem = bivariate_content_pp(rem)
-        P, Q = Q, rem
-    if Q.is_zero():
-        return UniPoly([c * cont for c in P.coeffs])
-    # nonzero t-constant remainder: primitive parts are coprime
-    return UniPoly([cont])

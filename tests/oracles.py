@@ -9,13 +9,18 @@ not the field arithmetic underneath.  The naive tritangent scan restricts the
 integer form to each line with ``UniPoly`` products over Z, reduces the result
 into F_p and tests squares by the library's squarefree decomposition, so it
 checks the scan on ints mod p, not those.  The subresultant ``resultant``
-runs on the library's ``UniPoly`` and pseudo-remainder; it is the reference
-for the elimination's resultant by evaluation and interpolation, and is itself
-checked against the Sylvester determinant.  The common-zero decision
-``unipoly_common_zero`` is the elimination chain on ``UniPoly``s of field
-elements (``poly_gcd``, ``poly_gcdex``, the subresultant) and borrows the
-library's shared-factor helpers; it is the reference for the chain on int
-codes in ``badred``.
+runs on the library's ``UniPoly`` and the pseudo-remainder here; it is the
+reference for the elimination's resultant by evaluation and interpolation,
+and is itself checked against the Sylvester determinant.  The common-zero
+decision ``unipoly_common_zero`` is the elimination chain on ``UniPoly``s of
+field elements (``poly_gcd``, ``poly_gcdex``, the subresultant, a bivariate
+gcd for a shared factor, each branch re-regularised); it is the reference
+for the chain on int codes in ``badred``.  The Cantor-Zassenhaus chain
+``unipoly_irreducible_factors`` and the node locator
+``unipoly_singular_points`` run on ``UniPoly``s of ``FFElem``s and on
+``ExtensionField`` towers; the locator reads the library's memoised
+elimination, so it checks the factoring, the root fields and the node
+test on codes, not the elimination.
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any
 
+import random
+from math import lcm
+
+from k3hasse import badred
 from k3hasse.arith import strip_small_factors
-from k3hasse.badred import _homogenize_bivariate, _ternary_exact_div
-from k3hasse.finitefield import FFElem, FiniteField, fq, prime_field
+from k3hasse.badred import SingularPoint, SingularReport
+from k3hasse.finitefield import ExtensionField, FFElem, FiniteField, fq, prime_field
 from k3hasse.picard import (
     CountingError,
     FrobeniusData,
@@ -40,12 +49,9 @@ from k3hasse.poly import (
     TernaryForm,
     UniPoly,
     _coeff_div,
-    _pseudo_rem,
-    bivariate_gcd,
     poly_gcd,
     poly_gcdex,
     squarefree_decomposition,
-    ternary_to_t_over_u,
 )
 
 
@@ -199,6 +205,129 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
                 for c2 in range(col, size):
                     rows[r][c2] -= factor * rows[col][c2]
     return det
+
+
+# ---------------------------------------------------------------------------
+# UniPoly helpers: powers, pseudo-remainders, bivariate gcds
+# ---------------------------------------------------------------------------
+
+def powmod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
+    """f^e modulo modulus, by square-and-multiply from the low bit."""
+    r = UniPoly.const(f.lc ** 0) if not f.is_zero() else UniPoly()
+    base = f % modulus
+    while e:
+        if e & 1:
+            r = (r * base) % modulus
+        e >>= 1
+        if e:
+            base = (base * base) % modulus
+    return r
+
+
+def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
+    """prem(a, b) = remainder of lc(b)^(deg a - deg b + 1) * a by b."""
+    d = a.degree - b.degree
+    lcb = b.lc
+    rem = a
+    for _ in range(d + 1):
+        if rem.degree < b.degree:
+            rem = rem.scale(lcb)
+            continue
+        k = rem.degree - b.degree
+        shifted = UniPoly([b.coeffs[0] * 0] * k + list(b.coeffs))  # b t^k
+        rem = rem.scale(lcb) - shifted.scale(rem.lc)
+    return rem
+
+
+def ternary_to_t_over_u(form: TernaryForm, one) -> UniPoly:
+    """View g(1, u, t) as a polynomial in t whose coefficients are UniPoly in u.
+
+    ``one`` is the multiplicative unit of the coefficient field.
+    """
+    zero_u = UniPoly()
+    deg_t = max((m[2] for m in form.terms), default=0)
+    buckets: list[dict] = [dict() for _ in range(deg_t + 1)]
+    for (e0, e1, e2), c in form.terms.items():
+        b = buckets[e2]
+        b[e1] = b.get(e1, one * 0) + c
+    coeffs = []
+    for b in buckets:
+        if not b:
+            coeffs.append(zero_u)
+            continue
+        n = max(b)
+        coeffs.append(UniPoly([b.get(i, one * 0) for i in range(n + 1)]))
+    return UniPoly(coeffs)
+
+
+def bivariate_content_pp(P: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Content (gcd over K[u] of the t-coefficients) and primitive part of a
+    t-polynomial with UniPoly coefficients over a field."""
+    cont = UniPoly()
+    for c in P.coeffs:
+        if c.is_zero():
+            continue
+        cont = poly_gcd(cont, c) if not cont.is_zero() else c.monic()
+        if cont.degree == 0:
+            break
+    if cont.is_zero():
+        return cont, P
+    pp = UniPoly([c.exact_div(cont) for c in P.coeffs])
+    return cont, pp
+
+
+def bivariate_gcd(P: UniPoly, Q: UniPoly) -> UniPoly:
+    """Gcd of polynomials in t with UniPoly-over-a-field coefficients, by the
+    primitive polynomial remainder sequence."""
+    if P.is_zero():
+        return Q
+    if Q.is_zero():
+        return P
+    cp, P = bivariate_content_pp(P)
+    cq, Q = bivariate_content_pp(Q)
+    cont = poly_gcd(cp, cq)
+    if P.degree < Q.degree:
+        P, Q = Q, P
+    while not Q.is_zero() and Q.degree > 0:
+        rem = _pseudo_rem(P, Q)
+        if not rem.is_zero():
+            _, rem = bivariate_content_pp(rem)
+        P, Q = Q, rem
+    if Q.is_zero():
+        return UniPoly([c * cont for c in P.coeffs])
+    # nonzero t-constant remainder: primitive parts are coprime
+    return UniPoly([cont])
+
+
+def _homogenize_bivariate(P: UniPoly, fld) -> TernaryForm:
+    """Homogenise an affine P(u, t) (t-poly over K[u]) back to a ternary form."""
+    total = 0
+    for k, cu in enumerate(P.coeffs):
+        if not cu.is_zero():
+            total = max(total, k + cu.degree)
+    terms = {}
+    for k, cu in enumerate(P.coeffs):
+        for j, c in enumerate(cu.coeffs):
+            if c:
+                terms[(total - j - k, j, k)] = c
+    return TernaryForm(total, terms)
+
+
+def _ternary_exact_div(f: TernaryForm, g: TernaryForm) -> TernaryForm:
+    """Exact division of homogeneous forms by leading-term elimination."""
+    out = {}
+    rem = f
+    glead = max(g.terms)
+    gc = g.terms[glead]
+    while rem.terms:
+        flead = max(rem.terms)
+        mono = tuple(a - b for a, b in zip(flead, glead))
+        if any(e < 0 for e in mono):
+            raise ValueError("inexact ternary division")
+        coeff = rem.terms[flead] / gc
+        out[mono] = coeff
+        rem = rem - TernaryForm(f.degree - g.degree, {mono: coeff}) * g
+    return TernaryForm(f.degree - g.degree, out)
 
 
 def resultant(f: UniPoly, g: UniPoly):
@@ -407,6 +536,203 @@ def unipoly_common_zero(system: list[TernaryForm], fld) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Factoring and the node locator on UniPolys of field elements
+# ---------------------------------------------------------------------------
+#
+# The references for ``finitefield.irreducible_factors`` and
+# ``badred.singular_points``, which run on int codes: the Cantor-Zassenhaus
+# chain on ``UniPoly``s of ``FFElem``s after a squarefree decomposition, and
+# the locator reading the same memoised elimination decoded to ``UniPoly``s,
+# with its roots in ``ExtensionField`` towers.
+
+def uni(elim, cs: list) -> UniPoly:
+    """A coded polynomial of an elimination, decoded."""
+    return UniPoly([elim.decode(c) for c in cs])
+
+
+def decoded_forms(elim) -> list[TernaryForm]:
+    """An elimination's transformed forms, decoded."""
+    return [
+        TernaryForm(len(P) - 1, {
+            (len(P) - 1 - j - k, j, k): elim.decode(c)
+            for k, row in enumerate(P) for j, c in enumerate(row)
+        })
+        for P in elim.charts
+    ]
+
+
+def distinct_degree_factorization(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, int]]:
+    """Split a monic squarefree g into (product of its irreducible factors of
+    degree d, d) pairs."""
+    out = []
+    rem = g.monic()
+    q = field.order
+    x = UniPoly([field.zero, field.one])
+    h = x % rem
+    d = 0
+    while rem.degree > 0 and rem.degree > 2 * d:
+        d += 1
+        h = powmod(h, q, rem)
+        fac = poly_gcd(h - x, rem)
+        if fac.degree > 0:
+            out.append((fac, d))
+            rem = rem.exact_div(fac)
+            h = h % rem
+    if rem.degree > 0:
+        out.append((rem, rem.degree))
+    return out
+
+
+def equal_degree_factorization(g: UniPoly, d: int, field: FiniteField, rng=None) -> list[UniPoly]:
+    """Cantor-Zassenhaus split of a monic squarefree g all of whose irreducible
+    factors have degree d (odd characteristic)."""
+    if g.degree == d:
+        return [g.monic()]
+    if rng is None:
+        rng = random.Random((field.characteristic % (1 << 30)) * 1009 + field.degree * 31 + g.degree)
+    q = field.order
+    e = (q**d - 1) // 2
+    while True:
+        r = UniPoly([field.random_element(rng) for _ in range(g.degree)])
+        if r.degree < 1:
+            continue
+        s = powmod(r, e, g) - UniPoly.const(field.one)
+        fac = poly_gcd(s, g)
+        if 0 < fac.degree < g.degree:
+            return (equal_degree_factorization(fac, d, field, rng)
+                    + equal_degree_factorization(g.exact_div(fac), d, field, rng))
+
+
+def unipoly_irreducible_factors(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, int]]:
+    """Monic irreducible factors with multiplicities."""
+    out = []
+    for sqfree, mult in squarefree_decomposition(g):
+        for fac, d in distinct_degree_factorization(sqfree, field):
+            for irr in equal_degree_factorization(fac, d, field):
+                out.append((irr, mult))
+    return out
+
+
+def _lift_to(dst, src, elem):
+    """Embed elem of src into dst, where dst is src or a tower over src."""
+    chain = []
+    cur = dst
+    while cur is not src:
+        chain.append(cur)
+        cur = cur.base
+    for fld in reversed(chain):
+        elem = fld.from_base(elem)
+    return elem
+
+
+def _root_field(irr: UniPoly, fld):
+    """A field holding a root of the monic irreducible irr over fld, and the root."""
+    if irr.degree == 1:
+        return fld, -irr.coeffs[0]
+    host = ExtensionField(fld, irr)
+    return host, host.gen
+
+
+def _classify_point(f_mod: TernaryForm, coords, fld) -> str:
+    """node iff the gradient vanishes and the 2x2 Hessian of the local
+    dehomogenization is nonsingular at the point."""
+    lift = lambda form: form.map_coefficients(lambda c: _lift_to(fld, c.field, c))
+    if lift(f_mod).evaluate(coords):
+        return "non-node"
+    for i in range(3):
+        if lift(f_mod.partial(i)).evaluate(coords):
+            return "non-node"
+    pivot = next(i for i, c in enumerate(coords) if c)
+    i, j = [k for k in range(3) if k != pivot]
+    hii = lift(f_mod.partial(i).partial(i)).evaluate(coords)
+    hij = lift(f_mod.partial(i).partial(j)).evaluate(coords)
+    hjj = lift(f_mod.partial(j).partial(j)).evaluate(coords)
+    return "node" if hii * hjj - hij * hij else "non-node"
+
+
+def _elem_json(elem):
+    val = elem.val
+    if isinstance(val, int):
+        return val
+    return [_elem_json(c) for c in val]
+
+
+def unipoly_singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularReport:
+    """``badred.singular_points`` on UniPolys of field elements: the
+    memoised elimination decoded, factored by the chain above, with each
+    root in an ``ExtensionField`` (a tower for a point whose chart gcd needs
+    a second extension), the residue degree the lcm of the Frobenius degrees
+    of the coordinates, and nodes classified on field elements."""
+    fld = prime_field(p)
+    fp = f.map_coefficients(lambda c: fld.from_int(c))
+    system = badred.jacobian_system(fp)
+    elim = badred._eliminate(tuple(system), fld)
+    assert elim.fld is fld and badred.singular_locus_nonempty(fp)
+    G, zero_pair = elim.chart
+    assert zero_pair is None
+    ginf, G = uni(elim, elim.ginf), uni(elim, G)
+    polys = [UniPoly([uni(elim, c) for c in P]) for P in elim.charts]
+    points: list[SingularPoint] = []
+    unresolved = 0
+
+    def record(y_coords, host_fld):
+        y0, y1, y2 = y_coords
+        a = _lift_to(host_fld, fld, elim.a)
+        b = _lift_to(host_fld, fld, elim.b)
+        x = (y0 + a * y2, y1 + b * y2, y2)
+        pivot = next(c for c in x if c)
+        inv = host_fld.one / pivot
+        x = tuple(c * inv for c in x)
+        rdeg = lcm(*(host_fld.element_degree(c) for c in x))
+        kind = _classify_point(fp, x, host_fld)
+        points.append(SingularPoint([_elem_json(c) for c in x], rdeg, kind))
+
+    # the line y0 = 0
+    if ginf.degree > 0:
+        for irr, _mult in unipoly_irreducible_factors(ginf, fld):
+            if irr.degree > degree_bound:
+                unresolved += 1
+                continue
+            host, tau = _root_field(irr, fld)
+            record((host.zero, host.one, tau), host)
+
+    # the chart y0 = 1
+    if G.degree > 0:
+        for pi, _mult in unipoly_irreducible_factors(G, fld):
+            k = pi.degree
+            if k > degree_bound:
+                unresolved += 1
+                continue
+            L1, uroot = _root_field(pi, fld)
+            ghat = UniPoly()
+            for P in polys:
+                ghat = poly_gcd(ghat, UniPoly([
+                    UniPoly([_lift_to(L1, fld, c) for c in cu.coeffs]).evaluate(uroot)
+                    for cu in P.coeffs
+                ]))
+                if ghat.degree == 0:
+                    break
+            if ghat.degree == 0:
+                continue  # spurious candidate
+            for h2, _m2 in unipoly_irreducible_factors(ghat, L1):
+                if k * h2.degree > degree_bound:
+                    unresolved += 1
+                    continue
+                host, tau = _root_field(h2, L1)
+                record((host.one, _lift_to(host, L1, uroot), tau), host)
+
+    r = sum(pt.residue_degree for pt in points)
+    return SingularReport(
+        prime=p,
+        points=points,
+        r=r,
+        all_nodes_and_r_lt8=not unresolved and r < 8 and bool(points) and all(pt.kind == "node" for pt in points),
+        unresolved=unresolved,
+        notes=[f"candidates beyond residue degree {degree_bound} left unresolved"] if unresolved else [],
+    )
+
+
+# ---------------------------------------------------------------------------
 # Field construction on field elements
 # ---------------------------------------------------------------------------
 #
@@ -425,14 +751,14 @@ def is_irreducible(f: UniPoly, field: FiniteField) -> bool:
     x = UniPoly([field.zero, field.one])
     xq = x
     for _ in range(n):
-        xq = xq.powmod(q, f)
+        xq = powmod(xq, q, f)
     if xq != x % f:
         return False
     for l in sorted({l for l, _ in strip_small_factors(n)[0]}):
         e = n // l
         xe = x
         for _ in range(e):
-            xe = xe.powmod(q, f)
+            xe = powmod(xe, q, f)
         if poly_gcd(xe - x, f).degree != 0:
             return False
     return True

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -16,17 +18,21 @@ from k3hasse.badred import (
     singular_points,
     verify_bad_prime_list,
 )
-from k3hasse.finitefield import fq, prime_field
-from k3hasse.poly import (
-    TernaryForm,
-    UniPoly,
-    monomials_of_degree,
-    squarefree_decomposition,
-    ternary_to_t_over_u,
-)
+from k3hasse.finitefield import ExtensionField, fq, prime_field
+from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
-from .oracles import compose_linear, resultant, unipoly_common_zero, unipoly_frame
+from .conftest import _clear_memos
+from .oracles import (
+    compose_linear,
+    decoded_forms,
+    resultant,
+    ternary_to_t_over_u,
+    uni,
+    unipoly_common_zero,
+    unipoly_frame,
+    unipoly_singular_points,
+)
 
 
 def _exhaustive_singular_search(f: TernaryForm, p: int, max_e: int) -> bool:
@@ -133,10 +139,10 @@ def test_chart_resultants_of_the_lifted_mod_3_system(example_sextic):
     F3 = prime_field(3)
     elim = badred._eliminate(tuple(jacobian_system(reduce_mod(example_sextic, F3))), F3)
     assert elim.fld is fq(3, 2)
-    decoded = [UniPoly([elim.uni(c) for c in P]) for P in elim.charts]
-    assert decoded == [ternary_to_t_over_u(g, elim.fld.one) for g in elim.forms()]
+    decoded = [UniPoly([uni(elim, c) for c in P]) for P in elim.charts]
+    assert decoded == [ternary_to_t_over_u(g, elim.fld.one) for g in decoded_forms(elim)]
     for (P, Pd), (Q, Qd) in combinations(zip(elim.charts, decoded), 2):
-        assert elim.uni(badred.resultant(elim.A, P, Q)) == resultant(Pd, Qd)
+        assert uni(elim, badred.resultant(elim.A, P, Q)) == resultant(Pd, Qd)
 
 
 def test_singular_points_needs_a_frame_over_the_prime_field():
@@ -254,17 +260,17 @@ def test_singular_points_example_primes(example_sextic):
     rep5 = singular_points(example_sextic, 5, 6)
     assert rep5.r == 2
     assert rep5.all_nodes_and_r_lt8
-    assert sorted(pt.coords_json() for pt in rep5.points) == [[0, 1, 0], [1, 0, 2]]
+    assert sorted(pt.coords for pt in rep5.points) == [[0, 1, 0], [1, 0, 2]]
     rep7 = singular_points(example_sextic, 7, 6)
     assert rep7.r == 1 and rep7.all_nodes_and_r_lt8
-    assert rep7.points[0].coords_json() == [1, 0, 3]
+    assert rep7.points[0].coords == [1, 0, 3]
 
 
 def test_singular_points_constructed_node():
     # x0 x1 x2^4 + x0^6 + x1^6 has a node at (0,0,1) mod 7
     f = TernaryForm(6, {(1, 1, 4): 1, (6, 0, 0): 1, (0, 6, 0): 1})
     rep = singular_points(f, 7, 6)
-    assert any(pt.coords_json() == [0, 0, 1] and pt.kind == "node" for pt in rep.points)
+    assert any(pt.coords == [0, 0, 1] and pt.kind == "node" for pt in rep.points)
 
 
 def test_singular_points_requires_bad_prime():
@@ -335,7 +341,7 @@ def test_d5_keeps_a_factor_of_g_whose_multiplicity_p_divides():
     assert len(elim.ginf) == 1  # nothing on the line y0 = 0
     G, zero_pair = elim.chart
     assert zero_pair is None
-    assert [(fac.degree, m) for fac, m in squarefree_decomposition(elim.uni(G))] == [(1, 9)]
+    assert [(fac.degree, m) for fac, m in squarefree_decomposition(uni(elim, G))] == [(1, 9)]
     assert badred._system_has_common_zero(system, F3)
     assert unipoly_common_zero(system, F3)
 
@@ -368,19 +374,17 @@ def test_reported_nodes_pass_independent_hessian_check(example_sextic):
         fp = reduce_mod(example_sextic, field)
         rep = singular_points(example_sextic, p, 6)
         for pt in rep.points:
-            host = pt.coords[0].field if hasattr(pt.coords[0], "field") else field
-            lift = lambda form: form.map_coefficients(
-                lambda c: host.from_int(c.field.encode(c)) if c.field is field else c
-            )
-            coords = pt.coords
-            assert not lift(fp).evaluate(coords)
+            # every singular point of the example mod 5 and 7 is rational
+            assert pt.residue_degree == 1 and all(isinstance(c, int) for c in pt.coords)
+            coords = [field.from_int(c) for c in pt.coords]
+            assert not fp.evaluate(coords)
             for i in range(3):
-                assert not lift(fp.partial(i)).evaluate(coords)
+                assert not fp.partial(i).evaluate(coords)
             pivot = next(i for i, c in enumerate(coords) if c)
             i, j = [k for k in range(3) if k != pivot]
-            hii = lift(fp.partial(i).partial(i)).evaluate(coords)
-            hij = lift(fp.partial(i).partial(j)).evaluate(coords)
-            hjj = lift(fp.partial(j).partial(j)).evaluate(coords)
+            hii = fp.partial(i).partial(i).evaluate(coords)
+            hij = fp.partial(i).partial(j).evaluate(coords)
+            hjj = fp.partial(j).partial(j).evaluate(coords)
             assert (pt.kind == "node") == bool(hii * hjj - hij * hij)
 
 
@@ -418,3 +422,211 @@ def test_verify_bad_prime_list(example_sextic, fixtures):
     assert any("fixture" in note for note in att2.notes)
     with pytest.raises(AssertionError):
         verify_bad_prime_list(example_sextic, fixtures.bad_primes, (5,))
+
+
+def test_singular_points_refuses_p_2():
+    """Cantor-Zassenhaus needs an odd field order; mod 2 the locator refuses
+    with is_bad_prime's ValueError instead of searching for a split forever."""
+    f = TernaryForm(6, {
+        (4, 1, 1): 1, (4, 0, 2): 1, (3, 3, 0): 1, (3, 2, 1): 1, (3, 1, 2): 1, (3, 0, 3): 2,
+        (2, 3, 1): 1, (2, 2, 2): 2, (2, 1, 3): 2, (2, 0, 4): 2, (1, 5, 0): 1, (1, 3, 2): 2,
+        (1, 2, 3): 1, (1, 1, 4): 2, (1, 0, 5): 1, (0, 4, 2): 1, (0, 2, 4): 1, (0, 1, 5): 1,
+    })
+    with pytest.raises(ValueError) as refused:
+        singular_points(f, 2, 6)
+    with pytest.raises(ValueError) as decision:
+        is_bad_prime(f, 2)
+    assert str(refused.value) == str(decision.value)
+
+
+# ---------------------------------------------------------------------------
+# The node locator on codes against the FFElem locator of the oracles
+# ---------------------------------------------------------------------------
+
+def _sorted_json(report) -> str:
+    out = report.to_json_dict()
+    out["points"] = sorted(out["points"], key=json.dumps)
+    return json.dumps(out, sort_keys=True)
+
+
+def _orbit_sextic(rng, p: int, m: int) -> TernaryForm:
+    """a x2^2 + b x2 C + c C^2 for random a, b, c and a binary form C(x0, x1)
+    of degree m, irreducible mod p: singular at the Galois orbit of m points
+    where x2 = C = 0."""
+    F = badred.ModP(p)
+    while True:
+        cs = [rng.randrange(p) for _ in range(m)] + [1]
+        if [len(irr) for irr, _ in badred.irreducible_factors(F, p, 1, cs)] == [m + 1]:
+            break
+    x2 = TernaryForm(1, {(0, 0, 1): 1})
+    C = TernaryForm(m, {(m - i, i, 0): c for i, c in enumerate(cs)})
+    a, b, c = (_random_form(rng, d, -1, 1) for d in (4, 5 - m, 6 - 2 * m))
+    return a * x2 * x2 + b * x2 * C + c * C * C
+
+
+def _tower_sextic(rng) -> TernaryForm:
+    """a Q1^2 + b Q1 Q2 + c Q2^2 with Q1 = x1^2 - 3 x0^2 and
+    Q2 = x2^2 - alpha x0^2 - beta x0 x1, singular mod 7 where Q1 = Q2 = 0:
+    x1/x0 = +-sqrt(3) generates F_49, and x2/x0 a square root of
+    alpha + beta x1/x0, of degree 2 over F_49 for a non-square.  c is 1 at
+    x0 x2, x1 x2 and x2^2, so the Jacobian system misses [0:0:1] and the
+    frame is (0, 0): u = x1/x0 has degree k = 2 and t = x2/x0 degree e = 2
+    over F_p(u)."""
+    alpha, beta = rng.randrange(7), rng.randrange(7)
+    Q1 = TernaryForm(2, {(0, 2, 0): 1, (2, 0, 0): -3})
+    Q2 = TernaryForm(2, {(0, 0, 2): 1, (2, 0, 0): -alpha, (1, 1, 0): -beta})
+    a, b, c = (_random_form(rng, 2, -1, 1) for _ in range(3))
+    c = TernaryForm(2, {**c.terms, (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1})
+    return a * Q1 * Q1 + b * Q1 * Q2 + c * Q2 * Q2
+
+
+def _locatable(f: TernaryForm, p: int, degree_bound: int = 6):
+    try:
+        return singular_points(f, p, degree_bound)
+    except (PositiveDimensionalLocus, RegularizationError, DegenerateReduction):
+        return None
+
+
+def test_singular_points_match_the_oracle_at_the_shipped_primes(example_sextic, fixtures):
+    for p in fixtures.bad_primes:
+        if p != 2:
+            got = singular_points(example_sextic, p, 6)
+            assert _sorted_json(got) == _sorted_json(unipoly_singular_points(example_sextic, p, 6))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_singular_points_of_conjugate_pairs_and_triples_match_the_oracle(p):
+    """Orbits of 2 and 3 points, mod 5 .. 13 on discrete logs and mod 31 > D
+    on ints mod p, located and classified as the FFElem locator does."""
+    rng = random.Random(p)
+    for m in (2, 3):
+        orbits = 0
+        for _ in range(4):
+            f = _orbit_sextic(rng, p, m)
+            report = _locatable(f, p)
+            if report is None:
+                continue
+            assert _sorted_json(report) == _sorted_json(unipoly_singular_points(f, p, 6))
+            orbits += any(pt.residue_degree == m for pt in report.points)
+        assert orbits >= 1
+
+
+def _is_tower_point(pt) -> bool:
+    return pt.residue_degree == 4 and all(isinstance(c, list) and isinstance(c[0], list) for c in pt.coords)
+
+
+def test_degree_4_points_in_a_two_level_tower_match_the_oracle():
+    """Points of residue degree k e = 2 * 2 = 4 mod 7: the root of the chart
+    gcd lives in a residue field over the residue field F_7[u]/(pi), and
+    its coordinates are nested coefficient lists."""
+    rng = random.Random(43)
+    towers = 0
+    for _ in range(8):
+        f = _tower_sextic(rng)
+        report = _locatable(f, 7)
+        if report is None:
+            continue
+        assert _sorted_json(report) == _sorted_json(unipoly_singular_points(f, 7, 6))
+        towers += any(_is_tower_point(pt) for pt in report.points)
+    assert towers >= 2
+
+
+def test_degree_bound_below_an_orbit_leaves_it_unresolved():
+    """A bound below an orbit's degree leaves the orbit unresolved, notes it
+    and withholds the nodal verdict; the oracle agrees at the same bound.
+    A triple exceeds bound 2 at its first factor (pi or the line's gcd), a
+    tower point bound 3 only at the second level (k = 2, k e = 4)."""
+    rng = random.Random(47)
+    cases = []
+    while len(cases) < 2:
+        f = _orbit_sextic(rng, 7, 3)
+        if (full := _locatable(f, 7)) and any(pt.residue_degree == 3 for pt in full.points):
+            cases.append((f, 7, 2))
+    while len(cases) < 4:
+        f = _tower_sextic(rng)
+        if (full := _locatable(f, 7)) and any(_is_tower_point(pt) for pt in full.points):
+            cases.append((f, 7, 3))
+    for f, p, bound in cases:
+        report = singular_points(f, p, bound)
+        assert report.unresolved >= 1
+        assert report.notes == [f"candidates beyond residue degree {bound} left unresolved"]
+        assert not report.all_nodes_and_r_lt8
+        assert all(pt.residue_degree <= bound for pt in report.points)
+        assert _sorted_json(report) == _sorted_json(unipoly_singular_points(f, p, bound))
+
+
+# ---------------------------------------------------------------------------
+# The shared-factor split on codes
+# ---------------------------------------------------------------------------
+
+def _count_splits(monkeypatch) -> list:
+    calls = []
+    split = badred._split_common_factor
+
+    def counted(elim, i, j):
+        calls.append((i, j))
+        return split(elim, i, j)
+
+    monkeypatch.setattr(badred, "_split_common_factor", counted)
+    return calls
+
+
+def _shared_factor_system(rng, forms: int) -> list[TernaryForm]:
+    """H Q1, H Q2 and forms - 2 further random forms, of degree at most 5."""
+    H = _random_form(rng, rng.randrange(1, 3), -3, 3)
+    Q1, Q2 = (_random_form(rng, rng.randrange(1, 4), -3, 3) for _ in range(2))
+    return [H * Q1, H * Q2] + [_random_form(rng, rng.randrange(1, 4), -3, 3) for _ in range(forms - 2)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 37])
+def test_shared_factor_split_matches_the_oracle(p, monkeypatch):
+    """H Q1, H Q2 with a third form or none, and with a third and a fourth
+    (whose common zeros the split's branches can lack): the decision on
+    codes, splitting off H in the frame of the elimination, equals the
+    UniPoly decision, which splits by a bivariate gcd and re-regularises
+    each branch.  The split runs on at least a quarter of the systems."""
+    F = prime_field(p)
+    rng = random.Random(1000 + p)
+    splits = _count_splits(monkeypatch)
+    verdicts, split_systems, total = Counter(), 0, 0
+    for forms in [2] * 10 + [3] * 19 + [4] * 19:
+        system = [reduce_mod(g, F) for g in _shared_factor_system(rng, forms)]
+        if any(g.is_zero() for g in system):
+            continue
+        splits.clear()
+        got = badred._system_has_common_zero(system, F)
+        assert got == unipoly_common_zero(system, F), system
+        verdicts[got] += 1
+        split_systems += bool(splits)
+        total += 1
+    assert total >= 40 and 4 * split_systems >= total
+    assert verdicts[True] and verdicts[False]
+
+
+def test_bad_prime_chain_builds_no_unipoly_and_no_extension_product(example_sextic, fixtures, monkeypatch):
+    """With the fields built, the decision and the locator at the nine
+    shipped odd bad primes and a decision through the shared-factor split
+    construct no UniPoly and multiply or invert no ExtensionField element."""
+    F5 = prime_field(5)
+    rng = random.Random(5)
+    shared = [reduce_mod(g, F5) for g in _shared_factor_system(rng, 3)]
+
+    def run():
+        for p in fixtures.bad_primes:
+            if p != 2:
+                assert is_bad_prime(example_sextic, p)
+                singular_points(example_sextic, p, 6)
+        return badred._system_has_common_zero(shared, F5)
+
+    want = unipoly_common_zero(shared, F5)
+    run()
+    _clear_memos()
+    counts = Counter()
+    init = UniPoly.__init__
+    monkeypatch.setattr(UniPoly, "__init__", lambda self, coeffs=(): counts.update(["UniPoly"]) or init(self, coeffs))
+    for name in ("_mul", "_inv"):
+        op = getattr(ExtensionField, name)
+        monkeypatch.setattr(ExtensionField, name, lambda self, *a, op=op, name=name: counts.update([name]) or op(self, *a))
+    splits = _count_splits(monkeypatch)
+    assert run() == want
+    assert splits and counts == Counter()

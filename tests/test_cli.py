@@ -89,6 +89,25 @@ def test_badprimes_on_a_positive_dimensional_singular_locus(tmp_path, capsys):
     assert error["message"].startswith("mod 5 the Jacobian system is one form")
 
 
+def test_badprimes_on_a_locus_that_needs_a_frame_over_an_extension(tmp_path, capsys):
+    """Mod 3 some form of this sextet's Jacobian system vanishes at each
+    point [a:b:1] of P^2(F_3), so its frame exists only over F_9, where the
+    node locator does not work: a typed error, not a traceback."""
+    rows = {
+        "A": [-1, -1, 1, 0, 1, 1], "B": [0, 1, -1, 1, 0, -1], "C": [0, -1, -1, 0, 0, -1],
+        "D": [0, 0, 0, 1, 0, -1], "E": [-1, 0, -1, 0, -1, -1], "F": [0, 0, -1, 0, 0, 1],
+    }
+    sextet, primes = tmp_path / "sextet.json", tmp_path / "primes.json"
+    sextet.write_text(json.dumps(rows))
+    primes.write_text('["3"]')
+    assert main(["badprimes", "--sextet", str(sextet), "--primes", str(primes)]) == 2
+    assert _error(capsys) == {
+        "error": "RegularizationError",
+        "leg": None,
+        "message": "the singular points mod 3 need a frame over an extension",
+    }
+
+
 @pytest.mark.parametrize("depth", [0, -1])
 def test_count_rejects_a_depth_below_1(example_sextet, tmp_path, capsys, depth):
     path = tmp_path / "sextet.json"

@@ -12,9 +12,17 @@ from k3hasse.finitefield import (
     prime_field,
     resultant_by_evaluation,
 )
-from k3hasse.poly import ModP, TernaryForm, UniPoly, code_eval, newton_weights, ternary_to_t_over_u
+from k3hasse.poly import ModP, Residues, TernaryForm, UniPoly, code_eval, code_mul, newton_weights
 
-from .oracles import canonical_modulus, find_generator, is_irreducible, quadratic_character, resultant
+from .oracles import (
+    canonical_modulus,
+    find_generator,
+    is_irreducible,
+    quadratic_character,
+    resultant,
+    ternary_to_t_over_u,
+    unipoly_irreducible_factors,
+)
 
 
 def test_make_field_canonical_moduli():
@@ -177,35 +185,68 @@ def test_character_transfer_rule_exhaustive(n):
 def test_roots_in_extensions_examples():
     """Roots in extensions are the roots of the irreducible factors, each in
     the extension that its factor defines."""
-    F3 = fq(3, 1)
-    zero, one = F3.zero, F3.one
-    x3mx = UniPoly([zero, -one, zero, one])
-    factors = irreducible_factors(x3mx, F3)
-    assert sorted((-irr.coeffs[0]).val for irr, _ in factors) == [0, 1, 2]
-    assert all(irr.degree == 1 and m == 1 for irr, m in factors)
+    A, F3 = ModP(3), fq(3, 1)
+    factors = irreducible_factors(A, 3, 1, [0, 2, 0, 1])  # t^3 - t
+    assert sorted(A.neg(irr[0]) for irr, _ in factors) == [0, 1, 2]
+    assert all(len(irr) == 2 and m == 1 for irr, m in factors)
 
-    x2p1 = UniPoly([one, zero, one])
-    ((irr, m),) = irreducible_factors(x2p1, F3)
-    assert irr.degree == 2 and m == 1
-    ext = ExtensionField(F3, irr)
+    ((irr, m),) = irreducible_factors(A, 3, 1, [1, 0, 1])  # t^2 + 1
+    assert len(irr) == 3 and m == 1
+    ext = ExtensionField(F3, UniPoly([F3.decode(c) for c in irr]))
     r0, r1 = ext.gen, ext.frobenius(ext.gen)
     assert ext.element_degree(r0) == ext.element_degree(r1) == 2
     assert r0 != r1 and r0 * r0 == -ext.one
 
-    xm1 = UniPoly([-one, one])
-    ((irr, m),) = irreducible_factors(xm1, F3)
-    assert -irr.coeffs[0] == one and m == 1
+    ((irr, m),) = irreducible_factors(A, 3, 1, [2, 1])  # t - 1
+    assert A.neg(irr[0]) == 1 and m == 1
 
 
 def test_roots_counted_with_multiplicity():
     rng = random.Random(31)
-    F5 = fq(5, 1)
+    A = ModP(5)
     for _ in range(15):
         deg = rng.randrange(1, 4)
-        coeffs = [F5.decode(rng.randrange(5)) for _ in range(deg)] + [F5.one]
-        g = UniPoly(coeffs) ** rng.randrange(1, 3)
-        factors = irreducible_factors(g, F5)
-        assert sum(m * irr.degree for irr, m in factors) == g.degree
+        g = [1]
+        for _ in range(rng.randrange(1, 3)):
+            g = code_mul(A, g, [rng.randrange(5) for _ in range(deg)] + [1])
+        factors = irreducible_factors(A, 5, 1, g)
+        assert sum(m * (len(irr) - 1) for irr, m in factors) == len(g) - 1
+
+
+def _residue_field(p: int, k: int):
+    """F_p[u]/(pi) on codes for the canonical modulus pi of fq(p, k), and the
+    same field as an ``ExtensionField`` of ``FFElem``s."""
+    mod = [c.val for c in fq(p, k).modulus.coeffs]
+    return (ModP(p) if k == 1 else Residues(ModP(p), mod)), fq(p, k)
+
+
+def _decode_residue(K, fld, c):
+    """The ``FFElem`` of fld behind the code c of K."""
+    if isinstance(c, int):
+        return fld.decode(c)
+    return fld.decode(sum(d * fld.characteristic**i for i, d in enumerate(c)))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (3, 3)])
+def test_irreducible_factors_match_the_cantor_zassenhaus_oracle(p, k):
+    """The factoring on codes, over F_p and over a residue field
+    F_p[u]/(pi), equals the UniPoly chain of the oracle on products of random
+    factors with multiplicities, stripped without a squarefree decomposition:
+    the same factors, multiplicities and order for squarefree inputs."""
+    K, fld = _residue_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for _ in range(12):
+        g = [K.one]
+        for _ in range(rng.randrange(1, 4)):
+            factor = [K.random(rng) for _ in range(rng.randrange(1, 4))] + [K.one]
+            for _ in range(rng.randrange(1, 3)):
+                g = code_mul(K, g, factor)
+        got = irreducible_factors(K, p, k, g)
+        want = unipoly_irreducible_factors(UniPoly([_decode_residue(K, fld, c) for c in g]), fld)
+        decoded = [(UniPoly([_decode_residue(K, fld, c) for c in irr]), m) for irr, m in got]
+        assert sorted(map(repr, decoded)) == sorted(map(repr, want))
+        if all(m == 1 for _, m in want):
+            assert decoded == want
 
 
 def test_extension_field_arithmetic_axioms():
