@@ -18,8 +18,8 @@ from k3hasse.badred import (
     singular_points,
     verify_bad_prime_list,
 )
-from k3hasse.finitefield import ExtensionField, fq, prime_field
-from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
+from k3hasse.finitefield import ExtensionField, fq, irreducible_factors, prime_field
+from k3hasse.poly import ModP, TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
 from .conftest import _clear_memos
@@ -453,10 +453,9 @@ def _orbit_sextic(rng, p: int, m: int) -> TernaryForm:
     """a x2^2 + b x2 C + c C^2 for random a, b, c and a binary form C(x0, x1)
     of degree m, irreducible mod p: singular at the Galois orbit of m points
     where x2 = C = 0."""
-    F = badred.ModP(p)
     while True:
         cs = [rng.randrange(p) for _ in range(m)] + [1]
-        if [len(irr) for irr, _ in badred.irreducible_factors(F, p, 1, cs)] == [m + 1]:
+        if [len(irr) for irr, _ in irreducible_factors(ModP(p), p, 1, cs)] == [m + 1]:
             break
     x2 = TernaryForm(1, {(0, 0, 1): 1})
     C = TernaryForm(m, {(m - i, i, 0): c for i, c in enumerate(cs)})
