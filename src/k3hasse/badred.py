@@ -60,6 +60,7 @@ from .poly import (
 from .finitefield import (
     code_chart_resultant,
     evaluation_arith,
+    evaluation_points,
     fq,
     irreducible_factors,
     prime_field,
@@ -300,14 +301,15 @@ def _split_common_factor(elim: _Elimination, i: int, j: int) -> bool:
     rest.  Both branches recurse in the same frame and arithmetic: H and
     its cofactors divide forms that do not vanish at [0:0:1].
 
-    H comes from the resultant's own D + 1 points x.  The gcd of P_i(x, t)
-    and P_j(x, t) has degree at least e = deg_t H, and is H(x, t) off the
-    roots of Res_t(P_i/H, P_j/H), at most (deg P_i - e)(deg P_j - e) <= D - e
-    of them.  So the least gcd degree is e, reached at e + 1 points or more,
-    and H interpolates from e + 1 of them."""
+    H comes from the resultant's own D + 1 ``evaluation_points`` x.  The
+    gcd of P_i(x, t) and P_j(x, t) has degree at least e = deg_t H, and is
+    H(x, t) off the roots of Res_t(P_i/H, P_j/H), at most
+    (deg P_i - e)(deg P_j - e) <= D - e of them.  So the least gcd degree is
+    e, reached at e + 1 points or more, and H interpolates from e + 1 of
+    them."""
     A, charts = elim.A, elim.charts
     P, Q = charts[i], charts[j]
-    points = range(A.zero, A.zero + (len(P) - 1) * (len(Q) - 1) + 1)
+    points = evaluation_points(A, (len(P) - 1) * (len(Q) - 1))
     at = lambda R, x: [code_eval(A, c, x) for c in R]
     gcds = [code_gcd(A, at(P, x), at(Q, x)) for x in points]
     e = min(map(len, gcds)) - 1
@@ -480,12 +482,12 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         points.append(SingularPoint([_json(R, c) for c in x], degree, _classify_point(f, R, x)))
 
     # the line y0 = 0
-    for irr, _ in irreducible_factors(F, p, 1, ints(elim.ginf)):
+    for irr, _ in irreducible_factors(F, ints(elim.ginf)):
         R, tau = _root_field(F, irr)
         record(R, R.zero, R.one, tau, len(irr) - 1)
 
     # the chart y0 = 1
-    for pi, _ in irreducible_factors(F, p, 1, ints(G)):
+    for pi, _ in irreducible_factors(F, ints(G)):
         k = len(pi) - 1
         if k > degree_bound:
             unresolved += 1
@@ -497,7 +499,7 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
             ghat = code_gcd(L1, ghat, [code_eval(L1, [L1.from_int(c) for c in cs], u0) for cs in P])
             if len(ghat) == 1:
                 break
-        for h, _ in irreducible_factors(L1, p, k, ghat):
+        for h, _ in irreducible_factors(L1, ghat):
             R, tau = _root_field(L1, h)
             record(R, R.one, u0 if R is L1 else R.lift(u0), tau, k * (len(h) - 1))
 

@@ -8,7 +8,7 @@ Small fields (order <= 2^20) carry numpy discrete-log and Zech-logarithm
 tables; the point-counting kernel works on those raw arrays directly, in the
 log domain.  The same tables, as lists (``LogArith``), are the arithmetic
 ``evaluation_arith`` gives the elimination of :mod:`k3hasse.badred` on small
-fields, with ``resultant_by_evaluation``.  ``irreducible_factors`` factors
+fields, with ``code_chart_resultant``.  ``irreducible_factors`` factors
 code lists over any field in the interface of ``poly.ModP``, such as the
 residue fields of the node locator.
 """
@@ -541,15 +541,18 @@ def fq(p: int, n: int) -> FiniteField:
 # Factoring machinery over finite fields
 # ---------------------------------------------------------------------------
 
-def irreducible_factors(A, p: int, n: int, g: list) -> list[tuple[list, int]]:
+def irreducible_factors(A, g: list) -> list[tuple[list, int]]:
     """The monic irreducible factors of a monic coded g, with
     multiplicities, over a field A of odd order q = p^n in the interface of
-    ``poly.ModP`` with ``random``; powers mod g are taken in
-    ``poly.Residues``.  Distinct-degree splitting takes
-    N = gcd(g, t^(q^d) - t) for d = 1, 2, ..: once the factors of lower
+    ``poly.ModP``, which gives p and n as ``characteristic`` and ``degree``;
+    powers mod g are taken in ``poly.Residues``.  Distinct-degree splitting
+    takes N = gcd(g, t^(q^d) - t) for d = 1, 2, ..: once the factors of lower
     degree are stripped from g with all their multiplicity, N is the product
     of g's distinct irreducible factors of degree d, so no squarefree
     decomposition is needed.  Cantor-Zassenhaus splits each N."""
+    p, n = A.characteristic, A.degree
+    if p == 2:
+        raise ValueError("Cantor-Zassenhaus needs a field of odd order")
     x, d, out = [A.zero, A.one], 0, []
     h = x
     while len(g) > 2 * d + 2:
@@ -637,39 +640,27 @@ def evaluation_arith(fld: FiniteField, D: int):
     return E.log_arith, images.__getitem__, preimage.__getitem__
 
 
+def evaluation_points(A, D: int) -> range:
+    """D + 1 distinct points of an arithmetic A with more than D elements:
+    the codes A.zero .. A.zero + D (0 .. D under ``ModP``, 0, g^0, ..,
+    g^(D-1) under ``LogArith``)."""
+    return range(A.zero, A.zero + D + 1)
+
+
 def code_chart_resultant(A, f: list, g: list) -> list:
-    """``resultant_by_evaluation`` on codes: f and g are lists of coded
-    u-polynomials, and A has more than D = deg_t f * deg_t g elements, so the
-    codes A.zero .. A.zero + D are D + 1 distinct points (0 .. D under
-    ``ModP``, 0, g^0, .., g^(D-1) under ``LogArith``)."""
-    D = (len(f) - 1) * (len(g) - 1)
-    points = range(A.zero, A.zero + D + 1)
-    values = [
-        code_resultant(A, [code_eval(A, c, x) for c in f], [code_eval(A, c, x) for c in g])
-        for x in points
-    ]
-    return code_interpolate(A, points, values)
-
-
-def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Res_t(f, g) in F[u] of t-polynomials f, g over F[u], F a finite
-    field, with the Sylvester convention: a univariate Euclid resultant of
-    f(u0, t) and g(u0, t) at D + 1 points u0, D = deg_t f * deg_t g, then
-    Newton interpolation, on codes in ``evaluation_arith(F, D)``.
+    """Res_t(f, g) in A[u], Sylvester convention, of lists f, g of coded
+    u-polynomials, A with more than D = deg_t f * deg_t g elements: a
+    univariate Euclid resultant of f(x, t) and g(x, t) at the D + 1
+    ``evaluation_points``, then Newton interpolation.
 
     Bound: when each t-leading coefficient is a nonzero constant and the
     t^k coefficient has u-degree at most deg_t - k (the chart of a form
     regular in the last variable, which regularisation provides), the
     specialisations keep their t-degrees and deg_u Res <= D, the Bezout
-    bound.  Other inputs raise ValueError.
-    """
-    fld = f.lc.lc.field
-    for P in (f, g):
-        if P.lc.degree != 0 or any(c.degree > P.degree - k for k, c in enumerate(P.coeffs)):
-            raise ValueError(
-                "the Bezout bound needs a constant t-leading coefficient and "
-                "u-degree at most deg_t - k at t^k"
-            )
-    A, code, decode = evaluation_arith(fld, f.degree * g.degree)
-    fc, gc = ([[code(fld.encode(c)) for c in cu.coeffs] for cu in P.coeffs] for P in (f, g))
-    return UniPoly([decode(c) for c in code_chart_resultant(A, fc, gc)])
+    bound."""
+    points = evaluation_points(A, (len(f) - 1) * (len(g) - 1))
+    values = [
+        code_resultant(A, [code_eval(A, c, x) for c in f], [code_eval(A, c, x) for c in g])
+        for x in points
+    ]
+    return code_interpolate(A, points, values)

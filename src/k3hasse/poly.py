@@ -235,10 +235,13 @@ def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 @dataclass(frozen=True)
 class ModP:
-    """F_p on the ints 0 .. p - 1; two instances for one p are equal."""
+    """F_p on the ints 0 .. p - 1; two instances for one p are equal.
+    ``characteristic`` and ``degree`` over F_p read as for a ``FiniteField``."""
 
     p: int
     zero, one = 0, 1
+    degree = 1
+    characteristic = property(lambda self: self.p)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -412,6 +415,10 @@ class Residues:
     def __init__(self, A, B: list):
         self.A, self.B, self.zero = A, B, []
         self.one = self.lift(A.one)
+
+    characteristic = property(lambda self: self.A.characteristic)
+    # [K(u0) : F_p] for an irreducible B over a field K
+    degree = property(lambda self: self.A.degree * (len(self.B) - 1))
 
     def lift(self, c) -> list:
         return [] if c == self.A.zero else [c]

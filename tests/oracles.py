@@ -10,12 +10,14 @@ integer form to each line with ``UniPoly`` products over Z, reduces the result
 into F_p and tests squares by the library's squarefree decomposition, so it
 checks the scan on ints mod p, not those.  The subresultant ``resultant``
 runs on the library's ``UniPoly`` and the pseudo-remainder here; it is the
-reference for the elimination's resultant by evaluation and interpolation,
-and is itself checked against the Sylvester determinant.  The common-zero
-decision ``unipoly_common_zero`` is the elimination chain on ``UniPoly``s of
-field elements (``poly_gcd``, ``poly_gcdex``, the subresultant, a bivariate
-gcd for a shared factor, each branch re-regularised); it is the reference
-for the chain on int codes in ``badred``.  The Cantor-Zassenhaus chain
+reference for the elimination's resultant by evaluation and interpolation
+(``code_chart_resultant``, reached from ``UniPoly``s through the adapter
+``resultant_by_evaluation``), and is itself checked against the Sylvester
+determinant.  The common-zero decision ``unipoly_common_zero`` is the
+elimination chain on ``UniPoly``s of field elements (``poly_gcd``,
+``poly_gcdex``, the subresultant, a bivariate gcd for a shared factor, each
+branch re-regularised); it is the reference for the chain on int codes in
+``badred``.  The Cantor-Zassenhaus chain
 ``unipoly_irreducible_factors`` and the node locator
 ``unipoly_singular_points`` run on ``UniPoly``s of ``FFElem``s and on
 ``ExtensionField`` towers; the locator reads the library's memoised
@@ -35,7 +37,15 @@ from math import lcm
 from k3hasse import badred
 from k3hasse.arith import strip_small_factors
 from k3hasse.badred import SingularPoint, SingularReport
-from k3hasse.finitefield import ExtensionField, FFElem, FiniteField, fq, prime_field
+from k3hasse.finitefield import (
+    ExtensionField,
+    FFElem,
+    FiniteField,
+    code_chart_resultant,
+    evaluation_arith,
+    fq,
+    prime_field,
+)
 from k3hasse.picard import (
     CountingError,
     FrobeniusData,
@@ -335,8 +345,8 @@ def resultant(f: UniPoly, g: UniPoly):
 
     Computed by the subresultant algorithm, so integer (and nested-polynomial)
     coefficients stay fraction-free.  The elimination computes its resultants
-    with ``finitefield.resultant_by_evaluation``, which the tests compare with
-    this one.
+    with ``finitefield.code_chart_resultant``, which the tests compare with
+    this one through ``resultant_by_evaluation``.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -371,6 +381,24 @@ def resultant(f: UniPoly, g: UniPoly):
             if f.degree > 1:
                 return sign * _coeff_div(num, h ** (f.degree - 1))
             return sign * num
+
+
+def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
+    """``finitefield.code_chart_resultant`` on t-polynomials f, g over F[u],
+    F a finite field, coded in ``evaluation_arith(F, D)``, D = deg_t f *
+    deg_t g, and decoded back: the test face of the elimination's resultant.
+    Charts outside the Bezout shape (a constant t-leading coefficient and
+    u-degree at most deg_t - k at t^k) raise ValueError."""
+    fld = f.lc.lc.field
+    for P in (f, g):
+        if P.lc.degree != 0 or any(c.degree > P.degree - k for k, c in enumerate(P.coeffs)):
+            raise ValueError(
+                "the Bezout bound needs a constant t-leading coefficient and "
+                "u-degree at most deg_t - k at t^k"
+            )
+    A, code, decode = evaluation_arith(fld, f.degree * g.degree)
+    fc, gc = ([[code(fld.encode(c)) for c in cu.coeffs] for cu in P.coeffs] for P in (f, g))
+    return UniPoly([decode(c) for c in code_chart_resultant(A, fc, gc)])
 
 
 def compose_linear(form: TernaryForm, matrix) -> TernaryForm:

@@ -455,7 +455,7 @@ def _orbit_sextic(rng, p: int, m: int) -> TernaryForm:
     where x2 = C = 0."""
     while True:
         cs = [rng.randrange(p) for _ in range(m)] + [1]
-        if [len(irr) for irr, _ in irreducible_factors(ModP(p), p, 1, cs)] == [m + 1]:
+        if [len(irr) for irr, _ in irreducible_factors(ModP(p), cs)] == [m + 1]:
             break
     x2 = TernaryForm(1, {(0, 0, 1): 1})
     C = TernaryForm(m, {(m - i, i, 0): c for i, c in enumerate(cs)})

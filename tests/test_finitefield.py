@@ -10,7 +10,6 @@ from k3hasse.finitefield import (
     fq,
     irreducible_factors,
     prime_field,
-    resultant_by_evaluation,
 )
 from k3hasse.poly import ModP, Residues, TernaryForm, UniPoly, code_eval, code_mul, newton_weights
 
@@ -20,6 +19,7 @@ from .oracles import (
     is_irreducible,
     quadratic_character,
     resultant,
+    resultant_by_evaluation,
     ternary_to_t_over_u,
     unipoly_irreducible_factors,
 )
@@ -186,18 +186,18 @@ def test_roots_in_extensions_examples():
     """Roots in extensions are the roots of the irreducible factors, each in
     the extension that its factor defines."""
     A, F3 = ModP(3), fq(3, 1)
-    factors = irreducible_factors(A, 3, 1, [0, 2, 0, 1])  # t^3 - t
+    factors = irreducible_factors(A, [0, 2, 0, 1])  # t^3 - t
     assert sorted(A.neg(irr[0]) for irr, _ in factors) == [0, 1, 2]
     assert all(len(irr) == 2 and m == 1 for irr, m in factors)
 
-    ((irr, m),) = irreducible_factors(A, 3, 1, [1, 0, 1])  # t^2 + 1
+    ((irr, m),) = irreducible_factors(A, [1, 0, 1])  # t^2 + 1
     assert len(irr) == 3 and m == 1
     ext = ExtensionField(F3, UniPoly([F3.decode(c) for c in irr]))
     r0, r1 = ext.gen, ext.frobenius(ext.gen)
     assert ext.element_degree(r0) == ext.element_degree(r1) == 2
     assert r0 != r1 and r0 * r0 == -ext.one
 
-    ((irr, m),) = irreducible_factors(A, 3, 1, [2, 1])  # t - 1
+    ((irr, m),) = irreducible_factors(A, [2, 1])  # t - 1
     assert A.neg(irr[0]) == 1 and m == 1
 
 
@@ -206,11 +206,22 @@ def test_roots_counted_with_multiplicity():
     A = ModP(5)
     for _ in range(15):
         deg = rng.randrange(1, 4)
+        h = [rng.randrange(5) for _ in range(deg)] + [1]
         g = [1]
-        for _ in range(rng.randrange(1, 3)):
-            g = code_mul(A, g, [rng.randrange(5) for _ in range(deg)] + [1])
-        factors = irreducible_factors(A, 5, 1, g)
+        for _ in range(rng.randrange(1, 3)):  # g = h^k, k in {1, 2}
+            g = code_mul(A, g, h)
+        factors = irreducible_factors(A, g)
         assert sum(m * (len(irr) - 1) for irr, m in factors) == len(g) - 1
+
+
+def test_irreducible_factors_reads_the_field_order_and_needs_it_odd():
+    """p and n come from the field: F_5[u]/(u^2 - 2) is F_25, where t^2 - 2
+    splits, and F_2 is refused, since Cantor-Zassenhaus needs q odd."""
+    K = Residues(ModP(5), [3, 0, 1])
+    assert (K.characteristic, K.degree) == (5, 2)
+    assert [len(irr) for irr, _ in irreducible_factors(K, [[3], [], [1]])] == [2, 2]
+    with pytest.raises(ValueError):
+        irreducible_factors(ModP(2), [1, 1, 1])
 
 
 def _residue_field(p: int, k: int):
@@ -241,7 +252,7 @@ def test_irreducible_factors_match_the_cantor_zassenhaus_oracle(p, k):
             factor = [K.random(rng) for _ in range(rng.randrange(1, 4))] + [K.one]
             for _ in range(rng.randrange(1, 3)):
                 g = code_mul(K, g, factor)
-        got = irreducible_factors(K, p, k, g)
+        got = irreducible_factors(K, g)
         want = unipoly_irreducible_factors(UniPoly([_decode_residue(K, fld, c) for c in g]), fld)
         decoded = [(UniPoly([_decode_residue(K, fld, c) for c in irr]), m) for irr, m in got]
         assert sorted(map(repr, decoded)) == sorted(map(repr, want))
