@@ -8,11 +8,14 @@ separators.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
-# Miller-Rabin with these witnesses is deterministic for n < 3.3 * 10^24.
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+import numpy as np
+
+# Miller-Rabin with the first 13 primes as witnesses is deterministic below
+# psi_13 = 3.3 * 10^24; the first 12 (to 37) are not, e.g. at psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -77,25 +80,45 @@ def _miller_rabin(n: int, rounds: int, witnesses) -> bool:
 
 
 @functools.lru_cache(maxsize=8)
-def _primes_up_to(bound: int) -> tuple[int, ...]:
-    """All primes <= bound, ascending, by a sieve over the odd numbers only.
+def _primes_up_to(bound: int) -> np.ndarray:
+    """All primes <= bound, ascending, as a read-only ``uint64`` array, by a
+    sieve over the odd numbers only.
 
-    Byte i of the sieve stands for 2i + 1.  Each odd prime p <= isqrt(bound)
-    clears p^2, p^2 + 2p, ... with one slice assignment (a step of p bytes),
-    and ``itertools.compress`` reads the survivors off against the odd
-    numbers, so no Python-level loop runs over the whole range.
+    Entry i of the boolean sieve stands for 2i + 1.  Each odd prime
+    p <= isqrt(bound) clears p^2, p^2 + 2p, ... with one slice assignment (a
+    step of p entries).  Entry 0, the number 1, is kept and read off as 2.
     """
     if bound < 2:
-        return ()
+        return np.empty(0, dtype=np.uint64)
     size = (bound + 1) // 2  # the odd numbers 1, 3, ..., <= bound
-    sieve = bytearray([1]) * size
-    sieve[0] = 0  # 1 is not prime
+    sieve = np.ones(size, dtype=bool)
     for i in range(1, (math.isqrt(bound) + 1) // 2):
         if sieve[i]:
             p = 2 * i + 1
-            start = p * p // 2
-            sieve[start::p] = bytes(len(range(start, size, p)))
-    return (2, *itertools.compress(range(1, bound + 1, 2), sieve))
+            sieve[p * p // 2 :: p] = False
+    primes = np.flatnonzero(sieve).astype(np.uint64)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    primes.flags.writeable = False
+    return primes
+
+
+def _residues(n: int, primes: np.ndarray) -> np.ndarray:
+    """n mod p for every p in primes, by Horner over the base-2^k limbs of n,
+    most significant first.  With b the bit length of the largest prime and
+    k = 64 - b, a residue r < p <= 2^b gives r * 2^k + limb < 2^64, so each
+    step is exact in ``uint64``."""
+    r = np.zeros(len(primes), dtype=np.uint64)
+    if not len(primes):
+        return r
+    k = 64 - int(primes[-1]).bit_length()
+    mask = (1 << k) - 1
+    for shift in range((n.bit_length() - 1) // k * k, -1, -k):
+        r <<= np.uint64(k)
+        r |= np.uint64(n >> shift & mask)
+        r %= primes
+    return r
 
 
 def strip_small_factors(n: int, bound: int = 10**6) -> tuple[list[tuple[int, int]], int]:
@@ -105,21 +128,22 @@ def strip_small_factors(n: int, bound: int = 10**6) -> tuple[list[tuple[int, int
     pairs; the product of the factors times the cofactor is exactly n, and the
     cofactor has no prime factor <= bound.  The sieve stops at
     min(bound, isqrt(n)): what is left after those primes is 1 or a prime.
+    The residues of n modulo all sieved primes come from one vectorised
+    sweep; only the primes dividing n are divided out, with multiplicity.
     """
     if n <= 0:
         raise ValueError("strip_small_factors requires n > 0")
     if bound < 2:
         raise ValueError("bound must be >= 2")
+    primes = _primes_up_to(min(bound, math.isqrt(n)))
     factors = []
-    for p in _primes_up_to(min(bound, math.isqrt(n))):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
+    for p in primes[_residues(n, primes) == 0].tolist():
+        e = 0
+        q, rem = divmod(n, p)
+        while rem == 0:
+            n, e = q, e + 1
+            q, rem = divmod(n, p)
+        factors.append((p, e))
     if 1 < n <= bound:
         # remaining cofactor is itself a small prime
         factors.append((n, 1))

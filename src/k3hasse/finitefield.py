@@ -134,18 +134,6 @@ class FiniteField:
     def one(self) -> FFElem:
         return self.from_int(1)
 
-    def frobenius(self, a: FFElem) -> FFElem:
-        return a ** self.characteristic
-
-    def element_degree(self, a: FFElem) -> int:
-        """Degree over F_p of the subfield generated by a."""
-        b = self.frobenius(a)
-        e = 1
-        while b != a:
-            b = self.frobenius(b)
-            e += 1
-        return e
-
     @cached_property
     def tables(self) -> "FieldTables":
         if self.order > TABLE_LIMIT:
@@ -178,9 +166,6 @@ class PrimeField(FiniteField):
 
     def from_int(self, k: int) -> FFElem:
         return FFElem(self, k % self.p)
-
-    def random_element(self, rng) -> FFElem:
-        return FFElem(self, rng.randrange(self.p))
 
     @cached_property
     def modulus(self) -> UniPoly:
@@ -238,17 +223,6 @@ class ExtensionField(FiniteField):
 
     def from_int(self, k: int) -> FFElem:
         return FFElem(self, self._pad([self.base.from_int(k)]))
-
-    def from_base(self, a: FFElem) -> FFElem:
-        return FFElem(self, self._pad([a]))
-
-    def random_element(self, rng) -> FFElem:
-        return FFElem(self, tuple(self.base.random_element(rng) for _ in range(self.rel_degree)))
-
-    @cached_property
-    def gen(self) -> FFElem:
-        """The class of t."""
-        return FFElem(self, self._pad([self.base.zero, self.base.one]))
 
     def _fmt(self, val):
         return "[" + ", ".join(self.base._fmt(c.val) for c in val) + "]"

@@ -28,11 +28,11 @@ test on codes, not the elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Any
 
 import random
-from math import lcm
+from math import isqrt, lcm
 
 from k3hasse import badred
 from k3hasse.arith import strip_small_factors
@@ -74,6 +74,41 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def primes_up_to_bytearray(bound: int) -> tuple[int, ...]:
+    """All primes <= bound, ascending: the odd-only sieve on a bytearray
+    (byte i stands for 2i + 1) that ``arith._primes_up_to`` replaced."""
+    if bound < 2:
+        return ()
+    size = (bound + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0  # 1 is not prime
+    for i in range(1, (isqrt(bound) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return (2, *compress(range(1, bound + 1, 2), sieve))
+
+
+def strip_small_factors_loop(n: int, bound: int = 10**6) -> tuple[list[tuple[int, int]], int]:
+    """``arith.strip_small_factors`` as a scalar loop of n % p over the primes
+    up to min(bound, isqrt(n)), stopping once p^2 exceeds what is left."""
+    factors = []
+    for p in primes_up_to_bytearray(min(bound, isqrt(n))):
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+    if 1 < n <= bound:
+        factors.append((n, 1))
+        n = 1
+    return factors, n
 
 
 def padic_valuation_int(n: int, p: int) -> int:
@@ -220,6 +255,36 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
 # ---------------------------------------------------------------------------
 # UniPoly helpers: powers, pseudo-remainders, bivariate gcds
 # ---------------------------------------------------------------------------
+
+def frobenius(a: FFElem) -> FFElem:
+    return a ** a.field.characteristic
+
+
+def element_degree(a: FFElem) -> int:
+    """Degree over F_p of the subfield generated by a."""
+    b = frobenius(a)
+    e = 1
+    while b != a:
+        b = frobenius(b)
+        e += 1
+    return e
+
+
+def from_base(ext: ExtensionField, a: FFElem) -> FFElem:
+    """a, an element of ext's base field, as an element of ext."""
+    return FFElem(ext, ext._pad([a]))
+
+
+def gen(ext: ExtensionField) -> FFElem:
+    """The class of t in ext = base[t]/(modulus)."""
+    return FFElem(ext, ext._pad([ext.base.zero, ext.base.one]))
+
+
+def random_element(fld: FiniteField, rng) -> FFElem:
+    if isinstance(fld, ExtensionField):
+        return FFElem(fld, tuple(random_element(fld.base, rng) for _ in range(fld.rel_degree)))
+    return FFElem(fld, rng.randrange(fld.p))
+
 
 def powmod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
     """f^e modulo modulus, by square-and-multiply from the low bit."""
@@ -445,7 +510,7 @@ def unipoly_frame(system: list[TernaryForm], fld):
         if fld.degree != 1:
             raise ValueError("no frame over the base field")
         current = fq(fld.characteristic, 2 * current.degree)
-        cur_system = [g.map_coefficients(current.from_base) for g in system]
+        cur_system = [g.map_coefficients(lambda c: from_base(current, c)) for g in system]
 
 
 class _Split(Exception):
@@ -621,7 +686,7 @@ def equal_degree_factorization(g: UniPoly, d: int, field: FiniteField, rng=None)
     q = field.order
     e = (q**d - 1) // 2
     while True:
-        r = UniPoly([field.random_element(rng) for _ in range(g.degree)])
+        r = UniPoly([random_element(field, rng) for _ in range(g.degree)])
         if r.degree < 1:
             continue
         s = powmod(r, e, g) - UniPoly.const(field.one)
@@ -649,7 +714,7 @@ def _lift_to(dst, src, elem):
         chain.append(cur)
         cur = cur.base
     for fld in reversed(chain):
-        elem = fld.from_base(elem)
+        elem = from_base(fld, elem)
     return elem
 
 
@@ -658,7 +723,7 @@ def _root_field(irr: UniPoly, fld):
     if irr.degree == 1:
         return fld, -irr.coeffs[0]
     host = ExtensionField(fld, irr)
-    return host, host.gen
+    return host, gen(host)
 
 
 def _classify_point(f_mod: TernaryForm, coords, fld) -> str:
@@ -711,7 +776,7 @@ def unipoly_singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> Si
         pivot = next(c for c in x if c)
         inv = host_fld.one / pivot
         x = tuple(c * inv for c in x)
-        rdeg = lcm(*(host_fld.element_degree(c) for c in x))
+        rdeg = lcm(*(element_degree(c) for c in x))
         kind = _classify_point(fp, x, host_fld)
         points.append(SingularPoint([_elem_json(c) for c in x], rdeg, kind))
 

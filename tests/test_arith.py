@@ -1,11 +1,16 @@
 import random
+from math import prod
 
+import numpy as np
 import pytest
 
 from k3hasse import arith
 from k3hasse.arith import probable_prime, strip_small_factors
 from k3hasse.localfield import Place
-from .oracles import trial_division_is_prime
+from .oracles import primes_up_to_bytearray, strip_small_factors_loop, trial_division_is_prime
+
+PSI_12 = 318_665_857_834_031_151_167_461  # 399165290221 * 798330580441
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def test_probable_prime_small_cases():
@@ -34,6 +39,38 @@ def test_probable_prime_matches_trial_division_sampled():
     for _ in range(2000):
         n = rng.randrange(2, 10**6)
         assert probable_prime(n) == trial_division_is_prime(n), n
+
+
+def test_probable_prime_is_deterministic_up_to_psi_13():
+    """psi_12, a strong pseudoprime to the twelve prime bases up to 37, lies
+    below the deterministic bound psi_13; base 41 exposes it."""
+    assert arith._DETERMINISTIC_BOUND == PSI_13
+    assert probable_prime(PSI_12, witnesses=arith._DETERMINISTIC_WITNESSES[:12])
+    assert not probable_prime(PSI_12)
+
+
+def _witness_rounds(monkeypatch, n: int) -> list[int]:
+    """The bases the memo-free probable_prime(n) tries, in order."""
+    bases = []
+    witness = arith._miller_rabin_witness
+
+    def counted(n, a):
+        bases.append(a)
+        return witness(n, a)
+
+    monkeypatch.setattr(arith, "_miller_rabin_witness", counted)
+    arith._probable_prime.cache_clear()
+    assert probable_prime(n)
+    return bases
+
+
+def test_probable_prime_round_counts(fixtures, fresh_memos, monkeypatch):
+    """The 186-digit gcd(m', n') passes exactly 64 Miller-Rabin rounds, and a
+    prime in [psi_12, psi_13) passes the 13 fixed bases."""
+    assert len(_witness_rounds(monkeypatch, fixtures.gcd_printed)) == 64
+    least_prime_above_psi_12 = PSI_12 + 22
+    bases = _witness_rounds(monkeypatch, least_prime_above_psi_12)
+    assert bases == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
 def test_probable_prime_explicit_witnesses_are_deterministic():
@@ -90,14 +127,14 @@ def test_primes_up_to_matches_trial_division():
     primes_up_to = arith._primes_up_to.__wrapped__
     naive = [n for n in range(2001) if trial_division_is_prime(n)]
     for bound in range(2001):
-        assert primes_up_to(bound) == tuple(p for p in naive if p <= bound), bound
+        assert primes_up_to(bound).tolist() == [p for p in naive if p <= bound], bound
 
 
 def test_primes_up_to_a_million():
     primes = arith._primes_up_to.__wrapped__(10**6)
     assert len(primes) == 78_498
     assert primes[-1] == 999_983
-    assert primes[:5] == (2, 3, 5, 7, 11)
+    assert primes[:5].tolist() == [2, 3, 5, 7, 11]
 
 
 def test_strip_small_factors_trivial_cases():
@@ -126,3 +163,62 @@ def test_strip_small_factors_reassembles():
         for p in (2, 3, 5, 7, 11):
             assert cofactor % p != 0 or p > 10**4
 
+
+
+def _limb_width(bound: int) -> int:
+    """The Horner limb width k = 64 - bit_length(largest prime <= bound)."""
+    return 64 - int(arith._primes_up_to.__wrapped__(bound)[-1]).bit_length()
+
+
+def test_primes_up_to_matches_the_bytearray_sieve():
+    for bound in (2, 3, 10**6, 1 << 21):
+        primes = arith._primes_up_to.__wrapped__(bound)
+        assert primes.dtype == np.uint64 and not primes.flags.writeable
+        assert primes.tolist() == list(primes_up_to_bytearray(bound)), bound
+
+
+def test_residues_are_exact_at_each_limb_width():
+    """Every residue of the Horner sweep equals Python's n % p, where the limb
+    width changes between bounds 2^20 and 2^21 (k = 44 and 43)."""
+    assert (_limb_width(1 << 20), _limb_width(1 << 21)) == (44, 43)
+    rng = random.Random(5)
+    for bound in (2, 3, 1 << 20, 1 << 21):
+        primes = arith._primes_up_to.__wrapped__(bound)
+        for n in (1, (1 << 64) - 1, rng.getrandbits(3000) | 1 << 2999):
+            assert arith._residues(n, primes).tolist() == [n % p for p in primes.tolist()]
+
+
+def test_strip_small_factors_matches_the_loop_on_m_and_n(fixtures):
+    for n in (fixtures.m, fixtures.n):
+        assert strip_small_factors(n) == strip_small_factors_loop(n)
+
+
+def _planted(rng, bound: int, bits: int) -> int:
+    """A random n of up to ``bits`` bits times primes drawn near the bound,
+    some squared, and one prime just above it."""
+    primes = arith._primes_up_to.__wrapped__(bound + 200).tolist()
+    near = [p for p in primes if p > bound - 200]
+    n = rng.getrandbits(rng.randrange(1, bits))
+    for p in rng.sample(near, min(3, len(near))):
+        n *= p ** rng.randrange(1, 3)
+    return max(n, 1)
+
+
+def test_strip_small_factors_matches_the_loop_with_planted_factors():
+    rng = random.Random(13)
+    for bound in (10**6, 1 << 20, 1 << 21):
+        for _ in range(3):
+            n = _planted(rng, bound, 3000)
+            assert strip_small_factors(n, bound) == strip_small_factors_loop(n, bound)
+    for bound in range(2, 2001):
+        n = _planted(rng, bound, 200)
+        assert strip_small_factors(n, bound) == strip_small_factors_loop(n, bound), bound
+
+
+def test_strip_small_factors_keeps_a_prime_above_the_square_root():
+    """A prime factor in (isqrt(n), bound] is left after the sieve stops at
+    isqrt(n), and is reported as a factor, last."""
+    for n, bound in ((6 * 999_983, 10**6), (999_983, 10**6), (2**5 * 3 * 1_048_573, 1 << 20)):
+        factors, cofactor = strip_small_factors(n, bound)
+        assert cofactor == 1 and factors[-1] == (n // prod(p**e for p, e in factors[:-1]), 1)
+        assert (factors, cofactor) == strip_small_factors_loop(n, bound)

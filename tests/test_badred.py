@@ -26,6 +26,7 @@ from .conftest import _clear_memos
 from .oracles import (
     compose_linear,
     decoded_forms,
+    from_base,
     resultant,
     ternary_to_t_over_u,
     uni,
@@ -127,7 +128,7 @@ def test_regularize_extends_a_prime_field_through_fq():
     assert [c.val for c in fld.modulus.coeffs] == [1, 0, 1]
     assert decode(h[4][0])  # the y2^4 coefficient, h(0, 0, 1)
     frame = [[fld.one, fld.zero, a], [fld.zero, fld.one, b], [fld.zero, fld.zero, fld.one]]
-    want = compose_linear(g.map_coefficients(fld.from_base), frame)
+    want = compose_linear(g.map_coefficients(lambda c: from_base(fld, c)), frame)
     got = {(4 - j - k, j, k): decode(c) for k, row in enumerate(h) for j, c in enumerate(row)}
     assert TernaryForm(4, got) == want
 

@@ -125,3 +125,18 @@ def test_search_rejects_a_negative_draw_count(capsys):
         "leg": None,
         "message": "max_draws must be at least 0, got -3",
     }
+
+
+@pytest.mark.parametrize("command", ["badprimes", "invariants"])
+def test_a_strong_pseudoprime_is_refused_as_not_prime(command, example_sextet, tmp_path, capsys):
+    """psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the twelve
+    prime bases up to 37; it is refused like 9, not treated as a prime."""
+    sextet, primes = tmp_path / "sextet.json", tmp_path / "primes.json"
+    sextet.write_text(example_sextet.to_json())
+    primes.write_text('["318665857834031151167461"]')
+    assert main([command, "--sextet", str(sextet), "--primes", str(primes)]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": "318665857834031151167461 is not prime",
+    }
