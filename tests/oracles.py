@@ -35,7 +35,6 @@ import random
 from math import isqrt, lcm
 
 from k3hasse import badred
-from k3hasse.arith import strip_small_factors
 from k3hasse.badred import SingularPoint, SingularReport
 from k3hasse.finitefield import (
     ExtensionField,
@@ -253,7 +252,7 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# UniPoly helpers: powers, pseudo-remainders, bivariate gcds
+# Field-element helpers for the FFElem references
 # ---------------------------------------------------------------------------
 
 def frobenius(a: FFElem) -> FFElem:
@@ -285,6 +284,10 @@ def random_element(fld: FiniteField, rng) -> FFElem:
         return FFElem(fld, tuple(random_element(fld.base, rng) for _ in range(fld.rel_degree)))
     return FFElem(fld, rng.randrange(fld.p))
 
+
+# ---------------------------------------------------------------------------
+# UniPoly helpers: powers, pseudo-remainders, bivariate gcds
+# ---------------------------------------------------------------------------
 
 def powmod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
     """f^e modulo modulus, by square-and-multiply from the low bit."""
@@ -847,7 +850,7 @@ def is_irreducible(f: UniPoly, field: FiniteField) -> bool:
         xq = powmod(xq, q, f)
     if xq != x % f:
         return False
-    for l in sorted({l for l, _ in strip_small_factors(n)[0]}):
+    for l in sorted({l for l, _ in strip_small_factors_loop(n)[0]}):
         e = n // l
         xe = x
         for _ in range(e):
@@ -870,7 +873,7 @@ def canonical_modulus(p: int, n: int) -> list[int]:
 def find_generator(field: FiniteField) -> int:
     """The code of the least element generating field^*, by ``FFElem`` powers."""
     q = field.order
-    primes = [l for l, _ in strip_small_factors(q - 1, bound=1 << 20)[0]]
+    primes = [l for l, _ in strip_small_factors_loop(q - 1, bound=1 << 20)[0]]
     for k in range(1, q):
         g = field.decode(k)
         if all(g ** ((q - 1) // l) != field.one for l in primes):

@@ -194,14 +194,14 @@ def test_strip_small_factors_matches_the_loop_on_m_and_n(fixtures):
 
 
 def _planted(rng, bound: int, bits: int) -> int:
-    """A random n of up to ``bits`` bits times primes drawn near the bound,
-    some squared, and one prime just above it."""
+    """A random n of up to ``bits`` bits times three primes drawn within 200
+    of the bound, on either side, the second of them squared."""
     primes = arith._primes_up_to.__wrapped__(bound + 200).tolist()
     near = [p for p in primes if p > bound - 200]
-    n = rng.getrandbits(rng.randrange(1, bits))
-    for p in rng.sample(near, min(3, len(near))):
-        n *= p ** rng.randrange(1, 3)
-    return max(n, 1)
+    n = max(rng.getrandbits(rng.randrange(1, bits)), 1)
+    for i, p in enumerate(rng.sample(near, min(3, len(near)))):
+        n *= p ** (1 + i % 2)
+    return n
 
 
 def test_strip_small_factors_matches_the_loop_with_planted_factors():
