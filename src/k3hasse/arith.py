@@ -96,9 +96,7 @@ def _primes_up_to(bound: int) -> np.ndarray:
         if sieve[i]:
             p = 2 * i + 1
             sieve[p * p // 2 :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.uint64)
-    primes *= 2
-    primes += 1
+    primes = np.flatnonzero(sieve).astype(np.uint64) * 2 + 1
     primes[0] = 2
     primes.flags.writeable = False
     return primes
