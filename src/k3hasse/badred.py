@@ -45,6 +45,7 @@ from math import comb
 from typing import Any
 
 from .poly import (
+    FormModP,
     ModP,
     Residues,
     TernaryForm,
@@ -81,10 +82,10 @@ class PositiveDimensionalLocus(ValueError):
 
 
 def _coefficient_field(form: TernaryForm):
-    """The finite field of a nonzero form's coefficients."""
+    """The finite field of a nonzero ``FormModP``."""
     if form.is_zero():
         raise ValueError("zero form")
-    fld = getattr(next(iter(form.terms.values())), "field", None)
+    fld = getattr(form, "field", None)
     if fld is None:
         raise TypeError(
             "the elimination runs over finite fields only: reduce the form mod a prime"
@@ -93,10 +94,11 @@ def _coefficient_field(form: TernaryForm):
 
 
 def jacobian_system(f: TernaryForm) -> list[TernaryForm]:
-    """f's partials, plus f itself when the characteristic divides deg f
-    (Euler's relation makes f redundant otherwise)."""
-    system = [f.partial(i) for i in range(3)]
-    if f.degree % _coefficient_field(f).characteristic == 0:
+    """f's partials, reduced mod p, plus f itself when the characteristic
+    divides deg f (Euler's relation makes f redundant otherwise)."""
+    fld = _coefficient_field(f)
+    system = [FormModP(f.partial(i), fld) for i in range(3)]
+    if f.degree % fld.characteristic == 0:
         system.append(f)
     return [g for g in system if not g.is_zero()]
 
@@ -110,7 +112,7 @@ class RegularizationError(RuntimeError):
 
 
 def _frame_candidates(fld):
-    """Candidate (a, b), as int encodings: the full plane for small fields, a
+    """Candidate (a, b), as int codes: the full plane for small fields, a
     small integer grid (guaranteed by Schwartz-Zippel: 4 curves of degree <= 6
     cannot cover a 512x512 grid of distinct residues) for big prime fields."""
     if fld.order <= 1 << 14:
@@ -161,7 +163,7 @@ def regularize(system: list[TernaryForm], fld):
     resultants.  Over a tiny F_p the frame may need a scalar extension
     (singularity over the closure is insensitive to it): the search moves to
     F_{p^2}, then F_{p^4}, and so on, until a frame exists.  Returns
-    (field, a, b, A, decode, transformed) with a, b elements of the returned
+    (field, a, b, A, decode, transformed) with a, b codes in the returned
     field and each transformed form the dense array of ``_transform``.
     """
     top = sorted(g.degree for g in system)[-2:]
@@ -169,13 +171,13 @@ def regularize(system: list[TernaryForm], fld):
     current = fld
     while True:
         A, code, decode = evaluation_arith(current, D)
-        coded = [[(m, code(fld.encode(c))) for m, c in g.terms.items()] for g in system]
+        coded = [[(m, code(c)) for m, c in g.terms.items()] for g in system]
         powers = lambda x: [A.pow(code(x), e) for e in range(top[-1] + 1)]
         for a, b in _frame_candidates(current):
             pa, pb = powers(a), powers(b)
             if all(_code_value(A, t, pa, pb) != A.zero for t in coded):
                 h = [_transform(A, t, g.degree, pa, pb) for t, g in zip(coded, system)]
-                return current, current.decode(a), current.decode(b), A, decode, h
+                return current, a, b, A, decode, h
         if fld.degree != 1:
             raise RegularizationError("no regularizing frame over the base field")
         current = fq(fld.characteristic, 2 * current.degree)
@@ -192,9 +194,10 @@ resultant = code_chart_resultant
 @dataclass(frozen=True)
 class _Elimination:
     """One Jacobian system after regularisation, on codes of the arithmetic
-    A: the field of the frame (a, b), ``decode`` from codes to its elements
-    and the charts g(1, u, t) of the transformed forms (t-coefficient lists
-    of coded u-polynomials, the t^k row of u-degree at most deg g - k)."""
+    A: the field of the frame (a, b), ``decode`` from codes of A to the
+    field's own codes and the charts g(1, u, t) of the transformed forms
+    (t-coefficient lists of coded u-polynomials, the t^k row of u-degree at
+    most deg g - k)."""
 
     fld: Any
     a: Any
@@ -265,7 +268,7 @@ def _rational_witness(system: list[TernaryForm], fld) -> bool:
     p, top = fld.characteristic, sorted(g.degree for g in system)[-2:]
     if fld.degree != 1 or p * p + p + 1 > top[0] * top[-1] + 1:
         return False
-    coded = [[(m, fld.encode(c)) for m, c in g.terms.items()] for g in system]
+    coded = [list(g.terms.items()) for g in system]
     points = [(1, y, z) for y in range(p) for z in range(p)]
     points += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
     return any(
@@ -368,7 +371,7 @@ def _reduce(f: TernaryForm, p: int):
     if p < 3:
         raise ValueError(f"the bad-prime analysis expects an odd prime, got {p}")
     fld = prime_field(p)
-    fp = f.map_coefficients(lambda c: fld.from_int(c))
+    fp = FormModP(f, fld)
     if fp.is_zero():
         raise DegenerateReduction(f"the form vanishes identically mod {p}")
     return fld, fp
@@ -463,7 +466,7 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     if zero_pair is not None:
         raise PositiveDimensionalLocus(f"mod {p} two forms of the Jacobian system share a factor")
     F = ModP(p)
-    ints = (lambda cs: cs) if elim.A == F else (lambda cs: [elim.decode(c).val for c in cs])
+    ints = lambda cs: [elim.decode(c) for c in cs]
     charts = [[ints(c) for c in P] for P in elim.charts]
     points: list[SingularPoint] = []
     unresolved = 0
@@ -475,7 +478,7 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
         if degree > degree_bound:
             unresolved += 1
             return
-        a, b = R.from_int(elim.a.val), R.from_int(elim.b.val)
+        a, b = R.from_int(elim.a), R.from_int(elim.b)
         x = (R.add(y0, R.mul(a, y2)), R.add(y1, R.mul(b, y2)), y2)
         inv = R.inv(next(c for c in x if c != R.zero))
         x = [R.mul(c, inv) for c in x]

@@ -1,9 +1,9 @@
-"""Arithmetic in F_p and F_{p^n}: elements, Frobenius orbits, and
-factorization of univariate polynomials into irreducibles.
+"""Arithmetic in F_p and F_{p^n} on int codes: fields, Frobenius orbits,
+and factorization of univariate polynomials into irreducibles.
 
-Fields are immutable and cached; elements are lightweight wrappers so the
-generic polynomial code in :mod:`k3hasse.poly` works over them unchanged.
-A field and its tables are built on int codes, with no element arithmetic.
+An element is an int code, the base-p digits of its coefficients in t
+(see ``FiniteField``).  Fields are immutable and cached, and a field and its
+tables are built on int codes, with no element objects.
 Small fields (order <= 2^20) carry numpy discrete-log and Zech-logarithm
 tables; the point-counting kernel works on those raw arrays directly, in the
 log domain.  The same tables, as lists (``LogArith``), are the arithmetic
@@ -25,7 +25,6 @@ from .arith import probable_prime, strip_small_factors
 from .poly import (
     ModP,
     Residues,
-    UniPoly,
     code_divmod,
     code_eval,
     code_gcd,
@@ -33,113 +32,34 @@ from .poly import (
     code_rem,
     code_resultant,
     code_sub,
-    poly_gcdex,
 )
 
 TABLE_LIMIT = 2**20
 
 
-class FFElem:
-    """Element of a finite field; payload is an int (prime field) or a
-    tuple of base-field elements (extension field)."""
+class FiniteField:
+    """F_q = F_p[t]/(modulus), q = p^n, whose elements are int codes: the
+    code of c_0 + c_1 t + .. + c_(n-1) t^(n-1) is sum c_i p^i, so the codes
+    0 .. p - 1 are F_p inside every F_(p^n).  ``modulus`` is a monic tuple
+    of codes, lowest first (t for F_p).  Build fields with ``prime_field``
+    and ``fq``, which cache one field per (p, n); the arithmetic is
+    ``poly.ModP``, or the tables and their ``log_arith``, built on first
+    use."""
 
-    __slots__ = ("field", "val")
-
-    def __init__(self, field, val):
-        self.field = field
-        self.val = val
-
-    def __bool__(self):
-        return self.field._nonzero(self.val)
-
-    def __eq__(self, other):
-        if isinstance(other, FFElem):
-            return self.field is other.field and self.val == other.val
-        if isinstance(other, int):
-            return self == self.field.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.val))
+    def __init__(self, p: int, modulus: tuple[int, ...]):
+        self.characteristic = p
+        self.modulus = modulus
+        self.degree = len(modulus) - 1  # over F_p
+        self.order = p**self.degree
 
     def __repr__(self):
-        return f"FF({self.field._fmt(self.val)} in GF({self.field.order}))"
-
-    def _coerce(self, other):
-        if isinstance(other, FFElem):
-            if other.field is not self.field:
-                raise TypeError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FFElem(self.field, self.field._add(self.val, o.val))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FFElem(self.field, self.field._neg(self.val))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FFElem(self.field, self.field._add(self.val, self.field._neg(o.val)))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FFElem(self.field, self.field._mul(self.val, o.val))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FFElem(self.field, self.field._mul(self.val, self.field._inv(o.val)))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (self.field.one / self) ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-
-class FiniteField:
-    """Shared behaviour of prime and extension fields."""
-
-    characteristic: int
-    degree: int  # absolute degree over F_p
-    order: int
-
-    @cached_property
-    def zero(self) -> FFElem:
-        return self.from_int(0)
-
-    @cached_property
-    def one(self) -> FFElem:
-        return self.from_int(1)
+        p, n = self.characteristic, self.degree
+        return f"GF({p})" if n == 1 else f"GF({p}^{n})"
 
     @cached_property
     def tables(self) -> "FieldTables":
         if self.order > TABLE_LIMIT:
             raise ValueError(f"field of order {self.order} exceeds the table limit")
-        if self.degree > 1 and not isinstance(self.base, PrimeField):
-            raise ValueError("tables require a prime base field")
         return FieldTables(self)
 
     @cached_property
@@ -150,129 +70,6 @@ class FiniteField:
     def _embeddings(self) -> dict:
         """Memo of ``_embedding``: evaluation field -> (images, preimage)."""
         return {}
-
-
-class PrimeField(FiniteField):
-    def __init__(self, p: int):
-        if p < 2 or not probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.degree = 1
-        self.order = p
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def from_int(self, k: int) -> FFElem:
-        return FFElem(self, k % self.p)
-
-    @cached_property
-    def modulus(self) -> UniPoly:
-        return UniPoly([self.zero, self.one])
-
-    def _fmt(self, val):
-        return str(val)
-
-    def _nonzero(self, val):
-        return val != 0
-
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _neg(self, a):
-        return -a % self.p
-
-    def _mul(self, a, b):
-        return a * b % self.p
-
-    def _inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def encode(self, a: FFElem) -> int:
-        return a.val
-
-    def decode(self, k: int) -> FFElem:
-        return FFElem(self, k % self.p)
-
-
-class ExtensionField(FiniteField):
-    """F_q[t]/(modulus) over an arbitrary base finite field."""
-
-    def __init__(self, base: FiniteField, modulus: UniPoly):
-        if modulus.degree < 1:
-            raise ValueError("modulus must have positive degree")
-        self.base = base
-        self.modulus = modulus.monic()
-        self.rel_degree = modulus.degree
-        self.characteristic = base.characteristic
-        self.degree = base.degree * self.rel_degree
-        self.order = base.order ** self.rel_degree
-        self._modlist = list(self.modulus.coeffs)
-
-    def __repr__(self):
-        return f"GF({self.characteristic}^{self.degree})"
-
-    def _pad(self, coeffs) -> tuple:
-        n = self.rel_degree
-        cs = list(coeffs)[:n]
-        cs += [self.base.zero] * (n - len(cs))
-        return tuple(cs)
-
-    def from_int(self, k: int) -> FFElem:
-        return FFElem(self, self._pad([self.base.from_int(k)]))
-
-    def _fmt(self, val):
-        return "[" + ", ".join(self.base._fmt(c.val) for c in val) + "]"
-
-    def _nonzero(self, val):
-        return any(val)
-
-    def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple(-x for x in a)
-
-    def _mul(self, a, b):
-        n = self.rel_degree
-        zero = self.base.zero
-        out = [zero] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        mod = self._modlist
-        for i in range(len(out) - 1, n - 1, -1):
-            c = out[i]
-            if c:
-                for j in range(n):
-                    out[i - n + j] = out[i - n + j] - c * mod[j]
-                out[i] = zero
-        return tuple(out[:n])
-
-    def _inv(self, a):
-        poly = UniPoly(a)
-        if poly.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self._pad(poly_gcdex(poly, self.modulus)[1].coeffs)
-
-    def encode(self, a: FFElem) -> int:
-        """Base-p digit encoding (prime base fields only)."""
-        x = 0
-        for c in reversed(a.val):
-            x = x * self.base.order + self.base.encode(c)
-        return x
-
-    def decode(self, k: int) -> FFElem:
-        digits = []
-        for _ in range(self.rel_degree):
-            digits.append(self.base.decode(k % self.base.order))
-            k //= self.base.order
-        return FFElem(self, tuple(digits))
 
 
 class FieldTables:
@@ -295,7 +92,7 @@ class FieldTables:
         self.field = field
         self.p, self.q, self.n = p, q, n
         self.zero = zero = max(3 * m - 2, 2 * m)
-        mod = [c.val for c in field.modulus.coeffs]
+        mod = field.modulus
         self.generator = gen = _find_generator(p, mod)
         powers = _powers(p, mod, gen, m)
         log = np.empty(q, dtype=np.int32)
@@ -469,8 +266,11 @@ def _find_generator(p: int, mod: list) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def prime_field(p: int) -> PrimeField:
-    return PrimeField(p)
+def prime_field(p: int) -> FiniteField:
+    """F_p, with modulus t; a p that is not prime raises ValueError."""
+    if p < 2 or not probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return FiniteField(p, (0, 1))
 
 
 def _rabin_irreducible(mod: list, p: int) -> bool:
@@ -497,7 +297,7 @@ def fq(p: int, n: int) -> FiniteField:
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    base = prime_field(p)
+    base = prime_field(p)  # refuses a p that is not prime
     if n == 1:
         return base
     A = ModP(p)
@@ -507,7 +307,7 @@ def fq(p: int, n: int) -> FiniteField:
         # 2^10 points, which is all of F_p for every table field
         rootless = all(code_eval(A, mod, x) for x in range(min(p, 1 << 10)))
         if rootless and _rabin_irreducible(mod, p):
-            return ExtensionField(base, UniPoly([base.decode(c) for c in mod]))
+            return FiniteField(p, tuple(mod))
     raise AssertionError("no irreducible modulus found")
 
 
@@ -570,42 +370,37 @@ def _equal_degree_factors(A, p: int, n: int, g: list, d: int, rng=None) -> list[
 # Resultants over F[u] by evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-def _embedding(fld: FiniteField, E: ExtensionField) -> tuple[list[int], dict]:
+def _embedding(fld: FiniteField, E: FiniteField) -> tuple[list[int], dict]:
     """The log in E of every element of fld, indexed by its code, and the
-    element of fld behind each image.  A prime field maps a to the element
-    with code a; an extension maps its generator to a root in E of its
-    modulus.  Memoised on fld."""
+    code in fld behind each image: t, the root of fld's modulus in fld, maps
+    to the first root of that modulus in E, and F_p maps identically.
+    Memoised on fld."""
     if E not in fld._embeddings:
         A = E.log_arith
         if fld is E:
             images = A.log
-        elif isinstance(fld, PrimeField):
-            images = A.log[: fld.p]
         else:
-            base_images = _embedding(fld.base, E)[0]
-            mu = [base_images[fld.base.encode(c)] for c in fld.modulus.coeffs]
+            p, n = fld.characteristic, fld.degree
+            mu = [A.log[c] for c in fld.modulus]
             # codes -1 .. m - 1 are every element of E
             root = next(x for x in range(-1, A.m) if code_eval(A, mu, x) == A.zero)
-            b, images = fld.base.order, []
-            for code in range(fld.order):
-                digits, rest = [], code
-                for _ in range(fld.rel_degree):
-                    digits.append(base_images[rest % b])
-                    rest //= b
-                images.append(code_eval(A, digits, root))
-        fld._embeddings[E] = images, {img: fld.decode(code) for code, img in enumerate(images)}
+            images = [
+                code_eval(A, [A.log[d] for d in _digits(code, p, n)], root)
+                for code in range(fld.order)
+            ]
+        fld._embeddings[E] = images, {img: code for code, img in enumerate(images)}
     return fld._embeddings[E]
 
 
 def evaluation_arith(fld: FiniteField, D: int):
     """(A, code, decode): an arithmetic with more than D elements holding
-    fld, ``code`` from fld's int encodings to codes and ``decode`` back.  A is
-    ``ModP(p)`` when fld = F_p and p > D, else fq(p, k).log_arith with k the
-    least multiple of [fld : F_p] such that p^k > D, fld embedded through a
-    root of its modulus."""
+    fld, ``code`` from fld's int codes to codes of A and ``decode`` back.  A
+    is ``ModP(p)`` when fld = F_p and p > D, else fq(p, k).log_arith with k
+    the least multiple of [fld : F_p] such that p^k > D, fld embedded through
+    a root of its modulus."""
     p = fld.characteristic
-    if isinstance(fld, PrimeField) and p > D:
-        return ModP(p), int, fld.decode
+    if fld.degree == 1 and p > D:
+        return ModP(p), int, int
     k = fld.degree
     while p**k <= D:
         k += fld.degree

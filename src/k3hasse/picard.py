@@ -63,14 +63,10 @@ class RankInconclusive(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _int_coefficients_mod(f: TernaryForm, p: int) -> dict:
-    out = {}
-    for mon, c in f.terms.items():
-        if hasattr(c, "field"):
-            if c.field.characteristic != p:
-                raise ValueError("form is defined over a different characteristic")
-            c = c.field.encode(c)
-        out[mon] = c % p
-    return out
+    fld = getattr(f, "field", None)
+    if fld is not None and fld.characteristic != p:
+        raise ValueError("form is defined over a different characteristic")
+    return {mon: c % p for mon, c in f.terms.items()}
 
 
 def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
@@ -515,7 +511,7 @@ def tritangent_scan(f: TernaryForm, p: int) -> TritangentScan:
     """Scan every line of P^2(F_p) for tritangency: the restriction of f must
     be a nonzero constant times a perfect square.  Lines on which f vanishes
     are recorded as degenerate and not matched."""
-    if p == 2 or not probable_prime(p):
+    if p < 3 or not probable_prime(p):
         raise ValueError(f"the tritangent scan needs an odd prime, not {p}")
     fcoef = _int_coefficients_mod(f, p)
     degenerate = []

@@ -1,14 +1,18 @@
 """Univariate and trivariate polynomial arithmetic over exact coefficient rings.
 
-``UniPoly`` and ``TernaryForm`` coefficients are duck-typed: Python ints
-(ring Z), ``fractions.Fraction`` and finite-field elements all work.  Over
-Q, ``UniPoly`` carries the charpoly and unit-root arithmetic of ``picard``.
+``UniPoly`` and ``TernaryForm`` coefficients are duck-typed ring elements:
+Python ints (ring Z) and ``fractions.Fraction``.  Over Q, ``UniPoly``
+carries the charpoly and unit-root arithmetic of ``picard``.  The
+characteristic-p path of ``squarefree_decomposition`` reads element
+objects with a ``field`` (characteristic and order); the library builds
+none.
 
-The certificate's computations over finite fields run on int codes
-instead: ``ModP`` (ints mod p), the discrete-log arithmetic of
-``finitefield`` and the residue fields of ``badred`` share one interface,
-and the ``code_*`` routines (division, gcds, resultant, interpolation)
-are written against it, so they run over any ring offering it.
+The certificate's computations over finite fields run on int codes:
+``ModP`` (ints mod p), the discrete-log arithmetic of ``finitefield`` and
+the residue fields of ``badred`` share one interface, and the ``code_*``
+routines (division, gcds, resultant, interpolation) are written against
+it, so they run over any ring offering it.  A form over a finite field is
+a ``FormModP``: int coefficients reduced mod p, tagged with the field.
 
 Ternary forms are homogeneous and serialise in graded-lex order with
 x0 > x1 > x2; a quadratic form is the 6 coefficients of
@@ -208,20 +212,6 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return f.monic() if not f.is_zero() else f
 
 
-def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Monic gcd d of a and a nonzero b over a field, with a cofactor s such
-    that s*a = d mod b; for deg a < deg b, deg s < deg b, so s = a^-1 mod b
-    when d = 1."""
-    r0, r1 = b, a
-    s0, s1 = UniPoly(), UniPoly.const(b.lc ** 0)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    inv_lc = b.lc ** 0 / r0.lc
-    return r0 * inv_lc, s0 * inv_lc
-
-
 # ---------------------------------------------------------------------------
 # Univariate arithmetic on int codes
 # ---------------------------------------------------------------------------
@@ -331,8 +321,8 @@ def code_gcd(A, f: list, g: list) -> list:
 
 
 def code_gcdex(A, a: list, b: list) -> tuple[list, list]:
-    """The monic gcd d of a and a nonzero b with s such that s*a = d mod b,
-    as ``poly_gcdex``: s = a^-1 mod b when d = 1 and deg a < deg b."""
+    """The monic gcd d of a and a nonzero b with s such that s*a = d mod b:
+    s = a^-1 mod b when d = 1 and deg a < deg b."""
     r0, r1, s0, s1 = b, a, [], [A.one]
     while r1:
         q, r = code_divmod(A, r0, r1)
@@ -661,3 +651,23 @@ class TernaryForm:
 
     def map_coefficients(self, fn) -> "TernaryForm":
         return TernaryForm(self.degree, {m: fn(c) for m, c in self.terms.items()})
+
+
+class FormModP(TernaryForm):
+    """A form over a finite field of characteristic p: the coefficients of
+    an integer form reduced to ints in [0, p), which are the codes of F_p
+    in every F_(p^n), and the field itself, which equality and hashing
+    read, so that reductions mod different primes never compare equal."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, form: TernaryForm, field):
+        p = field.characteristic
+        super().__init__(form.degree, {m: c % p for m, c in form.terms.items()})
+        self.field = field
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FormModP) and self.field is other.field and super().__eq__(other)
+
+    def __hash__(self):
+        return hash((self.field, super().__hash__()))

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poly import TernaryForm
+from .poly import FormModP, TernaryForm
 
 FORM_KEYS = ("A", "B", "C", "D", "E", "F")
 
@@ -172,8 +172,7 @@ def check_2adic_conditions(q: QuadricSextet) -> bool:
     return tuple(map(operator.mod, q.coefficients, _MODULI)) == _RESIDUES
 
 
-def reduce_mod(form: TernaryForm, field) -> TernaryForm:
-    """Reduce an integer form into the given finite field."""
-    return TernaryForm(
-        form.degree, {m: field.from_int(c) for m, c in form.terms.items()}
-    )
+def reduce_mod(form: TernaryForm, field) -> FormModP:
+    """An integer form reduced into the given finite field: int
+    coefficients in [0, p), tagged with the field."""
+    return FormModP(form, field)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately elementary (trial division, Euler's criterion,
 exhaustive searches, digit-by-digit lifting) and shares no code path with the
-implementations under test, with four exceptions.  The naive point count runs
-on the library's finite-field arithmetic (``fq``, ``FFElem``) and its
-coefficient reduction, so it checks the orbit counting kernel and its tables,
-not the field arithmetic underneath.  The naive tritangent scan restricts the
+implementations under test, with four exceptions.  The library computes on
+int codes only; the references compute on their own field elements
+(``FFElem`` over ``PrimeField`` and ``ExtensionField``, below), built by
+``element_field`` on the moduli of the library's fields.  The naive point
+count runs on those elements and the library's coefficient reduction, so it
+checks the orbit counting kernel and its tables, not the choice of modulus.  The naive tritangent scan restricts the
 integer form to each line with ``UniPoly`` products over Z, reduces the result
 into F_p and tests squares by the library's squarefree decomposition, so it
 checks the scan on ints mod p, not those.  The subresultant ``resultant``
@@ -27,6 +29,7 @@ test on codes, not the elimination.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations, compress
 from typing import Any
@@ -37,8 +40,6 @@ from math import isqrt, lcm
 from k3hasse import badred
 from k3hasse.badred import SingularPoint, SingularReport
 from k3hasse.finitefield import (
-    ExtensionField,
-    FFElem,
     FiniteField,
     code_chart_resultant,
     evaluation_arith,
@@ -55,11 +56,11 @@ from k3hasse.picard import (
     cyclotomic_polynomial,
 )
 from k3hasse.poly import (
+    FormModP,
     TernaryForm,
     UniPoly,
     _coeff_div,
     poly_gcd,
-    poly_gcdex,
     squarefree_decomposition,
 )
 
@@ -252,6 +253,267 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# The oracles' field elements
+# ---------------------------------------------------------------------------
+#
+# The library computes on int codes only.  The references below compute on
+# element objects instead: ``FFElem`` over a ``PrimeField`` or over an
+# ``ExtensionField`` base[t]/(modulus), whose base may itself be an
+# extension (a tower).  ``element_field`` builds these fields from the
+# moduli of the library's fields, with the same codes (``encode``,
+# ``decode``), so that results compare code for code.
+
+class FFElem:
+    """Element of a finite field; payload is an int (prime field) or a
+    tuple of base-field elements (extension field)."""
+
+    __slots__ = ("field", "val")
+
+    def __init__(self, field, val):
+        self.field = field
+        self.val = val
+
+    def __bool__(self):
+        return self.field._nonzero(self.val)
+
+    def __eq__(self, other):
+        if isinstance(other, FFElem):
+            return self.field is other.field and self.val == other.val
+        if isinstance(other, int):
+            return self == self.field.from_int(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.field), self.val))
+
+    def __repr__(self):
+        return f"FF({self.field._fmt(self.val)} in GF({self.field.order}))"
+
+    def _coerce(self, other):
+        if isinstance(other, FFElem):
+            if other.field is not self.field:
+                raise TypeError("elements of different fields")
+            return other
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._add(self.val, o.val))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FFElem(self.field, self.field._neg(self.val))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._add(self.val, self.field._neg(o.val)))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._mul(self.val, o.val))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._mul(self.val, self.field._inv(o.val)))
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return (self.field.one / self) ** (-e)
+        result = self.field.one
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+
+class ElementField:
+    """Shared behaviour of the element fields; ``lib`` is the library field
+    an element field was built from, None for one the tests build."""
+
+    characteristic: int
+    degree: int  # absolute degree over F_p
+    order: int
+    lib = None
+
+    @functools.cached_property
+    def zero(self) -> FFElem:
+        return self.from_int(0)
+
+    @functools.cached_property
+    def one(self) -> FFElem:
+        return self.from_int(1)
+
+
+class PrimeField(ElementField):
+    def __init__(self, p: int):
+        self.p = self.characteristic = self.order = p
+        self.degree = 1
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+    def from_int(self, k: int) -> FFElem:
+        return FFElem(self, k % self.p)
+
+    def _fmt(self, val):
+        return str(val)
+
+    def _nonzero(self, val):
+        return val != 0
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _neg(self, a):
+        return -a % self.p
+
+    def _mul(self, a, b):
+        return a * b % self.p
+
+    def _inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, self.p)
+
+    def encode(self, a: FFElem) -> int:
+        return a.val
+
+    def decode(self, k: int) -> FFElem:
+        return FFElem(self, k % self.p)
+
+
+class ExtensionField(ElementField):
+    """base[t]/(modulus) over an arbitrary base element field."""
+
+    def __init__(self, base: ElementField, modulus: UniPoly):
+        if modulus.degree < 1:
+            raise ValueError("modulus must have positive degree")
+        self.base = base
+        self.modulus = modulus.monic()
+        self.rel_degree = modulus.degree
+        self.characteristic = base.characteristic
+        self.degree = base.degree * self.rel_degree
+        self.order = base.order ** self.rel_degree
+        self._modlist = list(self.modulus.coeffs)
+
+    def __repr__(self):
+        return f"GF({self.characteristic}^{self.degree})"
+
+    def _pad(self, coeffs) -> tuple:
+        n = self.rel_degree
+        cs = list(coeffs)[:n]
+        cs += [self.base.zero] * (n - len(cs))
+        return tuple(cs)
+
+    def from_int(self, k: int) -> FFElem:
+        return FFElem(self, self._pad([self.base.from_int(k)]))
+
+    def _fmt(self, val):
+        return "[" + ", ".join(self.base._fmt(c.val) for c in val) + "]"
+
+    def _nonzero(self, val):
+        return any(val)
+
+    def _add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def _neg(self, a):
+        return tuple(-x for x in a)
+
+    def _mul(self, a, b):
+        n = self.rel_degree
+        zero = self.base.zero
+        out = [zero] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = out[i + j] + x * y
+        mod = self._modlist
+        for i in range(len(out) - 1, n - 1, -1):
+            c = out[i]
+            if c:
+                for j in range(n):
+                    out[i - n + j] = out[i - n + j] - c * mod[j]
+                out[i] = zero
+        return tuple(out[:n])
+
+    def _inv(self, a):
+        poly = UniPoly(a)
+        if poly.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self._pad(poly_gcdex(poly, self.modulus)[1].coeffs)
+
+    def encode(self, a: FFElem) -> int:
+        """Base-order digit encoding, lowest first: the library's codes for
+        an extension of F_p."""
+        x = 0
+        for c in reversed(a.val):
+            x = x * self.base.order + self.base.encode(c)
+        return x
+
+    def decode(self, k: int) -> FFElem:
+        digits = []
+        for _ in range(self.rel_degree):
+            digits.append(self.base.decode(k % self.base.order))
+            k //= self.base.order
+        return FFElem(self, tuple(digits))
+
+
+def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Monic gcd d of a and a nonzero b over a field, with a cofactor s such
+    that s*a = d mod b; for deg a < deg b, deg s < deg b, so s = a^-1 mod b
+    when d = 1."""
+    r0, r1 = b, a
+    s0, s1 = UniPoly(), UniPoly.const(b.lc ** 0)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    inv_lc = b.lc ** 0 / r0.lc
+    return r0 * inv_lc, s0 * inv_lc
+
+
+def element_field(fld: FiniteField) -> ElementField:
+    """The library field fld as a field of ``FFElem``s with fld's modulus;
+    one element field per (p, modulus), so F_p is the base of every F_(p^n)."""
+    return _element_field(fld.characteristic, fld.modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def _element_field(p: int, modulus: tuple) -> ElementField:
+    if len(modulus) == 2:
+        out = PrimeField(p)
+    else:
+        base = _element_field(p, (0, 1))
+        out = ExtensionField(base, UniPoly([base.decode(c) for c in modulus]))
+    out.lib = fq(p, len(modulus) - 1)
+    return out
+
+
+def to_elements(form: FormModP) -> TernaryForm:
+    """A form reduced by the library, as a form of ``FFElem``s."""
+    return form.map_coefficients(element_field(form.field).decode)
+
+
+# ---------------------------------------------------------------------------
 # Field-element helpers for the FFElem references
 # ---------------------------------------------------------------------------
 
@@ -279,7 +541,7 @@ def gen(ext: ExtensionField) -> FFElem:
     return FFElem(ext, ext._pad([ext.base.zero, ext.base.one]))
 
 
-def random_element(fld: FiniteField, rng) -> FFElem:
+def random_element(fld: ElementField, rng) -> FFElem:
     if isinstance(fld, ExtensionField):
         return FFElem(fld, tuple(random_element(fld.base, rng) for _ in range(fld.rel_degree)))
     return FFElem(fld, rng.randrange(fld.p))
@@ -464,9 +726,38 @@ def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
                 "the Bezout bound needs a constant t-leading coefficient and "
                 "u-degree at most deg_t - k at t^k"
             )
-    A, code, decode = evaluation_arith(fld, f.degree * g.degree)
+    D = f.degree * g.degree
+    if fld.lib is not None:
+        A, code, decode = evaluation_arith(fld.lib, D)
+    else:
+        A, code, decode = _tower_arith(fld, D)
     fc, gc = ([[code(fld.encode(c)) for c in cu.coeffs] for cu in P.coeffs] for P in (f, g))
-    return UniPoly([decode(c) for c in code_chart_resultant(A, fc, gc)])
+    return UniPoly([fld.decode(decode(c)) for c in code_chart_resultant(A, fc, gc)])
+
+
+def _tower_arith(fld: ExtensionField, D: int):
+    """``evaluation_arith`` for an element field the library does not have,
+    such as a tower: fld embedded in E = fq(p, k), k the least multiple of
+    [fld : F_p] with p^k > D, level by level through the first root in E of
+    each modulus, and coded by discrete logs in E."""
+    p, k = fld.characteristic, fld.degree
+    while p**k <= D:
+        k += fld.degree
+    E = element_field(fq(p, k))
+
+    def embed(K):
+        """K's elements -> their images in E, for K = fld or a base of it."""
+        if isinstance(K, PrimeField):
+            return lambda a: E.from_int(a.val)
+        below = embed(K.base)
+        mu = UniPoly([below(c) for c in K.modulus.coeffs])
+        root = next(x for x in map(E.decode, range(E.order)) if not mu.evaluate(x))
+        return lambda a: UniPoly([below(c) for c in a.val]).evaluate(root)
+
+    A, image = E.lib.log_arith, embed(fld)
+    images = [A.log[E.encode(image(fld.decode(c)))] for c in range(fld.order)]
+    preimage = {img: c for c, img in enumerate(images)}
+    return A, images.__getitem__, preimage.__getitem__
 
 
 def compose_linear(form: TernaryForm, matrix) -> TernaryForm:
@@ -494,10 +785,20 @@ def compose_linear(form: TernaryForm, matrix) -> TernaryForm:
 # and applied on field elements, the subresultant for every chart resultant,
 # and dynamic evaluation modulo the squarefree part of G.
 
+def _as_elements(system: list[TernaryForm], fld):
+    """A system of ``FormModP``s over a library field as forms of
+    ``FFElem``s over its element field; a system over an element field is
+    returned as it is."""
+    if not isinstance(fld, FiniteField):
+        return system, fld
+    return [to_elements(g) for g in system], element_field(fld)
+
+
 def unipoly_frame(system: list[TernaryForm], fld):
     """(field, a, b, transformed system) of the first frame x0 -> x0 + a x2,
     x1 -> x1 + b x2 in the enumeration of ``badred.regularize``, over fld,
-    then F_{p^2}, F_{p^4} .. for a prime fld."""
+    then F_{p^2}, F_{p^4} .. for a prime fld, on field elements."""
+    system, fld = _as_elements(system, fld)
     current, cur_system = fld, system
     while True:
         if current.order <= 1 << 14:
@@ -512,7 +813,7 @@ def unipoly_frame(system: list[TernaryForm], fld):
                     return current, ea, eb, [compose_linear(g, matrix) for g in cur_system]
         if fld.degree != 1:
             raise ValueError("no frame over the base field")
-        current = fq(fld.characteristic, 2 * current.degree)
+        current = element_field(fq(fld.characteristic, 2 * current.degree))
         cur_system = [g.map_coefficients(lambda c: from_base(current, c)) for g in system]
 
 
@@ -604,6 +905,7 @@ def _squarefree_part(g: UniPoly) -> UniPoly:
 def unipoly_common_zero(system: list[TernaryForm], fld) -> bool:
     """Do the forms of the system have a common zero over the closure of
     fld?  Decided on UniPolys of field elements."""
+    system, fld = _as_elements(system, fld)
     system = [g for g in system if not g.is_zero()]
     if any(g.degree == 0 for g in system):
         return False
@@ -642,22 +944,24 @@ def unipoly_common_zero(system: list[TernaryForm], fld) -> bool:
 # with its roots in ``ExtensionField`` towers.
 
 def uni(elim, cs: list) -> UniPoly:
-    """A coded polynomial of an elimination, decoded."""
-    return UniPoly([elim.decode(c) for c in cs])
+    """A coded polynomial of an elimination, decoded to field elements."""
+    K = element_field(elim.fld)
+    return UniPoly([K.decode(elim.decode(c)) for c in cs])
 
 
 def decoded_forms(elim) -> list[TernaryForm]:
-    """An elimination's transformed forms, decoded."""
+    """An elimination's transformed forms, decoded to field elements."""
+    K = element_field(elim.fld)
     return [
         TernaryForm(len(P) - 1, {
-            (len(P) - 1 - j - k, j, k): elim.decode(c)
+            (len(P) - 1 - j - k, j, k): K.decode(elim.decode(c))
             for k, row in enumerate(P) for j, c in enumerate(row)
         })
         for P in elim.charts
     ]
 
 
-def distinct_degree_factorization(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, int]]:
+def distinct_degree_factorization(g: UniPoly, field: ElementField) -> list[tuple[UniPoly, int]]:
     """Split a monic squarefree g into (product of its irreducible factors of
     degree d, d) pairs."""
     out = []
@@ -679,7 +983,7 @@ def distinct_degree_factorization(g: UniPoly, field: FiniteField) -> list[tuple[
     return out
 
 
-def equal_degree_factorization(g: UniPoly, d: int, field: FiniteField, rng=None) -> list[UniPoly]:
+def equal_degree_factorization(g: UniPoly, d: int, field: ElementField, rng=None) -> list[UniPoly]:
     """Cantor-Zassenhaus split of a monic squarefree g all of whose irreducible
     factors have degree d (odd characteristic)."""
     if g.degree == d:
@@ -699,7 +1003,7 @@ def equal_degree_factorization(g: UniPoly, d: int, field: FiniteField, rng=None)
                     + equal_degree_factorization(g.exact_div(fac), d, field, rng))
 
 
-def unipoly_irreducible_factors(g: UniPoly, field: FiniteField) -> list[tuple[UniPoly, int]]:
+def unipoly_irreducible_factors(g: UniPoly, field: ElementField) -> list[tuple[UniPoly, int]]:
     """Monic irreducible factors with multiplicities."""
     out = []
     for sqfree, mult in squarefree_decomposition(g):
@@ -759,11 +1063,12 @@ def unipoly_singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> Si
     root in an ``ExtensionField`` (a tower for a point whose chart gcd needs
     a second extension), the residue degree the lcm of the Frobenius degrees
     of the coordinates, and nodes classified on field elements."""
-    fld = prime_field(p)
-    fp = f.map_coefficients(lambda c: fld.from_int(c))
-    system = badred.jacobian_system(fp)
-    elim = badred._eliminate(tuple(system), fld)
-    assert elim.fld is fld and badred.singular_locus_nonempty(fp)
+    F = prime_field(p)
+    fld, reduced = element_field(F), FormModP(f, F)
+    fp = to_elements(reduced)
+    system = badred.jacobian_system(reduced)
+    elim = badred._eliminate(tuple(system), F)
+    assert elim.fld is F and badred.singular_locus_nonempty(reduced)
     G, zero_pair = elim.chart
     assert zero_pair is None
     ginf, G = uni(elim, elim.ginf), uni(elim, G)
@@ -773,8 +1078,8 @@ def unipoly_singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> Si
 
     def record(y_coords, host_fld):
         y0, y1, y2 = y_coords
-        a = _lift_to(host_fld, fld, elim.a)
-        b = _lift_to(host_fld, fld, elim.b)
+        a = _lift_to(host_fld, fld, fld.decode(elim.a))
+        b = _lift_to(host_fld, fld, fld.decode(elim.b))
         x = (y0 + a * y2, y1 + b * y2, y2)
         pivot = next(c for c in x if c)
         inv = host_fld.one / pivot
@@ -836,7 +1141,7 @@ def unipoly_singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> Si
 # the generator on int codes: Rabin's test with ``UniPoly.powmod`` over any
 # base field, and the generator search by ``FFElem`` powers.
 
-def is_irreducible(f: UniPoly, field: FiniteField) -> bool:
+def is_irreducible(f: UniPoly, field: ElementField) -> bool:
     """Rabin irreducibility test over the coefficient field."""
     n = f.degree
     if n < 1:
@@ -863,15 +1168,16 @@ def is_irreducible(f: UniPoly, field: FiniteField) -> bool:
 def canonical_modulus(p: int, n: int) -> list[int]:
     """The coefficients of the first monic irreducible of degree n over F_p
     in the enumeration of (c_0, ..., c_{n-1}) as base-p digits."""
-    base = prime_field(p)
+    base = element_field(prime_field(p))
     for k in range(p**n):
         cand = UniPoly([base.from_int(k // p**i) for i in range(n)] + [base.one])
         if is_irreducible(cand, base):
             return [c.val for c in cand.coeffs]
 
 
-def find_generator(field: FiniteField) -> int:
-    """The code of the least element generating field^*, by ``FFElem`` powers."""
+def find_generator(fld: FiniteField) -> int:
+    """The code of the least element generating fld^*, by ``FFElem`` powers."""
+    field = element_field(fld)
     q = field.order
     primes = [l for l, _ in strip_small_factors_loop(q - 1, bound=1 << 20)[0]]
     for k in range(1, q):
@@ -914,7 +1220,7 @@ def _count_naive(f: TernaryForm, p: int, n: int) -> int:
     are swept with Horner in the last coordinate to keep this usable as a
     test oracle up to F_81.
     """
-    field = fq(p, n)
+    field = element_field(fq(p, n))
     fcoef = _int_coefficients_mod(f, p)
     elems = [field.decode(k) for k in range(field.order)]
     chi_of = {field.encode(v): quadratic_character(v) for v in elems}
@@ -1036,7 +1342,7 @@ def restrict_to_line(f: TernaryForm, line: ProjLine) -> tuple[UniPoly, Any]:
     return total, at_inf
 
 
-def enumerate_lines(field: FiniteField):
+def enumerate_lines(field: ElementField):
     """All p^2 + p + 1 lines of the dual plane in normalized lex order."""
     one, zero = field.one, field.zero
     for a in range(field.order):
@@ -1082,7 +1388,7 @@ def tritangent_scan_naive(f: TernaryForm, p: int) -> TritangentScan:
     """Scan every line of P^2(F_p) for tritangency: the restriction of the
     integer form f must be a nonzero constant times a perfect square.  Lines
     are ``ProjLine``s."""
-    field = prime_field(p)
+    field = element_field(prime_field(p))
     degenerate = []
     scanned = 0
     for line in enumerate_lines(field):

@@ -37,7 +37,7 @@ from k3hasse.picard import (
 )
 from k3hasse.pipeline import expected_normalized_charpoly, verify_example
 from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
-from .oracles import conic_locally_soluble, count_points_naive
+from .oracles import conic_locally_soluble, count_points_naive, element_field
 from .test_picard import _forward_power_sums, _random_weil_factors
 
 
@@ -222,7 +222,7 @@ def test_criterion_8_property_suites(example_sextic):
     # squarefree reassembly on 100 random univariates
     from k3hasse.finitefield import fq
 
-    fields = [fq(3, 1), fq(3, 2), fq(5, 1), fq(7, 1)]
+    fields = [element_field(fq(p, n)) for p, n in ((3, 1), (3, 2), (5, 1), (7, 1))]
     for i in range(100):
         field = fields[i % len(fields)]
         deg = rng.randrange(1, 4)

@@ -18,17 +18,19 @@ from k3hasse.badred import (
     singular_points,
     verify_bad_prime_list,
 )
-from k3hasse.finitefield import ExtensionField, fq, irreducible_factors, prime_field
-from k3hasse.poly import ModP, TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
+from k3hasse.finitefield import fq, irreducible_factors, prime_field
+from k3hasse.poly import FormModP, ModP, TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
 from .conftest import _clear_memos
 from .oracles import (
+    ExtensionField,
     compose_linear,
     decoded_forms,
-    from_base,
+    element_field,
     resultant,
     ternary_to_t_over_u,
+    to_elements,
     uni,
     unipoly_common_zero,
     unipoly_frame,
@@ -40,9 +42,9 @@ def _exhaustive_singular_search(f: TernaryForm, p: int, max_e: int) -> bool:
     """Oracle: scan P^2(F_{p^e}) for e <= max_e for a common zero of the
     Jacobian system, evaluating all forms on the full grid via the field
     tables (no resultants anywhere)."""
-    fp = reduce_mod(f, prime_field(p)) if isinstance(next(iter(f.terms.values())), int) else f
+    fp = f if isinstance(f, FormModP) else reduce_mod(f, prime_field(p))
     system = jacobian_system(fp)
-    ints = [{m: c.field.encode(c) for m, c in g.terms.items()} for g in system]
+    ints = [dict(g.terms) for g in system]
     for e in range(1, max_e + 1):
         field = fq(p, e)
         t = field.tables
@@ -125,11 +127,13 @@ def test_regularize_extends_a_prime_field_through_fq():
     g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
     fld, a, b, A, decode, (h,) = regularize([g], F3)
     assert fld is fq(3, 2)
-    assert [c.val for c in fld.modulus.coeffs] == [1, 0, 1]
+    assert fld.modulus == (1, 0, 1)
     assert decode(h[4][0])  # the y2^4 coefficient, h(0, 0, 1)
-    frame = [[fld.one, fld.zero, a], [fld.zero, fld.one, b], [fld.zero, fld.zero, fld.one]]
-    want = compose_linear(g.map_coefficients(lambda c: from_base(fld, c)), frame)
-    got = {(4 - j - k, j, k): decode(c) for k, row in enumerate(h) for j, c in enumerate(row)}
+    E = element_field(fld)
+    a, b = E.decode(a), E.decode(b)
+    frame = [[E.one, E.zero, a], [E.zero, E.one, b], [E.zero, E.zero, E.one]]
+    want = compose_linear(g.map_coefficients(E.decode), frame)
+    got = {(4 - j - k, j, k): E.decode(decode(c)) for k, row in enumerate(h) for j, c in enumerate(row)}
     assert TernaryForm(4, got) == want
 
 
@@ -141,7 +145,7 @@ def test_chart_resultants_of_the_lifted_mod_3_system(example_sextic):
     elim = badred._eliminate(tuple(jacobian_system(reduce_mod(example_sextic, F3))), F3)
     assert elim.fld is fq(3, 2)
     decoded = [UniPoly([uni(elim, c) for c in P]) for P in elim.charts]
-    assert decoded == [ternary_to_t_over_u(g, elim.fld.one) for g in decoded_forms(elim)]
+    assert decoded == [ternary_to_t_over_u(g, element_field(elim.fld).one) for g in decoded_forms(elim)]
     for (P, Pd), (Q, Qd) in combinations(zip(elim.charts, decoded), 2):
         assert uni(elim, badred.resultant(elim.A, P, Q)) == resultant(Pd, Qd)
 
@@ -320,7 +324,8 @@ def test_code_decision_matches_the_unipoly_oracle(p):
         verdicts.add(got)
         if len(system) > 1 and all(g.degree > 0 for g in system):
             elim = badred._eliminate(tuple(system), F)
-            assert (elim.fld, elim.a, elim.b) == unipoly_frame(system, F)[:3], f
+            fld, a, b = unipoly_frame(system, F)[:3]
+            assert (element_field(elim.fld), elim.a, elim.b) == (fld, fld.encode(a), fld.encode(b)), f
         if _exhaustive_singular_search(fp, p, 2 if p <= 7 else 1):
             assert got, f
     assert verdicts == {True, False}
@@ -371,8 +376,8 @@ def test_singular_points_rejects_a_positive_dimensional_locus(A, cause):
 
 def test_reported_nodes_pass_independent_hessian_check(example_sextic):
     for p in (5, 7):
-        field = prime_field(p)
-        fp = reduce_mod(example_sextic, field)
+        field = element_field(prime_field(p))
+        fp = to_elements(reduce_mod(example_sextic, prime_field(p)))
         rep = singular_points(example_sextic, p, 6)
         for pt in rep.points:
             # every singular point of the example mod 5 and 7 is rational

@@ -140,3 +140,29 @@ def test_a_strong_pseudoprime_is_refused_as_not_prime(command, example_sextet, t
         "leg": None,
         "message": "318665857834031151167461 is not prime",
     }
+
+
+@pytest.mark.parametrize("command, n", [("count", 9), ("badprimes", 15)])
+def test_a_composite_field_characteristic_is_refused_as_not_prime(command, n, example_sextet, tmp_path, capsys):
+    """F_9 is not a prime field: ``count --p 9`` and a candidate bad prime
+    15 are refused by the prime-field constructor, not counted or reduced."""
+    sextet, primes = tmp_path / "sextet.json", tmp_path / "primes.json"
+    sextet.write_text(example_sextet.to_json())
+    primes.write_text(json.dumps([str(n)]))
+    option = ["--p", str(n)] if command == "count" else ["--primes", str(primes)]
+    assert main([command, "--sextet", str(sextet), *option]) == 2
+    assert _error(capsys) == {"error": "ValueError", "leg": None, "message": f"{n} is not prime"}
+
+
+@pytest.mark.parametrize("p", [1, -3, 2])
+def test_tritangent_names_the_scan_for_a_p_below_3(p, example_sextet, tmp_path, capsys):
+    """A p below 3 is refused by the scan's own check, before any primality
+    test, so the message names the scan."""
+    sextet = tmp_path / "sextet.json"
+    sextet.write_text(example_sextet.to_json())
+    assert main(["tritangent", "--sextet", str(sextet), "--p", str(p)]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": f"the tritangent scan needs an odd prime, not {p}",
+    }

@@ -35,6 +35,7 @@ from .oracles import (
     _is_square_binary_form,
     count_points_naive,
     element_degree,
+    element_field,
     quadratic_character,
     tritangent_scan_naive,
 )
@@ -106,12 +107,22 @@ def test_count_series_rejects_a_depth_below_1(example_sextic, max_n):
         count_series(example_sextic, 3, max_n)
 
 
+def test_counts_and_scans_refuse_a_form_reduced_mod_another_prime(example_sextic):
+    """A form reduced mod 5 holds codes of F_5, which mean nothing mod 3."""
+    f5 = reduce_mod(example_sextic, prime_field(5))
+    with pytest.raises(ValueError, match="different characteristic"):
+        count_series(f5, 3, 1)
+    with pytest.raises(ValueError, match="different characteristic"):
+        tritangent_scan.__wrapped__(f5, 3)
+    assert count_series(f5, 5, 1).counts == count_series(example_sextic, 5, 1).counts
+
+
 def test_orbit_tallies_match_naive_point_classification(example_sextic):
     """Per-exact-degree tallies equal an exhaustive classification of the
     points of P^2(F_{3^d}) by minimal field and character value."""
     fcoef = _int_coefficients_mod(example_sextic, 3)
     for d in (1, 2, 3, 4):
-        field = fq(3, d)
+        field = element_field(fq(3, d))
         elems = [field.decode(k) for k in range(field.order)]
         deg_of = {field.encode(v): element_degree(v) for v in elems}
         chi_of = {field.encode(v): quadratic_character(v) for v in elems}
@@ -386,7 +397,7 @@ def test_square_test_matches_the_squarefree_decomposition():
     at infinity."""
     rng = random.Random(5)
     for p in (3, 5, 7, 11):
-        field = fq(p, 1)
+        field = element_field(fq(p, 1))
         for _ in range(300):
             n = rng.randrange(0, 7)
             if rng.random() < 0.5:

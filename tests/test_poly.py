@@ -12,11 +12,19 @@ from k3hasse.poly import (
     code_gcdex,
     monomials_of_degree,
     poly_gcd,
-    poly_gcdex,
     squarefree_decomposition,
 )
 from k3hasse.surface import reduce_mod
-from .oracles import ProjLine, line_parametrization, restrict_to_line, resultant, sylvester_resultant
+from .oracles import (
+    ProjLine,
+    element_field,
+    line_parametrization,
+    poly_gcdex,
+    restrict_to_line,
+    resultant,
+    sylvester_resultant,
+    to_elements,
+)
 
 
 def frac_poly(*coeffs):
@@ -61,7 +69,7 @@ def test_squarefree_examples():
     assert (frac_poly(-1, 1), 1) in dec
     assert (frac_poly(1, 0, 1), 2) in dec
 
-    F3 = fq(3, 1)
+    F3 = element_field(fq(3, 1))
     one, zero = F3.one, F3.zero
     t6p1 = UniPoly([one, zero, zero, zero, zero, zero, one])
     dec = squarefree_decomposition(t6p1)
@@ -82,7 +90,7 @@ def _random_field_poly(rng, field, degree):
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_squarefree_reassembles_over_finite_fields(p, n):
     rng = random.Random(100 * p + n)
-    field = fq(p, n)
+    field = element_field(fq(p, n))
     for _ in range(25):
         g = _random_field_poly(rng, field, rng.randrange(1, 4))
         # force interesting multiplicities, including wild p-th powers
@@ -103,10 +111,10 @@ def test_code_division_and_gcds_match_the_unipoly_ones(p, n, D):
     """code_divmod, code_gcd and code_gcdex on the codes of
     ``evaluation_arith`` (discrete logs, or ints mod 29) decode to divmod,
     poly_gcd and poly_gcdex on field elements, common factors included."""
-    field = fq(p, n)
-    A, code, decode = evaluation_arith(field, D)
+    A, code, decode = evaluation_arith(fq(p, n), D)
+    field = element_field(fq(p, n))
     enc = lambda f: [code(field.encode(c)) for c in f.coeffs]
-    dec = lambda cs: UniPoly([decode(c) for c in cs])
+    dec = lambda cs: UniPoly([field.decode(decode(c)) for c in cs])
     rng = random.Random(p * n)
     for _ in range(20):
         h = _random_field_poly(rng, field, rng.randrange(0, 3))
@@ -163,8 +171,8 @@ def test_restrict_matches_pointwise_evaluation():
 
 
 def test_example_restriction_mod3_is_square_times_constant(example_sextic):
-    F3 = fq(3, 1)
-    f3 = reduce_mod(example_sextic, F3)
+    F3 = element_field(fq(3, 1))
+    f3 = to_elements(reduce_mod(example_sextic, fq(3, 1)))
     line = ProjLine(F3.from_int(2), F3.zero, F3.one)  # 2 x0 + x2 = 0
     g, _inf = restrict_to_line(f3, line)
     assert not g.is_zero()
@@ -172,7 +180,7 @@ def test_example_restriction_mod3_is_square_times_constant(example_sextic):
 
 
 def test_projline_normalization():
-    F3 = fq(3, 1)
+    F3 = element_field(fq(3, 1))
     assert ProjLine(F3.from_int(2), F3.zero, F3.one) == ProjLine(
         F3.one, F3.zero, F3.from_int(2)
     )

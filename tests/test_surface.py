@@ -116,6 +116,18 @@ def test_smoothness_examples(example_sextic):
         is_smooth_curve(reduce_mod(TernaryForm(6, {(6, 0, 0): 3}), prime_field(3)))
 
 
+def test_one_form_reduced_mod_two_primes_is_two_forms(fresh_memos):
+    """x0^6 + x1^6 + x2^6 has the same int coefficients mod 3 and mod 7,
+    but mod 3 it is the cube of x0^2 + x1^2 + x2^2, singular everywhere,
+    and mod 7 it is smooth: the reduced forms differ by their field, so the
+    memoised decision for one is never the other's."""
+    fermat = TernaryForm(6, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1})
+    f3, f7 = (reduce_mod(fermat, prime_field(p)) for p in (3, 7))
+    assert f3.terms == f7.terms and f3 != f7
+    assert not is_smooth_curve(f3)
+    assert is_smooth_curve(f7)
+
+
 def test_real_conditions(example_sextet):
     assert check_real_conditions(example_sextet)
     # positive-definite slot violation (A must be negative definite)
