@@ -97,7 +97,7 @@ def jacobian_system(f: TernaryForm) -> list[TernaryForm]:
     """f's partials, reduced mod p, plus f itself when the characteristic
     divides deg f (Euler's relation makes f redundant otherwise)."""
     fld = _coefficient_field(f)
-    system = [FormModP(f.partial(i), fld) for i in range(3)]
+    system = [f.partial(i) for i in range(3)]
     if f.degree % fld.characteristic == 0:
         system.append(f)
     return [g for g in system if not g.is_zero()]

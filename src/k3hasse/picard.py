@@ -23,6 +23,20 @@ The tritangent scan runs on ints mod p too.  A line is an int triple; f
 restricts to it in one pass over its terms, and the restriction g is a
 constant times a square when its multiplicity at infinity is even and the
 monic square root read off the top half of g/lc(g) squares back to it.
+
+The charpoly follows from ten or more counts by Newton's identities, up to
+the sign eps of its functional equation a_i = eps q^(22-2i) a_(22-i) and,
+with ten counts, its middle coefficient a_11.  Every choice is tested
+exactly, without floating point, for Weil conformity (every eigenvalue of
+modulus q).  With sign -1, T^2 - q^2 divides the charpoly and a_11 = 0;
+what is left, or the whole charpoly with sign +1, is T^m h(T + q^2/T), and
+it conforms iff h has all its roots real in [-2q, 2q], which a Sturm count
+on the squarefree part of h decides (Basu-Pollack-Roy, Algorithms in Real
+Algebraic Geometry, ch. 2).  With sign +1 and a_11 open, the conforming
+integers a_11 form an interval whose interior holds no critical value of
+h; Sturm counts isolate those values, and one test per gap between them
+stands for the gap.  Exactly one pair of a sign and an a_11 must conform:
+none raises InconsistentCounts, two raise SignAmbiguous.
 """
 
 from __future__ import annotations
@@ -30,12 +44,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, floor, lcm
 
 import numpy as np
 
 from .arith import probable_prime
-from .poly import TernaryForm, UniPoly, squarefree_decomposition
+from .poly import TernaryForm, UniPoly, poly_gcd
 from .finitefield import TABLE_LIMIT, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
 
@@ -203,186 +217,167 @@ class FrobeniusData:
         return [c * q ** (i - H2_DIM) for i, c in enumerate(self.coefficients)]
 
 
-def _newton_coefficients(power_sums) -> dict[int, Fraction]:
-    """Top charpoly coefficients a_22, a_21, ... from power sums via Newton's
-    identities, in exact rationals."""
-    a = {H2_DIM: Fraction(1)}
-    for k in range(1, min(len(power_sums), H2_DIM) + 1):
+def _newton_coefficients(power_sums, degree: int = H2_DIM) -> dict[int, Fraction]:
+    """Top coefficients a_degree, a_degree-1, ... of the monic polynomial
+    with the given power sums of its roots, via Newton's identities, in exact
+    rationals."""
+    a = {degree: Fraction(1)}
+    for k in range(1, min(len(power_sums), degree) + 1):
         s = Fraction(power_sums[k - 1])
         for i in range(1, k):
-            s += a[H2_DIM - i] * power_sums[k - i - 1]
-        a[H2_DIM - k] = -s / k
+            s += a[degree - i] * power_sums[k - i - 1]
+        a[degree - k] = -s / k
     return a
 
 
-def _weil_plausible(coefficients, q: int) -> bool:
-    """Cheap pre-filter: root moduli within 30 percent of q.  A genuinely
-    conform polynomial always passes (double-precision scatter of a root of
-    multiplicity up to 22 stays below that), so this only discards."""
-    roots = np.roots([float(c) for c in coefficients][::-1])
-    return bool(np.all(np.abs(np.abs(roots) - q) <= 0.3 * q))
+def _power_sums(m: UniPoly) -> list[Fraction]:
+    """s_0 .. s_(d-1), the power sums of the roots of the monic m of degree
+    d, by Newton's identities run forward."""
+    d, c = m.degree, m.coeffs
+    s = [Fraction(d)]
+    for k in range(1, d):
+        s.append(-k * c[d - k] - sum(c[d - i] * s[k - i] for i in range(1, k)))
+    return s
 
 
-def _weil_conform(coefficients, q: int) -> bool:
-    """All roots of modulus q to a relative 1e-6, via companion-matrix
-    eigenvalues of the exact squarefree part (repeated roots scatter
-    numerically far beyond any usable tolerance, so multiplicities are
-    removed exactly first)."""
-    poly = UniPoly([Fraction(c) for c in coefficients])
-    try:
-        sqfree = [fac for fac, _ in squarefree_decomposition(poly)]
-    except (ZeroDivisionError, ValueError):
-        return False
-    prod = UniPoly([Fraction(1)])
-    for fac in sqfree:
-        prod = prod * fac
-    cs = [float(c) for c in prod.coeffs]
-    roots = np.roots(cs[::-1])
-    return bool(np.all(np.abs(np.abs(roots) - q) <= q * 1e-6))
+def _sturm_chain(s: UniPoly) -> list[UniPoly]:
+    """The Sturm sequence of s over Q, each member scaled by a positive
+    constant to integer coefficients: the signs are unchanged, and
+    evaluation at integers stays in ints."""
+    chain = [s, s.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    scales = (lcm(*(c.denominator for c in p.coeffs)) for p in chain)
+    return [UniPoly([int(c * k) for c in p.coeffs]) for p, k in zip(chain, scales)]
 
 
-def _complete_with_sign(a_top: dict[int, Fraction], eps: int, q: int):
-    """Fill the lower half by the functional equation a_i = eps q^(22-2i)
-    a_{22-i}; return None if a coefficient stays undetermined, or raise
-    InconsistentCounts on an overdetermined mismatch within this sign."""
-    coeffs: list[Fraction | None] = [None] * (H2_DIM + 1)
-    for i, v in a_top.items():
-        coeffs[i] = v
-    for i in range(H2_DIM + 1):
-        j = H2_DIM - i
-        if a_top.get(j) is None:
-            continue
-        mirrored = eps * Fraction(q) ** (H2_DIM - 2 * i) * a_top[j]
-        if coeffs[i] is None:
-            coeffs[i] = mirrored
-        elif coeffs[i] != mirrored:
-            return "inconsistent"
-    if any(c is None for c in coeffs):
-        return None
-    return coeffs
+def _sign_changes(chain: list[UniPoly], x) -> int:
+    signs = [v > 0 for v in (p.evaluate(x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _plus_sign_feasibility(a_top: dict[int, Fraction], q: int):
-    """Decide whether some value of the undetermined middle coefficient makes
-    the + sign Weil-conform.
+def _squarefree_part(h: UniPoly) -> UniPoly:
+    return h.exact_div(poly_gcd(h, h.derivative()))
 
-    With the + sign the polynomial is prod (T^2 - gamma_i T + q^2) and
-    conformance is equivalent to h(u) = prod (u - gamma_i) having all eleven
-    roots real in [-2q, 2q].  Writing h = w + h_0 with h_0 the one unknown,
-    the value y = -h_0 must satisfy the exact necessary window
-    w(-2q) <= y <= w(2q); when the critical points of w are numerically clean
-    the window sharpens to [max minima, min maxima].  An empty exact window
-    rejects the sign rigorously; a small window yields integer candidates to
-    test; anything else is left to an extra count.
 
-    Returns ("infeasible", None), ("candidates", list of integer a_11) or
-    ("unknown", None).
+def _real_roots_within(h: UniPoly, bound: int) -> bool:
+    """Are all roots of h real and in [-bound, bound]?  For the squarefree
+    part s, Sturm's V(-bound) - V(bound) counts its distinct roots in
+    (-bound, bound], and a root at -bound is added by hand."""
+    s = _squarefree_part(h)
+    chain = _sturm_chain(s)
+    inside = _sign_changes(chain, -bound) - _sign_changes(chain, bound) + (chain[0].evaluate(-bound) == 0)
+    return inside == s.degree
+
+
+def _trace_polynomial(top, q: int) -> UniPoly:
+    """h of degree m with T^m h(T + q^2/T) the polynomial of degree 2m and
+    sign +1 whose coefficients of T^m .. T^2m are ``top``."""
+    m = len(top) - 1
+    h = [None] * (m + 1)
+    for k in range(m, -1, -1):
+        h[k] = top[k] - sum(h[k + 2 * j] * comb(k + 2 * j, j) * q ** (2 * j) for j in range(1, (m - k) // 2 + 1))
+    return UniPoly(h)
+
+
+def _weil_conform(coefficients, eps: int, q: int) -> bool:
+    """Do all roots of the charpoly of sign eps have modulus q?  Sign -1
+    has the roots q and -q; what is left, like a charpoly of sign +1, is
+    T^m h(T + q^2/T), and its roots have modulus q iff h has all its roots
+    real in [-2q, 2q]."""
+    P = UniPoly(coefficients)
+    if eps == -1:
+        P = P.exact_div(UniPoly([-q * q, 0, 1]))
+    return _real_roots_within(_trace_polynomial(P.coeffs[P.degree // 2:], q), 2 * q)
+
+
+def _complete_with_sign(a_top: dict[int, Fraction], eps: int, q: int) -> list[Fraction] | None:
+    """a_0 .. a_22 from a_22 .. a_11 by the functional equation
+    a_i = eps q^(22-2i) a_(22-i), or None where a known coefficient
+    contradicts it (for sign -1 that includes a_11 != 0)."""
+    coeffs = [
+        a_top[i] if i > 11 else eps * Fraction(q) ** (H2_DIM - 2 * i) * a_top[H2_DIM - i]
+        for i in range(H2_DIM + 1)
+    ]
+    return coeffs if all(coeffs[i] == c for i, c in a_top.items()) else None
+
+
+def _open_middle_values(a_top: dict[int, Fraction], q: int) -> list[int]:
+    """Up to two integers a_11 for which sign +1 conforms, when ten counts
+    leave a_11 open.
+
+    The trace polynomial of a_11 = a is W + a, W the one of a_11 = 0, so
+    the conforming a form an interval: they must lie in
+    [-W(2q), -W(-2q)], and inside it they change only at a critical value
+    -W(c), c a root of W', whose ten roots must themselves lie in
+    [-2q, 2q] (Rolle).  Those values are the roots of
+    D(x) = prod (x + W(c)), whose power sums are the traces of (-W)^k in
+    Q[u]/(W').  Bisection on Sturm counts puts each root of D in a unit
+    interval (r - 1, r]; r is tested on its own, and between two such r
+    the conformity of one integer is that of all.
     """
-    h = {11: Fraction(1)}
-    for m in range(10, 0, -1):
-        val = a_top[11 + m]
-        j = 1
-        while m + 2 * j <= 11:
-            val -= h[m + 2 * j] * comb(m + 2 * j, j) * Fraction(q) ** (2 * j)
-            j += 1
-        h[m] = val
-    w = UniPoly([Fraction(0)] + [h[k] for k in range(1, 11)] + [Fraction(1)])
     B = 2 * q
-    w_lo = w.evaluate(Fraction(-B))
-    w_hi = w.evaluate(Fraction(B))
-    if w_lo > w_hi:
-        return "infeasible", None
-    integral = all(hh.denominator == 1 for hh in h.values())
-    # numeric sharpening through the critical points of w
-    wp = [float(k * h.get(k, Fraction(1))) if k <= 10 else 11.0 for k in range(1, 12)]
-    crit = np.roots(wp[::-1])
-    scale = 1.0 + np.abs(crit.real)
-    clean = not np.any(np.abs(crit.imag) > 1e-9 * scale)
-    cr = np.sort(crit.real)
-    if clean and len(cr) > 1:
-        clean = float(np.min(np.diff(cr))) > 1e-6 * (1.0 + float(np.max(np.abs(cr))))
-    window = None
-    if clean:
-        if np.any(np.abs(cr) > B * (1 + 1e-6)):
-            # eleven roots in the window force all ten criticals inside it
-            return "infeasible", None
-        wf = np.poly1d([float(c) for c in w.coeffs[::-1]])
-        vals = wf(cr)
-        lo = max(list(vals[1::2]) + [float(w_lo)])
-        hi = min(list(vals[0::2]) + [float(w_hi)])
-        if lo > hi + 1e-3 * max(1.0, abs(lo), abs(hi)):
-            return "infeasible", None
-        window = (lo, hi)
-    if not integral:
-        return "unknown", None
-    if window is None:
-        window = (float(w_lo), float(w_hi))
-    import math
+    W = _trace_polynomial([Fraction(0)] + [a_top[i] for i in range(12, H2_DIM + 1)], q)
+    lo, hi = ceil(-W.evaluate(B)), floor(-W.evaluate(-B))
+    if lo > hi or not _real_roots_within(W.derivative(), B):
+        return []
+    m = W.derivative().monic()
+    s, r = _power_sums(m), -W % m
+    traces, x = [], UniPoly([Fraction(1)])
+    for _ in range(m.degree):
+        x = x * r % m
+        traces.append(sum(c * t for c, t in zip(x.coeffs, s)))
+    a = _newton_coefficients(traces, m.degree)
+    chain = _sturm_chain(_squarefree_part(UniPoly([a[i] for i in range(m.degree + 1)])))
+    isolated, stack = [], [(lo - 1, hi)]
+    while stack:
+        left, right = stack.pop()
+        if _sign_changes(chain, left) == _sign_changes(chain, right):
+            continue
+        if right - left == 1:
+            isolated.append(right)
+        else:
+            mid = (left + right) // 2
+            stack += [(left, mid), (mid, right)]
 
-    y_lo, y_hi = math.floor(window[0] - 1), math.ceil(window[1] + 1)
-    if y_hi - y_lo > 600:
-        return "unknown", None
-    shift = sum(h[2 * j] * comb(2 * j, j) * Fraction(q) ** (2 * j) for j in range(1, 6))
-    return "candidates", [int(-y + shift) for y in range(y_lo, y_hi + 1)]
+    def conforms(value: int) -> bool:
+        return _real_roots_within(W + UniPoly([Fraction(value)]), B)
+
+    found, start = [], lo
+    for r in sorted(isolated) + [hi + 1]:
+        if start < r and conforms(start):
+            found += range(start, min(r, start + 2))
+        if r <= hi and conforms(r):
+            found.append(r)
+        if len(found) >= 2:
+            break
+        start = r + 1
+    return found[:2]
 
 
 def frobenius_charpoly(counts: CountSeries) -> FrobeniusData:
     """Reconstruct the degree-22 Frobenius characteristic polynomial from the
-    count series, selecting the functional-equation sign by the root-modulus
-    (Weil) test."""
+    count series, selecting the functional-equation sign by the exact Weil
+    test: exactly one pair of a sign and an integer a_11 must conform."""
     if counts.max_n < 10:
         raise CountingError("need counts to n = 10 for a one-sided functional equation")
     q = counts.p
     t = [counts.counts[k - 1] - 1 - q ** (2 * k) for k in range(1, counts.max_n + 1)]
     a_top = _newton_coefficients(t)
     survivors = []
-    plus_unknown = False
     for eps in (-1, 1):
-        a_eps = dict(a_top)
-        if eps == -1:
-            if 11 not in a_eps:
-                a_eps[11] = Fraction(0)
-            elif a_eps[11] != 0:
-                continue  # the minus sign forces a_11 = 0
-        filled = _complete_with_sign(a_eps, eps, q)
-        if filled == "inconsistent":
+        if eps == 1 and 11 not in a_top:
+            for a11 in _open_middle_values(a_top, q):
+                survivors.append((eps, _complete_with_sign({**a_top, 11: Fraction(a11)}, eps, q)))
             continue
-        if filled is None:
-            verdict, cands = _plus_sign_feasibility(a_top, q)
-            if verdict == "infeasible":
-                continue
-            if verdict == "unknown":
-                plus_unknown = True
-                continue
-            found = None
-            for a11 in cands:
-                a_try = dict(a_top)
-                a_try[11] = Fraction(a11)
-                filled_try = _complete_with_sign(a_try, eps, q)
-                conform = (
-                    filled_try not in (None, "inconsistent")
-                    and _weil_plausible(filled_try, q)
-                    and _weil_conform(filled_try, q)
-                )
-                if found is not None:
-                    # the conforming a_11 form an interval, so the neighbour
-                    # of the first one decides whether it is the only one
-                    if conform:
-                        raise SignAmbiguous("sign ambiguous, need N_11")
-                    break
-                if conform:
-                    found = filled_try
-            if found is not None:
-                survivors.append((eps, found))
-            continue
-        if _weil_conform(filled, q):
-            survivors.append((eps, filled))
-    if plus_unknown:
-        raise SignAmbiguous("sign ambiguous, need N_11")
+        # a_11 is counted, or sign -1 forces it to be 0
+        coeffs = _complete_with_sign({11: Fraction(0), **a_top}, eps, q)
+        if coeffs is not None and _weil_conform(coeffs, eps, q):
+            survivors.append((eps, coeffs))
     if not survivors:
         raise InconsistentCounts("count series inconsistent: no Weil-conform sign")
     if len(survivors) > 1:
-        raise SignAmbiguous("sign ambiguous, need N_11")
+        raise SignAmbiguous(f"sign ambiguous, need N_{counts.max_n + 1}")
     eps, coeffs = survivors[0]
     return FrobeniusData(q=q, power_sums=t, coefficients=coeffs, sign=eps)
 

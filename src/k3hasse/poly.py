@@ -2,10 +2,7 @@
 
 ``UniPoly`` and ``TernaryForm`` coefficients are duck-typed ring elements:
 Python ints (ring Z) and ``fractions.Fraction``.  Over Q, ``UniPoly``
-carries the charpoly and unit-root arithmetic of ``picard``.  The
-characteristic-p path of ``squarefree_decomposition`` reads element
-objects with a ``field`` (characteristic and order); the library builds
-none.
+carries the charpoly, Sturm and unit-root arithmetic of ``picard``.
 
 The certificate's computations over finite fields run on int codes:
 ``ModP`` (ints mod p), the discrete-log arithmetic of ``finitefield`` and
@@ -24,19 +21,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Any, Iterable
-
-
-def _characteristic(c) -> int:
-    field = getattr(c, "field", None)
-    return field.characteristic if field is not None else 0
-
-
-def _pth_root_coeff(c):
-    """p-th root of a finite-field coefficient (fields here are perfect)."""
-    field = getattr(c, "field", None)
-    if field is None:
-        raise NotImplementedError("p-th roots need a finite-field coefficient")
-    return c ** (field.order // field.characteristic)
 
 
 class UniPoly:
@@ -450,73 +434,6 @@ class Residues:
         return r
 
 
-def squarefree_decomposition(g: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Factor g into pairwise-coprime monic squarefree parts with multiplicities.
-
-    Works in characteristic 0 (Yun) and odd characteristic p, where a vanishing
-    derivative triggers descent through p-th roots of the coefficients.
-    """
-    if g.is_zero():
-        raise ValueError("squarefree decomposition of zero")
-    g = g.monic()
-    if g.degree == 0:
-        return []
-    p = _characteristic(g.lc)
-    if p == 0:
-        return _squarefree_char0(g)
-    return _squarefree_charp(g, p)
-
-
-def _squarefree_char0(g: UniPoly) -> list[tuple[UniPoly, int]]:
-    d = g.derivative()
-    c = poly_gcd(g, d)
-    w = g.exact_div(c)
-    y = d.exact_div(c) - w.derivative()
-    out = []
-    i = 1
-    while w.degree > 0:
-        fac = poly_gcd(w, y)
-        if fac.degree > 0:
-            out.append((fac, i))
-        w = w.exact_div(fac)
-        y = y.exact_div(fac) - w.derivative()
-        i += 1
-    return out
-
-
-def _pth_root_poly(g: UniPoly, p: int) -> UniPoly:
-    coeffs = []
-    for i, c in enumerate(g.coeffs):
-        if i % p == 0:
-            coeffs.append(_pth_root_coeff(c))
-        elif c:
-            raise ValueError("polynomial is not a p-th power")
-    return UniPoly(coeffs)
-
-
-def _squarefree_charp(g: UniPoly, p: int) -> list[tuple[UniPoly, int]]:
-    d = g.derivative()
-    if d.is_zero():
-        sub = squarefree_decomposition(_pth_root_poly(g, p))
-        return [(f, m * p) for f, m in sub]
-    out = []
-    c = poly_gcd(g, d)
-    w = g.exact_div(c)
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        fac = w.exact_div(y)
-        if fac.degree > 0:
-            out.append((fac, i))
-        w = y
-        c = c.exact_div(y)
-        i += 1
-    if c.degree > 0:
-        sub = squarefree_decomposition(_pth_root_poly(c, p))
-        out.extend((f, m * p) for f, m in sub)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Ternary forms
 # ---------------------------------------------------------------------------
@@ -657,7 +574,9 @@ class FormModP(TernaryForm):
     """A form over a finite field of characteristic p: the coefficients of
     an integer form reduced to ints in [0, p), which are the codes of F_p
     in every F_(p^n), and the field itself, which equality and hashing
-    read, so that reductions mod different primes never compare equal."""
+    read, so that reductions mod different primes never compare equal.
+    Sums, differences, products, scalings and partials stay reduced forms
+    over the same field."""
 
     __slots__ = ("field",)
 
@@ -665,6 +584,26 @@ class FormModP(TernaryForm):
         p = field.characteristic
         super().__init__(form.degree, {m: c % p for m, c in form.terms.items()})
         self.field = field
+
+    def _over_field(self, form: TernaryForm, other=None) -> "FormModP":
+        if isinstance(other, FormModP) and other.field is not self.field:
+            raise ValueError("the forms lie over different fields")
+        return FormModP(form, self.field)
+
+    def __add__(self, other: TernaryForm) -> "FormModP":
+        return self._over_field(super().__add__(other), other)
+
+    def __neg__(self) -> "FormModP":
+        return self._over_field(super().__neg__())
+
+    def __mul__(self, other) -> "FormModP":
+        return self._over_field(super().__mul__(other), other)
+
+    def scale(self, k) -> "FormModP":
+        return self._over_field(super().scale(k))
+
+    def partial(self, var: int) -> "FormModP":
+        return self._over_field(super().partial(var))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormModP) and self.field is other.field and super().__eq__(other)

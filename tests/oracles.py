@@ -9,7 +9,7 @@ int codes only; the references compute on their own field elements
 count runs on those elements and the library's coefficient reduction, so it
 checks the orbit counting kernel and its tables, not the choice of modulus.  The naive tritangent scan restricts the
 integer form to each line with ``UniPoly`` products over Z, reduces the result
-into F_p and tests squares by the library's squarefree decomposition, so it
+into F_p and tests squares by the squarefree decomposition below, so it
 checks the scan on ints mod p, not those.  The subresultant ``resultant``
 runs on the library's ``UniPoly`` and the pseudo-remainder here; it is the
 reference for the elimination's resultant by evaluation and interpolation
@@ -61,7 +61,6 @@ from k3hasse.poly import (
     UniPoly,
     _coeff_div,
     poly_gcd,
-    squarefree_decomposition,
 )
 
 
@@ -545,6 +544,90 @@ def random_element(fld: ElementField, rng) -> FFElem:
     if isinstance(fld, ExtensionField):
         return FFElem(fld, tuple(random_element(fld.base, rng) for _ in range(fld.rel_degree)))
     return FFElem(fld, rng.randrange(fld.p))
+
+
+# ---------------------------------------------------------------------------
+# Squarefree decomposition over Q and over the element fields
+# ---------------------------------------------------------------------------
+
+def _characteristic(c) -> int:
+    field = getattr(c, "field", None)
+    return field.characteristic if field is not None else 0
+
+
+def _pth_root_coeff(c):
+    """p-th root of a finite-field coefficient (fields here are perfect)."""
+    field = getattr(c, "field", None)
+    if field is None:
+        raise NotImplementedError("p-th roots need a finite-field coefficient")
+    return c ** (field.order // field.characteristic)
+
+
+def squarefree_decomposition(g: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Factor g into pairwise-coprime monic squarefree parts with multiplicities.
+
+    Works in characteristic 0 (Yun) and odd characteristic p, where a vanishing
+    derivative triggers descent through p-th roots of the coefficients.
+    """
+    if g.is_zero():
+        raise ValueError("squarefree decomposition of zero")
+    g = g.monic()
+    if g.degree == 0:
+        return []
+    p = _characteristic(g.lc)
+    if p == 0:
+        return _squarefree_char0(g)
+    return _squarefree_charp(g, p)
+
+
+def _squarefree_char0(g: UniPoly) -> list[tuple[UniPoly, int]]:
+    d = g.derivative()
+    c = poly_gcd(g, d)
+    w = g.exact_div(c)
+    y = d.exact_div(c) - w.derivative()
+    out = []
+    i = 1
+    while w.degree > 0:
+        fac = poly_gcd(w, y)
+        if fac.degree > 0:
+            out.append((fac, i))
+        w = w.exact_div(fac)
+        y = y.exact_div(fac) - w.derivative()
+        i += 1
+    return out
+
+
+def _pth_root_poly(g: UniPoly, p: int) -> UniPoly:
+    coeffs = []
+    for i, c in enumerate(g.coeffs):
+        if i % p == 0:
+            coeffs.append(_pth_root_coeff(c))
+        elif c:
+            raise ValueError("polynomial is not a p-th power")
+    return UniPoly(coeffs)
+
+
+def _squarefree_charp(g: UniPoly, p: int) -> list[tuple[UniPoly, int]]:
+    d = g.derivative()
+    if d.is_zero():
+        sub = squarefree_decomposition(_pth_root_poly(g, p))
+        return [(f, m * p) for f, m in sub]
+    out = []
+    c = poly_gcd(g, d)
+    w = g.exact_div(c)
+    i = 1
+    while w.degree > 0:
+        y = poly_gcd(w, c)
+        fac = w.exact_div(y)
+        if fac.degree > 0:
+            out.append((fac, i))
+        w = y
+        c = c.exact_div(y)
+        i += 1
+    if c.degree > 0:
+        sub = squarefree_decomposition(_pth_root_poly(c, p))
+        out.extend((f, m * p) for f, m in sub)
+    return out
 
 
 # ---------------------------------------------------------------------------

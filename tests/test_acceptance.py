@@ -36,8 +36,8 @@ from k3hasse.picard import (
     unit_root_bound,
 )
 from k3hasse.pipeline import expected_normalized_charpoly, verify_example
-from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
-from .oracles import conic_locally_soluble, count_points_naive, element_field
+from k3hasse.poly import ModP, Residues, TernaryForm, UniPoly, code_mul, monomials_of_degree
+from .oracles import conic_locally_soluble, count_points_naive, element_field, squarefree_decomposition
 from .test_picard import _forward_power_sums, _random_weil_factors
 
 
@@ -161,7 +161,8 @@ def test_criterion_7_invariant_profile(example_surface, example_sextet, fixtures
 
 def test_criterion_8_property_suites(example_sextic):
     """Product formula (200 pairs), conic-oracle agreement (odd p <= 13),
-    naive-versus-orbit counts, charpoly round trips, squarefree reassembly."""
+    naive-versus-orbit counts, charpoly round trips, squarefree reassembly
+    and irreducible-factor reassembly."""
     t0 = time.time()
     rng = random.Random(2024)
 
@@ -219,10 +220,25 @@ def test_criterion_8_property_suites(example_sextic):
                 continue
         assert fd is not None and fd.coefficients == poly
 
-    # squarefree reassembly on 100 random univariates
-    from k3hasse.finitefield import fq
+    # squarefree reassembly on 100 random univariates, by the oracle's
+    # decomposition and by the library's factoring on codes
+    from k3hasse.finitefield import fq, irreducible_factors
 
     fields = [element_field(fq(p, n)) for p, n in ((3, 1), (3, 2), (5, 1), (7, 1))]
+    ariths = [ModP(f.characteristic) if f.degree == 1 else Residues(ModP(f.characteristic), list(f.lib.modulus))
+              for f in fields]
+
+    def code(field, c):
+        """The code of c in the arithmetic of ``ariths``: an int of F_p, or
+        the digit list of a residue."""
+        p, k = field.characteristic, field.encode(c)
+        if field.degree == 1:
+            return k
+        digits = [k // p**i % p for i in range(field.degree)]
+        while digits and not digits[-1]:
+            digits.pop()
+        return digits
+
     for i in range(100):
         field = fields[i % len(fields)]
         deg = rng.randrange(1, 4)
@@ -236,6 +252,12 @@ def test_criterion_8_property_suites(example_sextic):
         for fac, mult in squarefree_decomposition(g):
             product = product * fac**mult
         assert product == g.monic()
+        K, codes = ariths[i % len(fields)], [code(field, c) for c in g.monic().coeffs]
+        product = [K.one]
+        for irr, mult in irreducible_factors(K, codes):
+            for _ in range(mult):
+                product = code_mul(K, product, irr)
+        assert product == codes
 
     _report("8: property suites", time.time() - t0, 120.0)
 

@@ -19,7 +19,7 @@ from k3hasse.badred import (
     verify_bad_prime_list,
 )
 from k3hasse.finitefield import fq, irreducible_factors, prime_field
-from k3hasse.poly import FormModP, ModP, TernaryForm, UniPoly, monomials_of_degree, squarefree_decomposition
+from k3hasse.poly import FormModP, ModP, TernaryForm, UniPoly, monomials_of_degree
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
 from .conftest import _clear_memos
@@ -29,6 +29,7 @@ from .oracles import (
     decoded_forms,
     element_field,
     resultant,
+    squarefree_decomposition,
     ternary_to_t_over_u,
     to_elements,
     uni,

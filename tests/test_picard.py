@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from k3hasse.finitefield import TABLE_LIMIT, fq, prime_field
@@ -15,6 +16,10 @@ from k3hasse.picard import (
     _is_square_times_constant,
     _level_tallies,
     _int_coefficients_mod,
+    _newton_coefficients,
+    _open_middle_values,
+    _real_roots_within,
+    _trace_polynomial,
     _restriction,
     certify_rank_one,
     count_series,
@@ -27,7 +32,7 @@ from k3hasse.picard import (
     unit_root_bound,
 )
 from k3hasse.pipeline import draw_sextet, load_fixtures
-from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree
+from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree, poly_gcd
 from k3hasse.surface import build_k3, is_smooth_curve, reduce_mod
 
 from . import oracles
@@ -289,6 +294,88 @@ def test_charpoly_undetermined_middle_coefficient_is_ambiguous():
     assert fd.coefficients == poly
     assert fd.coefficients[11] == -82545480
     assert unit_root_bound(fd) == 8
+
+
+def _ten_counts(sums, q):
+    return [int(s) + 1 + q ** (2 * n) for n, s in enumerate(sums[:10], start=1)]
+
+
+def test_charpoly_decides_draw_1604_at_ten_counts():
+    """Seed 0's stage-4 survivor 1604 (its depth-10 counts): sign -1
+    conforms, and no integer a_11 makes sign +1 conform."""
+    counts = [14, 104, 830, 6812, 59729, 533396, 4785641, 43024172, 387390737, 3487032089]
+    fd = frobenius_charpoly(CountSeries.from_counts(3, counts))
+    assert fd.sign == -1
+    assert unit_root_bound(fd) == 4
+
+
+def test_ten_counts_decide_every_seed_5_multiset():
+    """The first 150 multisets of seed 5 at ten counts: each gives its own
+    charpoly.  Among them, draw 14 (sign -1) and draw 65 (sign +1) have the
+    eigenvalue q or -q with multiplicity at least 4."""
+    q, rng = 3, random.Random(5)
+    signs = set()
+    for _ in range(150):
+        poly, sums = _forward_power_sums(_random_weil_factors(rng, q), q, 10)
+        fd = frobenius_charpoly(CountSeries.from_counts(q, _ten_counts(sums, q)))
+        assert fd.coefficients == poly
+        signs.add(fd.sign)
+    assert signs == {-1, 1}
+
+
+def test_ten_counts_decide_a_one_point_window_on_a_critical_value():
+    """(T - q)^22 and (T + q)^22, whose trace polynomials (u -/+ 2q)^11 have
+    their root on an end of [-2q, 2q], and draw 65 of seed 5 ((T + q)^4 and
+    the pair T^2 + q^2 three times): sign +1 conforms for exactly one a_11,
+    a critical value, where the trace polynomial has a multiple root."""
+    q = 3
+    rng = random.Random(5)
+    for _ in range(66):
+        draw_65 = _random_weil_factors(rng, q)
+    for factors in ([[Fraction(-q), Fraction(1)]] * 22, [[Fraction(q), Fraction(1)]] * 22, draw_65):
+        poly, sums = _forward_power_sums(factors, q, 10)
+        a_top = _newton_coefficients([int(s) for s in sums])
+        assert _open_middle_values(a_top, q) == [poly[11]]
+        h = _trace_polynomial([poly[11]] + [a_top[i] for i in range(12, H2_DIM + 1)], q)
+        assert poly_gcd(h, h.derivative()).degree >= 1
+        fd = frobenius_charpoly(CountSeries.from_counts(q, _ten_counts(sums, q)))
+        assert fd.sign == 1 and fd.coefficients == poly
+
+
+def test_the_weil_test_counts_roots_on_the_ends_of_the_interval():
+    """All roots real in [-6, 6], decided by the Sturm count on the
+    squarefree part, against constructed roots: on the ends, just beyond
+    them, repeated, and with the complex pair +/- i added."""
+    cases = [
+        ([-6], True),
+        ([6], True),
+        ([-6, 6, 6, 0], True),
+        ([-6] * 5 + [Fraction(1, 3)] * 3, True),
+        ([Fraction(-61, 10)], False),
+        ([Fraction(61, 10), 0], False),
+        ([-7, -6], False),
+        ([6, 6, 7], False),
+    ]
+    for roots, inside in cases:
+        h = UniPoly([Fraction(1)])
+        for r in roots:
+            h = h * UniPoly([-Fraction(r), Fraction(1)])
+        assert _real_roots_within(h, 6) is inside, roots
+        assert not _real_roots_within(h * UniPoly([1, 0, 1]), 6), roots
+
+
+def test_no_float_decides_the_charpoly(monkeypatch, fixtures):
+    """The shipped charpoly, the round-trip multisets and the undetermined
+    middle coefficient, with numpy's root finder and poly1d made to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float decided the charpoly")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(np, "poly1d", refuse)
+    test_charpoly_recorded_series(fixtures)
+    test_charpoly_round_trip_on_synthetic_eigenvalues()
+    test_charpoly_undetermined_middle_coefficient_is_ambiguous()
 
 
 def test_unit_root_bound_trivial_polys():

@@ -12,7 +12,6 @@ from k3hasse.poly import (
     code_gcdex,
     monomials_of_degree,
     poly_gcd,
-    squarefree_decomposition,
 )
 from k3hasse.surface import reduce_mod
 from .oracles import (
@@ -22,6 +21,7 @@ from .oracles import (
     poly_gcdex,
     restrict_to_line,
     resultant,
+    squarefree_decomposition,
     sylvester_resultant,
     to_elements,
 )

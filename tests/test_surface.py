@@ -128,6 +128,25 @@ def test_one_form_reduced_mod_two_primes_is_two_forms(fresh_memos):
     assert is_smooth_curve(f7)
 
 
+def test_forms_mod_p_stay_over_their_field_under_arithmetic(fresh_memos):
+    """Sums, differences, negation, products, scalings and partials of
+    forms reduced mod 7 are reduced forms over F_7, so smoothness answers
+    on a sum; forms over different fields do not combine."""
+    F7 = prime_field(7)
+    f = TernaryForm(6, {(6, 0, 0): 1, (0, 6, 0): 1, (2, 2, 2): 5})
+    g = TernaryForm(6, {(0, 0, 6): 8, (2, 2, 2): 2})
+    total = reduce_mod(f, F7) + reduce_mod(g, F7)
+    assert total == reduce_mod(f + g, F7)  # x0^6 + x1^6 + x2^6 mod 7
+    assert is_smooth_curve(total)
+    assert reduce_mod(f, F7) - reduce_mod(g, F7) == reduce_mod(f - g, F7)
+    assert -reduce_mod(f, F7) == reduce_mod(-f, F7)
+    assert reduce_mod(f, F7) * reduce_mod(g, F7) == reduce_mod(f * g, F7)
+    assert reduce_mod(f, F7).scale(10) == reduce_mod(f.scale(10), F7)
+    assert all(reduce_mod(f, F7).partial(i) == reduce_mod(f.partial(i), F7) for i in range(3))
+    with pytest.raises(ValueError, match="different fields"):
+        reduce_mod(f, F7) + reduce_mod(g, prime_field(5))
+
+
 def test_real_conditions(example_sextet):
     assert check_real_conditions(example_sextet)
     # positive-definite slot violation (A must be negative definite)
