@@ -83,7 +83,9 @@ class FieldTables:
     is the sentinel where 1 + g^k = 0; ``exp[zero] = 0`` and
     ``zech[zero] = 0``.  Lookups use ``take(..., mode="clip")``, so any index
     past the sentinel reads those last entries: a product with a factor 0 is
-    0 and 0 + c is c, and no operation branches on zero.
+    0 and 0 + c is c, and no operation branches on zero.  ``orbit_reps``,
+    ``ramp`` and ``zech_chi`` serve the counting sweep of :mod:`k3hasse.picard`
+    and are built on its first use of the field.
     """
 
     def __init__(self, field: FiniteField):
@@ -132,7 +134,8 @@ class FieldTables:
         ratio = np.maximum(lu, lv) - lo + (self.q - 1)
         return self.exp.take(lo + self.zech.take(ratio, mode="clip"), mode="clip")
 
-    def orbit_reps(self):
+    @cached_property
+    def orbit_reps(self) -> tuple[tuple[int, int], ...]:
         """(representative, orbit size) for the Frobenius orbits, the
         representative being the minimal int encoding in its orbit."""
         q = self.q
@@ -143,7 +146,23 @@ class FieldTables:
             orbmin = np.minimum(orbmin, cur)
             cur = self.frob[cur]
         reps = np.nonzero(orbmin == ar)[0]
-        return [(int(r), int(self.deg[r])) for r in reps]
+        return tuple((int(r), int(self.deg[r])) for r in reps)
+
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """0, 1, .., 2(q - 1) - 1: the slice ``ramp[o : o + q - 1]`` holds
+        log(g^o z) for z = g^j, j = 0 .. q - 2, each below q - 1 + o, so
+        log v + that slice stays below the sentinel for v != 0.  int32 like
+        ``zech``: intp copies of both swept no faster at F_(3^9) and slower
+        at F_(3^10)."""
+        return np.arange(2 * (self.q - 1), dtype=np.int32)
+
+    @cached_property
+    def zech_chi(self) -> np.ndarray:
+        """int8 codes of the quadratic character of 1 + g^k, index by index
+        with ``zech`` (q odd): 0 for a square, 1 for a non-square, 2 for zero.
+        The sentinel entry reads 1 + 0 = 1, a square."""
+        return np.where(self.zech == self.zero, 2, self.zech & 1).astype(np.int8)
 
 
 class LogArith:

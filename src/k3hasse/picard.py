@@ -13,11 +13,16 @@ the tallies of the divisors of n through the character transfer rule
 chi_n = chi_d^(n/d).
 
 A sweep never leaves discrete-log form.  The seven coefficients c_k(y) of
-f(1, y, z) in z are found for all orbit representatives at once, then the
-Horner evaluation over all z in F_{p^d} runs on logs: multiplying by z adds
-log z, and adding a constant c is log c + Z(log v - log c) with the Zech
-logarithm Z(k) = log(1 + g^k).  Zero is a sentinel log that the tables
-absorb, and chi(v) is the parity of log v because q - 1 is even.
+f(1, y, z) in z are found for all orbit representatives at once.  At z = 0
+f is c_0(y); every other z = g^j is swept in the order of its log j, so
+log z is the position j.  Horner's rule runs on logs: v z + c with c != 0
+is c (1 + v z / c), of log log c + Z(log v + j - log c), with the Zech
+logarithm Z(k) = log(1 + g^k).  The first step, from v = 1, is a slice of
+the Zech table; each later one adds a slice of one arange and makes one
+gather; a zero c_k only raises the power of z that the next step adds; and
+the last step gathers chi(1 + g^k) from an int8 table, whose codes the tally
+counts.  Zero is a sentinel log that the tables absorb, and chi(g^k) is the
+parity of k because q - 1 is even.
 
 The tritangent scan runs on ints mod p too.  A line is an int triple; f
 restricts to it in one pass over its terms, and the restriction g is a
@@ -87,8 +92,8 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
     """Tallies (A_d, B_d, Z_d) of exact-degree-d points of P^2 by the
     quadratic character of f, from one vectorised sweep of P^2(F_{p^d})."""
     t = fq(p, d).tables
-    m, zero = t.q - 1, t.zero
-    reps = t.orbit_reps()
+    m, zero, zech, zech_chi, ramp = t.q - 1, t.zero, t.zech, t.zech_chi, t.ramp
+    reps = t.orbit_reps
     # f(1, y, z) = sum_k c_k(y) z^k with c_k(y) = sum_j a[j,k] y^j, one column
     # per orbit representative y; the last column is the chart x0 = 0, x1 = 1,
     # a slice of degree 1 like y = 0
@@ -103,30 +108,49 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
             if e0 == 0:
                 c[e2, -1] = coef
     degrees = [e for _, e in reps] + [1]
-    # a point [1:y:z] with y of degree e has exact degree lcm(e, deg z)
-    exact = {e: np.flatnonzero(np.lcm(e, t.deg) == d) for e in set(degrees) if e != d}
-    log_one = np.zeros(t.q, dtype=np.int32)
-    log_zero = np.full(t.q, zero, dtype=np.int32)
+    # z = g^j runs over F_q^* in log order; a point [1:y:z] with y of degree
+    # e has exact degree lcm(e, deg z)
+    deg_z = t.deg[t.exp[:m]]
+    exact = {e: np.flatnonzero(np.lcm(e, deg_z) == d) for e in set(degrees) if e != d}
+
+    def window(r: int, o: int) -> np.ndarray:
+        """Logs of g^o z^r along z = g^j, each below 2m."""
+        return ramp[o : o + m] if r == 1 else (ramp[:m] * r + o) % m
+
     counts = np.zeros(3, dtype=np.int64)
     for lc, e in zip(t.log[c].T.tolist(), degrees):
-        # Horner in z in the log domain: f at z is g^(a[z] + s), or 0 where
-        # a[z] is the sentinel.  Multiplying by z adds log z; adding c_k != 0
-        # is log c_k + zech[log v - log c_k].
+        size = m if e == d else len(exact[e])
+        if e == d:  # z = 0, where f is c_0(y)
+            counts[2 if lc[0] == zero else lc[0] & 1] += e
         top = max((k for k in range(7) if lc[k] != zero), default=None)
-        a, s = (log_zero, 0) if top is None else (log_one, lc[top])
-        for k in range((top or 0) - 1, -1, -1):
+        if top is None:
+            counts[2] += e * size
+            continue
+        # Horner in z in the log domain: f at z = g^j is g^s v[j] z^r, with
+        # log v[j] = a[j] (the sentinel where v[j] = 0), or 0 while a is None.
+        # A zero c_k only raises the pending power r; adding c_k != 0 to
+        # g^s v z^r is g^(log c_k) (1 + g^(a + log z^r + s - log c_k)), one
+        # Zech lookup, or a lookup in zech_chi on the last step.
+        a, s, r = None, lc[top], 0
+        for k in range(top - 1, -1, -1):
+            r += 1
             if lc[k] == zero:
-                a = t.log[t.exp.take(a + t.log, mode="clip")]
+                continue
+            table, o = (zech_chi if k == 0 else zech), (s - lc[k]) % m
+            if a is None and r == 1:
+                a = table[o : o + m]
             else:
-                x = a + t.log
-                x += (s - lc[k]) % m
-                a, s = t.zech.take(x, mode="clip"), lc[k]
+                a = table.take(window(r, o) if a is None else a + window(r, o), mode="clip")
+            s, r = lc[k], 0
+        if r or a is None:  # f is g^s v z^r: chi from the parity of its log
+            a = np.zeros(m, dtype=np.int32) if a is None else a
+            a = np.where(a == zero, 2, (a + window(r, 0)) & 1)
         if e != d:
             a = a[exact[e]]
-        # chi is the parity of the log, since q - 1 is even; the sentinel is even
-        nzero = np.count_nonzero(a == zero)
-        odd = np.count_nonzero(a & 1)
-        even = len(a) - nzero - odd
+        # a holds zech_chi codes: 0 square, 1 non-square, 2 zero, relative
+        # to g^s
+        odd, nzero = np.count_nonzero(a == 1), np.count_nonzero(a == 2)
+        even = size - odd - nzero
         counts += e * np.array([odd, even, nzero] if s & 1 else [even, odd, nzero])
     if d == 1:  # the point [0:0:1]
         c001 = fcoef.get((0, 0, 6), 0)

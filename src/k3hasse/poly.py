@@ -478,9 +478,6 @@ class TernaryForm:
     def coefficients(self, zero=0) -> list:
         return [self.terms.get(m, zero) for m in _monomial_order(self.degree)]
 
-    def coefficient(self, mon: tuple[int, int, int], zero=0):
-        return self.terms.get(mon, zero)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -24,7 +24,10 @@ branch re-regularised); it is the reference for the chain on int codes in
 ``unipoly_singular_points`` run on ``UniPoly``s of ``FFElem``s and on
 ``ExtensionField`` towers; the locator reads the library's memoised
 elimination, so it checks the factoring, the root fields and the node
-test on codes, not the elimination.
+test on codes, not the elimination.  ``level_tallies_code_order`` is the
+counting kernel's earlier sweep in int code order, on the library's field
+tables: it checks the log-order sweep on fields past those the naive
+count reaches.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from typing import Any
 
 import random
 from math import isqrt, lcm
+
+import numpy as np
 
 from k3hasse import badred
 from k3hasse.badred import SingularPoint, SingularReport
@@ -997,7 +1002,7 @@ def unipoly_common_zero(system: list[TernaryForm], fld) -> bool:
     fld, _a, _b, system = unipoly_frame(system, fld)
     ginf = UniPoly()
     for g in system:
-        ginf = poly_gcd(ginf, UniPoly([g.coefficient((0, g.degree - k, k), fld.zero) for k in range(g.degree + 1)]))
+        ginf = poly_gcd(ginf, UniPoly([g.terms.get((0, g.degree - k, k), fld.zero) for k in range(g.degree + 1)]))
     if ginf.degree > 0:
         return True
     polys = [ternary_to_t_over_u(g, fld.one) for g in system]
@@ -1342,6 +1347,55 @@ def count_points_naive(f: TernaryForm, p: int, n: int) -> int:
     N = _count_naive(f, p, n)
     check_weil_bound(p, n, N)
     return N
+
+
+def level_tallies_code_order(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
+    """``picard._level_tallies`` with the second coordinate z swept in int
+    code order: every Horner step adds log z from ``log``, shifts by a
+    scalar and gathers from ``zech``, a zero c_k(y) multiplies by z through
+    ``exp`` and ``log``, and the character is the parity of the final log.
+    It shares the library's field tables and orbit representatives, and is
+    the reference for the log-order sweep at the levels the naive count
+    cannot reach."""
+    t = fq(p, d).tables
+    m, zero = t.q - 1, t.zero
+    reps = t.orbit_reps
+    ys = np.array([y for y, _ in reps])
+    ypow = [np.ones_like(ys)]
+    for _ in range(6):
+        ypow.append(t.vmul(ypow[-1], ys))
+    c = np.zeros((7, len(ys) + 1), dtype=np.int64)
+    for (e0, e1, e2), coef in fcoef.items():
+        if coef:
+            c[e2, :-1] = t.vadd(c[e2, :-1], t.vmul(coef, ypow[e1]))
+            if e0 == 0:
+                c[e2, -1] = coef
+    degrees = [e for _, e in reps] + [1]
+    exact = {e: np.flatnonzero(np.lcm(e, t.deg) == d) for e in set(degrees) if e != d}
+    log_one = np.zeros(t.q, dtype=np.int32)
+    log_zero = np.full(t.q, zero, dtype=np.int32)
+    counts = np.zeros(3, dtype=np.int64)
+    for lc, e in zip(t.log[c].T.tolist(), degrees):
+        top = max((k for k in range(7) if lc[k] != zero), default=None)
+        a, s = (log_zero, 0) if top is None else (log_one, lc[top])
+        for k in range((top or 0) - 1, -1, -1):
+            if lc[k] == zero:
+                a = t.log[t.exp.take(a + t.log, mode="clip")]
+            else:
+                x = a + t.log
+                x += (s - lc[k]) % m
+                a, s = t.zech.take(x, mode="clip"), lc[k]
+        if e != d:
+            a = a[exact[e]]
+        nzero = np.count_nonzero(a == zero)
+        odd = np.count_nonzero(a & 1)
+        even = len(a) - nzero - odd
+        counts += e * np.array([odd, even, nzero] if s & 1 else [even, odd, nzero])
+    if d == 1:
+        c001 = fcoef.get((0, 0, 6), 0)
+        counts[2 if c001 == 0 else (0 if pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
+    a_d, b_d, z_d = counts
+    return int(a_d), int(b_d), int(z_d)
 
 
 # ---------------------------------------------------------------------------

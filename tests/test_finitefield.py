@@ -311,7 +311,7 @@ def test_tables_agree_with_scalar_arithmetic(p, n):
 
 def test_orbit_reps_cover_the_field():
     field = fq(3, 4)
-    reps = field.tables.orbit_reps()
+    reps = field.tables.orbit_reps
     total = sum(size for _, size in reps)
     assert total == field.order
     degs = field.tables.deg

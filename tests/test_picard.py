@@ -73,6 +73,10 @@ def _sextic(rng, p, kind):
         return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] < 6 and rng.random() < 0.4})
     if kind == "x0-multiple":  # the chart x0 = 0 is identically zero
         return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[0] > 0})
+    if kind == "z-multiple":  # c_0(y) = 0: every Horner sweep ends on a power of z
+        return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] > 0})
+    if kind == "gaps":  # c_2(y) = c_3(y) = 0: a pending z^3 between c_4 and c_1
+        return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] not in (2, 3)})
     return TernaryForm(6, {m: rng.randrange(p) for m in mons})
 
 
@@ -85,8 +89,15 @@ def _sextic(rng, p, kind):
         (3, 4, "x1^6+x2^6", 1),
         (5, 3, "dense", 2),
         (7, 2, "dense", 3),
+        (3, 4, "z-multiple", 3),
+        (3, 4, "gaps", 3),
+        (5, 2, "z-multiple", 2),
+        (5, 2, "gaps", 2),
     ],
-    ids=["p3-dense", "p3-no-z6", "p3-x0-multiple", "p3-x1^6+x2^6", "p5-dense", "p7-dense"],
+    ids=[
+        "p3-dense", "p3-no-z6", "p3-x0-multiple", "p3-x1^6+x2^6", "p5-dense", "p7-dense",
+        "p3-z-multiple", "p3-gaps", "p5-z-multiple", "p5-gaps",
+    ],
 )
 def test_naive_and_orbit_agree_on_random_sextics(p, max_n, kind, trials):
     rng = random.Random(37)
@@ -97,6 +108,28 @@ def test_naive_and_orbit_agree_on_random_sextics(p, max_n, kind, trials):
         series = count_series(f, p, max_n)
         for n in range(1, max_n + 1):
             assert series.counts[n - 1] == count_points_naive(f, p, n), (trial, n)
+
+
+@pytest.mark.parametrize(
+    "p, levels, kind, trials",
+    [
+        (3, (5, 6, 7), "dense", 3),
+        (3, (5, 6, 7), "no-z6", 3),
+        (3, (5, 6, 7), "z-multiple", 2),
+        (3, (5, 6, 7), "gaps", 2),
+        (5, (1, 2, 3, 4), "dense", 3),
+        (5, (1, 2, 3, 4), "no-z6", 3),
+    ],
+    ids=["p3-dense", "p3-no-z6", "p3-z-multiple", "p3-gaps", "p5-dense", "p5-no-z6"],
+)
+def test_log_order_sweep_matches_the_code_order_sweep(p, levels, kind, trials):
+    """The sweep in discrete-log order gives the tallies of the sweep in int
+    code order on fields past F_81, where the naive count stops."""
+    rng = random.Random(43)
+    for trial in range(trials):
+        fcoef = _int_coefficients_mod(_sextic(rng, p, kind), p)
+        for d in levels:
+            assert _level_tallies(fcoef, p, d) == oracles.level_tallies_code_order(fcoef, p, d), (trial, d)
 
 
 def test_count_series_rejects_fields_over_the_table_limit():
@@ -125,7 +158,20 @@ def test_counts_and_scans_refuse_a_form_reduced_mod_another_prime(example_sextic
 def test_orbit_tallies_match_naive_point_classification(example_sextic):
     """Per-exact-degree tallies equal an exhaustive classification of the
     points of P^2(F_{3^d}) by minimal field and character value."""
-    fcoef = _int_coefficients_mod(example_sextic, 3)
+    _assert_tallies_match_naive_classification(example_sextic)
+
+
+@pytest.mark.parametrize("kind", ["z-multiple", "gaps"])
+def test_orbit_tallies_match_naive_point_classification_on_sparse_sextics(kind):
+    """The same classification on sextics whose sweep ends on a power of z,
+    or skips two coefficients in the middle."""
+    rng = random.Random(41)
+    for _ in range(2):
+        _assert_tallies_match_naive_classification(_sextic(rng, 3, kind))
+
+
+def _assert_tallies_match_naive_classification(f):
+    fcoef = _int_coefficients_mod(f, 3)
     for d in (1, 2, 3, 4):
         field = element_field(fq(3, d))
         elems = [field.decode(k) for k in range(field.order)]

@@ -225,7 +225,7 @@ def test_monomials_of_degree_is_a_fresh_list_each_call():
     assert monomials_of_degree(2) == [
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
     ]
-    assert TernaryForm.from_coefficients(2, [1, 2, 3, 4, 5, 6]).coefficient((2, 0, 0)) == 1
+    assert TernaryForm.from_coefficients(2, [1, 2, 3, 4, 5, 6]).terms[(2, 0, 0)] == 1
     for d in range(8):
         mons = monomials_of_degree(d)
         assert len(mons) == (d + 1) * (d + 2) // 2
