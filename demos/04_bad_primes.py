@@ -8,7 +8,10 @@ cofactors is a 186-digit prime.  Dividing it out leaves exactly the square of
 a 66-digit prime, completing the factorization.  Resultant chains then verify
 singularity modulo every listed prime (including the two giants) and classify
 each singular locus: ordinary double points only, fewer than eight, which is
-the hypothesis forcing constant invariants at these places.
+the hypothesis forcing constant invariants at these places.  The chains share
+one elimination over Z: the three resultants of the sextic's partials are
+computed once over the integers and reduced mod each prime, except at 3 and 7,
+where a partial's leading x2 coefficient vanishes and the chain runs mod p.
 """
 
 from math import gcd

@@ -7,8 +7,8 @@ whose gcd G carries every candidate image of a singular point.  Whether a
 candidate actually supports a common zero of the whole system is decided by
 gcds of the specialised univariate polynomials computed simultaneously over
 K[u]/(G) with dynamic-evaluation (D5) splitting at zero divisors, so the
-decision needs no factorization.  Every elimination runs over a finite field;
-smoothness over Q follows from smoothness mod a prime (see
+decision needs no factorization.  The decision is made over a finite
+field; smoothness over Q follows from smoothness mod a prime (see
 ``pipeline.certify``).
 A point of P^2(F_p) where the whole system vanishes answers "singular"
 first, scanned on ints mod p when p^2 + p + 1 <= D + 1 (mod 3 only for a
@@ -24,8 +24,13 @@ share a factor (its branches stay in the frame) all work on code lists; a
 gcd, and a common root over the closure, do not change under field
 extension.
 
-The elimination is memoised per (system, field) in ``_eliminate``, its
-line and chart parts computed on first use, and the decision and the node
+A reduction of an integer form f records f (``poly.FormModP.lift``).  Mod
+each p where every partial's x2^(d-1) coefficient is a unit (for the
+shipped sextic, each listed prime but 3 and 7), the chart resultants are
+the R_ij = Res_t(g_i, g_j) of f's partials, computed once over Z and
+reduced mod p (``_lifted_elimination``); elsewhere the elimination is
+memoised per (system, field) in ``_eliminate``.  Its line and chart parts
+are computed on first use, and the decision and the node
 locator read the same result: ``singular_points`` reads the gcd on y0 = 0,
 G and the charts as ints mod p, factors them over F_p and over residue
 fields F_p[u]/(pi) (``poly.Residues``, the ring of D5 taken modulo an
@@ -38,7 +43,7 @@ dehomogenization.  It needs an odd p, a frame over F_p
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -57,6 +62,7 @@ from .poly import (
     code_mul,
     code_rem,
     code_sub,
+    integer_chart_resultant,
 )
 from .finitefield import (
     code_chart_resultant,
@@ -70,6 +76,14 @@ from .finitefield import (
 
 class DegenerateReduction(ValueError):
     """The whole form vanishes modulo p."""
+
+
+class BadPrimeListMismatch(AssertionError):
+    """A listed bad prime has good reduction, or a good spot check is bad."""
+
+    def __init__(self, prime: int, detail: str):
+        super().__init__(detail)
+        self.prime = prime
 
 
 class NotBadPrime(ValueError):
@@ -197,7 +211,8 @@ class _Elimination:
     A: the field of the frame (a, b), ``decode`` from codes of A to the
     field's own codes and the charts g(1, u, t) of the transformed forms
     (t-coefficient lists of coded u-polynomials, the t^k row of u-degree at
-    most deg g - k)."""
+    most deg g - k).  A lifted one also holds the integer form ``lift``
+    whose R_ij, reduced and coded by ``code``, are its chart resultants."""
 
     fld: Any
     a: Any
@@ -205,6 +220,8 @@ class _Elimination:
     A: Any
     decode: Any
     charts: tuple
+    lift: Any = None
+    code: Any = None
 
     @cached_property
     def ginf(self) -> list:
@@ -226,13 +243,23 @@ class _Elimination:
         vanishes identically, in which case G is None."""
         G: list = []
         for i, j in combinations(range(len(self.charts)), 2):
-            res = resultant(self.A, self.charts[i], self.charts[j])
+            if self.lift is None:
+                res = resultant(self.A, self.charts[i], self.charts[j])
+            else:
+                p = self.fld.characteristic
+                res = _strip(self.A, [self.code(c % p) for c in _integer_resultant(self.lift, i, j)])
             if not res:
                 return None, (i, j)
             G = code_gcd(self.A, G, res)
             if len(G) == 1:
                 break
         return G, None
+
+
+def _strip(A, cs: list) -> list:
+    while cs and cs[-1] == A.zero:
+        cs.pop()
+    return cs
 
 
 @lru_cache(maxsize=64)
@@ -243,10 +270,48 @@ def _eliminate(system: tuple, fld) -> _Elimination:
     stops on the line never runs the resultant chain."""
     reg_fld, a, b, A, decode, transformed = regularize(list(system), fld)
     # the frame makes every y2^d coefficient h[d][0] nonzero
-    for row in (row for h in transformed for row in h):
-        while row and row[-1] == A.zero:
-            row.pop()
-    return _Elimination(reg_fld, a, b, A, decode, tuple(transformed))
+    charts = tuple([_strip(A, row) for row in h] for h in transformed)
+    return _Elimination(reg_fld, a, b, A, decode, charts)
+
+
+def _integer_chart(g: TernaryForm) -> list:
+    """The chart g(1, u, t) of an integer form in the frame (0, 0): the
+    dense rows of ``_transform``, as ints."""
+    h = [[0] * (g.degree + 1 - k) for k in range(g.degree + 1)]
+    for (_, e1, e2), c in g.terms.items():
+        h[e2][e1] = c
+    return h
+
+
+@lru_cache(maxsize=64)
+def _integer_resultant(f: TernaryForm, i: int, j: int) -> list:
+    """R_ij = Res_t(g_i, g_j) over Z of the charts of f's partials g_i and
+    g_j, once per form and pair, whatever the prime it is reduced mod."""
+    return integer_chart_resultant(_integer_chart(f.partial(i)), _integer_chart(f.partial(j)))
+
+
+@lru_cache(maxsize=64)
+def _lifted_elimination(f: TernaryForm, fld) -> _Elimination | None:
+    """The elimination of the integer form f's Jacobian system over F_p,
+    or None unless each partial's x2^(d-1) coefficient is a unit mod p.
+    Then p does not divide d (the x2-partial's is d times f's x2^d one), so
+    the system is the three partials, the frame (0, 0) regularises it, and,
+    the t-leading coefficients being units, Res_t of two charts is R_ij mod p."""
+    p, d = fld.characteristic, f.degree
+    partials = [f.partial(i) for i in range(3)]
+    if any(g.terms.get((0, 0, d - 1), 0) % p == 0 for g in partials):
+        return None
+    A, code, decode = evaluation_arith(fld, (d - 1) ** 2)
+    charts = tuple([_strip(A, [code(c % p) for c in row]) for row in _integer_chart(g)] for g in partials)
+    return _Elimination(fld, 0, 0, A, decode, charts, lift=f, code=code)
+
+
+def _form_elimination(f: FormModP, system: list) -> _Elimination:
+    """The elimination the decision and the node locator read for f's
+    Jacobian system: lifted when f records an integer form for which
+    ``_lifted_elimination`` applies, else ``_eliminate``'s."""
+    lifted = f.lift is not None and _lifted_elimination(f.lift, f.field)
+    return lifted or _eliminate(tuple(system), f.field)
 
 
 @lru_cache(maxsize=64)
@@ -258,7 +323,7 @@ def singular_locus_nonempty(f: TernaryForm) -> bool:
     system = jacobian_system(f)
     if system and _rational_witness(system, fld):
         return True
-    return _system_has_common_zero(system, fld)
+    return _has_common_zero(_form_elimination(f, system))
 
 
 def _rational_witness(system: list[TernaryForm], fld) -> bool:
@@ -319,7 +384,8 @@ def _split_common_factor(elim: _Elimination, i: int, j: int) -> bool:
     xs, ys = zip(*[(x, g) for x, g in zip(points, gcds) if len(g) == e + 1][: e + 1])
     H = [code_interpolate(A, xs, [g[k] for g in ys]) for k in range(e + 1)]
     rest = [R for k, R in enumerate(charts) if k not in (i, j)]
-    branch = lambda cs: _has_common_zero(replace(elim, charts=tuple(cs)))
+    # a plain elimination: the branches' charts are not the lift's partials
+    branch = lambda cs: _has_common_zero(_Elimination(elim.fld, elim.a, elim.b, A, elim.decode, tuple(cs)))
     return branch(rest + [H]) or branch(rest + [_t_quotient(A, P, H), _t_quotient(A, Q, H)])
 
 
@@ -459,7 +525,7 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     system = jacobian_system(fp)
     if len(system) == 1:
         raise PositiveDimensionalLocus(f"mod {p} the Jacobian system is one form, whose zeros are a curve")
-    elim = _eliminate(tuple(system), fld)
+    elim = _form_elimination(fp, system)
     if elim.fld is not fld:
         raise RegularizationError(f"the singular points mod {p} need a frame over an extension")
     G, zero_pair = elim.chart
@@ -539,11 +605,11 @@ def verify_bad_prime_list(f: TernaryForm, primes, good_spot_checks) -> BadPrimeA
             notes.append("p = 2 is always treated as a checked place, never attested good")
             continue
         if not is_bad_prime(f, p):
-            raise AssertionError(f"listed bad prime {p} has good reduction")
+            raise BadPrimeListMismatch(p, f"listed bad prime {p} has good reduction")
         bad_confirmed.append(p)
     good_confirmed = []
     for p in good_spot_checks:
         if is_bad_prime(f, p):
-            raise AssertionError(f"good spot check {p} is actually a bad prime")
+            raise BadPrimeListMismatch(p, f"good spot check {p} is actually a bad prime")
         good_confirmed.append(p)
     return BadPrimeAttestation(bad_confirmed, good_confirmed, notes)

@@ -435,6 +435,62 @@ class Residues:
 
 
 # ---------------------------------------------------------------------------
+# Resultants over Z on int lists
+# ---------------------------------------------------------------------------
+
+def integer_resultant(f: list, g: list) -> int:
+    """Res(f, g) of nonzero int lists, lowest degree first, with the
+    Sylvester convention, by the subresultant PRS: each pseudo-remainder
+    divides exactly by lc h^delta of the step before."""
+    sign, lc, h = 1, 1, 1
+    if len(f) < len(g):
+        sign = -1 if (len(f) - 1) & (len(g) - 1) & 1 else 1
+        f, g = g, f
+    while len(g) > 1:
+        df, dg = len(f) - 1, len(g) - 1
+        if df & dg & 1:
+            sign = -sign
+        r = list(f)  # r <- lc(g)^(df - dg + 1) f mod g
+        while len(r) > dg:
+            c = r.pop()
+            r = [g[-1] * a for a in r]
+            for k in range(dg):
+                r[len(r) - dg + k] -= c * g[k]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        f, g = g, [c // (lc * h ** (df - dg)) for c in r]
+        lc = f[-1]
+        if df > dg:
+            h = lc ** (df - dg) // h ** (df - dg - 1)
+    return sign * g[0] ** (len(f) - 1) // h ** max(len(f) - 2, 0)
+
+
+def integer_chart_resultant(f: list, g: list) -> list:
+    """Res_t(f, g) in Z[u] of two charts in the Bezout shape of
+    ``finitefield.code_chart_resultant``, whose t-coefficients are int
+    lists in u: from the integer resultants y_x at u = 0 .. D, by forward
+    differences, D! Res(u) = sum_k (D!/k!) Delta^k y_0 u (u - 1) .. (u - k + 1),
+    expanded by Horner from k = D down and divided by D! exactly."""
+    D = (len(f) - 1) * (len(g) - 1)
+    at = lambda P, x: [sum(c * x**e for e, c in enumerate(cs)) for cs in P]
+    ys = [integer_resultant(at(f, x), at(g, x)) for x in range(D + 1)]
+    for k in range(1, D + 1):  # ys[k] <- Delta^k y_0
+        for x in range(D, k - 1, -1):
+            ys[x] -= ys[x - 1]
+    acc, scale = [], 1  # scale = D!/k!
+    for k in range(D, -1, -1):
+        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+        acc[0] += scale * ys[k]
+        scale *= k or 1
+    acc = [c // scale for c in acc]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Ternary forms
 # ---------------------------------------------------------------------------
 
@@ -573,19 +629,24 @@ class FormModP(TernaryForm):
     in every F_(p^n), and the field itself, which equality and hashing
     read, so that reductions mod different primes never compare equal.
     Sums, differences, products, scalings and partials stay reduced forms
-    over the same field."""
+    over the same field.  ``lift``, outside equality and hashing, is the
+    integer form reduced, whose elimination over Z ``badred`` reads; None
+    for a reduction of a ``FormModP`` and for the forms derived from one."""
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "lift")
 
     def __init__(self, form: TernaryForm, field):
         p = field.characteristic
         super().__init__(form.degree, {m: c % p for m, c in form.terms.items()})
         self.field = field
+        self.lift = None if isinstance(form, FormModP) else form
 
     def _over_field(self, form: TernaryForm, other=None) -> "FormModP":
         if isinstance(other, FormModP) and other.field is not self.field:
             raise ValueError("the forms lie over different fields")
-        return FormModP(form, self.field)
+        out = FormModP(form, self.field)
+        out.lift = None
+        return out
 
     def __add__(self, other: TernaryForm) -> "FormModP":
         return self._over_field(super().__add__(other), other)

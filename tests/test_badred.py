@@ -8,6 +8,7 @@ import pytest
 
 from k3hasse import badred
 from k3hasse.badred import (
+    BadPrimeListMismatch,
     DegenerateReduction,
     NotBadPrime,
     PositiveDimensionalLocus,
@@ -19,7 +20,7 @@ from k3hasse.badred import (
     verify_bad_prime_list,
 )
 from k3hasse.finitefield import fq, irreducible_factors, prime_field
-from k3hasse.poly import FormModP, ModP, TernaryForm, UniPoly, monomials_of_degree
+from k3hasse.poly import FormModP, ModP, TernaryForm, UniPoly, integer_chart_resultant, monomials_of_degree
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
 from .conftest import _clear_memos
@@ -30,6 +31,7 @@ from .oracles import (
     element_field,
     resultant,
     squarefree_decomposition,
+    sylvester_resultant,
     ternary_to_t_over_u,
     to_elements,
     uni,
@@ -162,24 +164,29 @@ def test_singular_points_needs_a_frame_over_the_prime_field():
         singular_points(f, 3, 6)
 
 
-def _count_resultants(monkeypatch) -> list:
+def _count_resultants(monkeypatch, name: str = "resultant") -> list:
+    """The arguments of each call of badred's chart resultant, or of the
+    binding ``name``."""
     calls = []
-    resultant = badred.resultant
+    resultant = getattr(badred, name)
 
-    def counted(A, f, g):
-        calls.append((f, g))
-        return resultant(A, f, g)
+    def counted(*args):
+        calls.append(args[-2:])
+        return resultant(*args)
 
-    monkeypatch.setattr(badred, "resultant", counted)
+    monkeypatch.setattr(badred, name, counted)
     return calls
 
 
 def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeypatch, fresh_memos):
     """After is_bad_prime(f, p), singular_points(f, p) computes no new
-    resultant.  Mod 7 the decision runs the resultant chain; mod 5 it stops on
-    the line y0 = 0 ([0:1:0] is singular) before the chain, which only the
-    node locator then needs."""
+    chart resultant.  Mod 7, where the x1-partial's x2^5 coefficient -18816
+    vanishes, the decision runs the chart resultant chain.  Mod 5 it stops on
+    the line y0 = 0 ([0:1:0] is singular), and the node locator then reads G
+    from the R_ij over Z, computed once for the sextic: mod 89 they are
+    reduced again, not recomputed."""
     calls = _count_resultants(monkeypatch)
+    lifted = _count_resultants(monkeypatch, "integer_chart_resultant")
 
     def resultants(p):
         calls.clear()
@@ -189,9 +196,9 @@ def test_singular_points_reuses_the_decision_elimination(example_sextic, monkeyp
         return decided, len(calls)
 
     decided, total = resultants(7)
-    assert decided > 0 and total == decided
-    decided, total = resultants(5)
-    assert decided == 0 and total > 0
+    assert decided > 0 and total == decided and not lifted
+    assert resultants(5) == (0, 0) and len(lifted) == 3
+    assert resultants(89) == (0, 0) and len(lifted) == 3
 
 
 def test_a_rational_node_mod_3_is_decided_without_a_resultant(monkeypatch, fresh_memos):
@@ -427,8 +434,12 @@ def test_verify_bad_prime_list(example_sextic, fixtures):
     att2 = verify_bad_prime_list(example_sextic, short, ())
     assert len(att2.bad_confirmed) == 8
     assert any("fixture" in note for note in att2.notes)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError) as exc:
         verify_bad_prime_list(example_sextic, fixtures.bad_primes, (5,))
+    assert isinstance(exc.value, BadPrimeListMismatch) and exc.value.prime == 5
+    with pytest.raises(BadPrimeListMismatch) as exc:
+        verify_bad_prime_list(example_sextic, [5, 11], ())
+    assert exc.value.prime == 11
 
 
 def test_singular_points_refuses_p_2():
@@ -636,3 +647,120 @@ def test_bad_prime_chain_builds_no_unipoly_and_no_extension_product(example_sext
     splits = _count_splits(monkeypatch)
     assert run() == want
     assert splits and counts == Counter()
+
+
+# ---------------------------------------------------------------------------
+# The chart resultants over Z, reduced mod each prime
+# ---------------------------------------------------------------------------
+
+def _lift_regular_sextic(rng) -> TernaryForm:
+    """A random integer sextic whose partials have nonzero x2^5
+    coefficients, so that their charts have the Bezout shape over Z."""
+    while True:
+        f = _random_form(rng)
+        if all(f.partial(i).terms.get((0, 0, 5)) for i in range(3)):
+            return f
+
+
+def test_integer_chart_resultant_matches_the_subresultant_oracle(example_sextic):
+    """R_ij over Z, from the exact resultants at u = 0 .. 25 and one exact
+    division by 25!, is the UniPoly subresultant of the charts g_i(1, u, t),
+    on the shipped sextic's three pairs and on 20 random integer sextics.
+    At an integer point u0, in the range of the evaluation points or not,
+    it is the Sylvester determinant of the specialised charts."""
+    rng = random.Random(19)
+    at = lambda P, u0: [sum(c * u0**e for e, c in enumerate(cs)) for cs in P]
+    for f in [example_sextic] + [_lift_regular_sextic(rng) for _ in range(20)]:
+        partials = [f.partial(i) for i in range(3)]
+        charts = [badred._integer_chart(g) for g in partials]
+        for i, j in combinations(range(3), 2):
+            R = UniPoly(integer_chart_resultant(charts[i], charts[j]))
+            assert R == resultant(*(ternary_to_t_over_u(partials[k], 1) for k in (i, j)))
+            u0 = rng.randrange(-40, 41)
+            assert R.evaluate(u0) == sylvester_resultant(at(charts[i], u0), at(charts[j], u0))
+
+
+def _node_at_100(rng) -> TernaryForm:
+    """A random sextic over Z singular at [1:0:0], so mod every prime."""
+    f = _random_form(rng)
+    return TernaryForm(6, {m: c for m, c in f.terms.items() if m[0] < 5})
+
+
+@pytest.mark.parametrize("kind", ["shipped", "random", "node"])
+def test_lifted_elimination_matches_the_unipoly_oracle(kind, example_sextic, fixtures, fresh_memos):
+    """Mod every odd p < 100 and mod the 66- and 186-digit primes, the
+    decision on reduce_mod(f, p), which reads the R_ij over Z wherever the
+    lift applies, equals the UniPoly decision: for the shipped sextic, two
+    random integer sextics and one singular at [1:0:0] over Z.  Where the
+    lift applies, ``_eliminate`` picks the frame (0, 0) too, and the charts
+    and the chart gcd G are equal code lists.  Elsewhere the decision is
+    ``_eliminate``'s: mod 3, which divides deg f, and, for the shipped
+    sextic, mod 7 and 61, which divide x2^5 coefficients of its partials
+    (-18816 and -58316)."""
+    rng = random.Random(23)
+    forms = {
+        "shipped": [example_sextic],
+        "random": [_random_form(rng) for _ in range(2)],
+        "node": [_node_at_100(rng)],
+    }[kind]
+    primes = [p for p in range(3, 100, 2) if all(p % q for q in range(3, p, 2))]
+    primes += [fixtures.prime66, fixtures.gcd_printed]
+    verdicts = Counter()
+    for f in forms:
+        fallbacks = []
+        for p in primes:
+            F = prime_field(p)
+            fp = reduce_mod(f, F)
+            system = jacobian_system(fp)
+            got = is_bad_prime(f, p)
+            assert got == unipoly_common_zero(system, F), (p, f)
+            verdicts[got] += 1
+            lifted = badred._lifted_elimination(f, F)
+            if lifted is None:
+                fallbacks.append(p)
+                continue
+            plain = badred._eliminate(tuple(system), F)
+            assert (plain.fld, plain.a, plain.b) == (F, 0, 0)
+            assert lifted.charts == plain.charts and lifted.chart == plain.chart, p
+        assert fallbacks[0] == 3 and len(fallbacks) < len(primes) // 2
+        if kind == "shipped":
+            assert fallbacks == [3, 7, 61]
+    assert verdicts[True] and (verdicts[False] or kind == "node")
+
+
+def test_a_shared_factor_over_z_splits_into_plain_eliminations(monkeypatch, fresh_memos):
+    """f = g^2 h, and f = x2 Q, whose partials by x0 and x1 share x2: the
+    R_01 over Z is 0, so the lifted elimination finds the zero pair (0, 1)
+    at once.  The shared-factor split's branches must eliminate their own
+    charts, not read the R_ij again (which would split forever).  At each
+    prime where the lift applies, is_bad_prime, and the split run on the
+    lifted elimination, equal the UniPoly decision; only the top
+    elimination of the decision is lifted.  For g^2 h the decision stops on
+    the line y0 = 0, which meets V(g); for x2 Q it runs the split."""
+    rng = random.Random(37)
+    x2 = TernaryForm(1, {(0, 0, 1): 1})
+    g, h = _random_form(rng, 2, -3, 3), _random_form(rng, 4, -3, 3)
+    splits = _count_splits(monkeypatch)
+    lifts = []
+    has_common_zero = badred._has_common_zero
+
+    def recorded(elim):
+        lifts.append(elim.lift)
+        return has_common_zero(elim)
+
+    monkeypatch.setattr(badred, "_has_common_zero", recorded)
+    for f in (g * g * h, x2 * _random_form(rng, 5)):
+        primes = [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if badred._lifted_elimination(f, prime_field(p))]
+        assert len(primes) >= 6
+        for p in primes:
+            F = prime_field(p)
+            lifted = badred._lifted_elimination(f, F)
+            assert lifted.chart == (None, (0, 1))
+            want = unipoly_common_zero(jacobian_system(reduce_mod(f, F)), F)
+            lifts.clear()
+            assert is_bad_prime(f, p) == want
+            assert lifts[0] is f and all(lift is None for lift in lifts[1:])
+            lifts.clear()
+            assert badred._split_common_factor(lifted, 0, 1) == want
+            assert lifts and all(lift is None for lift in lifts)
+    assert len(splits) > 2 * len(primes)

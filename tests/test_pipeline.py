@@ -22,6 +22,8 @@ from k3hasse.poly import TernaryForm
 from k3hasse.surface import QuadricSextet, check_2adic_conditions, check_real_conditions
 import random
 
+from .conftest import _clear_memos
+
 
 def test_verify_example_shallow_depth():
     report = verify_example(depth=2)
@@ -273,18 +275,20 @@ def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
 
 def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
     """verify_example(depth=2) decides singularity once per distinct form
-    (over Q, mod 3, 11, 13 and mod each of the nine odd bad primes), runs the
+    (mod 3, 11, 13 and mod each of the nine odd bad primes), runs the
     elimination (regularize) once per distinct Jacobian system, scans for
-    tritangents once per prime (3 and 11) and computes the charpoly once."""
+    tritangents once per prime (3 and 11) and computes the charpoly once.
+    A decision enters ``_has_common_zero`` at depth 0; the shared-factor
+    split re-enters it for its branches."""
     decisions, frames, scans, charpolys, depth = [], [], [], [], [0]
-    system_has_common_zero = badred._system_has_common_zero
+    has_common_zero = badred._has_common_zero
     regularize = badred.regularize
 
-    def counted_decision(system, fld):
+    def counted_decision(elim):
         decisions.append(depth[0] == 0)
         depth[0] += 1
         try:
-            return system_has_common_zero(system, fld)
+            return has_common_zero(elim)
         finally:
             depth[0] -= 1
 
@@ -304,7 +308,7 @@ def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
     frobenius_charpoly = picard.frobenius_charpoly
     monkeypatch.setattr(picard, "frobenius_charpoly", counted_charpoly)
     monkeypatch.setattr(pipeline, "frobenius_charpoly", counted_charpoly)
-    monkeypatch.setattr(badred, "_system_has_common_zero", counted_decision)
+    monkeypatch.setattr(badred, "_has_common_zero", counted_decision)
     monkeypatch.setattr(badred, "regularize", counted_regularize)
     monkeypatch.setattr(picard, "tritangent_scan", functools.lru_cache(maxsize=64)(counted_scan))
     verify_example(depth=2)
@@ -312,6 +316,33 @@ def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
     assert frames and len(frames) == len(set(frames))
     assert sorted(scans) == [3, 11]
     assert charpolys == [3]
+
+
+def test_verify_example_reduces_the_integer_resultants_mod_each_prime(monkeypatch, fresh_memos):
+    """verify_example(depth=6) computes the three R_ij over Z once and reads
+    each prime's chart gcd from them, except mod 3, which divides deg f,
+    and mod 7, which divides the x1-partial's x2^5 coefficient -18816:
+    there it computes the chart resultants over F_p.  The R_ij are memoised
+    in functools caches, so a pass after emptying them computes them
+    again."""
+    charts, integers = [], []
+    resultant, integer_chart_resultant = badred.resultant, badred.integer_chart_resultant
+
+    def counted_chart(A, f, g):
+        charts.append(A.p)
+        return resultant(A, f, g)
+
+    def counted_integer(f, g):
+        integers.append((f, g))
+        return integer_chart_resultant(f, g)
+
+    monkeypatch.setattr(badred, "resultant", counted_chart)
+    monkeypatch.setattr(badred, "integer_chart_resultant", counted_integer)
+    verify_example(depth=6)
+    assert sorted(charts) == [3, 3, 3, 7, 7, 7] and len(integers) == 3
+    _clear_memos()
+    verify_example(depth=6)
+    assert len(charts) == 12 and len(integers) == 6
 
 
 def test_verify_example_searches_each_place_and_box_once(monkeypatch, fresh_memos):

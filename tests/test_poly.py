@@ -10,6 +10,7 @@ from k3hasse.poly import (
     code_divmod,
     code_gcd,
     code_gcdex,
+    integer_resultant,
     monomials_of_degree,
     poly_gcd,
 )
@@ -50,6 +51,18 @@ def test_resultant_matches_sylvester_determinant():
         g = [rng.randrange(-6, 7) for _ in range(dg)] + [rng.randrange(1, 5)]
         got = resultant(UniPoly(f), UniPoly(g))
         assert Fraction(got) == sylvester_resultant(f, g)
+
+
+def test_integer_resultant_matches_the_sylvester_determinant():
+    """The subresultant PRS on int lists, in either degree order, with
+    constants, non-monic leading coefficients and shared roots."""
+    rng = random.Random(13)
+    for _ in range(120):
+        f, g = ([rng.randrange(-6, 7) for _ in range(rng.randrange(0, 7))] + [rng.choice([-3, -1, 1, 2])] for _ in range(2))
+        assert integer_resultant(f, g) == sylvester_resultant(f, g)
+    t_minus_2 = [-2, 1]
+    assert integer_resultant([4, -4, 1], t_minus_2) == 0
+    assert integer_resultant([6, -5, 1], [3, -4, 1]) == 0  # (t - 2)(t - 3), (t - 1)(t - 3)
 
 
 def test_resultant_swap_symmetry():
@@ -215,6 +228,20 @@ def test_equal_forms_hash_equal_whatever_the_term_order():
         assert fp == gp and hash(fp) == hash(gp)
         assert len({f, g, f + TernaryForm(6, {(6, 0, 0): 1})}) == 2
     assert TernaryForm(2, {}) != TernaryForm(3, {})
+
+
+def test_a_reduction_records_its_integer_form_outside_equality():
+    """reduce_mod keeps the integer form as ``lift``; equality and hashing
+    ignore it, and a form derived from a reduction, or reduced again,
+    carries none."""
+    F7 = fq(7, 1)
+    f = TernaryForm(2, {(2, 0, 0): 8, (0, 1, 1): -3})
+    g = TernaryForm(2, {(2, 0, 0): 1, (0, 1, 1): 4})
+    fp, gp = reduce_mod(f, F7), reduce_mod(g, F7)
+    assert fp.lift is f and gp.lift is g
+    assert fp == gp and hash(fp) == hash(gp)
+    derived = [fp + gp, -fp, fp * gp, fp.scale(2), fp.partial(0), reduce_mod(fp, F7)]
+    assert all(h.lift is None for h in derived)
 
 
 def test_monomials_of_degree_is_a_fresh_list_each_call():
