@@ -24,13 +24,13 @@ share a factor (its branches stay in the frame) all work on code lists; a
 gcd, and a common root over the closure, do not change under field
 extension.
 
-A reduction of an integer form f records f (``poly.FormModP.lift``).  Mod
-each p where every partial's x2^(d-1) coefficient is a unit (for the
-shipped sextic, each listed prime but 3 and 7), the chart resultants are
-the R_ij = Res_t(g_i, g_j) of f's partials, computed once over Z and
-reduced mod p (``_lifted_elimination``); elsewhere the elimination is
-memoised per (system, field) in ``_eliminate``.  Its line and chart parts
-are computed on first use, and the decision and the node
+A reduction of an integer form f records f (``poly.FormModP.lift``).
+Mod each p where every partial's x2^(d-1) coefficient is a unit (for the
+shipped sextic, each prime the certificate checks but 3 and 7), the chart
+resultants are the R_ij = Res_t(g_i, g_j) of f's partials, computed once
+over Z and reduced mod p (``_lifted_elimination``); elsewhere the
+elimination is memoised per (system, field) in ``_eliminate``.  Its line
+and chart parts are computed on first use, and the decision and the node
 locator read the same result: ``singular_points`` reads the gcd on y0 = 0,
 G and the charts as ints mod p, factors them over F_p and over residue
 fields F_p[u]/(pi) (``poly.Residues``, the ring of D5 taken modulo an
