@@ -24,13 +24,13 @@ share a factor (its branches stay in the frame) all work on code lists; a
 gcd, and a common root over the closure, do not change under field
 extension.
 
-A reduction of an integer form f records f (``poly.FormModP.lift``).
-Mod each p where every partial's x2^(d-1) coefficient is a unit (for the
-shipped sextic, each prime the certificate checks but 3 and 7), the chart
-resultants are the R_ij = Res_t(g_i, g_j) of f's partials, computed once
-over Z and reduced mod p (``_lifted_elimination``); elsewhere the
-elimination is memoised per (system, field) in ``_eliminate``.  Its line
-and chart parts are computed on first use, and the decision and the node
+The elimination is memoised per (system, field) in ``_eliminate``.  A
+reduction of an integer form f records f (``poly.FormModP.lift``): when the
+system is f's three partials mod p and the frame (0, 0) over F_p
+regularises it (for the shipped sextic, mod each prime the certificate
+checks but 3 and 7), the chart resultants are the R_ij = Res_t(g_i, g_j)
+of f's partials, computed once over Z and reduced mod p.  Its line and
+chart parts are computed on first use, and the decision and the node
 locator read the same result: ``singular_points`` reads the gcd on y0 = 0,
 G and the charts as ints mod p, factors them over F_p and over residue
 fields F_p[u]/(pi) (``poly.Residues``, the ring of D5 taken modulo an
@@ -177,8 +177,9 @@ def regularize(system: list[TernaryForm], fld):
     resultants.  Over a tiny F_p the frame may need a scalar extension
     (singularity over the closure is insensitive to it): the search moves to
     F_{p^2}, then F_{p^4}, and so on, until a frame exists.  Returns
-    (field, a, b, A, decode, transformed) with a, b codes in the returned
-    field and each transformed form the dense array of ``_transform``.
+    (field, a, b, A, code, decode, transformed) with a, b codes in the
+    returned field, ``code`` and ``decode`` the maps between its codes and
+    A's, and each transformed form the dense array of ``_transform``.
     """
     top = sorted(g.degree for g in system)[-2:]
     D = top[0] * top[-1]
@@ -191,7 +192,7 @@ def regularize(system: list[TernaryForm], fld):
             pa, pb = powers(a), powers(b)
             if all(_code_value(A, t, pa, pb) != A.zero for t in coded):
                 h = [_transform(A, t, g.degree, pa, pb) for t, g in zip(coded, system)]
-                return current, a, b, A, decode, h
+                return current, a, b, A, code, decode, h
         if fld.degree != 1:
             raise RegularizationError("no regularizing frame over the base field")
         current = fq(fld.characteristic, 2 * current.degree)
@@ -211,7 +212,8 @@ class _Elimination:
     A: the field of the frame (a, b), ``decode`` from codes of A to the
     field's own codes and the charts g(1, u, t) of the transformed forms
     (t-coefficient lists of coded u-polynomials, the t^k row of u-degree at
-    most deg g - k).  A lifted one also holds the integer form ``lift``
+    most deg g - k).  When the charts are those of an integer form's
+    partials mod p in the frame (0, 0), it also holds that form, ``lift``,
     whose R_ij, reduced and coded by ``code``, are its chart resultants."""
 
     fld: Any
@@ -263,15 +265,24 @@ def _strip(A, cs: list) -> list:
 
 
 @lru_cache(maxsize=64)
-def _eliminate(system: tuple, fld) -> _Elimination:
+def _eliminate(system: tuple, fld, lift: TernaryForm | None = None) -> _Elimination:
     """The elimination of a system over F_p, once per (system, field):
     the bad-prime decision and the node locator both read it.  The line
     y0 = 0 and the chart part are computed on first use, so a decision that
-    stops on the line never runs the resultant chain."""
-    reg_fld, a, b, A, decode, transformed = regularize(list(system), fld)
+    stops on the line never runs the resultant chain.
+
+    Its chart resultants are the R_ij of the integer form ``lift`` reduced
+    mod p when the system is lift's three partials mod p and the frame is
+    (0, 0) over F_p itself: each chart's t-leading coefficient, the partial's
+    x2^(d-1) one, is then a unit (so p does not divide d), and Res_t of two
+    charts is R_ij mod p.  Otherwise they are computed over F_p."""
+    reg_fld, a, b, A, code, decode, transformed = regularize(list(system), fld)
     # the frame makes every y2^d coefficient h[d][0] nonzero
     charts = tuple([_strip(A, row) for row in h] for h in transformed)
-    return _Elimination(reg_fld, a, b, A, decode, charts)
+    framed = lift is not None and (reg_fld, a, b) == (fld, 0, 0)
+    if not (framed and system == tuple(FormModP(lift.partial(i), fld) for i in range(3))):
+        lift = code = None
+    return _Elimination(reg_fld, a, b, A, decode, charts, lift, code)
 
 
 def _integer_chart(g: TernaryForm) -> list:
@@ -291,30 +302,6 @@ def _integer_resultant(f: TernaryForm, i: int, j: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _lifted_elimination(f: TernaryForm, fld) -> _Elimination | None:
-    """The elimination of the integer form f's Jacobian system over F_p,
-    or None unless each partial's x2^(d-1) coefficient is a unit mod p.
-    Then p does not divide d (the x2-partial's is d times f's x2^d one), so
-    the system is the three partials, the frame (0, 0) regularises it, and,
-    the t-leading coefficients being units, Res_t of two charts is R_ij mod p."""
-    p, d = fld.characteristic, f.degree
-    partials = [f.partial(i) for i in range(3)]
-    if any(g.terms.get((0, 0, d - 1), 0) % p == 0 for g in partials):
-        return None
-    A, code, decode = evaluation_arith(fld, (d - 1) ** 2)
-    charts = tuple([_strip(A, [code(c % p) for c in row]) for row in _integer_chart(g)] for g in partials)
-    return _Elimination(fld, 0, 0, A, decode, charts, lift=f, code=code)
-
-
-def _form_elimination(f: FormModP, system: list) -> _Elimination:
-    """The elimination the decision and the node locator read for f's
-    Jacobian system: lifted when f records an integer form for which
-    ``_lifted_elimination`` applies, else ``_eliminate``'s."""
-    lifted = f.lift is not None and _lifted_elimination(f.lift, f.field)
-    return lifted or _eliminate(tuple(system), f.field)
-
-
-@lru_cache(maxsize=64)
 def singular_locus_nonempty(f: TernaryForm) -> bool:
     """Does f = 0 have a singular point over the algebraic closure of its
     coefficient field, a finite field?  The zero form raises ValueError, a
@@ -323,7 +310,7 @@ def singular_locus_nonempty(f: TernaryForm) -> bool:
     system = jacobian_system(f)
     if system and _rational_witness(system, fld):
         return True
-    return _has_common_zero(_form_elimination(f, system))
+    return _has_common_zero(_eliminate(tuple(system), fld, f.lift))
 
 
 def _rational_witness(system: list[TernaryForm], fld) -> bool:
@@ -340,13 +327,6 @@ def _rational_witness(system: list[TernaryForm], fld) -> bool:
         all(sum(c * x0**e0 * x1**e1 * x2**e2 for (e0, e1, e2), c in t) % p == 0 for t in coded)
         for x0, x1, x2 in points
     )
-
-
-def _system_has_common_zero(system: list[TernaryForm], fld) -> bool:
-    system = [g for g in system if not g.is_zero()]
-    if not system:
-        raise ValueError("empty system")
-    return _has_common_zero(_eliminate(tuple(system), fld))
 
 
 def _has_common_zero(elim: _Elimination) -> bool:
@@ -525,7 +505,7 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     system = jacobian_system(fp)
     if len(system) == 1:
         raise PositiveDimensionalLocus(f"mod {p} the Jacobian system is one form, whose zeros are a curve")
-    elim = _form_elimination(fp, system)
+    elim = _eliminate(tuple(system), fld, fp.lift)
     if elim.fld is not fld:
         raise RegularizationError(f"the singular points mod {p} need a frame over an extension")
     G, zero_pair = elim.chart

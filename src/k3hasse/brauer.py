@@ -260,39 +260,25 @@ def bm_verdict(profile: InvariantProfile) -> str:
 
 
 def _sampled_entry(q, X, place, basis_theorem, expected, samples_wanted, witness=None):
-    pts = sample_local_points(X, place, samples_wanted)
-    if witness is not None:
-        pts = [witness] + pts
-    values = {evaluate_invariant(q, P, place) for P in pts}
-    if basis_theorem is not None:
-        if values - {expected}:
-            raise AssertionError(
-                f"sampled invariant at {place} contradicts {basis_theorem}"
-            )
-        return PlaceInvariant(
-            place=place,
-            value=expected,
-            basis=basis_theorem,
-            witness=pts[0] if pts else None,
-            samples=len(pts),
-            constant=True,
-        )
-    if len(values) == 1:
-        return PlaceInvariant(
-            place=place,
-            value=values.pop(),
-            basis="empirical",
-            witness=pts[0] if pts else None,
-            samples=len(pts),
-            constant=True,
-        )
+    """The invariant at a place from its witness, when one is given, and
+    sampled local points.  Under a theorem every point must take the
+    expected value, the witness's when ``expected`` is None; otherwise the
+    value is empirical, None when the points disagree."""
+    pts = ([witness] if witness is not None else []) + sample_local_points(X, place, samples_wanted)
+    values = [evaluate_invariant(q, P, place) for P in pts]
+    if basis_theorem is None:
+        expected = values[0] if len(set(values)) == 1 else None
+    else:
+        expected = values[0] if expected is None else expected
+        if set(values) - {expected}:
+            raise AssertionError(f"sampled invariant at {place} contradicts {basis_theorem}")
     return PlaceInvariant(
         place=place,
-        value=None,
-        basis="empirical",
+        value=expected,
+        basis=basis_theorem or "empirical",
         witness=pts[0] if pts else None,
         samples=len(pts),
-        constant=False,
+        constant=basis_theorem is not None or expected is not None,
     )
 
 
@@ -345,28 +331,12 @@ def build_invariant_profile(
                 witness=None, samples=0, constant=False,
             )
             continue
-        value = evaluate_invariant(q, witness, place)
-        pts = sample_local_points(X, place, CORROBORATING_SAMPLES)
-        values = {evaluate_invariant(q, P, place) for P in pts} | {value}
-        if report.all_nodes_and_r_lt8:
-            if len(values) != 1:
-                raise AssertionError(
-                    f"invariant not constant at {place} despite the nodal hypothesis"
-                )
-            entries[place] = PlaceInvariant(
-                place=place, value=value,
-                basis="theorem:constancy-at-nodal-bad-place (r < 8 ordinary double points)",
-                witness=witness, samples=len(pts) + 1, constant=True,
-            )
-        else:
-            entries[place] = PlaceInvariant(
-                place=place,
-                value=value if len(values) == 1 else None,
-                basis="empirical",
-                witness=witness,
-                samples=len(pts) + 1,
-                constant=len(values) == 1,
-            )
+        entries[place] = _sampled_entry(
+            q, X, place,
+            "theorem:constancy-at-nodal-bad-place (r < 8 ordinary double points)"
+            if report.all_nodes_and_r_lt8 else None,
+            None, CORROBORATING_SAMPLES, witness,
+        )
 
     eliminations = [
         "odd finite places of good reduction: the class extends over the local "

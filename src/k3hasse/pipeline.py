@@ -67,7 +67,7 @@ from .surface import (
     is_smooth_curve,
     reduce_mod,
 )
-from .finitefield import prime_field
+from .finitefield import TABLE_LIMIT, prime_field
 
 log = logging.getLogger(__name__)
 
@@ -277,6 +277,12 @@ class SearchConfig:
         lo, hi = self.tritangent_window
         if not any(map(probable_prime, range(max(lo, 5), hi + 1))):
             raise ValueError(f"the tritangent window {self.tritangent_window} holds no prime >= 5")
+        # stage 5 reads the charpoly off counts over F_3 .. F_{3^depth}
+        if 5 in self.steps and not (10 <= self.counting_depth and 3**self.counting_depth <= TABLE_LIMIT):
+            raise ValueError(
+                f"stage 5 needs a counting depth of at least 10 with 3^depth <= {TABLE_LIMIT}, "
+                f"got {self.counting_depth}"
+            )
 
 
 #: the leg of the certificate each stage decides

@@ -868,10 +868,11 @@ def compose_linear(form: TernaryForm, matrix) -> TernaryForm:
 # The common-zero decision on UniPolys of field elements
 # ---------------------------------------------------------------------------
 #
-# The reference for ``badred._system_has_common_zero``, which runs on int
-# codes: the same chain on ``UniPoly``s of ``FFElem``s, with the frame found
-# and applied on field elements, the subresultant for every chart resultant,
-# and dynamic evaluation modulo the squarefree part of G.
+# The reference for the decision ``badred._has_common_zero`` on
+# ``badred._eliminate(system, fld)``, which runs on int codes: the same chain
+# on ``UniPoly``s of ``FFElem``s, with the frame found and applied on field
+# elements, the subresultant for every chart resultant, and dynamic
+# evaluation modulo the squarefree part of G.
 
 def _as_elements(system: list[TernaryForm], fld):
     """A system of ``FormModP``s over a library field as forms of

@@ -128,7 +128,7 @@ def test_regularize_extends_a_prime_field_through_fq():
     transformed form decodes to the substitution made on field elements."""
     F3 = prime_field(3)
     g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
-    fld, a, b, A, decode, (h,) = regularize([g], F3)
+    fld, a, b, A, code, decode, (h,) = regularize([g], F3)
     assert fld is fq(3, 2)
     assert fld.modulus == (1, 0, 1)
     assert decode(h[4][0])  # the y2^4 coefficient, h(0, 0, 1)
@@ -327,7 +327,7 @@ def test_code_decision_matches_the_unipoly_oracle(p):
         if fp.is_zero():
             continue
         system = jacobian_system(fp)
-        got = badred._system_has_common_zero(system, F)
+        got = badred._has_common_zero(badred._eliminate(tuple(system), F))
         assert got == unipoly_common_zero(system, F), f
         verdicts.add(got)
         if len(system) > 1 and all(g.degree > 0 for g in system):
@@ -356,7 +356,7 @@ def test_d5_keeps_a_factor_of_g_whose_multiplicity_p_divides():
     G, zero_pair = elim.chart
     assert zero_pair is None
     assert [(fac.degree, m) for fac, m in squarefree_decomposition(uni(elim, G))] == [(1, 9)]
-    assert badred._system_has_common_zero(system, F3)
+    assert badred._has_common_zero(badred._eliminate(tuple(system), F3))
     assert unipoly_common_zero(system, F3)
 
 
@@ -611,7 +611,7 @@ def test_shared_factor_split_matches_the_oracle(p, monkeypatch):
         if any(g.is_zero() for g in system):
             continue
         splits.clear()
-        got = badred._system_has_common_zero(system, F)
+        got = badred._has_common_zero(badred._eliminate(tuple(system), F))
         assert got == unipoly_common_zero(system, F), system
         verdicts[got] += 1
         split_systems += bool(splits)
@@ -633,7 +633,7 @@ def test_bad_prime_chain_builds_no_unipoly_and_no_extension_product(example_sext
             if p != 2:
                 assert is_bad_prime(example_sextic, p)
                 singular_points(example_sextic, p, 6)
-        return badred._system_has_common_zero(shared, F5)
+        return badred._has_common_zero(badred._eliminate(tuple(shared), F5))
 
     want = unipoly_common_zero(shared, F5)
     run()
@@ -692,11 +692,11 @@ def test_lifted_elimination_matches_the_unipoly_oracle(kind, example_sextic, fix
     decision on reduce_mod(f, p), which reads the R_ij over Z wherever the
     lift applies, equals the UniPoly decision: for the shipped sextic, two
     random integer sextics and one singular at [1:0:0] over Z.  Where the
-    lift applies, ``_eliminate`` picks the frame (0, 0) too, and the charts
-    and the chart gcd G are equal code lists.  Elsewhere the decision is
-    ``_eliminate``'s: mod 3, which divides deg f, and, for the shipped
-    sextic, mod 7 and 61, which divide x2^5 coefficients of its partials
-    (-18816 and -58316)."""
+    lift applies, the elimination without it picks the frame (0, 0) too,
+    and the charts and the chart gcd G are equal code lists.  Elsewhere the
+    elimination given the lift carries none: mod 3, which divides deg f,
+    and, for the shipped sextic, mod 7 and 61, which divide x2^5
+    coefficients of its partials (-18816 and -58316)."""
     rng = random.Random(23)
     forms = {
         "shipped": [example_sextic],
@@ -715,17 +715,23 @@ def test_lifted_elimination_matches_the_unipoly_oracle(kind, example_sextic, fix
             got = is_bad_prime(f, p)
             assert got == unipoly_common_zero(system, F), (p, f)
             verdicts[got] += 1
-            lifted = badred._lifted_elimination(f, F)
-            if lifted is None:
+            lifted = badred._eliminate(tuple(system), F, f)
+            if lifted.lift is None:
                 fallbacks.append(p)
                 continue
             plain = badred._eliminate(tuple(system), F)
-            assert (plain.fld, plain.a, plain.b) == (F, 0, 0)
+            assert plain.lift is None and (plain.fld, plain.a, plain.b) == (F, 0, 0)
             assert lifted.charts == plain.charts and lifted.chart == plain.chart, p
         assert fallbacks[0] == 3 and len(fallbacks) < len(primes) // 2
         if kind == "shipped":
             assert fallbacks == [3, 7, 61]
     assert verdicts[True] and (verdicts[False] or kind == "node")
+
+
+def _lifted(f: TernaryForm, p: int):
+    """The elimination of f's Jacobian system mod p, given f as its lift."""
+    F = prime_field(p)
+    return badred._eliminate(tuple(jacobian_system(reduce_mod(f, F))), F, f)
 
 
 def test_a_shared_factor_over_z_splits_into_plain_eliminations(monkeypatch, fresh_memos):
@@ -750,11 +756,11 @@ def test_a_shared_factor_over_z_splits_into_plain_eliminations(monkeypatch, fres
 
     monkeypatch.setattr(badred, "_has_common_zero", recorded)
     for f in (g * g * h, x2 * _random_form(rng, 5)):
-        primes = [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if badred._lifted_elimination(f, prime_field(p))]
+        primes = [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if _lifted(f, p).lift is not None]
         assert len(primes) >= 6
         for p in primes:
             F = prime_field(p)
-            lifted = badred._lifted_elimination(f, F)
+            lifted = _lifted(f, p)
             assert lifted.chart == (None, (0, 1))
             want = unipoly_common_zero(jacobian_system(reduce_mod(f, F)), F)
             lifts.clear()
@@ -764,3 +770,27 @@ def test_a_shared_factor_over_z_splits_into_plain_eliminations(monkeypatch, fres
             assert badred._split_common_factor(lifted, 0, 1) == want
             assert lifts and all(lift is None for lift in lifts)
     assert len(splits) > 2 * len(primes)
+
+
+def test_two_partials_mod_p_read_no_integer_resultant(fresh_memos):
+    """A sextic over Z whose coefficients are multiples of 5 except in
+    x0-degree 0 or 5 has x0-partial 0 mod 5, so its Jacobian system mod 5
+    is the other two partials.  Where the frame (0, 0) still regularises
+    it, the R_ij of the three partials over Z are not its chart resultants
+    (R_01 is 0 mod 5): the elimination given the lift carries none, and its
+    chart gcd G is the one computed over F_5."""
+    F5 = prime_field(5)
+    rng = random.Random(41)
+    checked = 0
+    while checked < 24:
+        f = TernaryForm(6, {
+            m: rng.randrange(-9, 10) * (1 if m[0] in (0, 5) else 5) for m in monomials_of_degree(6)
+        })
+        system = tuple(jacobian_system(reduce_mod(f, F5)))
+        plain = badred._eliminate(system, F5)
+        if len(system) != 2 or (plain.fld, plain.a, plain.b) != (F5, 0, 0):
+            continue
+        elim = badred._eliminate(system, F5, f)
+        assert elim.lift is None and elim.chart == plain.chart, f
+        assert plain.chart[1] is None
+        checked += 1

@@ -127,6 +127,16 @@ def test_search_rejects_a_negative_draw_count(capsys):
     }
 
 
+@pytest.mark.parametrize("depth", [9, 13])
+def test_search_rejects_a_counting_depth_stage_5_cannot_use(capsys, depth):
+    assert main(["search", "--max-draws", "1", "--depth", str(depth)]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": f"stage 5 needs a counting depth of at least 10 with 3^depth <= 1048576, got {depth}",
+    }
+
+
 @pytest.mark.parametrize("command", ["badprimes", "invariants"])
 def test_a_strong_pseudoprime_is_refused_as_not_prime(command, example_sextet, tmp_path, capsys):
     """psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the twelve

@@ -102,10 +102,21 @@ def test_a_stage_1_reject_builds_no_form(monkeypatch):
     ("max_draws", -3, "max_draws must be at least 0"),
     ("tritangent_window", (50, 10), "holds no prime"),
     ("tritangent_window", (24, 28), "holds no prime"),
+    ("counting_depth", 9, "stage 5 needs a counting depth of at least 10"),
+    ("counting_depth", 13, "stage 5 needs a counting depth of at least 10"),
 ])
 def test_search_config_rejects_an_empty_range(field, value, message):
     with pytest.raises(ValueError, match=message):
         SearchConfig(**{field: value})
+
+
+def test_search_config_bounds_the_counting_depth_only_for_stage_5():
+    """Depths 10 to 12 fit the F_{3^d} tables (3^12 <= 2^20 < 3^13); a
+    search without stage 5 counts nothing, so any depth >= 1 passes."""
+    for depth in (10, 12):
+        assert SearchConfig(counting_depth=depth).counting_depth == depth
+    for depth in (1, 9, 13):
+        assert SearchConfig(counting_depth=depth, steps=(1, 2, 3, 4)).counting_depth == depth
 
 
 def test_draw_sextet_impossible_range():
