@@ -10,9 +10,10 @@ K[u]/(G) with dynamic-evaluation (D5) splitting at zero divisors, so the
 decision needs no factorization.  The decision is made over a finite
 field; smoothness over Q follows from smoothness mod a prime (see
 ``pipeline.certify``).
-A point of P^2(F_p) where the whole system vanishes answers "singular"
-first, scanned on ints mod p when p^2 + p + 1 <= D + 1 (mod 3 only for a
-sextic, D = 30); "smooth" is answered by the elimination alone.
+A point of P^2(F_{p^2}) where the whole system vanishes answers "singular"
+first, scanned on the log codes of F_{p^2}, the points of P^2(F_p) first,
+when p^2 + p + 1 <= D + 1 (mod 3 only for a sextic, D = 30); "smooth" is
+answered by the elimination alone.
 
 The whole chain runs on one representation, int codes in the arithmetic of
 ``finitefield.evaluation_arith`` for the Bezout bound D = deg g_i * deg g_j
@@ -308,24 +309,35 @@ def singular_locus_nonempty(f: TernaryForm) -> bool:
     form over Z or Q TypeError."""
     fld = _coefficient_field(f)
     system = jacobian_system(f)
-    if system and _rational_witness(system, fld):
+    if system and _point_witness(system, fld):
         return True
     return _has_common_zero(_eliminate(tuple(system), fld, f.lift))
 
 
-def _rational_witness(system: list[TernaryForm], fld) -> bool:
-    """Does every form of the system vanish at a point of P^2(F_p), fld = F_p,
-    scanned on ints mod p while those points are no more than the D + 1
-    evaluation points of one chart resultant (D as in ``regularize``)?"""
+def _point_witness(system: list[TernaryForm], fld) -> bool:
+    """Does every form of the system vanish at a point of P^2(F_{p^2}),
+    fld = F_p?  A common zero there is a singular point over the closure.
+    Scanned while P^2(F_p) has no more points than the D + 1 evaluation
+    points of one chart resultant (D as in ``regularize``), on the log codes
+    of fq(p, 2): the points of P^2(F_p) first, then the rest, as [a:b:1],
+    [a:1:0] and [1:0:0]."""
     p, top = fld.characteristic, sorted(g.degree for g in system)[-2:]
     if fld.degree != 1 or p * p + p + 1 > top[0] * top[-1] + 1:
         return False
-    coded = [list(g.terms.items()) for g in system]
-    points = [(1, y, z) for y in range(p) for z in range(p)]
-    points += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+    A = fq(p, 2).log_arith
+    base = [A.from_int(c) for c in range(p)]
+    field = base + [x for x in range(A.zero, A.m) if x not in base]
+    powers = {x: [A.pow(x, e) for e in range(top[-1] + 1)] for x in field}
+    coded = [[(m, A.from_int(c)) for m, c in g.terms.items()] for g in system]
+    # on the line x2 = 0 only the monomials free of x2 count
+    line = [[(m, c) for m, c in t if m[2] == 0] for t in coded]
+    points = [(coded, a, b) for a in base for b in base] + [(line, a, A.one) for a in base]
+    points += [(line, A.one, A.zero)]
+    points += [(coded, a, b) for a in field for b in field if a not in base or b not in base]
+    points += [(line, a, A.one) for a in field[p:]]
     return any(
-        all(sum(c * x0**e0 * x1**e1 * x2**e2 for (e0, e1, e2), c in t) % p == 0 for t in coded)
-        for x0, x1, x2 in points
+        all(_code_value(A, t, powers[a], powers[b]) == A.zero for t in forms)
+        for forms, a, b in points
     )
 
 

@@ -5,7 +5,10 @@ keys "A".."F", each a 6-integer array in the monomial order
 [x0^2, x0x1, x0x2, x1^2, x1x2, x2^2]; big integers travel as decimal strings.
 A bad input, an unreadable file, a fixture mismatch or a rejected stage exits
 with status 2 and one JSON object {"error", "leg", "message"} on standard
-error, "leg" naming the leg of the certificate or null.
+error, "leg" naming the leg of the certificate or null.  ``search`` ends
+with its funnel on standard error, one JSON object {"rejected",
+"survivors"}: the rejections per stage and the indices of the surviving
+draws.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .badred import RegularizationError, singular_points, is_bad_prime
 from .brauer import build_invariant_profile, bm_verdict
@@ -29,7 +33,7 @@ from .pipeline import (
     Rejected,
     SearchConfig,
     _profile_json,
-    search,
+    search_events,
     verify_example,
 )
 from .surface import QuadricSextet, build_k3
@@ -155,8 +159,16 @@ def _cmd_search(args) -> int:
         counting_depth=args.depth,
         max_draws=args.max_draws,
     )
-    for report in search(config):
-        sys.stdout.write(report.to_json() + "\n")
+    rejected, survivors = Counter(), []
+    for event in search_events(config):
+        if event[0] == "report":
+            survivors.append(event[1])
+            sys.stdout.write(event[2].to_json() + "\n")
+        else:
+            rejected[event[2]] += 1
+    funnel = {"rejected": {str(s): n for s, n in sorted(rejected.items())}, "survivors": survivors}
+    json.dump(funnel, sys.stderr)
+    sys.stderr.write("\n")
     return 0
 
 

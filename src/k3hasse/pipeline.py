@@ -8,10 +8,11 @@ certificate, the bad primes, and the local points, singular loci and
 invariant profile behind the Brauer-Manin verdict.  A failing stage raises
 ``Rejected`` naming it.
 
-``search`` feeds random seed sextets to ``certify``.  Stage 6 over Z (the
-discriminant integers of a fresh candidate) is a heavy elimination outside
-this artifact's scope, so stages 6 and 7 need a bad-prime list as evidence;
-without one the search reports candidates that survived stages 1-5.
+``search_events`` feeds random seed sextets to ``certify``.  Stage 6 over
+Z (the discriminant integers of a fresh candidate) is a heavy elimination
+outside this artifact's scope, so stages 6 and 7 need a bad-prime list as
+evidence; without one the search reports candidates that survived stages
+1-5.
 
 ``verify_example`` checks the factorization chain and a recomputed prefix of
 the counts, certifies the shipped example with its fixture evidence, and
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-import logging
 import random
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
@@ -68,8 +68,6 @@ from .surface import (
     reduce_mod,
 )
 from .finitefield import TABLE_LIMIT, prime_field
-
-log = logging.getLogger(__name__)
 
 
 class FixtureMismatch(AssertionError):
@@ -324,17 +322,15 @@ def certify(
     stages are skipped and the verdict stays "candidate".
     """
     steps = set(config.steps)
-    report = ObstructionReport(
-        sextet=sextet,
-        verdict="candidate",
-        real_conditions=check_real_conditions(sextet),
-        two_adic_conditions=check_2adic_conditions(sextet),
-    )
+    two_adic, real = check_2adic_conditions(sextet), check_real_conditions(sextet)
     if 1 in steps:
-        if not report.two_adic_conditions:
+        if not two_adic:
             raise Rejected(1, "2-adic congruences fail")
-        if not report.real_conditions:
+        if not real:
             raise Rejected(1, "definiteness pattern fails")
+    report = ObstructionReport(
+        sextet=sextet, verdict="candidate", real_conditions=real, two_adic_conditions=two_adic
+    )
     X = build_k3(sextet)
     f = X.branch_sextic
 
@@ -512,12 +508,22 @@ def _choice_table(bound: int) -> tuple[tuple[int, ...], ...]:
 
 def draw_sextet(rng: random.Random, bound: int) -> QuadricSextet | None:
     """A random sextet honoring the 2-adic congruences and the diagonal sign
-    pattern; None when the range admits no valid coefficient for some slot."""
+    pattern; None when the range admits no valid coefficient for some slot.
+
+    Each slot takes choices[r] for r drawn by rejection on k = n.bit_length()
+    random bits, n = len(choices): the draws, and the generator state after
+    them, of ``rng.choice(choices)`` slot by slot."""
+    getrandbits = rng.getrandbits
     values = []
     for choices in _choice_table(bound):
-        if not choices:
+        n = len(choices)
+        if not n:
             return None
-        values.append(rng.choice(choices))
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        values.append(choices[r])
     return QuadricSextet(tuple(values))
 
 
@@ -538,13 +544,3 @@ def search_events(config: SearchConfig):
         report.seed = config.seed
         report.draw_index = index
         yield ("report", index, report)
-
-
-def search(config: SearchConfig):
-    """Stream of reports for candidates surviving all enabled steps."""
-    for event in search_events(config):
-        if event[0] == "report":
-            yield event[2]
-        else:
-            _kind, index, step, reason = event
-            log.info("draw %d rejected at step %d: %s", index, step, reason)

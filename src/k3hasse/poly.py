@@ -34,10 +34,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -100,33 +96,6 @@ class UniPoly:
         zero = a[0] * 0
         return UniPoly([zero if c is None else c for c in out])
 
-    def __rmul__(self, other) -> "UniPoly":
-        return UniPoly([other * c for c in self.coeffs])
-
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        if e == 0:
-            return UniPoly.const(self.lc ** 0)
-        r = self
-        out = None
-        while e:
-            if e & 1:
-                out = r if out is None else out * r
-            e >>= 1
-            if e:
-                r = r * r
-        return out
-
-    def scale(self, c) -> "UniPoly":
-        """Multiply every coefficient by the ring element c.
-
-        Required instead of ``*`` when the coefficients are themselves
-        polynomials, where operator dispatch would misread c as a polynomial
-        in the outer variable.
-        """
-        return UniPoly([x * c for x in self.coeffs])
-
     def evaluate(self, x):
         if not self.coeffs:
             return x * 0
@@ -137,9 +106,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def map_coefficients(self, fn) -> "UniPoly":
-        return UniPoly([fn(c) for c in self.coeffs])
 
     def __divmod__(self, other: "UniPoly"):
         """Division with remainder; coefficient division must be exact or a field."""

@@ -486,7 +486,7 @@ def poly_gcdex(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     that s*a = d mod b; for deg a < deg b, deg s < deg b, so s = a^-1 mod b
     when d = 1."""
     r0, r1 = b, a
-    s0, s1 = UniPoly(), UniPoly.const(b.lc ** 0)
+    s0, s1 = UniPoly(), UniPoly([b.lc ** 0])
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -639,9 +639,30 @@ def _squarefree_charp(g: UniPoly, p: int) -> list[tuple[UniPoly, int]]:
 # UniPoly helpers: powers, pseudo-remainders, bivariate gcds
 # ---------------------------------------------------------------------------
 
+def upow(x, e: int):
+    """x^e, e >= 0, for a coefficient or a UniPoly over coefficients or over
+    UniPolys, by square-and-multiply from the low bit."""
+    if not isinstance(x, UniPoly):
+        return x ** e
+    out = UniPoly([upow(x.lc, 0)])
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
+
+
+def uscale(f: UniPoly, c) -> UniPoly:
+    """f with every coefficient multiplied by the ring element c, which may
+    itself be a polynomial (``*`` would read it as one in f's variable)."""
+    return UniPoly([x * c for x in f.coeffs])
+
+
 def powmod(f: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
     """f^e modulo modulus, by square-and-multiply from the low bit."""
-    r = UniPoly.const(f.lc ** 0) if not f.is_zero() else UniPoly()
+    r = UniPoly([f.lc ** 0]) if not f.is_zero() else UniPoly()
     base = f % modulus
     while e:
         if e & 1:
@@ -659,11 +680,11 @@ def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
     rem = a
     for _ in range(d + 1):
         if rem.degree < b.degree:
-            rem = rem.scale(lcb)
+            rem = uscale(rem, lcb)
             continue
         k = rem.degree - b.degree
         shifted = UniPoly([b.coeffs[0] * 0] * k + list(b.coeffs))  # b t^k
-        rem = rem.scale(lcb) - shifted.scale(rem.lc)
+        rem = uscale(rem, lcb) - uscale(shifted, rem.lc)
     return rem
 
 
@@ -768,14 +789,14 @@ def resultant(f: UniPoly, g: UniPoly):
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    one = f.lc ** 0
+    one = upow(f.lc, 0)
     sign = one
     if f.degree < g.degree:
         if f.degree % 2 and g.degree % 2:
             sign = -sign
         f, g = g, f
     if g.degree == 0:
-        return sign * g.lc ** f.degree
+        return sign * upow(g.lc, f.degree)
     h = one
     gg = one
     while True:
@@ -784,20 +805,20 @@ def resultant(f: UniPoly, g: UniPoly):
             sign = -sign
         rem = _pseudo_rem(f, g)
         f = g
-        denom = gg * h ** d
+        denom = gg * upow(h, d)
         g = UniPoly([_coeff_div(c, denom) for c in rem.coeffs])
         gg = f.lc
         if d > 0:
             # h <- gg^d / h^(d-1), exact in the coefficient domain
-            num = gg ** d
-            h = _coeff_div(num, h ** (d - 1)) if d > 1 else num
+            num = upow(gg, d)
+            h = _coeff_div(num, upow(h, d - 1)) if d > 1 else num
         if g.is_zero():
             return sign * (f.lc * 0)
         if g.degree == 0:
             # res = sign * lc(g)^deg(f) / h^(deg(f)-1)
-            num = g.lc ** f.degree
+            num = upow(g.lc, f.degree)
             if f.degree > 1:
-                return sign * _coeff_div(num, h ** (f.degree - 1))
+                return sign * _coeff_div(num, upow(h, f.degree - 1))
             return sign * num
 
 
@@ -985,7 +1006,7 @@ def _d5_any_common_root(polys: list[UniPoly], modulus: UniPoly) -> bool:
 
 
 def _squarefree_part(g: UniPoly) -> UniPoly:
-    out = UniPoly.const(g.lc ** 0)
+    out = UniPoly([g.lc ** 0])
     for fac, _ in squarefree_decomposition(g):
         out = out * fac
     return out
@@ -1085,7 +1106,7 @@ def equal_degree_factorization(g: UniPoly, d: int, field: ElementField, rng=None
         r = UniPoly([random_element(field, rng) for _ in range(g.degree)])
         if r.degree < 1:
             continue
-        s = powmod(r, e, g) - UniPoly.const(field.one)
+        s = powmod(r, e, g) - UniPoly([field.one])
         fac = poly_gcd(s, g)
         if 0 < fac.degree < g.degree:
             return (equal_degree_factorization(fac, d, field, rng)
@@ -1281,7 +1302,7 @@ def unit_root_bound(fd: FrobeniusData) -> int:
     g = UniPoly(fd.normalized)
     bound = 0
     for d in _cyclotomic_degrees_up_to_22():
-        phi = cyclotomic_polynomial(d).map_coefficients(Fraction)
+        phi = UniPoly([Fraction(c) for c in cyclotomic_polynomial(d).coeffs])
         while True:
             quo, rem = divmod(g, phi)
             if rem.is_zero() and not quo.is_zero():
@@ -1469,7 +1490,7 @@ def restrict_to_line(f: TernaryForm, line: ProjLine) -> tuple[UniPoly, Any]:
     subs = [UniPoly([a, b]) for a, b in zip(ps, pt)]
     total = None
     for (e0, e1, e2), c in f.terms.items():
-        term = UniPoly.const(c)
+        term = UniPoly([c])
         for e, s in ((e0, subs[0]), (e1, subs[1]), (e2, subs[2])):
             for _ in range(e):
                 term = term * s
@@ -1518,7 +1539,7 @@ def _restrict_integer_form(f: TernaryForm, line: ProjLine, field) -> UniPoly:
         powers.append(row)
     total = UniPoly()
     for (e0, e1, e2), c in f.terms.items():
-        total = total + (powers[0][e0] * powers[1][e1] * powers[2][e2]).scale(c)
+        total = total + uscale(powers[0][e0] * powers[1][e1] * powers[2][e2], c)
     return UniPoly([field.from_int(c) for c in total.coeffs])
 
 

@@ -226,18 +226,56 @@ def _nodes_at_a_conjugate_pair(rng) -> TernaryForm:
 
 def test_singular_points_off_p2_f3_are_found_by_the_elimination(monkeypatch, fresh_memos):
     """A sextic whose singular points mod 3 lie in P^2(F_9) but none in
-    P^2(F_3): the scan finds no witness, and the elimination decides it
-    singular."""
+    P^2(F_3): the scan of P^2(F_9) finds a witness, and the elimination
+    alone decides it singular too."""
     calls = _count_resultants(monkeypatch)
     rng = random.Random(31)
     f = _nodes_at_a_conjugate_pair(rng)
     while _exhaustive_singular_search(f, 3, 1):
         f = _nodes_at_a_conjugate_pair(rng)
     assert _exhaustive_singular_search(f, 3, 2)
-    fp = reduce_mod(f, prime_field(3))
-    assert not badred._rational_witness(jacobian_system(fp), prime_field(3))
+    F3 = prime_field(3)
+    system = jacobian_system(reduce_mod(f, F3))
+    assert badred._point_witness(system, F3)
+    assert badred._has_common_zero(badred._eliminate(tuple(system), F3))
+    assert calls
+
+
+def test_singular_points_off_p2_f9_are_found_by_the_elimination(monkeypatch, fresh_memos):
+    """A sextic singular mod 3 at an orbit of three points of P^2(F_27) and
+    at no point of P^2(F_9): the scan finds no witness, and is_bad_prime
+    reaches the elimination."""
+    calls = _count_resultants(monkeypatch)
+    rng = random.Random(37)
+    f = _orbit_sextic(rng, 3, 3)
+    while _exhaustive_singular_search(f, 3, 2) or not _exhaustive_singular_search(f, 3, 3):
+        f = _orbit_sextic(rng, 3, 3)
+    F3 = prime_field(3)
+    assert not badred._point_witness(jacobian_system(reduce_mod(f, F3)), F3)
     assert is_bad_prime(f, 3)
     assert calls
+
+
+def test_the_point_scan_matches_the_exhaustive_search_over_f9():
+    """On random sextics, rational nodes, conjugate pairs of nodes and
+    orbits of two and three points mod 3, the scan of P^2(F_9) finds a
+    witness exactly when the exhaustive search over F_3 and F_9 finds a
+    singular point."""
+    F3 = prime_field(3)
+    rng = random.Random(41)
+    cases = [_random_form(rng, 6, -1, 1) for _ in range(20)] + [_random_form(rng) for _ in range(10)]
+    cases += [_force_rational_node(rng) for _ in range(5)]
+    cases += [_nodes_at_a_conjugate_pair(rng) for _ in range(10)]
+    cases += [_orbit_sextic(rng, 3, m) for m in (2, 3) for _ in range(5)]
+    verdicts = Counter()
+    for f in cases:
+        fp = reduce_mod(f, F3)
+        if fp.is_zero():
+            continue
+        got = badred._point_witness(jacobian_system(fp), F3)
+        assert got == _exhaustive_singular_search(fp, 3, 2), f
+        verdicts[got] += 1
+    assert sum(verdicts.values()) >= 50 and verdicts[True] and verdicts[False]
 
 
 def test_is_bad_prime_agrees_with_exhaustive_search(example_sextic):

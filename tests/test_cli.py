@@ -118,6 +118,17 @@ def test_count_rejects_a_depth_below_1(example_sextet, tmp_path, capsys, depth):
     assert error["message"] == f"the count series needs a depth of at least 1, got {depth}"
 
 
+def test_search_writes_its_funnel_on_stderr(capsys):
+    """After the reports, one JSON line on stderr: the rejections per stage
+    and the indices of the surviving draws; stdout holds the reports only."""
+    assert main(["search", "--seed", "0", "--max-draws", "300", "--box", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"rejected": {"1": 298, "2": 2}, "survivors": []}
+
+
 def test_search_rejects_a_negative_draw_count(capsys):
     assert main(["search", "--max-draws", "-3"]) == 2
     assert _error(capsys) == {

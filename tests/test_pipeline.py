@@ -82,6 +82,51 @@ def test_draw_sextet_sequence_is_pinned():
     assert digest == "a5271faf0a68cdce6c80d0863e05a9544de5fde90fba6c6751561c631fe849de"
 
 
+def _choice_draw(rng, table):
+    """The reference draw: rng.choice slot by slot, None at the first empty
+    slot."""
+    values = []
+    for choices in table:
+        if not choices:
+            return None
+        values.append(rng.choice(choices))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("bound", [7, 8, 9, 40, 200])
+def test_draw_sextet_draws_what_random_choice_draws(bound):
+    """Each draw equals rng.choice slot by slot and leaves the same generator
+    state.  Bound 7 draws three slots and stops at an empty one; bounds 8 to
+    11 have one-choice slots, which still take random bits."""
+    table = pipeline._choice_table(bound)
+    sizes = [len(choices) for choices in table]
+    if bound == 7:
+        assert sizes.index(0) == 3
+    if bound in (8, 9):
+        assert 1 in sizes and 0 not in sizes
+    mine, reference = random.Random(bound), random.Random(bound)
+    for _ in range(100):
+        q = draw_sextet(mine, bound)
+        want = _choice_draw(reference, table)
+        assert (q is None) == (bound == 7) == (want is None)
+        assert q is None or q.coefficients == want
+        assert mine.getstate() == reference.getstate()
+
+
+def test_stage_1_is_decided_before_a_report_is_built(monkeypatch):
+    """A sextet failing both checks of stage 1 is refused for its 2-adic
+    congruences, the first check, and no report is built."""
+    built = []
+    report = pipeline.ObstructionReport
+    monkeypatch.setattr(pipeline, "ObstructionReport", lambda *a, **k: built.append(1) or report(*a, **k))
+    q = QuadricSextet((0,) * 36)
+    assert not check_2adic_conditions(q) and not check_real_conditions(q)
+    with pytest.raises(Rejected) as err:
+        certify(q, SearchConfig())
+    assert (err.value.stage, err.value.reason) == (1, "2-adic congruences fail")
+    assert built == []
+
+
 def test_a_stage_1_reject_builds_no_form(monkeypatch):
     """Stage 1 reads the 36 drawn integers only: over 300 draws of seed 0 the
     six forms are built for the stage-1 survivors alone, by build_k3."""
@@ -167,13 +212,14 @@ SEED_0_STAGE_2 = [97, 190, 371, 623, 1273, 1341, 1452, 1666, 2307, 2322, 2486, 2
 def test_search_funnel_of_seed_0_is_pinned(monkeypatch, fresh_memos):
     """Search seed 0 over 3,000 draws, stages 1-4: which draws each stage
     rejects and which survive.  13 of the 16 stage-2 rejects have a singular
-    point in P^2(F_3), which the scan finds before any resultant: 42 chart
-    resultants in all (108 when every reject ran the elimination)."""
+    point in P^2(F_3) and the other 3 one in P^2(F_9), which the scan finds
+    before any resultant: 14 chart resultants in all (108 when every reject
+    ran the elimination)."""
     calls = []
     resultant = badred.resultant
     monkeypatch.setattr(badred, "resultant", lambda *args: calls.append(1) or resultant(*args))
     events = list(search_events(SearchConfig(seed=0, max_draws=3000, steps=(1, 2, 3, 4))))
-    assert len(calls) <= 42
+    assert len(calls) <= 14
     rejected = {}
     for event in events:
         if event[0] == "rejected":
