@@ -62,6 +62,7 @@ from .poly import (
     code_interpolate,
     code_mul,
     code_rem,
+    code_strip,
     code_sub,
     integer_chart_resultant,
 )
@@ -250,19 +251,13 @@ class _Elimination:
                 res = resultant(self.A, self.charts[i], self.charts[j])
             else:
                 p = self.fld.characteristic
-                res = _strip(self.A, [self.code(c % p) for c in _integer_resultant(self.lift, i, j)])
+                res = code_strip(self.A, [self.code(c % p) for c in _integer_resultant(self.lift, i, j)])
             if not res:
                 return None, (i, j)
             G = code_gcd(self.A, G, res)
             if len(G) == 1:
                 break
         return G, None
-
-
-def _strip(A, cs: list) -> list:
-    while cs and cs[-1] == A.zero:
-        cs.pop()
-    return cs
 
 
 @lru_cache(maxsize=64)
@@ -279,7 +274,7 @@ def _eliminate(system: tuple, fld, lift: TernaryForm | None = None) -> _Eliminat
     charts is R_ij mod p.  Otherwise they are computed over F_p."""
     reg_fld, a, b, A, code, decode, transformed = regularize(list(system), fld)
     # the frame makes every y2^d coefficient h[d][0] nonzero
-    charts = tuple([_strip(A, row) for row in h] for h in transformed)
+    charts = tuple([code_strip(A, row) for row in h] for h in transformed)
     framed = lift is not None and (reg_fld, a, b) == (fld, 0, 0)
     if not (framed and system == tuple(FormModP(lift.partial(i), fld) for i in range(3))):
         lift = code = None

@@ -53,8 +53,8 @@ from math import ceil, comb, floor, lcm
 
 import numpy as np
 
-from .arith import probable_prime
-from .poly import TernaryForm, UniPoly, poly_gcd
+from .arith import probable_prime, strip_small_factors
+from .poly import QQ, TernaryForm, code_divmod, code_eval, code_gcd, code_mul, code_rem, code_strip
 from .finitefield import TABLE_LIMIT, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
 
@@ -254,54 +254,58 @@ def _newton_coefficients(power_sums, degree: int = H2_DIM) -> dict[int, Fraction
     return a
 
 
-def _power_sums(m: UniPoly) -> list[Fraction]:
+def _derivative(h: list) -> list:
+    return [k * c for k, c in enumerate(h)][1:]
+
+
+def _power_sums(m: list) -> list[Fraction]:
     """s_0 .. s_(d-1), the power sums of the roots of the monic m of degree
     d, by Newton's identities run forward."""
-    d, c = m.degree, m.coeffs
+    d = len(m) - 1
     s = [Fraction(d)]
     for k in range(1, d):
-        s.append(-k * c[d - k] - sum(c[d - i] * s[k - i] for i in range(1, k)))
+        s.append(-k * m[d - k] - sum(m[d - i] * s[k - i] for i in range(1, k)))
     return s
 
 
-def _sturm_chain(s: UniPoly) -> list[UniPoly]:
+def _sturm_chain(s: list) -> list[list]:
     """The Sturm sequence of s over Q, each member scaled by a positive
     constant to integer coefficients: the signs are unchanged, and
     evaluation at integers stays in ints."""
-    chain = [s, s.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    scales = (lcm(*(c.denominator for c in p.coeffs)) for p in chain)
-    return [UniPoly([int(c * k) for c in p.coeffs]) for p, k in zip(chain, scales)]
+    chain = [s, _derivative(s)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in code_rem(QQ, chain[-2], chain[-1])])
+    scales = (lcm(*(c.denominator for c in p)) for p in chain)
+    return [[int(c * k) for c in p] for p, k in zip(chain, scales)]
 
 
-def _sign_changes(chain: list[UniPoly], x) -> int:
-    signs = [v > 0 for v in (p.evaluate(x) for p in chain) if v]
+def _sign_changes(chain: list[list], x) -> int:
+    signs = [v > 0 for v in (code_eval(QQ, p, x) for p in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _squarefree_part(h: UniPoly) -> UniPoly:
-    return h.exact_div(poly_gcd(h, h.derivative()))
+def _squarefree_part(h: list) -> list:
+    return code_divmod(QQ, h, code_gcd(QQ, h, _derivative(h)))[0]
 
 
-def _real_roots_within(h: UniPoly, bound: int) -> bool:
+def _real_roots_within(h: list, bound: int) -> bool:
     """Are all roots of h real and in [-bound, bound]?  For the squarefree
     part s, Sturm's V(-bound) - V(bound) counts its distinct roots in
     (-bound, bound], and a root at -bound is added by hand."""
     s = _squarefree_part(h)
     chain = _sturm_chain(s)
-    inside = _sign_changes(chain, -bound) - _sign_changes(chain, bound) + (chain[0].evaluate(-bound) == 0)
-    return inside == s.degree
+    inside = _sign_changes(chain, -bound) - _sign_changes(chain, bound) + (code_eval(QQ, chain[0], -bound) == 0)
+    return inside == len(s) - 1
 
 
-def _trace_polynomial(top, q: int) -> UniPoly:
+def _trace_polynomial(top, q: int) -> list:
     """h of degree m with T^m h(T + q^2/T) the polynomial of degree 2m and
     sign +1 whose coefficients of T^m .. T^2m are ``top``."""
     m = len(top) - 1
     h = [None] * (m + 1)
     for k in range(m, -1, -1):
         h[k] = top[k] - sum(h[k + 2 * j] * comb(k + 2 * j, j) * q ** (2 * j) for j in range(1, (m - k) // 2 + 1))
-    return UniPoly(h)
+    return code_strip(QQ, h)
 
 
 def _weil_conform(coefficients, eps: int, q: int) -> bool:
@@ -309,10 +313,10 @@ def _weil_conform(coefficients, eps: int, q: int) -> bool:
     has the roots q and -q; what is left, like a charpoly of sign +1, is
     T^m h(T + q^2/T), and its roots have modulus q iff h has all its roots
     real in [-2q, 2q]."""
-    P = UniPoly(coefficients)
+    P = coefficients
     if eps == -1:
-        P = P.exact_div(UniPoly([-q * q, 0, 1]))
-    return _real_roots_within(_trace_polynomial(P.coeffs[P.degree // 2:], q), 2 * q)
+        P = code_divmod(QQ, P, [-q * q, 0, 1])[0]
+    return _real_roots_within(_trace_polynomial(P[(len(P) - 1) // 2:], q), 2 * q)
 
 
 def _complete_with_sign(a_top: dict[int, Fraction], eps: int, q: int) -> list[Fraction] | None:
@@ -342,17 +346,19 @@ def _open_middle_values(a_top: dict[int, Fraction], q: int) -> list[int]:
     """
     B = 2 * q
     W = _trace_polynomial([Fraction(0)] + [a_top[i] for i in range(12, H2_DIM + 1)], q)
-    lo, hi = ceil(-W.evaluate(B)), floor(-W.evaluate(-B))
-    if lo > hi or not _real_roots_within(W.derivative(), B):
+    lo, hi = ceil(-code_eval(QQ, W, B)), floor(-code_eval(QQ, W, -B))
+    dW = _derivative(W)
+    if lo > hi or not _real_roots_within(dW, B):
         return []
-    m = W.derivative().monic()
-    s, r = _power_sums(m), -W % m
-    traces, x = [], UniPoly([Fraction(1)])
-    for _ in range(m.degree):
-        x = x * r % m
-        traces.append(sum(c * t for c, t in zip(x.coeffs, s)))
-    a = _newton_coefficients(traces, m.degree)
-    chain = _sturm_chain(_squarefree_part(UniPoly([a[i] for i in range(m.degree + 1)])))
+    inv = QQ.inv(dW[-1])
+    m = [c * inv for c in dW]
+    degree, s, r = len(m) - 1, _power_sums(m), [-c for c in code_rem(QQ, W, m)]
+    traces, x = [], [1]
+    for _ in range(degree):
+        x = code_rem(QQ, code_mul(QQ, x, r), m)
+        traces.append(sum(c * t for c, t in zip(x, s)))
+    a = _newton_coefficients(traces, degree)
+    chain = _sturm_chain(_squarefree_part([a[i] for i in range(degree + 1)]))
     isolated, stack = [], [(lo - 1, hi)]
     while stack:
         left, right = stack.pop()
@@ -365,7 +371,7 @@ def _open_middle_values(a_top: dict[int, Fraction], q: int) -> list[int]:
             stack += [(left, mid), (mid, right)]
 
     def conforms(value: int) -> bool:
-        return _real_roots_within(W + UniPoly([Fraction(value)]), B)
+        return _real_roots_within([W[0] + value] + W[1:], B)
 
     found, start = [], lo
     for r in sorted(isolated) + [hi + 1]:
@@ -411,28 +417,25 @@ def frobenius_charpoly(counts: CountSeries) -> FrobeniusData:
 # ---------------------------------------------------------------------------
 
 def euler_phi(d: int) -> int:
-    out = d
-    m = d
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
+    """phi(d) = prod (p - 1) p^(e - 1) over the prime powers p^e || d, for
+    d > 0 without a prime factor above 10^6."""
+    factors, rest = strip_small_factors(d)
+    if rest != 1:
+        raise ValueError(f"euler_phi: {d} has a prime factor above 10^6")
+    out = 1
+    for p, e in factors:
+        out *= (p - 1) * p ** (e - 1)
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> UniPoly:
-    """Phi_d over Z by exact division of x^d - 1."""
-    poly = UniPoly([-1] + [0] * (d - 1) + [1])
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
+    """Phi_d over Z, lowest degree first, by exact division of x^d - 1."""
+    poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            poly = poly.exact_div(cyclotomic_polynomial(e))
-    return poly
+            poly = code_divmod(QQ, poly, cyclotomic_polynomial(e))[0]
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=1)
@@ -447,14 +450,14 @@ def unit_root_bound(fd: FrobeniusData) -> int:
     of the reduction.  The normalized charpoly, times the lcm of its
     denominators, is divided in Z[T] by each monic Phi_d: exact there iff in Q[T]."""
     scale = lcm(*(c.denominator for c in fd.normalized))
-    g = UniPoly([int(c * scale) for c in fd.normalized])
+    g = [int(c * scale) for c in fd.normalized]
     bound = 0
     for d in _cyclotomic_degrees_up_to_22():
         phi = cyclotomic_polynomial(d)
-        quo, rem = divmod(g, phi)
-        while rem.is_zero() and not quo.is_zero():
-            bound, g = bound + phi.degree, quo
-            quo, rem = divmod(g, phi)
+        quo, rem = code_divmod(QQ, g, phi)
+        while not rem and quo:
+            bound, g = bound + len(phi) - 1, quo
+            quo, rem = code_divmod(QQ, g, phi)
     return bound
 
 

@@ -257,11 +257,14 @@ def verify_factorization_chain(fx: Fixtures) -> dict:
 # The certificate: stages 1-7, shared by the search and the worked example
 # ---------------------------------------------------------------------------
 
+#: the primes stage 3 scans for a good prime without a tritangent line
+TRITANGENT_WINDOW = (5, 100)
+
+
 @dataclass
 class SearchConfig:
     seed: int = 0
     coefficient_bound: int = 40
-    tritangent_window: tuple[int, int] = (5, 100)
     local_point_box: int = 2
     counting_depth: int = 10
     max_draws: int = 10
@@ -272,9 +275,6 @@ class SearchConfig:
             raise ValueError("search ranges must be nonempty")
         if self.max_draws < 0:
             raise ValueError(f"max_draws must be at least 0, got {self.max_draws}")
-        lo, hi = self.tritangent_window
-        if not any(map(probable_prime, range(max(lo, 5), hi + 1))):
-            raise ValueError(f"the tritangent window {self.tritangent_window} holds no prime >= 5")
         # stage 5 reads the charpoly off counts over F_3 .. F_{3^depth}
         if 5 in self.steps and not (10 <= self.counting_depth and 3**self.counting_depth <= TABLE_LIMIT):
             raise ValueError(
@@ -352,8 +352,8 @@ def certify(
             raise Rejected(3, "no tritangent line mod 3")
         report.tritangent_prime = 3
         report.tritangent_line = line
-        lo, hi = config.tritangent_window
-        for p in range(max(lo, 5), hi + 1):
+        lo, hi = TRITANGENT_WINDOW
+        for p in range(lo, hi + 1):
             if not probable_prime(p):
                 continue
             try:
@@ -528,13 +528,14 @@ def draw_sextet(rng: random.Random, bound: int) -> QuadricSextet | None:
 
 
 def search_events(config: SearchConfig):
-    """Yield ("rejected", index, stage, reason) and ("report", index, report)."""
+    """Yield ("rejected", index, stage, reason) and ("report", index, report),
+    one event per draw: a draw the coefficient range cannot make is a
+    stage-1 rejection whatever ``config.steps`` holds."""
     rng = random.Random(config.seed)
     for index in range(config.max_draws):
         sextet = draw_sextet(rng, config.coefficient_bound)
         if sextet is None:
-            if 1 in config.steps:
-                yield ("rejected", index, 1, "coefficient range admits no valid draw")
+            yield ("rejected", index, 1, "coefficient range admits no valid draw")
             continue
         try:
             report = certify(sextet, config)

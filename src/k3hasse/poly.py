@@ -1,15 +1,15 @@
 """Univariate and trivariate polynomial arithmetic over exact coefficient rings.
 
-``UniPoly`` and ``TernaryForm`` coefficients are duck-typed ring elements:
-Python ints (ring Z) and ``fractions.Fraction``.  Over Q, ``UniPoly``
-carries the charpoly, Sturm and unit-root arithmetic of ``picard``.
-
-The certificate's computations over finite fields run on int codes:
-``ModP`` (ints mod p), the discrete-log arithmetic of ``finitefield`` and
-the residue fields of ``badred`` share one interface, and the ``code_*``
-routines (division, gcds, resultant, interpolation) are written against
-it, so they run over any ring offering it.  A form over a finite field is
-a ``FormModP``: int coefficients reduced mod p, tagged with the field.
+A univariate polynomial is a list of coefficients, lowest degree first.
+``ModP`` (ints mod p), the discrete-log arithmetic of ``finitefield``, the
+residue fields of ``badred`` and ``QQ`` (ints and ``fractions.Fraction``)
+share one interface, and the ``code_*`` routines (division, gcds,
+resultant, interpolation) are written against it, so they run over any
+ring offering it: the certificate's computations over finite fields on int
+codes, and ``picard``'s charpoly, Sturm and unit-root arithmetic over Q.
+``TernaryForm`` coefficients are duck-typed ring elements, ints or
+``Fraction``s; a form over a finite field is a ``FormModP``: int
+coefficients reduced mod p, tagged with the field.
 
 Ternary forms are homogeneous and serialise in graded-lex order with
 x0 > x1 > x2; a quadratic form is the 6 coefficients of
@@ -19,159 +19,22 @@ x0 > x1 > x2; a quadratic form is the 6 coefficients of
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterable
-
-
-class UniPoly:
-    """Dense univariate polynomial, coefficients lowest-degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Any] = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "UniPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*t^{i}" if i else f"({c})")
-        return "UniPoly(" + " + ".join(terms) + ")"
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return UniPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [None] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            for j, d in enumerate(b):
-                t = c * d
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        zero = a[0] * 0
-        return UniPoly([zero if c is None else c for c in out])
-
-    def evaluate(self, x):
-        if not self.coeffs:
-            return x * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def __divmod__(self, other: "UniPoly"):
-        """Division with remainder; coefficient division must be exact or a field."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return UniPoly(), self
-        rem = list(self.coeffs)
-        lcb = other.lc
-        db = other.degree
-        quo = [self.coeffs[0] * 0] * (len(rem) - db)
-        for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db]
-            if not c:
-                continue
-            t = _coeff_div(c, lcb)
-            quo[k] = t
-            for j, d in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - t * d
-        return UniPoly(quo), UniPoly(rem[:db])
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    __truediv__ = exact_div
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        inv = _coeff_div(self.lc ** 0, self.lc)
-        return UniPoly([c * inv for c in self.coeffs])
-
-
-def _coeff_div(a, b):
-    """a / b in the coefficient ring; exact for ints, true division otherwise."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError(f"inexact integer division {a} / {b}")
-        return q
-    return a / b
-
-
-def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over a field."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic() if not f.is_zero() else f
+from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
-# Univariate arithmetic on int codes
+# Univariate arithmetic on coefficient lists
 # ---------------------------------------------------------------------------
 #
-# The routines below work on lists of field elements coded as plain ints,
-# lowest degree first, with a nonzero last entry (the empty list is 0).  The
-# field is an arithmetic object with the interface of ModP: ``zero``, ``one``,
-# ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow`` and ``from_int`` on
-# codes (``random`` only where a field is factored over).  ``Residues``
-# builds K[u]/(B) over any such K, itself in the interface.
+# The routines below work on lists of field elements, coded as plain ints
+# over a finite field and as ints and Fractions over QQ, lowest degree
+# first, with a nonzero last entry (the empty list is 0).  The field is an
+# arithmetic object with the interface of ModP: ``zero``, ``one``, ``add``,
+# ``sub``, ``neg``, ``mul``, ``inv``, ``pow`` and ``from_int`` on codes
+# (``random`` only where a field is factored over).  ``Residues`` builds
+# K[u]/(B) over any such K, itself in the interface.
 
 @dataclass(frozen=True)
 class ModP:
@@ -208,6 +71,32 @@ class ModP:
         return rng.randrange(self.p)
 
 
+class Rationals:
+    """Q on ints and ``Fraction``s, in the interface of ``ModP``.  ``inv``
+    returns 1 and -1 as themselves, so a division by a polynomial over Z
+    with leading coefficient +/-1 stays on ints."""
+
+    zero, one = 0, 1
+    add, sub, neg, mul, pow = operator.add, operator.sub, operator.neg, operator.mul, operator.pow
+
+    def inv(self, a):
+        return a if a == 1 or a == -1 else 1 / Fraction(a)
+
+    def from_int(self, n: int) -> int:
+        return n
+
+
+QQ = Rationals()
+
+
+def code_strip(A, cs: list) -> list:
+    """cs without its trailing zeros, stripped in place."""
+    zero = A.zero
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return cs
+
+
 def code_eval(A, cs: list, x):
     """The value of a coded polynomial at the coded point x (Horner)."""
     add, mul = A.add, A.mul
@@ -231,9 +120,7 @@ def code_divmod(A, f: list, g: list) -> tuple[list, list]:
         q[i - dg] = t = mul(c, inv)
         for j in range(dg):
             r[i - dg + j] = sub(r[i - dg + j], mul(t, g[j]))
-    while r and r[-1] == zero:
-        r.pop()
-    return q, r
+    return q, code_strip(A, r)
 
 
 def code_rem(A, f: list, g: list) -> list:
@@ -245,10 +132,7 @@ def code_sub(A, f: list, g: list) -> list:
     zero = A.zero
     n = max(len(f), len(g))
     f, g = f + [zero] * (n - len(f)), g + [zero] * (n - len(g))
-    d = [A.sub(c, e) for c, e in zip(f, g)]
-    while d and d[-1] == zero:
-        d.pop()
-    return d
+    return code_strip(A, [A.sub(c, e) for c, e in zip(f, g)])
 
 
 def code_mul(A, f: list, g: list) -> list:
@@ -333,9 +217,7 @@ def code_interpolate(A, xs: range, ys) -> list:
         for j in range(len(cs) - 1):
             cs[j] = add(cs[j], mul(minus_x, cs[j + 1]))
         cs[0] = add(cs[0], newton[k])
-    while cs and cs[-1] == A.zero:
-        cs.pop()
-    return cs
+    return code_strip(A, cs)
 
 
 class ZeroDivisorSplit(Exception):
@@ -394,10 +276,7 @@ class Residues:
         return out
 
     def random(self, rng) -> list:
-        r = [self.A.random(rng) for _ in range(len(self.B) - 1)]
-        while r and r[-1] == self.A.zero:
-            r.pop()
-        return r
+        return code_strip(self.A, [self.A.random(rng) for _ in range(len(self.B) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +301,7 @@ def integer_resultant(f: list, g: list) -> int:
             r = [g[-1] * a for a in r]
             for k in range(dg):
                 r[len(r) - dg + k] -= c * g[k]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
+        if not code_strip(QQ, r):
             return 0
         f, g = g, [c // (lc * h ** (df - dg)) for c in r]
         lc = f[-1]
@@ -440,7 +317,7 @@ def integer_chart_resultant(f: list, g: list) -> list:
     differences, D! Res(u) = sum_k (D!/k!) Delta^k y_0 u (u - 1) .. (u - k + 1),
     expanded by Horner from k = D down and divided by D! exactly."""
     D = (len(f) - 1) * (len(g) - 1)
-    at = lambda P, x: [sum(c * x**e for e, c in enumerate(cs)) for cs in P]
+    at = lambda P, x: [code_eval(QQ, cs, x) for cs in P]
     ys = [integer_resultant(at(f, x), at(g, x)) for x in range(D + 1)]
     for k in range(1, D + 1):  # ys[k] <- Delta^k y_0
         for x in range(D, k - 1, -1):
@@ -450,10 +327,7 @@ def integer_chart_resultant(f: list, g: list) -> list:
         acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
         acc[0] += scale * ys[k]
         scale *= k or 1
-    acc = [c // scale for c in acc]
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
+    return code_strip(QQ, [c // scale for c in acc])
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +458,6 @@ class TernaryForm:
             if d:
                 out[tuple(mm)] = d
         return TernaryForm(max(self.degree - 1, 0), out)
-
-    def map_coefficients(self, fn) -> "TernaryForm":
-        return TernaryForm(self.degree, {m: fn(c) for m, c in self.terms.items()})
 
 
 class FormModP(TernaryForm):

@@ -2,8 +2,9 @@
 
 Everything here is deliberately elementary (trial division, Euler's criterion,
 exhaustive searches, digit-by-digit lifting) and shares no code path with the
-implementations under test, with four exceptions.  The library computes on
-int codes only; the references compute on their own field elements
+implementations under test, with four exceptions.  The library computes
+over finite fields on int codes only; the references compute on their own
+field elements
 (``FFElem`` over ``PrimeField`` and ``ExtensionField``, below), built by
 ``element_field`` on the moduli of the library's fields.  The naive point
 count runs on those elements and the library's coefficient reduction, so it
@@ -11,7 +12,8 @@ checks the orbit counting kernel and its tables, not the choice of modulus.  The
 integer form to each line with ``UniPoly`` products over Z, reduces the result
 into F_p and tests squares by the squarefree decomposition below, so it
 checks the scan on ints mod p, not those.  The subresultant ``resultant``
-runs on the library's ``UniPoly`` and the pseudo-remainder here; it is the
+runs on the oracles' own ``UniPoly`` (below; the library keeps its
+polynomials as coefficient lists) and the pseudo-remainder here; it is the
 reference for the elimination's resultant by evaluation and interpolation
 (``code_chart_resultant``, reached from ``UniPoly``s through the adapter
 ``resultant_by_evaluation``), and is itself checked against the Sylvester
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import combinations, compress
-from typing import Any
+from typing import Any, Iterable
 
 import random
 from math import isqrt, lcm
@@ -60,13 +62,7 @@ from k3hasse.picard import (
     check_weil_bound,
     cyclotomic_polynomial,
 )
-from k3hasse.poly import (
-    FormModP,
-    TernaryForm,
-    UniPoly,
-    _coeff_div,
-    poly_gcd,
-)
+from k3hasse.poly import FormModP, TernaryForm
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -254,6 +250,159 @@ def sylvester_resultant(f_coeffs, g_coeffs) -> Fraction:
                 for c2 in range(col, size):
                     rows[r][c2] -= factor * rows[col][c2]
     return det
+
+
+# ---------------------------------------------------------------------------
+# The oracles' polynomials
+# ---------------------------------------------------------------------------
+#
+# The library keeps a univariate polynomial as a list of coefficients and
+# divides through the ``code_*`` routines.  The references below use their
+# own dense polynomial class over duck-typed coefficients instead: ints,
+# ``Fraction``s, ``FFElem``s, or ``UniPoly``s for a bivariate polynomial.
+
+class UniPoly:
+    """Dense univariate polynomial, coefficients lowest-degree first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Any] = ()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    @property
+    def lc(self):
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "UniPoly(0)"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                terms.append(f"({c})*t^{i}" if i else f"({c})")
+        return "UniPoly(" + " + ".join(terms) + ")"
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return UniPoly(out)
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            return UniPoly([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return UniPoly()
+        out = [None] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            for j, d in enumerate(b):
+                t = c * d
+                out[i + j] = t if out[i + j] is None else out[i + j] + t
+        zero = a[0] * 0
+        return UniPoly([zero if c is None else c for c in out])
+
+    def evaluate(self, x):
+        if not self.coeffs:
+            return x * 0
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "UniPoly":
+        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
+
+    def __divmod__(self, other: "UniPoly"):
+        """Division with remainder; coefficient division must be exact or a field."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.degree < other.degree:
+            return UniPoly(), self
+        rem = list(self.coeffs)
+        lcb = other.lc
+        db = other.degree
+        quo = [self.coeffs[0] * 0] * (len(rem) - db)
+        for k in range(len(rem) - db - 1, -1, -1):
+            c = rem[k + db]
+            if not c:
+                continue
+            t = _coeff_div(c, lcb)
+            quo[k] = t
+            for j, d in enumerate(other.coeffs):
+                rem[k + j] = rem[k + j] - t * d
+        return UniPoly(quo), UniPoly(rem[:db])
+
+    def __mod__(self, other: "UniPoly") -> "UniPoly":
+        return divmod(self, other)[1]
+
+    def exact_div(self, other: "UniPoly") -> "UniPoly":
+        q, r = divmod(self, other)
+        if not r.is_zero():
+            raise ValueError("inexact polynomial division")
+        return q
+
+    __truediv__ = exact_div
+
+    def monic(self) -> "UniPoly":
+        if self.is_zero():
+            return self
+        inv = _coeff_div(self.lc ** 0, self.lc)
+        return UniPoly([c * inv for c in self.coeffs])
+
+
+def _coeff_div(a, b):
+    """a / b in the coefficient ring; exact for ints, true division otherwise."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError(f"inexact integer division {a} / {b}")
+        return q
+    return a / b
+
+
+def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Monic gcd over a field."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic() if not f.is_zero() else f
+
+
+def map_coefficients(form: TernaryForm, fn) -> TernaryForm:
+    """The plain form with fn applied to every coefficient of ``form``."""
+    return TernaryForm(form.degree, {m: fn(c) for m, c in form.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +663,7 @@ def _element_field(p: int, modulus: tuple) -> ElementField:
 
 def to_elements(form: FormModP) -> TernaryForm:
     """A form reduced by the library, as a form of ``FFElem``s."""
-    return form.map_coefficients(element_field(form.field).decode)
+    return map_coefficients(form, element_field(form.field).decode)
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +1073,7 @@ def unipoly_frame(system: list[TernaryForm], fld):
         if fld.degree != 1:
             raise ValueError("no frame over the base field")
         current = element_field(fq(fld.characteristic, 2 * current.degree))
-        cur_system = [g.map_coefficients(lambda c: from_base(current, c)) for g in system]
+        cur_system = [map_coefficients(g, lambda c: from_base(current, c)) for g in system]
 
 
 class _Split(Exception):
@@ -1146,7 +1295,7 @@ def _root_field(irr: UniPoly, fld):
 def _classify_point(f_mod: TernaryForm, coords, fld) -> str:
     """node iff the gradient vanishes and the 2x2 Hessian of the local
     dehomogenization is nonsingular at the point."""
-    lift = lambda form: form.map_coefficients(lambda c: _lift_to(fld, c.field, c))
+    lift = lambda form: map_coefficients(form, lambda c: _lift_to(fld, c.field, c))
     if lift(f_mod).evaluate(coords):
         return "non-node"
     for i in range(3):
@@ -1302,7 +1451,7 @@ def unit_root_bound(fd: FrobeniusData) -> int:
     g = UniPoly(fd.normalized)
     bound = 0
     for d in _cyclotomic_degrees_up_to_22():
-        phi = UniPoly([Fraction(c) for c in cyclotomic_polynomial(d).coeffs])
+        phi = UniPoly([Fraction(c) for c in cyclotomic_polynomial(d)])
         while True:
             quo, rem = divmod(g, phi)
             if rem.is_zero() and not quo.is_zero():

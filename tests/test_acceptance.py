@@ -36,8 +36,8 @@ from k3hasse.picard import (
     unit_root_bound,
 )
 from k3hasse.pipeline import expected_normalized_charpoly, verify_example
-from k3hasse.poly import ModP, Residues, TernaryForm, UniPoly, code_mul, monomials_of_degree
-from .oracles import conic_locally_soluble, count_points_naive, element_field, squarefree_decomposition, upow
+from k3hasse.poly import ModP, Residues, TernaryForm, code_mul, monomials_of_degree
+from .oracles import UniPoly, conic_locally_soluble, count_points_naive, element_field, squarefree_decomposition, upow
 from .test_picard import _forward_power_sums, _random_weil_factors
 
 

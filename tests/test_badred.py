@@ -20,15 +20,17 @@ from k3hasse.badred import (
     verify_bad_prime_list,
 )
 from k3hasse.finitefield import fq, irreducible_factors, prime_field
-from k3hasse.poly import FormModP, ModP, TernaryForm, UniPoly, integer_chart_resultant, monomials_of_degree
+from k3hasse.poly import FormModP, ModP, TernaryForm, integer_chart_resultant, monomials_of_degree
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
 from .conftest import _clear_memos
 from .oracles import (
     ExtensionField,
+    UniPoly,
     compose_linear,
     decoded_forms,
     element_field,
+    map_coefficients,
     resultant,
     squarefree_decomposition,
     sylvester_resultant,
@@ -135,7 +137,7 @@ def test_regularize_extends_a_prime_field_through_fq():
     E = element_field(fld)
     a, b = E.decode(a), E.decode(b)
     frame = [[E.one, E.zero, a], [E.zero, E.one, b], [E.zero, E.zero, E.one]]
-    want = compose_linear(g.map_coefficients(E.decode), frame)
+    want = compose_linear(map_coefficients(g, E.decode), frame)
     got = {(4 - j - k, j, k): E.decode(decode(c)) for k, row in enumerate(h) for j, c in enumerate(row)}
     assert TernaryForm(4, got) == want
 

@@ -10,10 +10,11 @@ from k3hasse.finitefield import (
     irreducible_factors,
     prime_field,
 )
-from k3hasse.poly import ModP, Residues, TernaryForm, UniPoly, code_eval, code_mul, newton_weights
+from k3hasse.poly import ModP, Residues, TernaryForm, code_eval, code_mul, newton_weights
 
 from .oracles import (
     ExtensionField,
+    UniPoly,
     canonical_modulus,
     element_degree,
     element_field,

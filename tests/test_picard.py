@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -32,15 +32,17 @@ from k3hasse.picard import (
     unit_root_bound,
 )
 from k3hasse.pipeline import draw_sextet, load_fixtures
-from k3hasse.poly import TernaryForm, UniPoly, monomials_of_degree, poly_gcd
+from k3hasse.poly import TernaryForm, monomials_of_degree
 from k3hasse.surface import build_k3, is_smooth_curve, reduce_mod
 
 from . import oracles
 from .oracles import (
+    UniPoly,
     _is_square_binary_form,
     count_points_naive,
     element_degree,
     element_field,
+    poly_gcd,
     quadratic_character,
     tritangent_scan_naive,
 )
@@ -382,7 +384,7 @@ def test_ten_counts_decide_a_one_point_window_on_a_critical_value():
         poly, sums = _forward_power_sums(factors, q, 10)
         a_top = _newton_coefficients([int(s) for s in sums])
         assert _open_middle_values(a_top, q) == [poly[11]]
-        h = _trace_polynomial([poly[11]] + [a_top[i] for i in range(12, H2_DIM + 1)], q)
+        h = UniPoly(_trace_polynomial([poly[11]] + [a_top[i] for i in range(12, H2_DIM + 1)], q))
         assert poly_gcd(h, h.derivative()).degree >= 1
         fd = frobenius_charpoly(CountSeries.from_counts(q, _ten_counts(sums, q)))
         assert fd.sign == 1 and fd.coefficients == poly
@@ -406,8 +408,8 @@ def test_the_weil_test_counts_roots_on_the_ends_of_the_interval():
         h = UniPoly([Fraction(1)])
         for r in roots:
             h = h * UniPoly([-Fraction(r), Fraction(1)])
-        assert _real_roots_within(h, 6) is inside, roots
-        assert not _real_roots_within(h * UniPoly([1, 0, 1]), 6), roots
+        assert _real_roots_within(list(h.coeffs), 6) is inside, roots
+        assert not _real_roots_within(list((h * UniPoly([1, 0, 1])).coeffs), 6), roots
 
 
 def test_no_float_decides_the_charpoly(monkeypatch, fixtures):
@@ -453,7 +455,7 @@ def test_unit_root_bound_on_integers_matches_the_rational_division(fixtures):
     q, rng = 3, random.Random(22)
     degrees = [d for d in range(1, 67) if euler_phi(d) <= 10]
     for _ in range(40):
-        phi = cyclotomic_polynomial(rng.choice(degrees)) * cyclotomic_polynomial(rng.choice(degrees))
+        phi = UniPoly(cyclotomic_polynomial(rng.choice(degrees))) * UniPoly(cyclotomic_polynomial(rng.choice(degrees)))
         h = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 9, 5])) for _ in range(H2_DIM - phi.degree)]
         h.append(Fraction(rng.choice([1, 1, 2, 7]), rng.choice([1, 3, 4])))
         norm = list((UniPoly([Fraction(c) for c in phi.coeffs]) * UniPoly(h)).coeffs)
@@ -466,12 +468,19 @@ def test_unit_root_bound_on_integers_matches_the_rational_division(fixtures):
 
 def test_euler_phi_and_cyclotomic():
     assert [euler_phi(d) for d in (1, 2, 3, 4, 12, 66)] == [1, 1, 2, 2, 4, 20]
-    assert cyclotomic_polynomial(1).coeffs == (-1, 1)
-    assert cyclotomic_polynomial(12).coeffs == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     from k3hasse.picard import _cyclotomic_degrees_up_to_22
 
     degrees = _cyclotomic_degrees_up_to_22()
     assert max(degrees) == 66
+
+
+def test_euler_phi_counts_the_units_up_to_968():
+    """phi(d) from the prime powers of d is the number of k <= d prime to
+    d, for every d that ``_cyclotomic_degrees_up_to_22`` scans."""
+    for d in range(1, 2 * 22 * 22 + 1):
+        assert euler_phi(d) == sum(gcd(k, d) == 1 for k in range(1, d + 1)), d
 
 
 def test_tritangent_example_results(example_sextic):

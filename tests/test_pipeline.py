@@ -145,8 +145,6 @@ def test_a_stage_1_reject_builds_no_form(monkeypatch):
 
 @pytest.mark.parametrize("field, value, message", [
     ("max_draws", -3, "max_draws must be at least 0"),
-    ("tritangent_window", (50, 10), "holds no prime"),
-    ("tritangent_window", (24, 28), "holds no prime"),
     ("counting_depth", 9, "stage 5 needs a counting depth of at least 10"),
     ("counting_depth", 13, "stage 5 needs a counting depth of at least 10"),
 ])
@@ -175,6 +173,14 @@ def test_search_step1_rejects_all_on_bad_range():
     events = list(search_events(config))
     assert len(events) == 5
     assert all(e[0] == "rejected" and e[2] == 1 for e in events)
+
+
+def test_an_impossible_draw_is_a_stage_1_rejection_without_stage_1():
+    """Every draw yields one event, so a funnel built from the events counts
+    every draw, also when the steps leave out stage 1."""
+    config = SearchConfig(seed=1, coefficient_bound=4, max_draws=5, steps=(2, 3, 4))
+    events = list(search_events(config))
+    assert [e[:3] for e in events] == [("rejected", index, 1) for index in range(5)]
 
 
 def test_search_determinism():
@@ -267,14 +273,14 @@ def test_certify_agrees_with_verify_example(fixtures):
     assert got == want
 
 
-def test_certify_rejection_names_the_stage(fixtures):
+def test_certify_rejection_names_the_stage(fixtures, monkeypatch):
     with pytest.raises(Rejected) as err:
         _certify_fixture(fixtures, bad_primes=(5, 13))
     assert err.value.stage == 6
     assert "13" in err.value.reason
-    tight = SearchConfig(tritangent_window=(5, 7), steps=(1, 2, 3))
+    monkeypatch.setattr(pipeline, "TRITANGENT_WINDOW", (5, 7))
     with pytest.raises(Rejected) as err:
-        certify(fixtures.sextet, tight)
+        certify(fixtures.sextet, SearchConfig(steps=(1, 2, 3)))
     assert (err.value.stage, err.value.reason) == (3, "no tritangent-free good prime in the window")
 
 

@@ -1,24 +1,26 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from k3hasse.finitefield import evaluation_arith, fq
 from k3hasse.poly import (
     TernaryForm,
-    UniPoly,
     code_divmod,
     code_gcd,
     code_gcdex,
     integer_resultant,
     monomials_of_degree,
-    poly_gcd,
 )
 from k3hasse.surface import reduce_mod
 from .oracles import (
     ProjLine,
+    UniPoly,
     element_field,
     line_parametrization,
+    poly_gcd,
     poly_gcdex,
     restrict_to_line,
     resultant,
@@ -27,6 +29,21 @@ from .oracles import (
     to_elements,
     upow,
 )
+
+
+def test_the_oracles_take_only_forms_from_the_library_poly():
+    """The oracles' polynomials and gcds are their own: tests/oracles.py
+    imports TernaryForm and FormModP from k3hasse.poly and nothing else."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "k3hasse.poly":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "k3hasse":
+            assert "poly" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "k3hasse.poly" not in {alias.name for alias in node.names}
+    assert imported == {"TernaryForm", "FormModP"}
 
 
 def frac_poly(*coeffs):
