@@ -83,9 +83,9 @@ class FieldTables:
     is the sentinel where 1 + g^k = 0; ``exp[zero] = 0`` and
     ``zech[zero] = 0``.  Lookups use ``take(..., mode="clip")``, so any index
     past the sentinel reads those last entries: a product with a factor 0 is
-    0 and 0 + c is c, and no operation branches on zero.  ``orbit_reps``,
-    ``ramp`` and ``zech_chi`` serve the counting sweep of :mod:`k3hasse.picard`
-    and are built on its first use of the field.
+    0 and 0 + c is c, and no operation branches on zero.  ``orbit_reps`` and
+    ``pair_sweep`` serve the counting sweep of :mod:`k3hasse.picard` and are
+    built on its first use of the field.
     """
 
     def __init__(self, field: FiniteField):
@@ -149,20 +149,77 @@ class FieldTables:
         return tuple((int(r), int(self.deg[r])) for r in reps)
 
     @cached_property
-    def ramp(self) -> np.ndarray:
-        """0, 1, .., 2(q - 1) - 1: the slice ``ramp[o : o + q - 1]`` holds
-        log(g^o z) for z = g^j, j = 0 .. q - 2, each below q - 1 + o, so
-        log v + that slice stays below the sentinel for v != 0.  int32 like
-        ``zech``: intp copies of both swept no faster at F_(3^9) and slower
-        at F_(3^10)."""
-        return np.arange(2 * (self.q - 1), dtype=np.int32)
+    def pair_sweep(self) -> "PairSweep":
+        """The tables of the counting sweep over the squares u = g^(2j),
+        j < h = (q - 1)/2, which evaluates f(1, y, +-z) = E(u) +- z O(u) at
+        z = g^j and -z = g^(j + h) together (q odd).  Built on the first
+        sweep of the field, not with the other tables.
 
-    @cached_property
-    def zech_chi(self) -> np.ndarray:
-        """int8 codes of the quadratic character of 1 + g^k, index by index
-        with ``zech`` (q odd): 0 for a square, 1 for a non-square, 2 for zero.
-        The sentinel entry reads 1 + 0 = 1, a square."""
-        return np.where(self.zech == self.zero, 2, self.zech & 1).astype(np.int8)
+        With m = q - 1, ``zero`` = 3m - 2 and M = 5m - 2, B = 6m - 2:
+
+        - ``zech_even``, ``zech_odd``: contiguous copies of ``zech[0:2m:2]``
+          and ``zech[1:2m:2]``, so that ``zech[o + 2j]`` for j < h is a
+          slice of one of them;
+        - ``ramp_even``: 0, 2, .., m - 2, the logs of the squares;
+        - ``ramp_mod``: k mod m for k < m + h, so that ``ramp_mod[c : c + h]``
+          is log(g^c z) mod m;
+        - ``zech_ratio``: index by index with ``zech``, B - x - M (x & 1) for
+          x = zech[k] != zero, and -4m where 1 + g^k = 0.  Read by the last
+          Horner step of E, it turns log E = x into an offset into
+          ``pair_codes`` that carries the parity of x, and a zero E into an
+          index below 0;
+        - ``pair_codes``: int8, read at i = log O + (log z mod m) + the
+          ``zech_ratio`` value = B - b M + t with b = log E mod 2 and
+          t = log O + (log z mod m) - log E, logs relative to the leading
+          powers of g.  For t in [1 - m, 2m - 2] it holds the characters of
+          f(+-z)/g^(s_E) = g^b (1 +- g^t) as 32 (number of non-squares) +
+          (number of zeros) of the pair; for t in [2m - 1, 4m - 3], where
+          O(u) = 0 and log O is ``zero``, f(+-z) = E and it holds 64 b.
+          Entry 0, where an index below 0 clips, holds 8: E(u) = 0.  A sum
+          over a sweep is 32 (non-squares) + 8 (zeros of E) + (zeros of f),
+          the last two below 4 and 8.
+        """
+        return PairSweep(self)
+
+
+class PairSweep:
+    """``FieldTables.pair_sweep``: see there."""
+
+    def __init__(self, t: FieldTables):
+        m, zero = t.q - 1, t.zero
+        h, period, self.offset = m // 2, 5 * m - 2, 6 * m - 2
+        self.zech_even = t.zech[0 : 2 * m : 2].copy()
+        self.zech_odd = t.zech[1 : 2 * m : 2].copy()
+        self.ramp_even = np.arange(0, m, 2, dtype=np.int32)
+        self.ramp_mod = np.arange(m + h, dtype=np.int32) % m
+        x = t.zech
+        ratio = x & 1
+        ratio *= -period
+        ratio += self.offset
+        ratio -= x
+        ratio[x == zero] = -4 * m
+        self.zech_ratio = ratio
+        # chi codes of 1 + g^t and 1 - g^t = 1 + g^(t + h), t < m: 0 square,
+        # 1 non-square, 2 zero
+        chi = (x[:m] & 1).astype(np.int8)
+        chi[h] = 2
+        codes = np.zeros(10 * m - 4, dtype=np.int8)
+        codes[0] = 8
+        for b in (0, 1):
+            plus = np.where(chi == 2, chi, chi ^ b)
+            minus = np.roll(plus, -h)
+            pair = 32 * ((plus == 1).astype(np.int8) + (minus == 1)) + (plus == 2) + (minus == 2)
+            base = self.offset - b * period
+            # t = 1 - m, .., 2m - 2 read pair[t mod m], from pair[1]
+            codes[base - m + 1 : base + 2 * m - 1] = np.resize(np.roll(pair, -1), 3 * m - 2)
+            codes[base + 2 * m - 1 : base + 4 * m - 2] = 64 * b
+        self.pair_codes = codes
+
+    def count(self, index: np.ndarray) -> tuple[int, int, int]:
+        """(non-squares, pairs where E(u) = 0, zeros) over ``pair_codes``
+        read at ``index``."""
+        total = int(self.pair_codes.take(index, mode="clip").sum())
+        return total >> 5, (total >> 3) & 3, total & 7
 
 
 class LogArith:

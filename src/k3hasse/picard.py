@@ -14,15 +14,22 @@ chi_n = chi_d^(n/d).
 
 A sweep never leaves discrete-log form.  The seven coefficients c_k(y) of
 f(1, y, z) in z are found for all orbit representatives at once.  At z = 0
-f is c_0(y); every other z = g^j is swept in the order of its log j, so
-log z is the position j.  Horner's rule runs on logs: v z + c with c != 0
-is c (1 + v z / c), of log log c + Z(log v + j - log c), with the Zech
-logarithm Z(k) = log(1 + g^k).  The first step, from v = 1, is a slice of
-the Zech table; each later one adds a slice of one arange and makes one
-gather; a zero c_k only raises the power of z that the next step adds; and
-the last step gathers chi(1 + g^k) from an int8 table, whose codes the tally
-counts.  Zero is a sentinel log that the tables absorb, and chi(g^k) is the
-parity of k because q - 1 is even.
+f is c_0(y); the other z pair up as z = g^j and -z = g^(j + h), j < h =
+(q - 1)/2, with f(1, y, +-z) = E(u) +- z O(u) in u = z^2 = g^(2j), E of the
+even and O of the odd coefficients.  Horner's rule runs on logs over the h
+squares u, in the order of j: v u + c with c != 0 is c (1 + v u / c), of
+log log c + Z(log v + 2j - log c), with the Zech logarithm
+Z(k) = log(1 + g^k).  The first step, from v = 1, is a slice of a
+contiguous half of the Zech table; each later one adds a slice of one
+arange and makes one gather; a zero c_k only raises the power of u that the
+next step adds.  Then f(+-z) = E (1 +- g^t) with t = log z O / E, and one
+gather at an index made of t and the parity of log E reads the characters
+of both points of the pair from an int8 table, whose sum over the sweep is
+the tally: 2 gathers for E, 1 for O and 1 for the pair of points, against 5
+per point for Horner in z.  Where E(u) = 0 the table reads a flag, and
+f(+-z) = +-z O(u) is patched at those few j from the parity of its log.
+Zero is a sentinel log that the tables absorb, and chi(g^k) is the parity
+of k because q - 1 is even.
 
 The tritangent scan runs on ints mod p too.  A line is an int triple; f
 restricts to it in one pass over its terms, and the restriction g is a
@@ -53,7 +60,7 @@ from math import ceil, comb, floor, lcm
 
 import numpy as np
 
-from .arith import probable_prime, strip_small_factors
+from .arith import probable_prime
 from .poly import QQ, TernaryForm, code_divmod, code_eval, code_gcd, code_mul, code_rem, code_strip
 from .finitefield import TABLE_LIMIT, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
@@ -88,11 +95,43 @@ def _int_coefficients_mod(f: TernaryForm, p: int) -> dict:
     return {mon: c % p for mon, c in f.terms.items()}
 
 
+def _on_squares(t, sw, logs: list[int], final: np.ndarray):
+    """sum_i g^(logs[i]) u^i at the squares u = g^(2j), j < h, as
+    (s, a, r): the sum is g^s v u^r with log v = a[j] (the sentinel where
+    v = 0), or v = 1 when a is None.  None when every coefficient is zero.
+
+    Horner's rule on logs, as in the module docstring, with log u = 2j: a
+    zero coefficient only raises the pending power r, and adding
+    c = g^l != 0 to g^s v u^r reads the Zech table at log v + 2rj + s - l,
+    from a contiguous half of ``zech`` on the first step, else by one
+    gather.  The last step reads ``final`` in place of ``zech``."""
+    m, zero = t.q - 1, t.zero
+    live = [i for i, l in enumerate(logs) if l != zero]
+    if not live:
+        return None
+    a, s, r = None, logs[live[-1]], 0
+    for i in range(live[-1] - 1, -1, -1):
+        r += 1
+        if logs[i] == zero:
+            continue
+        table, o = (final if i == live[0] else t.zech), (s - logs[i]) % m
+        if r > 1:
+            w = (sw.ramp_even * r + o) % m
+            a = table.take(w if a is None else a + w, mode="clip")
+        elif a is None and table is t.zech:
+            a = (sw.zech_odd if o & 1 else sw.zech_even)[o >> 1 : (o >> 1) + len(sw.ramp_even)]
+        else:
+            a = table[o:].take(sw.ramp_even if a is None else a + sw.ramp_even, mode="clip")
+        s, r = logs[i], 0
+    return s, a, r
+
+
 def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
     """Tallies (A_d, B_d, Z_d) of exact-degree-d points of P^2 by the
     quadratic character of f, from one vectorised sweep of P^2(F_{p^d})."""
     t = fq(p, d).tables
-    m, zero, zech, zech_chi, ramp = t.q - 1, t.zero, t.zech, t.zech_chi, t.ramp
+    m, zero, sw = t.q - 1, t.zero, t.pair_sweep
+    h = m // 2
     reps = t.orbit_reps
     # f(1, y, z) = sum_k c_k(y) z^k with c_k(y) = sum_j a[j,k] y^j, one column
     # per orbit representative y; the last column is the chart x0 = 0, x1 = 1,
@@ -108,55 +147,60 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
             if e0 == 0:
                 c[e2, -1] = coef
     degrees = [e for _, e in reps] + [1]
-    # z = g^j runs over F_q^* in log order; a point [1:y:z] with y of degree
-    # e has exact degree lcm(e, deg z)
-    deg_z = t.deg[t.exp[:m]]
+    # a point [1:y:+-z] with y of degree e has exact degree lcm(e, deg z),
+    # and -z has the degree of z; z = g^j runs over j < h
+    deg_z = t.deg[t.exp[:h]]
     exact = {e: np.flatnonzero(np.lcm(e, deg_z) == d) for e in set(degrees) if e != d}
-
-    def window(r: int, o: int) -> np.ndarray:
-        """Logs of g^o z^r along z = g^j, each below 2m."""
-        return ramp[o : o + m] if r == 1 else (ramp[:m] * r + o) % m
-
-    counts = np.zeros(3, dtype=np.int64)
+    tally = [0, 0, 0]  # squares, non-squares, zeros
     for lc, e in zip(t.log[c].T.tolist(), degrees):
-        size = m if e == d else len(exact[e])
-        if e == d:  # z = 0, where f is c_0(y)
-            counts[2 if lc[0] == zero else lc[0] & 1] += e
-        top = max((k for k in range(7) if lc[k] != zero), default=None)
-        if top is None:
-            counts[2] += e * size
+        sel = None if e == d else exact[e]
+        size = h if sel is None else len(sel)
+        if sel is None:  # z = 0, where f is c_0(y)
+            tally[2 if lc[0] == zero else lc[0] & 1] += e
+        # f(1, y, +-z) = E(u) +- z O(u) with u = z^2
+        even = _on_squares(t, sw, lc[0::2], sw.zech_ratio)
+        odd = _on_squares(t, sw, lc[1::2], t.zech)
+        if even is None and odd is None:
+            tally[2] += 2 * e * size
             continue
-        # Horner in z in the log domain: f at z = g^j is g^s v[j] z^r, with
-        # log v[j] = a[j] (the sentinel where v[j] = 0), or 0 while a is None.
-        # A zero c_k only raises the pending power r; adding c_k != 0 to
-        # g^s v z^r is g^(log c_k) (1 + g^(a + log z^r + s - log c_k)), one
-        # Zech lookup, or a lookup in zech_chi on the last step.
-        a, s, r = None, lc[top], 0
-        for k in range(top - 1, -1, -1):
-            r += 1
-            if lc[k] == zero:
-                continue
-            table, o = (zech_chi if k == 0 else zech), (s - lc[k]) % m
-            if a is None and r == 1:
-                a = table[o : o + m]
+        s_o, a_o, r_o = odd or (0, zero, 0)
+        a_o = 0 if a_o is None else a_o
+        if even is None:  # f(+-z) = +-z O(u): E vanishes at every pair
+            vanish = sw.ramp_mod[:h] if sel is None else sel
+        else:
+            # f(+-z) = E (1 +- g^t), t = log z O / E: pair_codes holds the
+            # characters of the pair, relative to g^(s_e), at one index
+            s_e, a_e, r_e = even
+            shift = (s_o - s_e) % m
+            if r_o == r_e:
+                index = sw.ramp_mod[shift : shift + h] + a_o
             else:
-                a = table.take(window(r, o) if a is None else a + window(r, o), mode="clip")
-            s, r = lc[k], 0
-        if r or a is None:  # f is g^s v z^r: chi from the parity of its log
-            a = np.zeros(m, dtype=np.int32) if a is None else a
-            a = np.where(a == zero, 2, (a + window(r, 0)) & 1)
-        if e != d:
-            a = a[exact[e]]
-        # a holds zech_chi codes: 0 square, 1 non-square, 2 zero, relative
-        # to g^s
-        odd, nzero = np.count_nonzero(a == 1), np.count_nonzero(a == 2)
-        even = size - odd - nzero
-        counts += e * np.array([odd, even, nzero] if s & 1 else [even, odd, nzero])
+                index = (sw.ramp_mod[:h] * (1 + 2 * (r_o - r_e)) + shift) % m + a_o
+            index += sw.offset if a_e is None else a_e
+            n_odd, vanishing, n_zero = sw.count(index if sel is None else index[sel])
+            tally[s_e & 1] += e * (2 * (size - vanishing) - n_odd - n_zero)
+            tally[1 - (s_e & 1)] += e * n_odd
+            tally[2] += e * n_zero
+            if not vanishing:
+                continue
+            vanish = np.flatnonzero(a_e < 0) if sel is None else sel[a_e[sel] < 0]
+        # where E(u) = 0, f(+-z) = +-z O(u): chi is the parity of
+        # j + s_O + log O, and of j + h + s_O + log O at -z
+        a_v = a_o[vanish] if isinstance(a_o, np.ndarray) else np.full(len(vanish), a_o)
+        live = a_v != zero
+        n_live = int(np.count_nonzero(live))
+        n_odd = int(np.count_nonzero((vanish + a_v + s_o) & 1 & live))
+        tally[2] += 2 * e * (len(vanish) - n_live)
+        if h & 1:  # -1 is a non-square: one of z and -z is odd
+            tally[0] += e * n_live
+            tally[1] += e * n_live
+        else:
+            tally[0] += 2 * e * (n_live - n_odd)
+            tally[1] += 2 * e * n_odd
     if d == 1:  # the point [0:0:1]
         c001 = fcoef.get((0, 0, 6), 0)
-        counts[2 if c001 == 0 else (0 if pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
-    a_d, b_d, z_d = counts
-    return int(a_d), int(b_d), int(z_d)
+        tally[2 if c001 == 0 else (0 if pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
+    return tuple(tally)
 
 
 @dataclass
@@ -201,8 +245,8 @@ def assemble_counts(p: int, tallies: dict, max_n: int) -> list[int]:
 
 def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
     """Counts N_1..N_max_n by the orbit kernel, sharing the per-degree sweeps."""
-    if p == 2:
-        raise CountingError("characteristic 2 is unsupported")
+    if p < 3 or not probable_prime(p):
+        raise CountingError(f"point counting needs an odd prime, not {p}")
     if max_n < 1:
         raise CountingError(f"the count series needs a depth of at least 1, got {max_n}")
     if f.degree != 6:
@@ -416,18 +460,6 @@ def frobenius_charpoly(counts: CountSeries) -> FrobeniusData:
 # Cyclotomic unit-root bound
 # ---------------------------------------------------------------------------
 
-def euler_phi(d: int) -> int:
-    """phi(d) = prod (p - 1) p^(e - 1) over the prime powers p^e || d, for
-    d > 0 without a prime factor above 10^6."""
-    factors, rest = strip_small_factors(d)
-    if rest != 1:
-        raise ValueError(f"euler_phi: {d} has a prime factor above 10^6")
-    out = 1
-    for p, e in factors:
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Phi_d over Z, lowest degree first, by exact division of x^d - 1."""
@@ -440,8 +472,16 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _cyclotomic_degrees_up_to_22() -> list[int]:
-    # phi(d) <= 22 forces d <= 2 * 22^2; the actual maximum is 66
-    return [d for d in range(1, 2 * 22 * 22 + 1) if euler_phi(d) <= 22]
+    """The d with phi(d) <= 22, which forces d <= 2 * 22^2 (the actual
+    maximum is 66), from one sieve of phi over that range: each prime l
+    takes phi[k] -= phi[k] // l on its multiples k."""
+    bound = 2 * 22 * 22
+    phi = list(range(bound + 1))
+    for l in range(2, bound + 1):
+        if phi[l] == l:  # untouched by a smaller prime: l is prime
+            for k in range(l, bound + 1, l):
+                phi[k] -= phi[k] // l
+    return [d for d in range(1, bound + 1) if phi[d] <= 22]
 
 
 def unit_root_bound(fd: FrobeniusData) -> int:

@@ -111,6 +111,18 @@ def strip_small_factors_loop(n: int, bound: int = 10**6) -> tuple[list[tuple[int
     return factors, n
 
 
+def euler_phi(d: int) -> int:
+    """phi(d) = prod (p - 1) p^(e - 1) over the prime powers p^e || d, by
+    trial division: the reference for the sieve in
+    ``picard._cyclotomic_degrees_up_to_22``."""
+    factors, rest = strip_small_factors_loop(d, bound=max(d, 2))
+    assert rest == 1
+    out = 1
+    for p, e in factors:
+        out *= (p - 1) * p ** (e - 1)
+    return out
+
+
 def padic_valuation_int(n: int, p: int) -> int:
     v = 0
     while n % p == 0:

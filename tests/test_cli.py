@@ -118,6 +118,15 @@ def test_count_rejects_a_depth_below_1(example_sextet, tmp_path, capsys, depth):
     assert error["message"] == f"the count series needs a depth of at least 1, got {depth}"
 
 
+def test_count_rejects_a_p_that_is_not_an_odd_prime(example_sextet, tmp_path, capsys):
+    path = tmp_path / "sextet.json"
+    path.write_text(example_sextet.to_json())
+    assert main(["count", "--sextet", str(path), "--p", "0"]) == 2
+    error = _error(capsys)
+    assert error["error"] == "CountingError"
+    assert error["message"] == "point counting needs an odd prime, not 0"
+
+
 def test_search_writes_its_funnel_on_stderr(capsys):
     """After the reports, one JSON line on stderr: the rejections per stage
     and the indices of the surviving draws; stdout holds the reports only."""
@@ -163,16 +172,24 @@ def test_a_strong_pseudoprime_is_refused_as_not_prime(command, example_sextet, t
     }
 
 
-@pytest.mark.parametrize("command, n", [("count", 9), ("badprimes", 15)])
-def test_a_composite_field_characteristic_is_refused_as_not_prime(command, n, example_sextet, tmp_path, capsys):
-    """F_9 is not a prime field: ``count --p 9`` and a candidate bad prime
-    15 are refused by the prime-field constructor, not counted or reduced."""
+@pytest.mark.parametrize(
+    "command, n, error",
+    [
+        ("count", 9, {"error": "CountingError", "message": "point counting needs an odd prime, not 9"}),
+        ("badprimes", 15, {"error": "ValueError", "message": "15 is not prime"}),
+    ],
+    ids=["count-9", "badprimes-15"],
+)
+def test_a_composite_field_characteristic_is_refused_as_not_prime(command, n, error, example_sextet, tmp_path, capsys):
+    """F_9 is not a prime field: ``count --p 9`` is refused by the count's
+    own check of p and a candidate bad prime 15 by the prime-field
+    constructor, not counted or reduced."""
     sextet, primes = tmp_path / "sextet.json", tmp_path / "primes.json"
     sextet.write_text(example_sextet.to_json())
     primes.write_text(json.dumps([str(n)]))
     option = ["--p", str(n)] if command == "count" else ["--primes", str(primes)]
     assert main([command, "--sextet", str(sextet), *option]) == 2
-    assert _error(capsys) == {"error": "ValueError", "leg": None, "message": f"{n} is not prime"}
+    assert _error(capsys) == {**error, "leg": None}
 
 
 @pytest.mark.parametrize("p", [1, -3, 2])

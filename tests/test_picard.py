@@ -25,7 +25,6 @@ from k3hasse.picard import (
     count_series,
     cyclotomic_polynomial,
     enumerate_lines,
-    euler_phi,
     find_tritangent,
     frobenius_charpoly,
     tritangent_scan,
@@ -42,6 +41,7 @@ from .oracles import (
     count_points_naive,
     element_degree,
     element_field,
+    euler_phi,
     poly_gcd,
     quadratic_character,
     tritangent_scan_naive,
@@ -79,6 +79,10 @@ def _sextic(rng, p, kind):
         return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] > 0})
     if kind == "gaps":  # c_2(y) = c_3(y) = 0: a pending z^3 between c_4 and c_1
         return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] not in (2, 3)})
+    if kind == "even-z":  # f(1, y, z) = E(z^2): the odd part O vanishes
+        return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] % 2 == 0})
+    if kind == "odd-z":  # f(1, y, z) = z O(z^2): the even part E vanishes
+        return TernaryForm(6, {m: rng.randrange(p) for m in mons if m[2] % 2 == 1})
     return TernaryForm(6, {m: rng.randrange(p) for m in mons})
 
 
@@ -119,10 +123,20 @@ def test_naive_and_orbit_agree_on_random_sextics(p, max_n, kind, trials):
         (3, (5, 6, 7), "no-z6", 3),
         (3, (5, 6, 7), "z-multiple", 2),
         (3, (5, 6, 7), "gaps", 2),
+        (3, (5, 6, 7), "even-z", 2),
+        (3, (5, 6, 7), "odd-z", 2),
         (5, (1, 2, 3, 4), "dense", 3),
         (5, (1, 2, 3, 4), "no-z6", 3),
+        (5, (1, 2, 3, 4), "even-z", 2),
+        (5, (1, 2, 3, 4), "odd-z", 2),
+        (7, (1, 2, 3), "dense", 2),
+        (7, (1, 2, 3), "even-z", 2),
+        (7, (1, 2, 3), "odd-z", 2),
     ],
-    ids=["p3-dense", "p3-no-z6", "p3-z-multiple", "p3-gaps", "p5-dense", "p5-no-z6"],
+    ids=[
+        "p3-dense", "p3-no-z6", "p3-z-multiple", "p3-gaps", "p3-even-z", "p3-odd-z",
+        "p5-dense", "p5-no-z6", "p5-even-z", "p5-odd-z", "p7-dense", "p7-even-z", "p7-odd-z",
+    ],
 )
 def test_log_order_sweep_matches_the_code_order_sweep(p, levels, kind, trials):
     """The sweep in discrete-log order gives the tallies of the sweep in int
@@ -147,6 +161,25 @@ def test_count_series_rejects_a_depth_below_1(example_sextic, max_n):
         count_series(example_sextic, 3, max_n)
 
 
+@pytest.mark.parametrize("p", [0, 1, -3, 4, 9])
+def test_count_series_rejects_a_p_that_is_not_an_odd_prime(example_sextic, p):
+    with pytest.raises(CountingError, match=f"odd prime, not {p}$"):
+        count_series(example_sextic, p, 1)
+
+
+def test_the_pair_sweep_tables_wait_for_the_first_count(example_sextic, monkeypatch):
+    """Set-up builds the field tables without the sweep's own: a fresh
+    ``FieldTables`` holds no ``pair_sweep`` until a count runs on it."""
+    field = fq(3, 3)
+    monkeypatch.delitem(field.__dict__, "tables", raising=False)
+    tables = field.tables
+    assert "pair_sweep" not in tables.__dict__
+    count_series(example_sextic, 3, 2)
+    assert "pair_sweep" not in tables.__dict__
+    count_series(example_sextic, 3, 3)
+    assert field.tables is tables and "pair_sweep" in tables.__dict__
+
+
 def test_counts_and_scans_refuse_a_form_reduced_mod_another_prime(example_sextic):
     """A form reduced mod 5 holds codes of F_5, which mean nothing mod 3."""
     f5 = reduce_mod(example_sextic, prime_field(5))
@@ -163,10 +196,10 @@ def test_orbit_tallies_match_naive_point_classification(example_sextic):
     _assert_tallies_match_naive_classification(example_sextic)
 
 
-@pytest.mark.parametrize("kind", ["z-multiple", "gaps"])
+@pytest.mark.parametrize("kind", ["z-multiple", "gaps", "even-z", "odd-z"])
 def test_orbit_tallies_match_naive_point_classification_on_sparse_sextics(kind):
     """The same classification on sextics whose sweep ends on a power of z,
-    or skips two coefficients in the middle."""
+    skips two coefficients in the middle, or has no odd or no even part."""
     rng = random.Random(41)
     for _ in range(2):
         _assert_tallies_match_naive_classification(_sextic(rng, 3, kind))
@@ -481,6 +514,18 @@ def test_euler_phi_counts_the_units_up_to_968():
     d, for every d that ``_cyclotomic_degrees_up_to_22`` scans."""
     for d in range(1, 2 * 22 * 22 + 1):
         assert euler_phi(d) == sum(gcd(k, d) == 1 for k in range(1, d + 1)), d
+
+
+def test_cyclotomic_degrees_come_from_one_phi_sieve():
+    """The list is every d <= 968 with phi(d) <= 22 by the trial-division
+    phi, and building it misses no entry of the ``arith`` prime cache."""
+    from k3hasse import arith
+    from k3hasse.picard import _cyclotomic_degrees_up_to_22
+
+    misses = arith._primes_up_to.cache_info().misses
+    degrees = _cyclotomic_degrees_up_to_22.__wrapped__()
+    assert arith._primes_up_to.cache_info().misses == misses
+    assert degrees == [d for d in range(1, 2 * 22 * 22 + 1) if euler_phi(d) <= 22]
 
 
 def test_tritangent_example_results(example_sextic):
