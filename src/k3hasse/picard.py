@@ -1,16 +1,14 @@
 """Point counting over F_{p^n}, Frobenius characteristic polynomials, the
 cyclotomic unit-root bound, tritangent detection and the rank-1 certificate.
 
-The counting kernel organises work by exact minimal degree d: for each d it
-sweeps the plane over F_{p^d} once, slicing the affine chart by the first
-coordinate.  The inner character sum along a slice is Frobenius-invariant, so
-only one representative y per Frobenius orbit is evaluated, weighted by its
-orbit size; this is the factor-of-n saving of orbit counting.  Each point's
-exact degree is the lcm of the slice degree and the exact degree of the second
-coordinate, so one sweep yields the per-degree tallies (A_d, B_d, Z_d) of
-points with quadratic character +1, -1 and 0.  Every N_n then assembles from
-the tallies of the divisors of n through the character transfer rule
-chi_n = chi_d^(n/d).
+The counting kernel sweeps the plane over F_{p^d} once for each level d,
+slicing the affine chart by the first coordinate.  The inner character sum
+along a slice is Frobenius-invariant, so only one representative y per
+Frobenius orbit is evaluated, weighted by its orbit size; this is the
+factor-of-d saving of orbit counting.  The sweep tallies (A, B, Z), the
+points of P^2(F_{p^d}) at which f is a nonzero square, a non-square and
+zero, and N_d = 2A + Z: a point off the branch curve lies under two points
+of w^2 = f or none, a point on it under one.
 
 A sweep never leaves discrete-log form.  The seven coefficients c_k(y) of
 f(1, y, z) in z are found for all orbit representatives at once.  At z = 0
@@ -57,6 +55,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -127,8 +126,8 @@ def _on_squares(t, sw, logs: list[int], final: np.ndarray):
 
 
 def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
-    """Tallies (A_d, B_d, Z_d) of exact-degree-d points of P^2 by the
-    quadratic character of f, from one vectorised sweep of P^2(F_{p^d})."""
+    """Tallies (A, B, Z) of the points of P^2(F_{p^d}) by the quadratic
+    character of f, from one vectorised sweep."""
     t = fq(p, d).tables
     m, zero, sw = t.q - 1, t.zero, t.pair_sweep
     h = m // 2
@@ -147,26 +146,19 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
             if e0 == 0:
                 c[e2, -1] = coef
     degrees = [e for _, e in reps] + [1]
-    # a point [1:y:+-z] with y of degree e has exact degree lcm(e, deg z),
-    # and -z has the degree of z; z = g^j runs over j < h
-    deg_z = t.deg[t.exp[:h]]
-    exact = {e: np.flatnonzero(np.lcm(e, deg_z) == d) for e in set(degrees) if e != d}
     tally = [0, 0, 0]  # squares, non-squares, zeros
     for lc, e in zip(t.log[c].T.tolist(), degrees):
-        sel = None if e == d else exact[e]
-        size = h if sel is None else len(sel)
-        if sel is None:  # z = 0, where f is c_0(y)
-            tally[2 if lc[0] == zero else lc[0] & 1] += e
+        tally[2 if lc[0] == zero else lc[0] & 1] += e  # z = 0, where f is c_0(y)
         # f(1, y, +-z) = E(u) +- z O(u) with u = z^2
         even = _on_squares(t, sw, lc[0::2], sw.zech_ratio)
         odd = _on_squares(t, sw, lc[1::2], t.zech)
         if even is None and odd is None:
-            tally[2] += 2 * e * size
+            tally[2] += 2 * e * h
             continue
         s_o, a_o, r_o = odd or (0, zero, 0)
         a_o = 0 if a_o is None else a_o
         if even is None:  # f(+-z) = +-z O(u): E vanishes at every pair
-            vanish = sw.ramp_mod[:h] if sel is None else sel
+            vanish = sw.ramp_mod[:h]
         else:
             # f(+-z) = E (1 +- g^t), t = log z O / E: pair_codes holds the
             # characters of the pair, relative to g^(s_e), at one index
@@ -177,13 +169,13 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
             else:
                 index = (sw.ramp_mod[:h] * (1 + 2 * (r_o - r_e)) + shift) % m + a_o
             index += sw.offset if a_e is None else a_e
-            n_odd, vanishing, n_zero = sw.count(index if sel is None else index[sel])
-            tally[s_e & 1] += e * (2 * (size - vanishing) - n_odd - n_zero)
+            n_odd, vanishing, n_zero = sw.count(index)
+            tally[s_e & 1] += e * (2 * (h - vanishing) - n_odd - n_zero)
             tally[1 - (s_e & 1)] += e * n_odd
             tally[2] += e * n_zero
             if not vanishing:
                 continue
-            vanish = np.flatnonzero(a_e < 0) if sel is None else sel[a_e[sel] < 0]
+            vanish = np.flatnonzero(a_e < 0)
         # where E(u) = 0, f(+-z) = +-z O(u): chi is the parity of
         # j + s_O + log O, and of j + h + s_O + log O at -z
         a_v = a_o[vanish] if isinstance(a_o, np.ndarray) else np.full(len(vanish), a_o)
@@ -197,31 +189,46 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
         else:
             tally[0] += 2 * e * (n_live - n_odd)
             tally[1] += 2 * e * n_odd
-    if d == 1:  # the point [0:0:1]
-        c001 = fcoef.get((0, 0, 6), 0)
-        tally[2 if c001 == 0 else (0 if pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
+    # the point [0:0:1]: c = f(0, 0, 1) is in F_p, so chi(c) = chi_p(c)^d
+    c001 = fcoef.get((0, 0, 6), 0)
+    tally[2 if c001 == 0 else (0 if d % 2 == 0 or pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
     return tuple(tally)
+
+
+def _check_odd_prime(p: int) -> None:
+    if p < 3 or not probable_prime(p):
+        raise CountingError(f"point counting needs an odd prime, not {p}")
+
+
+def _exact_count(n: int, N) -> int:
+    """N_n from an int or a string of decimal digits; ``int`` would truncate
+    a float and read a bool as 0 or 1."""
+    if isinstance(N, str) and N.isascii() and N.isdecimal() or isinstance(N, Integral) and not isinstance(N, bool):
+        return int(N)
+    raise CountingError(f"count N_{n} = {N!r} is not an integer")
 
 
 @dataclass
 class CountSeries:
-    """Exact point counts of w^2 = f over F_{p^n} for n = 1..max_n, with the
-    per-exact-degree character tallies they assemble from (when computed by
-    the kernel; fixture-backed series carry only the counts)."""
+    """Exact point counts N_1..N_max_n of w^2 = f over F_{p^n}, from the
+    level sweeps of ``count_series`` or read by ``from_counts``.  p must be
+    an odd prime and every N_n within the Weil bound."""
 
     p: int
-    max_n: int
     counts: list[int]
-    tallies: dict | None = None
 
     def __post_init__(self):
+        _check_odd_prime(self.p)
         for n, N in enumerate(self.counts, start=1):
             check_weil_bound(self.p, n, N)
 
+    @property
+    def max_n(self) -> int:
+        return len(self.counts)
+
     @classmethod
     def from_counts(cls, p: int, counts) -> "CountSeries":
-        counts = [int(c) for c in counts]
-        return cls(p=p, max_n=len(counts), counts=counts, tallies=None)
+        return cls(p=p, counts=[_exact_count(n, N) for n, N in enumerate(counts, start=1)])
 
 
 def check_weil_bound(p: int, n: int, N: int) -> None:
@@ -229,24 +236,10 @@ def check_weil_bound(p: int, n: int, N: int) -> None:
         raise CountingError(f"count N_{n} = {N} violates the Weil bound at p = {p}")
 
 
-def assemble_counts(p: int, tallies: dict, max_n: int) -> list[int]:
-    out = []
-    for n in range(1, max_n + 1):
-        N = 0
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            A, B, Z = tallies[d]
-            N += (A + B + Z) + A + ((1 if (n // d) % 2 == 0 else -1) * B)
-        check_weil_bound(p, n, N)
-        out.append(N)
-    return out
-
-
 def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
-    """Counts N_1..N_max_n by the orbit kernel, sharing the per-degree sweeps."""
-    if p < 3 or not probable_prime(p):
-        raise CountingError(f"point counting needs an odd prime, not {p}")
+    """Counts N_1..N_max_n by the orbit kernel, one sweep of P^2(F_{p^d})
+    for each level d."""
+    _check_odd_prime(p)
     if max_n < 1:
         raise CountingError(f"the count series needs a depth of at least 1, got {max_n}")
     if f.degree != 6:
@@ -259,9 +252,8 @@ def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
     fcoef = _int_coefficients_mod(f, p)
     if not any(fcoef.values()):
         raise CountingError(f"form vanishes identically mod {p}")
-    tallies = {d: _level_tallies(fcoef, p, d) for d in range(1, max_n + 1)}
-    counts = assemble_counts(p, tallies, max_n)
-    return CountSeries(p=p, max_n=max_n, counts=counts, tallies=tallies)
+    levels = (_level_tallies(fcoef, p, d) for d in range(1, max_n + 1))
+    return CountSeries(p=p, counts=[2 * A + Z for A, _, Z in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +266,6 @@ H2_DIM = 22  # middle cohomology dimension of a K3 surface
 @dataclass
 class FrobeniusData:
     q: int
-    power_sums: list[int]
     coefficients: list[Fraction]  # a_0 .. a_22 of the monic charpoly
     sign: int
 
@@ -285,15 +276,15 @@ class FrobeniusData:
         return [c * q ** (i - H2_DIM) for i, c in enumerate(self.coefficients)]
 
 
-def _newton_coefficients(power_sums, degree: int = H2_DIM) -> dict[int, Fraction]:
+def _newton_coefficients(sums, degree: int = H2_DIM) -> dict[int, Fraction]:
     """Top coefficients a_degree, a_degree-1, ... of the monic polynomial
-    with the given power sums of its roots, via Newton's identities, in exact
-    rationals."""
+    with the power sums ``sums`` of its roots, via Newton's identities, in
+    exact rationals."""
     a = {degree: Fraction(1)}
-    for k in range(1, min(len(power_sums), degree) + 1):
-        s = Fraction(power_sums[k - 1])
+    for k in range(1, min(len(sums), degree) + 1):
+        s = Fraction(sums[k - 1])
         for i in range(1, k):
-            s += a[degree - i] * power_sums[k - i - 1]
+            s += a[degree - i] * sums[k - i - 1]
         a[degree - k] = -s / k
     return a
 
@@ -302,9 +293,10 @@ def _derivative(h: list) -> list:
     return [k * c for k, c in enumerate(h)][1:]
 
 
-def _power_sums(m: list) -> list[Fraction]:
+def _basis_traces(m: list) -> list[Fraction]:
     """s_0 .. s_(d-1), the power sums of the roots of the monic m of degree
-    d, by Newton's identities run forward."""
+    d, or the traces of the powers of u in Q[u]/(m), by Newton's identities
+    run forward."""
     d = len(m) - 1
     s = [Fraction(d)]
     for k in range(1, d):
@@ -396,7 +388,7 @@ def _open_middle_values(a_top: dict[int, Fraction], q: int) -> list[int]:
         return []
     inv = QQ.inv(dW[-1])
     m = [c * inv for c in dW]
-    degree, s, r = len(m) - 1, _power_sums(m), [-c for c in code_rem(QQ, W, m)]
+    degree, s, r = len(m) - 1, _basis_traces(m), [-c for c in code_rem(QQ, W, m)]
     traces, x = [], [1]
     for _ in range(degree):
         x = code_rem(QQ, code_mul(QQ, x, r), m)
@@ -453,7 +445,7 @@ def frobenius_charpoly(counts: CountSeries) -> FrobeniusData:
     if len(survivors) > 1:
         raise SignAmbiguous(f"sign ambiguous, need N_{counts.max_n + 1}")
     eps, coeffs = survivors[0]
-    return FrobeniusData(q=q, power_sums=t, coefficients=coeffs, sign=eps)
+    return FrobeniusData(q=q, coefficients=coeffs, sign=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +618,8 @@ def certify_rank_one(
     """
     if p == p_prime:
         raise ValueError("the two primes must be distinct")
+    if counts is not None and counts.p != p:
+        raise ValueError(f"the counts are over F_{counts.p}, not over F_{p}, the tritangent prime")
     if p == 2 or p_prime == 2:
         raise ValueError("both primes must be odd")
     f = X.branch_sextic

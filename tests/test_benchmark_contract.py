@@ -11,6 +11,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from k3hasse.badred import singular_points
+from k3hasse.brauer import build_invariant_profile
+from k3hasse.picard import count_series, enumerate_lines, tritangent_scan
 from k3hasse.pipeline import SearchConfig, search_events, verify_example
 
 from .conftest import SETUP_CACHES
@@ -83,3 +86,20 @@ def test_the_setup_caches_resolve_to_cached_functions():
     assert caches == SETUP_CACHES
     for module, attr in caches:
         assert callable(getattr(getattr(importlib.import_module(module), attr), "cache_clear", None)), (module, attr)
+
+
+def test_the_annotate_hooks_read_what_the_library_returns(example_surface, example_sextic, fixtures):
+    """Each work-count hook of the traced pass, called on a real result as
+    the tracer calls it, adds the count that result stands for."""
+    layers, counts = _bench_layers(), Counter()
+    args = (example_sextic, 3, 2)
+    layers._points_swept(counts, args, count_series(*args))
+    assert counts["picard.points_swept"] == sum(3 ** (2 * d) + 3**d + 1 for d in (1, 2)) == 104
+    scan = tritangent_scan(example_sextic, 3)
+    layers._lines_scanned(counts, (example_sextic, 3), scan)
+    assert counts["picard.lines_scanned"] == list(enumerate_lines(3)).index(scan.line) + 1
+    layers._singular_r(counts, (example_sextic, 5, 6), singular_points(example_sextic, 5, 6))
+    assert counts["badred.singular_points.r"] == 2
+    profile = build_invariant_profile(example_surface, fixtures.bad_primes)
+    layers._profile_samples(counts, (example_surface, fixtures.bad_primes), profile)
+    assert counts["brauer.samples"] == sum(e.samples for e in profile.entries.values()) > 0

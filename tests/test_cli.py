@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.resources
 import json
 
 import pytest
@@ -203,4 +204,32 @@ def test_tritangent_names_the_scan_for_a_p_below_3(p, example_sextet, tmp_path, 
         "error": "ValueError",
         "leg": None,
         "message": f"the tritangent scan needs an odd prime, not {p}",
+    }
+
+
+def test_picard_refuses_counts_over_another_prime(example_sextet, tmp_path, capsys):
+    """The shipped counts are over F_3; with --p 17 they are refused, not
+    paired with the tritangent line mod 17."""
+    sextet = tmp_path / "sextet.json"
+    sextet.write_text(example_sextet.to_json())
+    counts = importlib.resources.files("k3hasse.data") / "counts_mod3.json"
+    assert main(["picard", "--sextet", str(sextet), "--p", "17", "--counts", str(counts)]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": "the counts are over F_3, not over F_17, the tritangent prime",
+    }
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_charpoly_refuses_a_p_that_is_not_an_odd_prime(p, tmp_path, capsys):
+    """Ten counts of 1 fit the Weil bound at p = 1; the series refuses p
+    itself instead of answering that the sign is ambiguous."""
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"p": p, "N": [1] * 10}))
+    assert main(["charpoly", "--counts", str(counts)]) == 2
+    assert _error(capsys) == {
+        "error": "CountingError",
+        "leg": None,
+        "message": f"point counting needs an odd prime, not {p}",
     }

@@ -1,4 +1,6 @@
+import functools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -30,7 +32,7 @@ from k3hasse.picard import (
     tritangent_scan,
     unit_root_bound,
 )
-from k3hasse.pipeline import draw_sextet, load_fixtures
+from k3hasse.pipeline import Rejected, SearchConfig, certify, draw_sextet, load_fixtures
 from k3hasse.poly import TernaryForm, monomials_of_degree
 from k3hasse.surface import build_k3, is_smooth_curve, reduce_mod
 
@@ -140,12 +142,19 @@ def test_naive_and_orbit_agree_on_random_sextics(p, max_n, kind, trials):
 )
 def test_log_order_sweep_matches_the_code_order_sweep(p, levels, kind, trials):
     """The sweep in discrete-log order gives the tallies of the sweep in int
-    code order on fields past F_81, where the naive count stops."""
+    code order on fields past F_81, where the naive count stops: the whole
+    level d against the code-order tallies of exact degree e | d, whose
+    characters go to F_{p^d} by chi_d = chi_e^(d/e)."""
     rng = random.Random(43)
     for trial in range(trials):
         fcoef = _int_coefficients_mod(_sextic(rng, p, kind), p)
+        exact = functools.cache(lambda e: oracles.level_tallies_code_order(fcoef, p, e))
         for d in levels:
-            assert _level_tallies(fcoef, p, d) == oracles.level_tallies_code_order(fcoef, p, d), (trial, d)
+            whole = np.zeros(3, dtype=np.int64)
+            for e in (e for e in range(1, d + 1) if d % e == 0):
+                A, B, Z = exact(e)
+                whole += (A, B, Z) if (d // e) % 2 else (A + B, 0, Z)
+            assert list(_level_tallies(fcoef, p, d)) == whole.tolist(), (trial, d)
 
 
 def test_count_series_rejects_fields_over_the_table_limit():
@@ -163,8 +172,13 @@ def test_count_series_rejects_a_depth_below_1(example_sextic, max_n):
 
 @pytest.mark.parametrize("p", [0, 1, -3, 4, 9])
 def test_count_series_rejects_a_p_that_is_not_an_odd_prime(example_sextic, p):
+    """Both producers of a series refuse p with one check: the sweep before
+    it runs, and ``from_counts`` before a charpoly is read off counts that
+    fit the Weil bound at p = 1."""
     with pytest.raises(CountingError, match=f"odd prime, not {p}$"):
         count_series(example_sextic, p, 1)
+    with pytest.raises(CountingError, match=f"odd prime, not {p}$"):
+        CountSeries.from_counts(p, [1] * 10)
 
 
 def test_the_pair_sweep_tables_wait_for_the_first_count(example_sextic, monkeypatch):
@@ -191,8 +205,9 @@ def test_counts_and_scans_refuse_a_form_reduced_mod_another_prime(example_sextic
 
 
 def test_orbit_tallies_match_naive_point_classification(example_sextic):
-    """Per-exact-degree tallies equal an exhaustive classification of the
-    points of P^2(F_{3^d}) by minimal field and character value."""
+    """The level tallies equal an exhaustive classification of the points
+    of P^2(F_{3^d}) by minimal field and character value, summed over the
+    minimal fields."""
     _assert_tallies_match_naive_classification(example_sextic)
 
 
@@ -244,12 +259,23 @@ def _assert_tallies_match_naive_classification(f):
             bump(deg_of[field.encode(z)], v)
         bump(1, consts.get(fcoef.get((0, 0, 6), 0), field.from_int(fcoef.get((0, 0, 6), 0))))
         A, B, Z = _level_tallies(fcoef, 3, d)
-        assert [Z, A, B] == tall[d]
+        assert [Z, A, B] == [sum(column) for column in zip(*tall.values())]
 
 
 def test_weil_bound_enforced():
     with pytest.raises(CountingError):
         CountSeries.from_counts(3, [10**6])
+
+
+@pytest.mark.parametrize("bad", [7.9, 7.0, True, "7.9", "0x7", None])
+def test_from_counts_refuses_what_int_would_truncate(fixtures, bad):
+    """N_1 = 7.9 would read as 7 and JSON true as 1; only ints and decimal
+    strings are counts."""
+    counts = [bad] + list(fixtures.counts[1:])
+    with pytest.raises(CountingError, match=re.escape(f"count N_1 = {bad!r} is not an integer")):
+        CountSeries.from_counts(3, counts)
+    exact = CountSeries.from_counts(3, [str(N) for N in fixtures.counts])
+    assert exact.counts == list(fixtures.counts) and exact.max_n == 10
 
 
 def test_charpoly_recorded_series(fixtures):
@@ -381,13 +407,32 @@ def _ten_counts(sums, q):
     return [int(s) + 1 + q ** (2 * n) for n, s in enumerate(sums[:10], start=1)]
 
 
+#: N_1..N_10 over F_3 of seed 0's stage-4 survivor 1604
+DRAW_1604_COUNTS = [14, 104, 830, 6812, 59729, 533396, 4785641, 43024172, 387390737, 3487032089]
+
+
 def test_charpoly_decides_draw_1604_at_ten_counts():
     """Seed 0's stage-4 survivor 1604 (its depth-10 counts): sign -1
     conforms, and no integer a_11 makes sign +1 conform."""
-    counts = [14, 104, 830, 6812, 59729, 533396, 4785641, 43024172, 387390737, 3487032089]
-    fd = frobenius_charpoly(CountSeries.from_counts(3, counts))
+    fd = frobenius_charpoly(CountSeries.from_counts(3, DRAW_1604_COUNTS))
     assert fd.sign == -1
     assert unit_root_bound(fd) == 4
+
+
+def test_draw_1604_is_rejected_at_stage_5_by_its_own_counts():
+    """End to end on a second sextic, past the levels the oracles reach:
+    the sweep reproduces the pinned counts of draw 1604, and with them
+    stage 5 rejects it on the unit-root bound."""
+    config = SearchConfig(seed=0, steps=(1, 2, 3, 4, 5))
+    rng = random.Random(config.seed)
+    for _ in range(1605):
+        sextet = draw_sextet(rng, config.coefficient_bound)
+    series = count_series(build_k3(sextet).branch_sextic, 3, 10)
+    assert series.counts == DRAW_1604_COUNTS
+    with pytest.raises(Rejected) as err:
+        certify(sextet, config, counts=series)
+    assert err.value.stage == 5
+    assert err.value.reason == "rank certificate inconclusive: unit-root-bound (bound is 4, need 2)"
 
 
 def test_ten_counts_decide_every_seed_5_multiset():
@@ -465,7 +510,7 @@ def test_unit_root_bound_trivial_polys():
     def fd_from_normalized(norm):
         coeffs = [c * Fraction(q) ** (H2_DIM - i) * Fraction(1) for i, c in enumerate(norm)]
         # normalized * q^(22-i) inverts the .normalized scaling
-        return FrobeniusData(q=q, power_sums=[], coefficients=coeffs, sign=1)
+        return FrobeniusData(q=q, coefficients=coeffs, sign=1)
 
     tm1_22 = [Fraction(1)]
     for _ in range(22):
@@ -493,7 +538,7 @@ def test_unit_root_bound_on_integers_matches_the_rational_division(fixtures):
         h.append(Fraction(rng.choice([1, 1, 2, 7]), rng.choice([1, 3, 4])))
         norm = list((UniPoly([Fraction(c) for c in phi.coeffs]) * UniPoly(h)).coeffs)
         coeffs = [c * Fraction(q) ** (H2_DIM - i) for i, c in enumerate(norm)]
-        fd = FrobeniusData(q=q, power_sums=[], coefficients=coeffs, sign=1)
+        fd = FrobeniusData(q=q, coefficients=coeffs, sign=1)
         assert fd.normalized == norm
         bound = unit_root_bound(fd)
         assert bound == oracles.unit_root_bound(fd) and bound >= phi.degree
@@ -640,7 +685,21 @@ def test_certify_rank_one(example_surface, fixtures):
         certify_rank_one(example_surface, 3, 11, counts=CountSeries.from_counts(3, fake))
     assert err.value.leg == "unit-root-bound"
 
-    # bad-reduction prime fails the good-reduction leg
+    # bad-reduction prime fails the good-reduction leg, before any count
     with pytest.raises(RankInconclusive) as err:
-        certify_rank_one(example_surface, 5, 11, counts=series)
+        certify_rank_one(example_surface, 5, 11)
     assert err.value.leg == "good-reduction"
+
+
+def test_certify_rank_one_refuses_counts_over_another_prime(example_surface, fixtures, monkeypatch):
+    """Counts over F_3 say nothing about the reduction mod 17, which has a
+    tritangent line: the mismatch is refused before any leg runs."""
+    assert find_tritangent(example_surface.branch_sextic, 17) is not None
+    series = CountSeries.from_counts(3, list(fixtures.counts))
+
+    def no_leg(*args):
+        raise AssertionError("a leg ran")
+
+    monkeypatch.setattr("k3hasse.picard.is_smooth_curve", no_leg)
+    with pytest.raises(ValueError, match="^the counts are over F_3, not over F_17, the tritangent prime$"):
+        certify_rank_one(example_surface, 17, 11, counts=series)
