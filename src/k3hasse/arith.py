@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
+import random
+from numbers import Integral
 
 import numpy as np
 
@@ -36,47 +38,42 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
-def probable_prime(n: int, rounds: int = 64, witnesses=None) -> bool:
+@functools.lru_cache(maxsize=1024)
+def probable_prime(n: int) -> bool:
     """Miller-Rabin probable-prime test.
 
     False means certainly composite.  True means prime with error probability
-    at most 4^(-rounds); for n below 3.3 * 10^24 a fixed witness set makes the
-    answer deterministic.  An explicit ``witnesses`` list overrides both.
-    Without one the answer is memoised, so a prime that several legs test
-    (and every ``Place`` built on it) pays the rounds once.
+    at most 4^-64: below 3.3 * 10^24 the fixed witness set makes the answer
+    deterministic, above it 64 bases drawn from a generator seeded by n keep
+    runs reproducible.  The answer is memoised, so a prime that several legs
+    test (and every ``Place`` built on it) pays the rounds once.
     """
-    if witnesses is None:
-        return _probable_prime(n, rounds)
-    return _miller_rabin(n, rounds, witnesses)
-
-
-@functools.lru_cache(maxsize=1024)
-def _probable_prime(n: int, rounds: int) -> bool:
-    return _miller_rabin(n, rounds, None)
-
-
-def _miller_rabin(n: int, rounds: int, witnesses) -> bool:
     if n <= 1:
         raise ValueError("probable_prime requires n > 1")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n in (2, 3):
         return True
     if n % 2 == 0:
         return False
-    if witnesses is None:
-        if n < _DETERMINISTIC_BOUND:
-            witnesses = [a for a in _DETERMINISTIC_WITNESSES if a < n - 1] or [2]
-        else:
-            # Fixed pseudo-random bases derived from n keep runs reproducible.
-            import random
+    if n < _DETERMINISTIC_BOUND:
+        witnesses = [a for a in _DETERMINISTIC_WITNESSES if a < n - 1] or [2]
+    else:
+        rng = random.Random(n & 0xFFFFFFFF)
+        witnesses = [rng.randrange(2, n - 1) for _ in range(64)]
+    return _miller_rabin(n, witnesses)
 
-            rng = random.Random(n & 0xFFFFFFFF)
-            witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
-    for a in witnesses:
-        if _miller_rabin_witness(n, a):
-            return False
-    return True
+
+def _miller_rabin(n: int, witnesses) -> bool:
+    """False if one of the bases witnesses compositeness of odd n > 3."""
+    return not any(_miller_rabin_witness(n, a) for a in witnesses)
+
+
+def exact_int(x) -> int:
+    """x from an int or a string of decimal digits, the forms JSON carries
+    integers in; ``int`` would truncate a float and read a bool as 0 or 1.
+    Anything else raises ValueError."""
+    if isinstance(x, str) and x.isascii() and x.isdecimal() or isinstance(x, Integral) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,6 +18,7 @@ import json
 import sys
 from collections import Counter
 
+from .arith import exact_int
 from .badred import RegularizationError, singular_points, is_bad_prime
 from .brauer import build_invariant_profile, bm_verdict
 from .picard import (
@@ -50,6 +51,14 @@ def _load_sextet(path: str) -> QuadricSextet:
     return QuadricSextet.from_json(_read_text(path))
 
 
+def _read_primes(path: str) -> list[int]:
+    """A JSON list of primes, each an int or a decimal string."""
+    primes = json.loads(_read_text(path))
+    if not isinstance(primes, list):
+        raise ValueError(f"the primes must be a JSON list, not {primes!r}")
+    return [exact_int(p) for p in primes]
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -68,7 +77,7 @@ def _cmd_construct(args) -> int:
 def _cmd_invariants(args) -> int:
     sextet = _load_sextet(args.sextet)
     X = build_k3(sextet)
-    primes = [int(s) for s in json.loads(_read_text(args.primes))]
+    primes = _read_primes(args.primes)
     profile = build_invariant_profile(X, primes, witness_box=args.box)
     out = _profile_json(profile)
     out["verdict"] = bm_verdict(profile)
@@ -86,7 +95,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     data = json.loads(_read_text(args.counts))
-    series = CountSeries.from_counts(int(data["p"]), data["N"])
+    series = CountSeries.from_counts(data["p"], data["N"])
     fd = frobenius_charpoly(series)
     _emit({
         "q": fd.q,
@@ -117,7 +126,7 @@ def _cmd_picard(args) -> int:
     counts = None
     if args.counts:
         data = json.loads(_read_text(args.counts))
-        counts = CountSeries.from_counts(int(data["p"]), data["N"])
+        counts = CountSeries.from_counts(data["p"], data["N"])
     cert = certify_rank_one(X, args.p, args.p_prime, counts=counts, depth=args.depth)
     _emit({
         "rank": cert.rank,
@@ -134,7 +143,7 @@ def _cmd_picard(args) -> int:
 def _cmd_badprimes(args) -> int:
     sextet = _load_sextet(args.sextet)
     X = build_k3(sextet)
-    primes = [int(s) for s in json.loads(_read_text(args.primes))]
+    primes = _read_primes(args.primes)
     out = []
     for p in primes:
         if p == 2:

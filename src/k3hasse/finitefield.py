@@ -1,14 +1,15 @@
-"""Arithmetic in F_p and F_{p^n} on int codes: fields, Frobenius orbits,
-and factorization of univariate polynomials into irreducibles.
+"""Arithmetic in F_p and F_{p^n} on int codes: fields, their discrete-log
+tables, and factorization of univariate polynomials into irreducibles.
 
 An element is an int code, the base-p digits of its coefficients in t
 (see ``FiniteField``).  Fields are immutable and cached, and a field and its
 tables are built on int codes, with no element objects.
 Small fields (order <= 2^20) carry numpy discrete-log and Zech-logarithm
 tables; the point-counting kernel works on those raw arrays directly, in the
-log domain.  The same tables, as lists (``LogArith``), are the arithmetic
-``evaluation_arith`` gives the elimination of :mod:`k3hasse.badred` on small
-fields, with ``code_chart_resultant``.  ``irreducible_factors`` factors
+log domain, where its Frobenius orbits are cosets of logs.  The same
+tables, as lists (``LogArith``), are the arithmetic ``evaluation_arith``
+gives the elimination of :mod:`k3hasse.badred` on small fields, with
+``code_chart_resultant``.  ``irreducible_factors`` factors
 code lists over any field in the interface of ``poly.ModP``, such as the
 residue fields of the node locator.
 """
@@ -73,17 +74,17 @@ class FiniteField:
 
 
 class FieldTables:
-    """Discrete-log, Zech-log, Frobenius and exact-degree tables for a small
-    field whose elements are int-encoded by their base-p digits.
+    """Discrete-log and Zech-log tables for a small field whose elements are
+    int-encoded by their base-p digits; the counting sweep works on them in
+    the log domain and never converts back to codes.
 
     With m = q - 1 and a generator g, ``log[x]`` is the discrete log of x != 0
     and ``log[0] = zero``, a sentinel past any sum of three logs and any
-    Zech index of ``vadd`` (``zero = 3m - 2``, or 2 in F_2).  For k < zero,
-    ``exp[k] = g^k`` and ``zech[k] = log(1 + g^k)``, the Zech logarithm, which
-    is the sentinel where 1 + g^k = 0; ``exp[zero] = 0`` and
-    ``zech[zero] = 0``.  Lookups use ``take(..., mode="clip")``, so any index
-    past the sentinel reads those last entries: a product with a factor 0 is
-    0 and 0 + c is c, and no operation branches on zero.  ``orbit_reps`` and
+    Zech index of ``log_add`` (``zero = 3m - 2``, or 2 in F_2).  For k < zero,
+    ``zech[k] = log(1 + g^k)``, the Zech logarithm, which is the sentinel
+    where 1 + g^k = 0, and ``zech[zero] = 0``.  Lookups use
+    ``take(..., mode="clip")``, so any index past the sentinel reads that last
+    entry: 0 + c is c, and no operation branches on zero.  ``orbit_reps`` and
     ``pair_sweep`` serve the counting sweep of :mod:`k3hasse.picard` and are
     built on its first use of the field.
     """
@@ -101,52 +102,38 @@ class FieldTables:
         log[powers] = np.arange(m)
         log[0] = zero
         self.log = log
-        self.exp = np.resize(powers, zero + 1)
-        self.exp[zero] = 0
-        # x + 1 adds 1 to the lowest base-p digit of x
-        ar = np.arange(q)
-        plus_one = ar - ar % p + (ar + 1) % p
-        self.zech = log[plus_one[self.exp]]
-        frob = np.zeros(q, dtype=np.int64)
-        frob[powers] = powers[np.arange(m) * p % m]
-        self.frob = frob
-        deg = np.zeros(q, dtype=np.int64)
-        cur_map = frob.copy()
-        remaining = np.ones(q, dtype=bool)
-        for e in range(1, n + 1):
-            fixed = (cur_map == ar) & remaining
-            deg[fixed] = e
-            remaining &= ~fixed
-            cur_map = frob[cur_map]
-        if remaining.any():
-            raise AssertionError("Frobenius orbit computation failed")
-        self.deg = deg
+        # g^k for k <= zero, with 0 at the sentinel; x + 1 adds 1 to the
+        # lowest base-p digit of x
+        exp = np.resize(powers, zero + 1)
+        exp[zero] = 0
+        plus_one = exp - exp % p + (exp + 1) % p
+        self.zech = log[plus_one]
 
-    def vmul(self, u, v):
-        return self.exp.take(self.log[u] + self.log[v], mode="clip")
-
-    def vadd(self, u, v):
-        """u + v = u (1 + v/u), with u the operand of smaller log, so that a
-        zero operand is v; adding q - 1 to the Zech index keeps it past the
-        sentinel when v is 0."""
-        lu, lv = self.log[u], self.log[v]
-        lo = np.minimum(lu, lv)
-        ratio = np.maximum(lu, lv) - lo + (self.q - 1)
-        return self.exp.take(lo + self.zech.take(ratio, mode="clip"), mode="clip")
+    def log_add(self, u, v):
+        """log(g^u + g^v) for arrays of logs: g^u + g^v = g^u (1 + g^(v - u))
+        with u the smaller log, so that a zero operand is v; adding q - 1 to
+        the Zech index keeps it past the sentinel when v is 0.  A sum is
+        reduced mod q - 1, or is ``zero``."""
+        m = self.q - 1
+        lo = np.minimum(u, v)
+        s = lo + self.zech.take(np.maximum(u, v) - lo + m, mode="clip")
+        return np.where(s < self.zero, s % m, self.zero)
 
     @cached_property
     def orbit_reps(self) -> tuple[tuple[int, int], ...]:
-        """(representative, orbit size) for the Frobenius orbits, the
-        representative being the minimal int encoding in its orbit."""
-        q = self.q
-        ar = np.arange(q)
-        orbmin = ar.copy()
-        cur = self.frob.copy()
-        for _ in range(self.n):
-            orbmin = np.minimum(orbmin, cur)
-            cur = self.frob[cur]
-        reps = np.nonzero(orbmin == ar)[0]
-        return tuple((int(r), int(self.deg[r])) for r in reps)
+        """(least log, orbit size) for the Frobenius orbits of F_q^*: x^p
+        sends g^k to g^(kp), so the orbits are the cosets {k p^i mod q - 1},
+        and the size of k's is the least s with k p^s = k mod q - 1.  Zero
+        gets no entry."""
+        m = self.q - 1
+        ar = np.arange(m, dtype=np.int64)
+        least, size = ar.copy(), np.full(m, self.n)
+        for s in range(self.n - 1, 0, -1):
+            image = ar * self.p**s % m
+            np.minimum(least, image, out=least)
+            size[image == ar] = s
+        reps = np.flatnonzero(least == ar)
+        return tuple(zip(reps.tolist(), size[reps].tolist()))
 
     @cached_property
     def pair_sweep(self) -> "PairSweep":

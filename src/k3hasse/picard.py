@@ -3,12 +3,14 @@ cyclotomic unit-root bound, tritangent detection and the rank-1 certificate.
 
 The counting kernel sweeps the plane over F_{p^d} once for each level d,
 slicing the affine chart by the first coordinate.  The inner character sum
-along a slice is Frobenius-invariant, so only one representative y per
-Frobenius orbit is evaluated, weighted by its orbit size; this is the
-factor-of-d saving of orbit counting.  The sweep tallies (A, B, Z), the
-points of P^2(F_{p^d}) at which f is a nonzero square, a non-square and
-zero, and N_d = 2A + Z: a point off the branch curve lies under two points
-of w^2 = f or none, a point on it under one.
+along a slice is Frobenius-invariant, because f has its coefficients in
+F_p, so only one representative y per Frobenius orbit of F_q^* is
+evaluated, weighted by its orbit size; this is the factor-of-d saving of
+orbit counting.  y = 0 and the line x0 = 0 are two more slices of weight
+one.  The sweep tallies (A, B, Z), the points of P^2(F_{p^d}) at which f
+is a nonzero square, a non-square and zero, and N_d = 2A + Z: a point off
+the branch curve lies under two points of w^2 = f or none, a point on it
+under one.
 
 A sweep never leaves discrete-log form.  The seven coefficients c_k(y) of
 f(1, y, z) in z are found for all orbit representatives at once.  At z = 0
@@ -55,11 +57,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, lcm
-from numbers import Integral
 
 import numpy as np
 
-from .arith import probable_prime
+from .arith import exact_int, probable_prime
 from .poly import QQ, TernaryForm, code_divmod, code_eval, code_gcd, code_mul, code_rem, code_strip
 from .finitefield import TABLE_LIMIT, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
@@ -131,23 +132,24 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
     t = fq(p, d).tables
     m, zero, sw = t.q - 1, t.zero, t.pair_sweep
     h = m // 2
-    reps = t.orbit_reps
-    # f(1, y, z) = sum_k c_k(y) z^k with c_k(y) = sum_j a[j,k] y^j, one column
-    # per orbit representative y; the last column is the chart x0 = 0, x1 = 1,
-    # a slice of degree 1 like y = 0
-    ys = np.array([y for y, _ in reps])
-    ypow = [np.ones_like(ys)]
-    for _ in range(6):
-        ypow.append(t.vmul(ypow[-1], ys))
-    c = np.zeros((7, len(ys) + 1), dtype=np.int64)
+    ks, sizes = zip(*t.orbit_reps)
+    # f(1, y, z) = sum_k c_k(y) z^k with c_k(y) = sum_j a[j,k] y^j, on logs:
+    # one column per orbit representative y = g^k, where log a[j,k] y^j is
+    # log a[j,k] + jk mod m; then y = 0 and the chart x0 = 0, x1 = 1, two
+    # constant slices of degree 1
+    ks = np.array(ks, dtype=np.int64)
+    c = np.full((7, len(ks) + 2), zero, dtype=np.int64)
     for (e0, e1, e2), coef in fcoef.items():
         if coef:
-            c[e2, :-1] = t.vadd(c[e2, :-1], t.vmul(coef, ypow[e1]))
+            la = int(t.log[coef])
+            c[e2, :-2] = t.log_add(c[e2, :-2], (la + e1 * ks) % m)
+            if e1 == 0:
+                c[e2, -2] = la
             if e0 == 0:
-                c[e2, -1] = coef
-    degrees = [e for _, e in reps] + [1]
+                c[e2, -1] = la
+    degrees = list(sizes) + [1, 1]
     tally = [0, 0, 0]  # squares, non-squares, zeros
-    for lc, e in zip(t.log[c].T.tolist(), degrees):
+    for lc, e in zip(c.T.tolist(), degrees):
         tally[2 if lc[0] == zero else lc[0] & 1] += e  # z = 0, where f is c_0(y)
         # f(1, y, +-z) = E(u) +- z O(u) with u = z^2
         even = _on_squares(t, sw, lc[0::2], sw.zech_ratio)
@@ -196,16 +198,16 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
 
 
 def _check_odd_prime(p: int) -> None:
-    if p < 3 or not probable_prime(p):
-        raise CountingError(f"point counting needs an odd prime, not {p}")
+    """Refuses all but an odd prime of type int: 3.0 == 3, and True == 1."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 3 or not probable_prime(p):
+        raise CountingError(f"point counting needs an odd prime, not {p!r}")
 
 
 def _exact_count(n: int, N) -> int:
-    """N_n from an int or a string of decimal digits; ``int`` would truncate
-    a float and read a bool as 0 or 1."""
-    if isinstance(N, str) and N.isascii() and N.isdecimal() or isinstance(N, Integral) and not isinstance(N, bool):
-        return int(N)
-    raise CountingError(f"count N_{n} = {N!r} is not an integer")
+    try:
+        return exact_int(N)
+    except ValueError:
+        raise CountingError(f"count N_{n} = {N!r} is not an integer") from None
 
 
 @dataclass

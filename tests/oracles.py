@@ -27,9 +27,10 @@ branch re-regularised); it is the reference for the chain on int codes in
 ``ExtensionField`` towers; the locator reads the library's memoised
 elimination, so it checks the factoring, the root fields and the node
 test on codes, not the elimination.  ``level_tallies_code_order`` is the
-counting kernel's earlier sweep in int code order, on the library's field
-tables: it checks the log-order sweep on fields past those the naive
-count reaches.
+counting kernel's earlier sweep in int code order, on the library's log
+and Zech tables but with its own code arithmetic (``CodeVectors``) and its
+own Frobenius orbits: it checks the log-order sweep on fields past those
+the naive count reaches.
 """
 
 from __future__ import annotations
@@ -1532,51 +1533,87 @@ def count_points_naive(f: TernaryForm, p: int, n: int) -> int:
     return N
 
 
+class CodeVectors:
+    """Vectorised arithmetic on the int codes of a table field, through its
+    ``log`` and ``zech`` tables, with ``exp`` built here as the inverse of
+    ``log``: exp[k] = g^(k mod q - 1) below the sentinel ``zero`` and 0 at
+    it.  Gathers clip, so a log sum past the sentinel reads 0: a product
+    with a factor 0 is 0."""
+
+    def __init__(self, t):
+        self.t, self.m = t, t.q - 1
+        inverse = np.empty(self.m, dtype=np.int64)
+        inverse[t.log[1:]] = np.arange(1, t.q)
+        self.exp = np.resize(inverse, t.zero + 1)
+        self.exp[t.zero] = 0
+
+    def mul(self, u, v):
+        return self.exp.take(self.t.log[u] + self.t.log[v], mode="clip")
+
+    def add(self, u, v):
+        """u + v = u (1 + v/u), with u the operand of smaller log, so that a
+        zero operand is v; adding q - 1 to the Zech index keeps it past the
+        sentinel when v is 0."""
+        lu, lv = self.t.log[u], self.t.log[v]
+        lo = np.minimum(lu, lv)
+        ratio = np.maximum(lu, lv) - lo + self.m
+        return self.exp.take(lo + self.t.zech.take(ratio, mode="clip"), mode="clip")
+
+    def frobenius(self, u):
+        """u^p, as g^(kp mod q - 1) for u = g^k, and 0^p = 0."""
+        lu = self.t.log[u].astype(np.int64)
+        return self.exp.take(np.where(lu < self.m, lu * self.t.p % self.m, lu), mode="clip")
+
+
 def level_tallies_code_order(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
-    """``picard._level_tallies`` with the second coordinate z swept in int
-    code order: every Horner step adds log z from ``log``, shifts by a
-    scalar and gathers from ``zech``, a zero c_k(y) multiplies by z through
-    ``exp`` and ``log``, and the character is the parity of the final log.
-    It shares the library's field tables and orbit representatives, and is
-    the reference for the log-order sweep at the levels the naive count
-    cannot reach."""
+    """``picard._level_tallies`` with the slices y and the second coordinate
+    z in int code order: the coefficients c_k(y) come from ``CodeVectors``
+    products and sums, one y per Frobenius orbit of codes (0 included) with
+    its own orbit size, and every Horner step adds log z from ``log``,
+    shifts by a scalar and gathers from ``zech``; a zero c_k(y) multiplies
+    by z through ``exp`` and ``log``, and the character is the parity of the
+    final log.  It shares the library's log and Zech tables, not its orbit
+    representatives, and is the reference for the log-order sweep at the
+    levels the naive count cannot reach."""
     t = fq(p, d).tables
+    V = CodeVectors(t)
     m, zero = t.q - 1, t.zero
-    reps = t.orbit_reps
-    ys = np.array([y for y, _ in reps])
+    ar = np.arange(t.q)
+    frob = V.frobenius(ar)
+    least, size, image = ar.copy(), np.zeros(t.q, dtype=np.int64), frob
+    for s in range(1, d + 1):
+        size[(image == ar) & (size == 0)] = s
+        least = np.minimum(least, image)
+        image = frob[image]
+    ys = np.flatnonzero(least == ar)
     ypow = [np.ones_like(ys)]
     for _ in range(6):
-        ypow.append(t.vmul(ypow[-1], ys))
+        ypow.append(V.mul(ypow[-1], ys))
     c = np.zeros((7, len(ys) + 1), dtype=np.int64)
     for (e0, e1, e2), coef in fcoef.items():
         if coef:
-            c[e2, :-1] = t.vadd(c[e2, :-1], t.vmul(coef, ypow[e1]))
+            c[e2, :-1] = V.add(c[e2, :-1], V.mul(coef, ypow[e1]))
             if e0 == 0:
                 c[e2, -1] = coef
-    degrees = [e for _, e in reps] + [1]
-    exact = {e: np.flatnonzero(np.lcm(e, t.deg) == d) for e in set(degrees) if e != d}
-    log_one = np.zeros(t.q, dtype=np.int32)
-    log_zero = np.full(t.q, zero, dtype=np.int32)
+    degrees = size[ys].tolist() + [1]
     counts = np.zeros(3, dtype=np.int64)
     for lc, e in zip(t.log[c].T.tolist(), degrees):
         top = max((k for k in range(7) if lc[k] != zero), default=None)
-        a, s = (log_zero, 0) if top is None else (log_one, lc[top])
+        a, s = (np.full(t.q, zero), 0) if top is None else (np.zeros(t.q, dtype=np.int64), lc[top])
         for k in range((top or 0) - 1, -1, -1):
             if lc[k] == zero:
-                a = t.log[t.exp.take(a + t.log, mode="clip")]
+                a = t.log[V.exp.take(a + t.log, mode="clip")]
             else:
                 x = a + t.log
                 x += (s - lc[k]) % m
                 a, s = t.zech.take(x, mode="clip"), lc[k]
-        if e != d:
-            a = a[exact[e]]
         nzero = np.count_nonzero(a == zero)
         odd = np.count_nonzero(a & 1)
         even = len(a) - nzero - odd
         counts += e * np.array([odd, even, nzero] if s & 1 else [even, odd, nzero])
-    if d == 1:
-        c001 = fcoef.get((0, 0, 6), 0)
-        counts[2 if c001 == 0 else (0 if pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
+    # the point [0:0:1], where f = c in F_p, of character chi_p(c)^d
+    c001 = fcoef.get((0, 0, 6), 0)
+    counts[2 if c001 == 0 else (0 if d % 2 == 0 or pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
     a_d, b_d, z_d = counts
     return int(a_d), int(b_d), int(z_d)
 

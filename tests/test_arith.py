@@ -25,8 +25,6 @@ def test_probable_prime_rejects_domain_errors():
         probable_prime(1)
     with pytest.raises(ValueError):
         probable_prime(-7)
-    with pytest.raises(ValueError):
-        probable_prime(10, rounds=0)
 
 
 def test_probable_prime_matches_trial_division_densely():
@@ -45,7 +43,7 @@ def test_probable_prime_is_deterministic_up_to_psi_13():
     """psi_12, a strong pseudoprime to the twelve prime bases up to 37, lies
     below the deterministic bound psi_13; base 41 exposes it."""
     assert arith._DETERMINISTIC_BOUND == PSI_13
-    assert probable_prime(PSI_12, witnesses=arith._DETERMINISTIC_WITNESSES[:12])
+    assert arith._miller_rabin(PSI_12, arith._DETERMINISTIC_WITNESSES[:12])
     assert not probable_prime(PSI_12)
 
 
@@ -59,7 +57,7 @@ def _witness_rounds(monkeypatch, n: int) -> list[int]:
         return witness(n, a)
 
     monkeypatch.setattr(arith, "_miller_rabin_witness", counted)
-    arith._probable_prime.cache_clear()
+    probable_prime.cache_clear()
     assert probable_prime(n)
     return bases
 
@@ -75,28 +73,26 @@ def test_probable_prime_round_counts(fixtures, fresh_memos, monkeypatch):
 
 def test_probable_prime_explicit_witnesses_are_deterministic():
     # 2047 = 23 * 89 is a strong pseudoprime to base 2 only
-    assert probable_prime(2047, witnesses=[2])
-    assert not probable_prime(2047, witnesses=[2, 3])
+    assert arith._miller_rabin(2047, [2])
+    assert not arith._miller_rabin(2047, [2, 3])
 
 
 def test_probable_prime_tests_each_number_once(fixtures, monkeypatch):
     """Places on the 66-digit prime, built twice, and a second test of it run
-    the Miller-Rabin rounds once; explicit witnesses are never memoised."""
+    the Miller-Rabin rounds once."""
     calls = []
     miller_rabin = arith._miller_rabin
 
-    def counted(n, rounds, witnesses):
+    def counted(n, witnesses):
         calls.append(n)
-        return miller_rabin(n, rounds, witnesses)
+        return miller_rabin(n, witnesses)
 
     monkeypatch.setattr(arith, "_miller_rabin", counted)
-    arith._probable_prime.cache_clear()
+    probable_prime.cache_clear()
     Place.finite(fixtures.prime66)
     Place.finite(fixtures.prime66)
     assert probable_prime(fixtures.prime66)
     assert calls == [fixtures.prime66]
-    assert probable_prime(2047, witnesses=[2]) and probable_prime(2047, witnesses=[2])
-    assert calls.count(2047) == 2
 
 
 def test_strip_small_factors_sieves_to_the_square_root(monkeypatch):

@@ -25,6 +25,7 @@ from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
 from .conftest import _clear_memos
 from .oracles import (
+    CodeVectors,
     ExtensionField,
     UniPoly,
     compose_linear,
@@ -51,9 +52,8 @@ def _exhaustive_singular_search(f: TernaryForm, p: int, max_e: int) -> bool:
     system = jacobian_system(fp)
     ints = [dict(g.terms) for g in system]
     for e in range(1, max_e + 1):
-        field = fq(p, e)
-        t = field.tables
-        q = t.q
+        V = CodeVectors(fq(p, e).tables)
+        q = V.t.q
         ar = np.arange(q)
         # chart [1:y:z]: evaluate every form monomial by monomial on the grid
         common = np.ones((q, q), dtype=bool)
@@ -65,10 +65,10 @@ def _exhaustive_singular_search(f: TernaryForm, p: int, max_e: int) -> bool:
             for (e0, e1, e2), c in coeffs.items():
                 term = np.full(q * q, c, dtype=np.int64)
                 for _ in range(e1):
-                    term = t.vmul(term, Y)
+                    term = V.mul(term, Y)
                 for _ in range(e2):
-                    term = t.vmul(term, Z)
-                vals = term if first else t.vadd(vals, term)
+                    term = V.mul(term, Z)
+                vals = term if first else V.add(vals, term)
                 first = False
             common &= (vals == 0).reshape(q, q)
         if common.any():
@@ -83,8 +83,8 @@ def _exhaustive_singular_search(f: TernaryForm, p: int, max_e: int) -> bool:
                     continue
                 term = np.full(q, c, dtype=np.int64)
                 for _ in range(e2):
-                    term = t.vmul(term, ar)
-                vals = term if first else t.vadd(vals, term)
+                    term = V.mul(term, ar)
+                vals = term if first else V.add(vals, term)
                 first = False
             common1 &= vals == 0
         if common1.any():

@@ -221,15 +221,59 @@ def test_picard_refuses_counts_over_another_prime(example_sextet, tmp_path, caps
     }
 
 
-@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("p", [0, 1, 3.9, 3.0, True, pytest.param("3", id="string-3")])
 def test_charpoly_refuses_a_p_that_is_not_an_odd_prime(p, tmp_path, capsys):
     """Ten counts of 1 fit the Weil bound at p = 1; the series refuses p
-    itself instead of answering that the sign is ambiguous."""
+    itself instead of answering that the sign is ambiguous.  The table's p
+    reaches the series as read: 3.9 is not truncated to 3, and 3.0, true
+    and "3" are not taken for 3 or 1."""
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"p": p, "N": [1] * 10}))
     assert main(["charpoly", "--counts", str(counts)]) == 2
     assert _error(capsys) == {
         "error": "CountingError",
         "leg": None,
-        "message": f"point counting needs an odd prime, not {p}",
+        "message": f"point counting needs an odd prime, not {p!r}",
+    }
+
+
+@pytest.mark.parametrize("p", [3.9, 3.0, True, pytest.param("3", id="string-3")])
+def test_picard_refuses_a_count_table_p_that_is_not_an_int(p, example_sextet, fixtures, tmp_path, capsys):
+    """The shipped counts with p = 3.9 are not taken for counts over F_3."""
+    sextet, counts = tmp_path / "sextet.json", tmp_path / "counts.json"
+    sextet.write_text(example_sextet.to_json())
+    counts.write_text(json.dumps({"p": p, "N": list(fixtures.counts)}))
+    assert main(["picard", "--sextet", str(sextet), "--counts", str(counts)]) == 2
+    assert _error(capsys) == {
+        "error": "CountingError",
+        "leg": None,
+        "message": f"point counting needs an odd prime, not {p!r}",
+    }
+
+
+@pytest.mark.parametrize("command", ["badprimes", "invariants"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[2.5]", "2.5 is not an integer"),
+        ('["abc"]', "'abc' is not an integer"),
+        ('"13"', "the primes must be a JSON list, not '13'"),
+    ],
+    ids=["float", "word", "string"],
+)
+def test_prime_lists_take_only_ints_and_decimal_strings(command, text, message, example_sextet, tmp_path, capsys):
+    """2.5 is not read as 2, and the string "13" is not read digit by digit."""
+    sextet, primes = tmp_path / "sextet.json", tmp_path / "primes.json"
+    sextet.write_text(example_sextet.to_json())
+    primes.write_text(text)
+    assert main([command, "--sextet", str(sextet), "--primes", str(primes)]) == 2
+    assert _error(capsys) == {"error": "ValueError", "leg": None, "message": message}
+
+
+def test_verify_example_refuses_a_negative_depth(capsys):
+    assert main(["verify-example", "--depth", "-3"]) == 2
+    assert _error(capsys) == {
+        "error": "ValueError",
+        "leg": None,
+        "message": "the counting depth must be at least 0, got -3",
     }

@@ -134,20 +134,19 @@ def test_field_build_does_no_extension_field_multiplication(monkeypatch):
     assert calls == []
     cached = fq(3, 9).tables
     assert tables.generator == cached.generator
-    for name in ("log", "exp", "zech", "frob", "deg"):
+    for name in ("log", "zech"):
         assert np.array_equal(getattr(tables, name), getattr(cached, name))
 
 
 def test_f2_builds_tables_with_generator_1():
     """F_2^* is generated by 1, the first code the search tries; the log
-    tables and LogArith add and multiply correctly."""
+    tables, ``log_add`` and LogArith add and multiply correctly."""
     F2 = prime_field(2)
     t = F2.tables
     assert t.generator == 1
     A = F2.log_arith
     xs, ys = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    assert t.vadd(xs, ys).tolist() == [0, 1, 1, 0]
-    assert t.vmul(xs, ys).tolist() == [0, 0, 0, 1]
+    assert t.log_add(t.log[xs], t.log[ys]).tolist() == t.log[[0, 1, 1, 0]].tolist()
     for a in range(2):
         for b in range(2):
             assert A.add(A.from_int(a), A.from_int(b)) == A.from_int(a + b)
@@ -282,10 +281,10 @@ def test_extension_field_arithmetic_axioms():
     assert g ** (field.order - 1) == field.one
 
 
-@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 5), (3, 9), (7, 1)])
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 5), (3, 9), (7, 1), (2, 1), (2, 4), (5, 2)])
 def test_tables_agree_with_scalar_arithmetic(p, n):
-    import numpy as np
-
+    """``log_add`` is element addition on logs, and ``orbit_reps`` lists each
+    orbit of x -> x^p on F_q^* once, by its least log and its size."""
     t = fq(p, n).tables
     field = element_field(fq(p, n))
     rng = random.Random(43)
@@ -297,28 +296,29 @@ def test_tables_agree_with_scalar_arithmetic(p, n):
         neg = field.encode(-field.decode(u))
         xs += [0, u, u, u, 0]
         ys += [u, 0, neg, u, 0]
-    xs, ys = np.array(xs), np.array(ys)
-    vm = t.vmul(xs, ys)
-    va = t.vadd(xs, ys)
-    for i in range(len(xs)):
-        a, b = field.decode(int(xs[i])), field.decode(int(ys[i]))
-        assert int(vm[i]) == field.encode(a * b)
-        assert int(va[i]) == field.encode(a + b)
-    # Frobenius table
-    fr = t.frob[xs]
-    for i in range(len(xs)):
-        a = field.decode(int(xs[i]))
-        assert int(fr[i]) == field.encode(a ** field.characteristic)
+    sums = t.log_add(t.log[xs], t.log[ys])
+    for x, y, s in zip(xs, ys, sums.tolist()):
+        assert s == t.log[field.encode(field.decode(x) + field.decode(y))], (x, y)
+    # every orbit of a field of at most 1000 elements, else those of the
+    # sampled operands
+    reps = dict(t.orbit_reps)
+    assert len(reps) == len(t.orbit_reps) and sum(reps.values()) == field.order - 1
+    for x in range(1, field.order) if field.order <= 1000 else set(xs) - {0}:
+        orbit, y = [], field.decode(x)
+        while not orbit or y != field.decode(x):
+            orbit.append(int(t.log[field.encode(y)]))
+            y = y**p
+        assert reps[min(orbit)] == len(orbit), x
 
 
 def test_orbit_reps_cover_the_field():
-    field = fq(3, 4)
-    reps = field.tables.orbit_reps
-    total = sum(size for _, size in reps)
-    assert total == field.order
-    degs = field.tables.deg
-    for rep, size in reps:
-        assert int(degs[rep]) == size
+    """The orbit of g^k has the size of the least subfield holding g^k."""
+    t = fq(3, 4).tables
+    field = element_field(fq(3, 4))
+    g = field.decode(t.generator)
+    assert sum(size for _, size in t.orbit_reps) == field.order - 1
+    for k, size in t.orbit_reps:
+        assert element_degree(g**k) == size
 
 
 def test_tower_extension_field():

@@ -37,6 +37,16 @@ def test_verify_example_shallow_depth():
     assert len(data["local_witnesses"]) == 16
 
 
+def test_verify_example_takes_every_count_from_the_fixture_at_depth_0():
+    """Depth 0 recomputes no count; a negative depth is refused."""
+    report = verify_example(depth=0)
+    assert report.verdict == "obstruction certified"
+    assert report.counts_recomputed_to == 0
+    assert any("N_1..N_10" in note for note in report.notes)
+    with pytest.raises(ValueError, match="at least 0, got -3"):
+        verify_example(depth=-3)
+
+
 def test_fixture_tampering_is_detected(fixtures):
     tampered = dataclasses.replace(fixtures, m=fixtures.m + 10)
     with pytest.raises(FixtureMismatch) as err:
