@@ -38,7 +38,7 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024, typed=True)
 def probable_prime(n: int) -> bool:
     """Miller-Rabin probable-prime test.
 
@@ -46,8 +46,12 @@ def probable_prime(n: int) -> bool:
     at most 4^-64: below 3.3 * 10^24 the fixed witness set makes the answer
     deterministic, above it 64 bases drawn from a generator seeded by n keep
     runs reproducible.  The answer is memoised, so a prime that several legs
-    test (and every ``Place`` built on it) pays the rounds once.
+    test (and every ``Place`` built on it) pays the rounds once; the memo
+    tells types apart, so a bool or a non-integer such as 3.0 always
+    reaches the TypeError.
     """
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise TypeError(f"probable_prime needs an integer, not {n!r}")
     if n <= 1:
         raise ValueError("probable_prime requires n > 1")
     if n in (2, 3):

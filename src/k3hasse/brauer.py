@@ -180,6 +180,11 @@ def sample_local_points(X: K3Surface, place: Place, count: int) -> list[SurfaceP
 
 
 SMALL_PLACE_BOUND = 19  # check R and p <= 19 directly; Weil covers p >= 23
+#: R and the primes up to SMALL_PLACE_BOUND, in order: the places that the
+#: search's stage 4 and the everywhere-local leg check directly
+SMALL_PLACES = (Place.real(),) + tuple(
+    Place.finite(p) for p in range(2, SMALL_PLACE_BOUND + 1) if probable_prime(p)
+)
 
 
 @dataclass
@@ -194,14 +199,8 @@ def certify_everywhere_local(X: K3Surface, bad_primes, box: int = 1) -> LocalPoi
     """Witness local points at R, every prime up to 19 and every listed bad
     prime; all remaining places are attested by smooth reduction plus the Weil
     bound (a smooth F_p-point exists for p > 22 and lifts by Hensel)."""
-    places = [Place.real()]
-    small = [p for p in range(2, SMALL_PLACE_BOUND + 1) if probable_prime(p)]
     listed = sorted({int(p) for p in bad_primes})
-    for p in small:
-        places.append(Place.finite(p))
-    for p in listed:
-        if p > SMALL_PLACE_BOUND:
-            places.append(Place.finite(p))
+    places = list(SMALL_PLACES) + [Place.finite(p) for p in listed if p > SMALL_PLACE_BOUND]
     witnesses = {}
     for place in places:
         pt = find_local_point(X, place, box=box)

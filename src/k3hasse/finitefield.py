@@ -328,10 +328,11 @@ def _find_generator(p: int, mod: list) -> int:
 # Canonical fields
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def prime_field(p: int) -> FiniteField:
-    """F_p, with modulus t; a p that is not prime raises ValueError."""
-    if p < 2 or not probable_prime(p):
+    """F_p, with modulus t; a p that is not prime raises ValueError, a bool
+    or a non-integer such as 3.0 TypeError (from ``probable_prime``)."""
+    if p < 2 and p is not True or not probable_prime(p):
         raise ValueError(f"{p} is not prime")
     return FiniteField(p, (0, 1))
 
@@ -350,7 +351,7 @@ def _rabin_irreducible(mod: list, p: int) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def fq(p: int, n: int) -> FiniteField:
     """The canonical field with p^n elements.
 

@@ -44,11 +44,12 @@ modulus q).  With sign -1, T^2 - q^2 divides the charpoly and a_11 = 0;
 what is left, or the whole charpoly with sign +1, is T^m h(T + q^2/T), and
 it conforms iff h has all its roots real in [-2q, 2q], which a Sturm count
 on the squarefree part of h decides (Basu-Pollack-Roy, Algorithms in Real
-Algebraic Geometry, ch. 2).  With sign +1 and a_11 open, the conforming
-integers a_11 form an interval whose interior holds no critical value of
-h; Sturm counts isolate those values, and one test per gap between them
-stands for the gap.  Exactly one pair of a sign and an a_11 must conform:
-none raises InconsistentCounts, two raise SignAmbiguous.
+Algebraic Geometry, ch. 2).  With sign +1 and a_11 open, h is W + a_11
+and the conforming a_11 form an interval with no critical value inside,
+no root of Res_u(W'(u), x + W(u)); Sturm counts isolate those roots, and
+one test per gap between them stands for the gap.  Exactly one pair of a
+sign and an a_11 must conform: none raises InconsistentCounts, two raise
+SignAmbiguous.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ from math import ceil, comb, floor, lcm
 import numpy as np
 
 from .arith import exact_int, probable_prime
-from .poly import QQ, TernaryForm, code_divmod, code_eval, code_gcd, code_mul, code_rem, code_strip
+from .poly import (
+    QQ, TernaryForm, code_divmod, code_eval, code_gcd, code_interpolate, code_rem, code_resultant, code_strip,
+)
 from .finitefield import TABLE_LIMIT, fq, prime_field
 from .surface import K3Surface, is_smooth_curve, reduce_mod
 
@@ -278,32 +281,21 @@ class FrobeniusData:
         return [c * q ** (i - H2_DIM) for i, c in enumerate(self.coefficients)]
 
 
-def _newton_coefficients(sums, degree: int = H2_DIM) -> dict[int, Fraction]:
-    """Top coefficients a_degree, a_degree-1, ... of the monic polynomial
-    with the power sums ``sums`` of its roots, via Newton's identities, in
-    exact rationals."""
-    a = {degree: Fraction(1)}
-    for k in range(1, min(len(sums), degree) + 1):
+def _newton_coefficients(sums) -> dict[int, Fraction]:
+    """Top coefficients a_22, a_21, ... of the monic charpoly with the power
+    sums ``sums`` of its roots, via Newton's identities, in exact
+    rationals."""
+    a = {H2_DIM: Fraction(1)}
+    for k in range(1, min(len(sums), H2_DIM) + 1):
         s = Fraction(sums[k - 1])
         for i in range(1, k):
-            s += a[degree - i] * sums[k - i - 1]
-        a[degree - k] = -s / k
+            s += a[H2_DIM - i] * sums[k - i - 1]
+        a[H2_DIM - k] = -s / k
     return a
 
 
 def _derivative(h: list) -> list:
     return [k * c for k, c in enumerate(h)][1:]
-
-
-def _basis_traces(m: list) -> list[Fraction]:
-    """s_0 .. s_(d-1), the power sums of the roots of the monic m of degree
-    d, or the traces of the powers of u in Q[u]/(m), by Newton's identities
-    run forward."""
-    d = len(m) - 1
-    s = [Fraction(d)]
-    for k in range(1, d):
-        s.append(-k * m[d - k] - sum(m[d - i] * s[k - i] for i in range(1, k)))
-    return s
 
 
 def _sturm_chain(s: list) -> list[list]:
@@ -375,10 +367,10 @@ def _open_middle_values(a_top: dict[int, Fraction], q: int) -> list[int]:
     The trace polynomial of a_11 = a is W + a, W the one of a_11 = 0, so
     the conforming a form an interval: they must lie in
     [-W(2q), -W(-2q)], and inside it they change only at a critical value
-    -W(c), c a root of W', whose ten roots must themselves lie in
-    [-2q, 2q] (Rolle).  Those values are the roots of
-    D(x) = prod (x + W(c)), whose power sums are the traces of (-W)^k in
-    Q[u]/(W').  Bisection on Sturm counts puts each root of D in a unit
+    -W(c), c one of the ten roots of W', which must lie in [-2q, 2q]
+    (Rolle).  Those values are the roots of the resultant
+    D(x) = Res_u(W'(u), x + W(u)), of degree 10, interpolated from D(0) ..
+    D(10).  Bisection on Sturm counts puts each root of D in a unit
     interval (r - 1, r]; r is tested on its own, and between two such r
     the conformity of one integer is that of all.
     """
@@ -388,15 +380,9 @@ def _open_middle_values(a_top: dict[int, Fraction], q: int) -> list[int]:
     dW = _derivative(W)
     if lo > hi or not _real_roots_within(dW, B):
         return []
-    inv = QQ.inv(dW[-1])
-    m = [c * inv for c in dW]
-    degree, s, r = len(m) - 1, _basis_traces(m), [-c for c in code_rem(QQ, W, m)]
-    traces, x = [], [1]
-    for _ in range(degree):
-        x = code_rem(QQ, code_mul(QQ, x, r), m)
-        traces.append(sum(c * t for c, t in zip(x, s)))
-    a = _newton_coefficients(traces, degree)
-    chain = _sturm_chain(_squarefree_part([a[i] for i in range(degree + 1)]))
+    xs = range(len(dW))
+    D = code_interpolate(QQ, xs, [code_resultant(QQ, dW, [W[0] + x] + W[1:]) for x in xs])
+    chain = _sturm_chain(_squarefree_part(D))
     isolated, stack = [], [(lo - 1, hi)]
     while stack:
         left, right = stack.pop()
@@ -562,7 +548,7 @@ def _is_square_times_constant(g: list[int], degree: int, p: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def tritangent_scan(f: TernaryForm, p: int) -> TritangentScan:
     """Scan every line of P^2(F_p) for tritangency: the restriction of f must
     be a nonzero constant times a perfect square.  Lines on which f vanishes

@@ -34,6 +34,7 @@ from math import gcd, prod
 from .arith import probable_prime, strip_small_factors
 from .badred import PositiveDimensionalLocus, RegularizationError, singular_points, verify_bad_prime_list
 from .brauer import (
+    SMALL_PLACES,
     LocalSolubilityUndecided,
     ProfileInconclusive,
     build_invariant_profile,
@@ -368,8 +369,7 @@ def certify(
             raise Rejected(3, "no tritangent-free good prime in the window")
 
     if 4 in steps:
-        places = [Place.real()] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
-        for place in places:
+        for place in SMALL_PLACES:
             if find_local_point(X, place, box=config.local_point_box) is None:
                 raise Rejected(4, f"no local point found at {place} (possible false negative)")
 

@@ -30,7 +30,10 @@ test on codes, not the elimination.  ``level_tallies_code_order`` is the
 counting kernel's earlier sweep in int code order, on the library's log
 and Zech tables but with its own code arithmetic (``CodeVectors``) and its
 own Frobenius orbits: it checks the log-order sweep on fields past those
-the naive count reaches.
+the naive count reaches.  ``open_middle_values_by_traces`` builds the Weil
+test's critical-value polynomial from traces in Q[u]/(W') and Newton's
+identities, where the library takes a resultant; it shares the library's
+Sturm isolation and conformity tests, so it checks how D is built.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ from itertools import combinations, compress
 from typing import Any, Iterable
 
 import random
-from math import isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 
 import numpy as np
 
-from k3hasse import badred
+from k3hasse import badred, picard
 from k3hasse.badred import SingularPoint, SingularReport
 from k3hasse.finitefield import (
     FiniteField,
@@ -1473,6 +1476,68 @@ def unit_root_bound(fd: FrobeniusData) -> int:
             else:
                 break
     return bound
+
+
+def _basis_traces(m: list) -> list[Fraction]:
+    """s_0 .. s_(d-1), the power sums of the roots of the monic m of degree
+    d, or the traces of the powers of u in Q[u]/(m), by Newton's identities
+    run forward."""
+    d = len(m) - 1
+    s = [Fraction(d)]
+    for k in range(1, d):
+        s.append(-k * m[d - k] - sum(m[d - i] * s[k - i] for i in range(1, k)))
+    return s
+
+
+def _monic_from_power_sums(sums) -> list[Fraction]:
+    """The monic polynomial of degree len(sums) whose roots have the power
+    sums ``sums``, lowest degree first, by Newton's identities."""
+    d = len(sums)
+    a = {d: Fraction(1)}
+    for k in range(1, d + 1):
+        a[d - k] = -(sums[k - 1] + sum(a[d - i] * sums[k - i - 1] for i in range(1, k))) / k
+    return [a[i] for i in range(d + 1)]
+
+
+def open_middle_values_by_traces(a_top: dict, q: int) -> list[int]:
+    """``picard._open_middle_values`` with the critical-value polynomial
+    D(x) = prod (x + W(c)), c over the roots of W', built from its power
+    sums: the traces of (-W)^k in Q[u]/(W'), from the traces of the basis
+    powers of u, then Newton's identities.  The Sturm isolation and the
+    Weil tests are the library's."""
+    B = 2 * q
+    W = picard._trace_polynomial([Fraction(0)] + [a_top[i] for i in range(12, 23)], q)
+    lo, hi = ceil(-UniPoly(W).evaluate(B)), floor(-UniPoly(W).evaluate(-B))
+    dW = picard._derivative(W)
+    if lo > hi or not picard._real_roots_within(dW, B):
+        return []
+    m = UniPoly(dW).monic()
+    s, r = _basis_traces(m.coeffs), -(UniPoly(W) % m)
+    traces, x = [], UniPoly([Fraction(1)])
+    for _ in range(m.degree):
+        x = (x * r) % m
+        traces.append(sum(c * t for c, t in zip(x.coeffs, s)))
+    chain = picard._sturm_chain(picard._squarefree_part(_monic_from_power_sums(traces)))
+    isolated, stack = [], [(lo - 1, hi)]
+    while stack:
+        left, right = stack.pop()
+        if picard._sign_changes(chain, left) == picard._sign_changes(chain, right):
+            continue
+        if right - left == 1:
+            isolated.append(right)
+        else:
+            mid = (left + right) // 2
+            stack += [(left, mid), (mid, right)]
+    found, start = [], lo
+    for r in sorted(isolated) + [hi + 1]:
+        if start < r and picard._real_roots_within([W[0] + start] + W[1:], B):
+            found += range(start, min(r, start + 2))
+        if r <= hi and picard._real_roots_within([W[0] + r] + W[1:], B):
+            found.append(r)
+        if len(found) >= 2:
+            break
+        start = r + 1
+    return found[:2]
 
 
 def quadratic_character(a: FFElem) -> int:

@@ -1,4 +1,5 @@
 import random
+import re
 from math import prod
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from k3hasse import arith
 from k3hasse.arith import probable_prime, strip_small_factors
+from k3hasse.finitefield import fq, prime_field
 from k3hasse.localfield import Place
 from .oracles import primes_up_to_bytearray, strip_small_factors_loop, trial_division_is_prime
 
@@ -25,6 +27,22 @@ def test_probable_prime_rejects_domain_errors():
         probable_prime(1)
     with pytest.raises(ValueError):
         probable_prime(-7)
+
+
+@pytest.mark.parametrize(
+    "gate", [prime_field, Place, lambda p: fq(p, 2)], ids=["prime_field", "Place", "fq"]
+)
+@pytest.mark.parametrize("p", [3.0, 5.0, True], ids=["3.0", "5.0", "True"])
+def test_a_prime_that_is_not_an_int_is_refused_by_type(gate, p):
+    """3.0 == 3 with one hash, so a memo keyed by value alone, such as
+    fq's on (p, n), would answer (3.0, 2) with the F_9 it holds for (3, 2);
+    5.0 would reach the Miller-Rabin rounds, and True == 1.  Each is
+    refused, after 3 and 5 are memoised, with a TypeError that names it."""
+    for prime in (3, 5):
+        gate(prime)
+        assert probable_prime(prime)
+    with pytest.raises(TypeError, match=re.escape(f"needs an integer, not {p!r}") + "$"):
+        gate(p)
 
 
 def test_probable_prime_matches_trial_division_densely():

@@ -6,6 +6,8 @@ import pytest
 
 from k3hasse.cli import main
 
+from .test_picard import DRAW_1146_COUNTS, nth_draw
+
 
 def _error(capsys) -> dict:
     captured = capsys.readouterr()
@@ -219,6 +221,27 @@ def test_picard_refuses_counts_over_another_prime(example_sextet, tmp_path, caps
         "leg": None,
         "message": "the counts are over F_3, not over F_17, the tritangent prime",
     }
+
+
+def test_charpoly_on_a_sign_ambiguous_series(tmp_path, capsys):
+    """Seed 6's draw 1146 at ten counts: both signs conform, and the
+    command names the count that would decide."""
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"p": 3, "N": DRAW_1146_COUNTS[:10]}))
+    assert main(["charpoly", "--counts", str(counts)]) == 2
+    assert _error(capsys) == {"error": "SignAmbiguous", "leg": None, "message": "sign ambiguous, need N_11"}
+
+
+def test_picard_certifies_rank_one_from_twelve_counts(tmp_path, capsys):
+    """Draw 1146 with its twelve counts: sign +1, unit-root bound 2, and
+    no tritangent line mod 11."""
+    sextet, counts = tmp_path / "sextet.json", tmp_path / "counts.json"
+    sextet.write_text(nth_draw(6, 1146).to_json())
+    counts.write_text(json.dumps({"p": 3, "N": DRAW_1146_COUNTS}))
+    assert main(["picard", "--sextet", str(sextet), "--counts", str(counts)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["rank"], out["charpoly_sign"], out["unit_root_bound"]) == (1, 1, 2)
+    assert (out["p"], out["p_prime"], out["tritangent_line"], out["counts"]) == (3, 11, [1, 2, 2], DRAW_1146_COUNTS)
 
 
 @pytest.mark.parametrize("p", [0, 1, 3.9, 3.0, True, pytest.param("3", id="string-3")])

@@ -413,20 +413,73 @@ def test_charpoly_decides_draw_1604_at_ten_counts():
     assert unit_root_bound(fd) == 4
 
 
+def nth_draw(seed: int, index: int):
+    """Draw ``index`` (from 0) of the search with seed ``seed`` at the
+    default coefficient bound."""
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        sextet = draw_sextet(rng, SearchConfig().coefficient_bound)
+    return sextet
+
+
 def test_draw_1604_is_rejected_at_stage_5_by_its_own_counts():
     """End to end on a second sextic, past the levels the oracles reach:
     the sweep reproduces the pinned counts of draw 1604, and with them
     stage 5 rejects it on the unit-root bound."""
     config = SearchConfig(seed=0, steps=(1, 2, 3, 4, 5))
-    rng = random.Random(config.seed)
-    for _ in range(1605):
-        sextet = draw_sextet(rng, config.coefficient_bound)
+    sextet = nth_draw(config.seed, 1604)
     series = count_series(build_k3(sextet).branch_sextic, 3, 10)
     assert series.counts == DRAW_1604_COUNTS
     with pytest.raises(Rejected) as err:
         certify(sextet, config, counts=series)
     assert err.value.stage == 5
     assert err.value.reason == "rank certificate inconclusive: unit-root-bound (bound is 4, need 2)"
+
+
+#: N_1..N_12 over F_3 of seed 6's draw 1146, which passes stages 1-4
+DRAW_1146_COUNTS = [
+    16, 94, 757, 6418, 59671, 533089, 4791880, 43066810, 387440173, 3486912949, 31381069087, 282428678449
+]
+
+
+def test_draw_1146_needs_twelve_counts_for_its_rank_one_certificate():
+    """Seed 6's draw 1146: the sweep reproduces the pinned N_1..N_9.  With
+    ten counts sign +1 leaves a_11 open and both signs conform; with eleven
+    a_11 = 0 and both still conform; the twelfth decides sign +1, and with
+    it stages 1-5 pass with unit-root bound 2."""
+    config = SearchConfig(seed=6, counting_depth=12, steps=(1, 2, 3, 4, 5))
+    sextet = nth_draw(config.seed, 1146)
+    assert count_series(build_k3(sextet).branch_sextic, 3, 9).counts == DRAW_1146_COUNTS[:9]
+    for n in (10, 11):
+        with pytest.raises(Rejected) as err:
+            certify(sextet, config, counts=CountSeries.from_counts(3, DRAW_1146_COUNTS[:n]))
+        assert (err.value.stage, err.value.reason) == (5, f"sign ambiguous, need N_{n + 1}")
+    report = certify(sextet, config, counts=CountSeries.from_counts(3, DRAW_1146_COUNTS))
+    assert (report.rank, report.charpoly_sign, report.unit_root_bound) == (1, 1, 2)
+    assert report.tritangent_line == (1, 2, 2) and report.no_tritangent_prime == 11
+
+
+def _a_top(counts, q: int = 3) -> dict:
+    return _newton_coefficients([N - 1 - q ** (2 * n) for n, N in enumerate(counts, start=1)])
+
+
+def test_open_middle_values_match_the_trace_construction(fixtures):
+    """The critical values read off the resultant D(x) = Res_u(W', x + W)
+    select the same a_11 as the reference that builds D from the traces of
+    (-W)^k in Q[u]/(W'): on the first 150 seed-5 multisets (draw 65 among
+    them), the other two one-point windows, the undetermined middle
+    coefficient, and the ten counts of the shipped surface and of draws
+    1604 and 1146."""
+    q, rng = 3, random.Random(5)
+    multisets = [_random_weil_factors(rng, q) for _ in range(150)]
+    multisets += [[[Fraction(-q), Fraction(1)]] * 22, [[Fraction(q), Fraction(1)]] * 22]
+    multisets.append([[Fraction(q * q), Fraction(-k), Fraction(1)] for k in (-5, -1, 0, 0, 1, 2, 3, 3, 4, 4, 5)])
+    cases = [_newton_coefficients([int(s) for s in _forward_power_sums(f, q, 10)[1]]) for f in multisets]
+    cases += [_a_top(counts[:10]) for counts in (fixtures.counts, DRAW_1604_COUNTS, DRAW_1146_COUNTS)]
+    found = [_open_middle_values(a_top, q) for a_top in cases]
+    assert found == [oracles.open_middle_values_by_traces(a_top, q) for a_top in cases]
+    assert {len(values) for values in found} == {0, 1, 2}
+    assert found[152] == [-82545480, -82545479] and found[-1] == [0, 1]
 
 
 def test_ten_counts_decide_every_seed_5_multiset():
@@ -571,6 +624,14 @@ def test_tritangent_example_results(example_sextic):
     line = find_tritangent(example_sextic, 3)
     assert line == (1, 0, 2)  # x0 + 2 x2 = 0, i.e. 2 x0 + x2 = 0
     assert find_tritangent(example_sextic, 11) is None
+
+
+def test_tritangent_scan_refuses_a_float_prime_after_the_int_one(example_sextic):
+    """The scan is memoised on (f, p), and (f, 3.0) == (f, 3): the memo
+    tells the types apart, so 3.0 reaches the prime gate."""
+    assert tritangent_scan(example_sextic, 3).line == (1, 0, 2)
+    with pytest.raises(TypeError, match=r"needs an integer, not 3\.0$"):
+        tritangent_scan(example_sextic, 3.0)
 
 
 def test_tritangent_sixth_power_and_degenerate_flag():

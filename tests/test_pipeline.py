@@ -19,7 +19,7 @@ from k3hasse.pipeline import (
     verify_factorization_chain,
 )
 from k3hasse.poly import TernaryForm
-from k3hasse.surface import QuadricSextet, check_2adic_conditions, check_real_conditions
+from k3hasse.surface import QuadricSextet, build_k3, check_2adic_conditions, check_real_conditions
 import random
 
 from .conftest import _clear_memos
@@ -292,6 +292,25 @@ def test_certify_rejection_names_the_stage(fixtures, monkeypatch):
     with pytest.raises(Rejected) as err:
         certify(fixtures.sextet, SearchConfig(steps=(1, 2, 3)))
     assert (err.value.stage, err.value.reason) == (3, "no tritangent-free good prime in the window")
+
+
+def test_stage_4_and_the_local_leg_check_one_list_of_small_places(fixtures, monkeypatch):
+    """Stage 4 tries R and the primes up to 19 in order, the places the
+    everywhere-local leg checks before the bad primes above 19."""
+    assert [str(place) for place in brauer.SMALL_PLACES] == ["R"] + [f"Q_{p}" for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    attestation = brauer.certify_everywhere_local(build_k3(fixtures.sextet), fixtures.bad_primes)
+    assert attestation.checked_places[: len(brauer.SMALL_PLACES)] == list(brauer.SMALL_PLACES)
+    tried = []
+
+    def none_at_19(X, place, box):
+        tried.append(place)
+        return None if place.p == 19 else (0, 0, 1)
+
+    monkeypatch.setattr(pipeline, "find_local_point", none_at_19)
+    with pytest.raises(Rejected) as err:
+        certify(fixtures.sextet, SearchConfig(steps=(1, 4)))
+    assert (err.value.stage, err.value.reason) == (4, "no local point found at Q_19 (possible false negative)")
+    assert tried == list(brauer.SMALL_PLACES)
 
 
 def test_stage_2_rejects_a_branch_form_that_vanishes_mod_3(fixtures):
