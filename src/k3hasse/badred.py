@@ -15,15 +15,16 @@ first, scanned on the log codes of F_{p^2}, the points of P^2(F_p) first,
 when p^2 + p + 1 <= D + 1 (mod 3 only for a sextic, D = 30); "smooth" is
 answered by the elimination alone.
 
-The whole chain runs on one representation, int codes in the arithmetic of
-``finitefield.evaluation_arith`` for the Bezout bound D = deg g_i * deg g_j
-of the chart resultants: ints mod p when p > D, else discrete logs in
-fq(p, k) with p^k > D (F_3 and its lift F_9, F_5 .. F_23 for the sextic's
-D = 25 or 30).  The frame search, the substitution, the charts, the
-resultants (``resultant``), the gcds, D5 and the split where two charts
-share a factor (its branches stay in the frame) all work on code lists; a
-gcd, and a common root over the closure, do not change under field
-extension.
+The whole chain runs in one field, on int codes in the arithmetic of
+``finitefield.evaluation_arith`` for max(D, S), D = deg g_i * deg g_j the
+Bezout bound of the chart resultants and S the system's degree sum: ints
+mod p when p > max(D, S), else discrete logs in E = fq(p, k) with
+p^k > max(D, S) (F_81, F_125, F_49 .. F_529 mod 3, 5, 7 .. 23 for the
+sextic).  The frame search (over F_p, then E), the substitution, the
+charts, the resultants (``resultant``), the gcds, D5 and the split where
+two charts share a factor (its branches stay in the frame) all work on
+code lists; a gcd, and a common root over the closure, do not change under
+field extension.
 
 The elimination is memoised per (system, field) in ``_eliminate``.  A
 reduction of an integer form f records f (``poly.FormModP.lift``): when the
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Any
 
@@ -127,17 +128,18 @@ class RegularizationError(RuntimeError):
     """No admissible coordinate frame was found."""
 
 
-def _frame_candidates(fld):
-    """Candidate (a, b), as int codes: the full plane for small fields, a
-    small integer grid (guaranteed by Schwartz-Zippel: 4 curves of degree <= 6
-    cannot cover a 512x512 grid of distinct residues) for big prime fields."""
-    if fld.order <= 1 << 14:
-        side = range(fld.order)
-    elif fld.characteristic > 512:
-        side = range(512)
-    else:
-        raise NotImplementedError("regularization over a large extension field")
-    return ((a, b) for a in side for b in side)
+def _frame_candidates(p: int, S: int):
+    """Candidate (a, b), as int codes of an evaluation field E with more
+    than S elements: the pairs over F_p first, then those of E with a code
+    >= p; codes 0 .. p - 1 are F_p inside every fq(p, k).  For nonzero forms
+    whose degrees sum to S, the product at (a, b, 1) is a nonzero P(a, b) of
+    degree at most S: P(a, .) is nonzero for some a among any S + 1 values,
+    and then P(a, b) for some b among any S + 1 (Schwartz-Zippel).  So the
+    first frame in this order has both codes at most S."""
+    side = range(S + 1)
+    base = side[:p]
+    yield from product(base, base)
+    yield from ((a, b) for a, b in product(side, side) if a >= p or b >= p)
 
 
 def _code_value(A, terms, pa, pb):
@@ -174,30 +176,25 @@ def regularize(system: list[TernaryForm], fld):
     """Find a coordinate change x0 -> x0 + a*x2, x1 -> x1 + b*x2 after which no
     form of the system vanishes at [0:0:1], and apply it on codes.
 
-    The system is encoded once per candidate field in the arithmetic
-    ``evaluation_arith`` picks for the Bezout bound D of its chart
-    resultants.  Over a tiny F_p the frame may need a scalar extension
-    (singularity over the closure is insensitive to it): the search moves to
-    F_{p^2}, then F_{p^4}, and so on, until a frame exists.  Returns
-    (field, a, b, A, code, decode, transformed) with a, b codes in the
-    returned field, ``code`` and ``decode`` the maps between its codes and
-    A's, and each transformed form the dense array of ``_transform``.
+    The system over F_p is encoded once, in ``evaluation_arith`` for
+    max(D, S), D the Bezout bound of its chart resultants and S its degree
+    sum.  That arithmetic's field E holds a frame (``_frame_candidates``),
+    and singularity over the closure is insensitive to the extension.
+    Returns (field, a, b, A, code, decode, transformed): F_p when the codes
+    a, b of E are below p, else E; ``code`` and ``decode`` between E's
+    codes and A's; each transformed form the dense array of ``_transform``.
     """
-    top = sorted(g.degree for g in system)[-2:]
-    D = top[0] * top[-1]
-    current = fld
-    while True:
-        A, code, decode = evaluation_arith(current, D)
-        coded = [[(m, code(c)) for m, c in g.terms.items()] for g in system]
-        powers = lambda x: [A.pow(code(x), e) for e in range(top[-1] + 1)]
-        for a, b in _frame_candidates(current):
-            pa, pb = powers(a), powers(b)
-            if all(_code_value(A, t, pa, pb) != A.zero for t in coded):
-                h = [_transform(A, t, g.degree, pa, pb) for t, g in zip(coded, system)]
-                return current, a, b, A, code, decode, h
-        if fld.degree != 1:
-            raise RegularizationError("no regularizing frame over the base field")
-        current = fq(fld.characteristic, 2 * current.degree)
+    top, S = sorted(g.degree for g in system)[-2:], sum(g.degree for g in system)
+    A, code, decode = evaluation_arith(fld, max(top[0] * top[-1], S))
+    coded = [[(m, code(c)) for m, c in g.terms.items()] for g in system]
+    powers = lambda x: [A.pow(code(x), e) for e in range(top[-1] + 1)]
+    p = fld.characteristic
+    for a, b in _frame_candidates(p, S):
+        pa, pb = powers(a), powers(b)
+        if all(_code_value(A, t, pa, pb) != A.zero for t in coded):
+            h = [_transform(A, t, g.degree, pa, pb) for t, g in zip(coded, system)]
+            return (fld if max(a, b) < p else A.field), a, b, A, code, decode, h
+    raise RegularizationError("no regularizing frame: a form of the system is zero")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Small fields (order <= 2^20) carry numpy discrete-log and Zech-logarithm
 tables; the point-counting kernel works on those raw arrays directly, in the
 log domain, where its Frobenius orbits are cosets of logs.  The same
 tables, as lists (``LogArith``), are the arithmetic ``evaluation_arith``
-gives the elimination of :mod:`k3hasse.badred` on small fields, with
+gives the elimination of :mod:`k3hasse.badred` over a small F_p: one
+extension fq(p, k), whose codes 0 .. p - 1 are F_p, with
 ``code_chart_resultant``.  ``irreducible_factors`` factors
 code lists over any field in the interface of ``poly.ModP``, such as the
 residue fields of the node locator.
@@ -66,11 +67,6 @@ class FiniteField:
     @cached_property
     def log_arith(self) -> "LogArith":
         return LogArith(self.tables)
-
-    @cached_property
-    def _embeddings(self) -> dict:
-        """Memo of ``_embedding``: evaluation field -> (images, preimage)."""
-        return {}
 
 
 class FieldTables:
@@ -214,11 +210,12 @@ class LogArith:
     nonzero x is coded by k in [0, q - 1) with x = g^k, and 0 by -1.
     Multiplication adds logs; x + y = x (1 + y/x) reads the Zech logarithm
     ``zech[k] = log(1 + g^k)``.  The lists are ``FieldTables``' arrays
-    converted once, with their zero sentinel mapped to -1."""
+    converted once, with their zero sentinel mapped to -1; ``field`` is the
+    field they belong to."""
 
     def __init__(self, tables: FieldTables):
         m = tables.q - 1
-        self.m, self.p = m, tables.p
+        self.m, self.p, self.field = m, tables.p, tables.field
         # -1 = g^(m/2) in odd characteristic
         self.half = m // 2 if tables.p % 2 else 0
         self.zero, self.one = -1, 0
@@ -434,43 +431,20 @@ def _equal_degree_factors(A, p: int, n: int, g: list, d: int, rng=None) -> list[
 # Resultants over F[u] by evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-def _embedding(fld: FiniteField, E: FiniteField) -> tuple[list[int], dict]:
-    """The log in E of every element of fld, indexed by its code, and the
-    code in fld behind each image: t, the root of fld's modulus in fld, maps
-    to the first root of that modulus in E, and F_p maps identically.
-    Memoised on fld."""
-    if E not in fld._embeddings:
-        A = E.log_arith
-        if fld is E:
-            images = A.log
-        else:
-            p, n = fld.characteristic, fld.degree
-            mu = [A.log[c] for c in fld.modulus]
-            # codes -1 .. m - 1 are every element of E
-            root = next(x for x in range(-1, A.m) if code_eval(A, mu, x) == A.zero)
-            images = [
-                code_eval(A, [A.log[d] for d in _digits(code, p, n)], root)
-                for code in range(fld.order)
-            ]
-        fld._embeddings[E] = images, {img: code for code, img in enumerate(images)}
-    return fld._embeddings[E]
-
-
 def evaluation_arith(fld: FiniteField, D: int):
     """(A, code, decode): an arithmetic with more than D elements holding
-    fld, ``code`` from fld's int codes to codes of A and ``decode`` back.  A
-    is ``ModP(p)`` when fld = F_p and p > D, else fq(p, k).log_arith with k
-    the least multiple of [fld : F_p] such that p^k > D, fld embedded through
-    a root of its modulus."""
+    fld = F_p, ``code`` from the int codes of its field E to codes of A and
+    ``decode`` back.  A is ``ModP(p)`` when p > D, else
+    fq(p, k).log_arith for the least k with p^k > D, whose codes 0 .. p - 1
+    are F_p.  A field that is not prime raises ValueError."""
+    if fld.degree != 1:
+        raise ValueError(f"the evaluation arithmetic extends a prime field, not {fld}")
     p = fld.characteristic
-    if fld.degree == 1 and p > D:
+    if p > D:
         return ModP(p), int, int
-    k = fld.degree
-    while p**k <= D:
-        k += fld.degree
-    E = fq(p, k)
-    images, preimage = _embedding(fld, E)
-    return E.log_arith, images.__getitem__, preimage.__getitem__
+    A = fq(p, next(k for k in range(2, D + 1) if p**k > D)).log_arith
+    decode = {k: c for c, k in enumerate(A.log)}
+    return A, A.log.__getitem__, decode.__getitem__
 
 
 def evaluation_points(A, D: int) -> range:

@@ -25,12 +25,16 @@ INV_HALF = Fraction(1, 2)
 
 @dataclass(frozen=True, order=True)
 class Place:
-    """R or Q_p; the real place sorts before the finite ones."""
+    """R or Q_p; the real place sorts before the finite ones.  p is an int
+    and no bool, since False == 0.0 == 0 would read as R, and a prime
+    unless it is 0."""
 
     p: int  # 0 encodes the real place
 
     def __post_init__(self):
-        if self.p != 0 and not probable_prime(self.p):
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise TypeError(f"a place needs an integer, not {self.p!r}")
+        if self.p != 0 and (self.p < 2 or not probable_prime(self.p)):
             raise ValueError(f"{self.p} is not prime")
 
     @classmethod

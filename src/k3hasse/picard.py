@@ -217,13 +217,15 @@ def _exact_count(n: int, N) -> int:
 class CountSeries:
     """Exact point counts N_1..N_max_n of w^2 = f over F_{p^n}, from the
     level sweeps of ``count_series`` or read by ``from_counts``.  p must be
-    an odd prime and every N_n within the Weil bound."""
+    an odd prime and every N_n an integer within the Weil bound: a float or
+    a bool count is refused, whichever way the series is built."""
 
     p: int
     counts: list[int]
 
     def __post_init__(self):
         _check_odd_prime(self.p)
+        self.counts = [_exact_count(n, N) for n, N in enumerate(self.counts, start=1)]
         for n, N in enumerate(self.counts, start=1):
             check_weil_bound(self.p, n, N)
 
@@ -233,7 +235,7 @@ class CountSeries:
 
     @classmethod
     def from_counts(cls, p: int, counts) -> "CountSeries":
-        return cls(p=p, counts=[_exact_count(n, N) for n, N in enumerate(counts, start=1)])
+        return cls(p=p, counts=list(counts))
 
 
 def check_weil_bound(p: int, n: int, N: int) -> None:

@@ -272,10 +272,16 @@ class SearchConfig:
     steps: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)
 
     def __post_init__(self):
-        if self.coefficient_bound < 1 or self.counting_depth < 1 or self.local_point_box < 1:
-            raise ValueError("search ranges must be nonempty")
-        if self.max_draws < 0:
-            raise ValueError(f"max_draws must be at least 0, got {self.max_draws}")
+        # a bool is an int, but no range: True == 1
+        ranges = {"coefficient_bound": 1, "local_point_box": 1, "counting_depth": 1, "max_draws": 0}
+        for name, least in ranges.items():
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not self.steps or not all(type(s) is int and s in STAGE_LEGS for s in self.steps):
+            raise ValueError(f"steps must be one or more of the stages 1 to 7, got {self.steps!r}")
         # stage 5 reads the charpoly off counts over F_3 .. F_{3^depth}
         if 5 in self.steps and not (10 <= self.counting_depth and 3**self.counting_depth <= TABLE_LIMIT):
             raise ValueError(

@@ -989,7 +989,7 @@ def resultant(f: UniPoly, g: UniPoly):
 
 def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
     """``finitefield.code_chart_resultant`` on t-polynomials f, g over F[u],
-    F a finite field, coded in ``evaluation_arith(F, D)``, D = deg_t f *
+    F a finite field, coded in ``element_arith(F, D)``, D = deg_t f *
     deg_t g, and decoded back: the test face of the elimination's resultant.
     Charts outside the Bezout shape (a constant t-leading coefficient and
     u-degree at most deg_t - k at t^k) raise ValueError."""
@@ -1000,18 +1000,23 @@ def resultant_by_evaluation(f: UniPoly, g: UniPoly) -> UniPoly:
                 "the Bezout bound needs a constant t-leading coefficient and "
                 "u-degree at most deg_t - k at t^k"
             )
-    D = f.degree * g.degree
-    if fld.lib is not None:
-        A, code, decode = evaluation_arith(fld.lib, D)
-    else:
-        A, code, decode = _tower_arith(fld, D)
+    A, code, decode = element_arith(fld, f.degree * g.degree)
     fc, gc = ([[code(fld.encode(c)) for c in cu.coeffs] for cu in P.coeffs] for P in (f, g))
     return UniPoly([fld.decode(decode(c)) for c in code_chart_resultant(A, fc, gc)])
 
 
+def element_arith(fld: ElementField, D: int):
+    """(A, code, decode) for an element field fld as ``evaluation_arith``
+    gives them for F_p: the library's own for a prime fld, and
+    ``_tower_arith`` for every extension, which the library refuses."""
+    if fld.degree == 1:
+        return evaluation_arith(prime_field(fld.characteristic), D)
+    return _tower_arith(fld, D)
+
+
 def _tower_arith(fld: ExtensionField, D: int):
-    """``evaluation_arith`` for an element field the library does not have,
-    such as a tower: fld embedded in E = fq(p, k), k the least multiple of
+    """``evaluation_arith`` for an extension field or a tower of them:
+    fld embedded in E = fq(p, k), k the least multiple of
     [fld : F_p] with p^k > D, level by level through the first root in E of
     each modulus, and coded by discrete logs in E."""
     p, k = fld.characteristic, fld.degree
@@ -1071,25 +1076,32 @@ def _as_elements(system: list[TernaryForm], fld):
 
 def unipoly_frame(system: list[TernaryForm], fld):
     """(field, a, b, transformed system) of the first frame x0 -> x0 + a x2,
-    x1 -> x1 + b x2 in the enumeration of ``badred.regularize``, over fld,
-    then F_{p^2}, F_{p^4} .. for a prime fld, on field elements."""
+    x1 -> x1 + b x2 in the enumeration of ``badred.regularize``, on field
+    elements: the pairs over fld, then, for a prime fld, the pairs of
+    E = fq(p, k) with a code >= p, k the least with p^k > max(D, S) for the
+    Bezout bound D and the degree sum S of the system.  An extension fld,
+    the frame field of a split's branch, is searched alone."""
     system, fld = _as_elements(system, fld)
-    current, cur_system = fld, system
-    while True:
-        if current.order <= 1 << 14:
-            side = [current.decode(k) for k in range(current.order)]
-        else:
-            side = [current.from_int(k) for k in range(512)]
-        for ea in side:
-            for eb in side:
-                if all(g.evaluate((ea, eb, current.one)) for g in cur_system):
-                    one, zero = current.one, current.zero
-                    matrix = [[one, zero, ea], [zero, one, eb], [zero, zero, one]]
-                    return current, ea, eb, [compose_linear(g, matrix) for g in cur_system]
-        if fld.degree != 1:
-            raise ValueError("no frame over the base field")
-        current = element_field(fq(fld.characteristic, 2 * current.degree))
-        cur_system = [map_coefficients(g, lambda c: from_base(current, c)) for g in system]
+    p = fld.characteristic
+    top, S = sorted(g.degree for g in system)[-2:], sum(g.degree for g in system)
+    k = 1
+    while p**k <= max(top[0] * top[-1], S):
+        k += 1
+    side = range(fld.order) if fld.order <= 1 << 14 else range(512)
+    candidates = [(fld, system, ((a, b) for a in side for b in side))]
+    if k > 1 and fld.degree == 1:
+        E = element_field(fq(p, k))
+        lifted = [map_coefficients(g, lambda c: from_base(E, c)) for g in system]
+        codes = range(E.order)
+        candidates.append((E, lifted, ((a, b) for a in codes for b in codes if a >= p or b >= p)))
+    for K, forms, pairs in candidates:
+        for a, b in pairs:
+            ea, eb = K.decode(a), K.decode(b)
+            if all(g.evaluate((ea, eb, K.one)) for g in forms):
+                one, zero = K.one, K.zero
+                matrix = [[one, zero, ea], [zero, one, eb], [zero, zero, one]]
+                return K, ea, eb, [compose_linear(g, matrix) for g in forms]
+    raise ValueError("no frame")
 
 
 class _Split(Exception):

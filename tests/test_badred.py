@@ -126,13 +126,16 @@ def test_is_bad_prime_rejects_degenerate_and_even():
 
 def test_regularize_extends_a_prime_field_through_fq():
     """x0^3 x2 - x0 x2^3 vanishes at every [a:b:1] over F_3, so the frame
-    needs F_9: the canonical fq(3, 2), modulus t^2 + 1.  The coded
-    transformed form decodes to the substitution made on field elements."""
+    needs an extension: the evaluation field of D = 4 * 4, the canonical
+    fq(3, 3) with modulus t^3 + 2t + 1, where the first frame is (t, 0).
+    The coded transformed form decodes to the substitution made on field
+    elements."""
     F3 = prime_field(3)
     g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
     fld, a, b, A, code, decode, (h,) = regularize([g], F3)
-    assert fld is fq(3, 2)
-    assert fld.modulus == (1, 0, 1)
+    assert fld is fq(3, 3) and A is fld.log_arith
+    assert fld.modulus == (1, 2, 0, 1)
+    assert (a, b) == (3, 0)
     assert decode(h[4][0])  # the y2^4 coefficient, h(0, 0, 1)
     E = element_field(fld)
     a, b = E.decode(a), E.decode(b)
@@ -143,12 +146,14 @@ def test_regularize_extends_a_prime_field_through_fq():
 
 
 def test_chart_resultants_of_the_lifted_mod_3_system(example_sextic):
-    """The example's mod-3 Jacobian system has a frame only over F_9; every
-    chart resultant, computed on int codes in F_81, decodes to the
+    """The example's mod-3 Jacobian system has no frame over F_3, so its
+    frame is found in its evaluation field F_81 (D = 5 * 6), at (0, t);
+    every chart resultant, computed on int codes there, decodes to the
     subresultant of the decoded charts."""
     F3 = prime_field(3)
     elim = badred._eliminate(tuple(jacobian_system(reduce_mod(example_sextic, F3))), F3)
-    assert elim.fld is fq(3, 2)
+    assert elim.fld is fq(3, 4) and elim.A is elim.fld.log_arith
+    assert (elim.a, elim.b) == (0, 3)  # (0, t)
     decoded = [UniPoly([uni(elim, c) for c in P]) for P in elim.charts]
     assert decoded == [ternary_to_t_over_u(g, element_field(elim.fld).one) for g in decoded_forms(elim)]
     for (P, Pd), (Q, Qd) in combinations(zip(elim.charts, decoded), 2):
@@ -377,6 +382,58 @@ def test_code_decision_matches_the_unipoly_oracle(p):
         if _exhaustive_singular_search(fp, p, 2 if p <= 7 else 1):
             assert got, f
     assert verdicts == {True, False}
+
+
+def _frameless_over_f_p_system(rng, p: int) -> list[TernaryForm]:
+    """Two to four random forms of degree 2 .. 6; for p = 3 and 5 the first
+    is a multiple of x0^p x2 - x0 x2^p, which vanishes at every [a:b:1] over
+    F_p, in half the systems, so those need a frame over an extension."""
+    system = [_random_form(rng, rng.randrange(2, 7), -3, 3) for _ in range(rng.randrange(2, 5))]
+    if p <= 5 and rng.random() < 0.5:
+        vanishing = TernaryForm(p + 1, {(p, 0, 1): 1, (1, 0, p): -1})
+        system[0] = vanishing * _random_form(rng, rng.randrange(0, 6 - p), -3, 3)
+    return system
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_every_frame_is_found_in_one_evaluation_field(p, monkeypatch, fresh_memos):
+    """On random systems of degree 2 .. 6, the elimination encodes the
+    system once, in ``evaluation_arith`` for max(D, S), and finds its frame
+    there: both codes are at most S (the Schwartz-Zippel grid), the frame
+    field is F_p exactly when both codes are below p and A's field
+    otherwise, and the frame is the oracle's first in the same order.  The
+    decision equals the UniPoly decision.  Mod 3 and 5 the F_p-less frames
+    are reached, and both verdicts occur."""
+    F = prime_field(p)
+    rng = random.Random(2000 + p)
+    encodings = []
+    evaluation_arith = badred.evaluation_arith
+
+    def counted(fld, bound):
+        encodings.append((fld, bound))
+        return evaluation_arith(fld, bound)
+
+    monkeypatch.setattr(badred, "evaluation_arith", counted)
+    extended, verdicts = 0, Counter()
+    while sum(verdicts.values()) < 12:
+        system = [reduce_mod(g, F) for g in _frameless_over_f_p_system(rng, p)]
+        if any(g.is_zero() or g.degree == 0 for g in system):
+            continue
+        encodings.clear()
+        elim = badred._eliminate(tuple(system), F)
+        degrees = sorted(g.degree for g in system)
+        S = sum(degrees)
+        assert encodings == [(F, max(degrees[-2] * degrees[-1], S))]
+        assert max(elim.a, elim.b) <= S
+        assert elim.fld is (F if max(elim.a, elim.b) < p else elim.A.field)
+        fld, a, b = unipoly_frame(system, F)[:3]
+        assert (element_field(elim.fld), elim.a, elim.b) == (fld, fld.encode(a), fld.encode(b))
+        got = badred._has_common_zero(elim)
+        assert got == unipoly_common_zero(system, F), system
+        extended += elim.fld is not F
+        verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+    assert extended >= (3 if p <= 5 else 0), extended
 
 
 def test_d5_keeps_a_factor_of_g_whose_multiplicity_p_divides():

@@ -6,6 +6,7 @@ import pytest
 from k3hasse.finitefield import (
     _find_generator,
     _rabin_irreducible,
+    evaluation_arith,
     fq,
     irreducible_factors,
     prime_field,
@@ -366,7 +367,8 @@ def _random_chart(fld, d, rng):
 @pytest.mark.parametrize("name", ["F3", "F9", "F5", "F7", "F13", "F89", "prime66", "F81-tower"])
 def test_resultant_by_evaluation_matches_the_subresultant(name, fixtures):
     """Every evaluation-field case: F_3, F_5 and F_7 evaluate in fq(p, k),
-    F_9 in F_81 through a root of its modulus, F_13 in F_169 or itself
+    F_9 in F_81 through the oracle's embedding (the library's arithmetic
+    extends prime fields only), F_13 in F_169 or itself
     (D = 25 or < 13), F_89 and the 66-digit prime in themselves, and a
     non-canonical F_81 in fq(3, 4) through its tower."""
     fld = {
@@ -415,6 +417,24 @@ def test_resultant_by_evaluation_reaches_the_bound_and_zero(p, n):
     g = h * _random_chart(fld, 2, rng)
     assert resultant_by_evaluation(f, g).is_zero()
     assert resultant(f, g).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_evaluation_arith_refuses_a_field_that_is_not_prime(n):
+    """The elimination encodes a system over F_p only; an extension field
+    is refused, not embedded."""
+    with pytest.raises(ValueError, match="extends a prime field"):
+        evaluation_arith(fq(3, n), 30)
+
+
+def test_evaluation_arith_codes_f_p_as_itself_inside_the_extension():
+    """Over fq(3, 4) the codes 0 .. 2 are F_3: ``code`` is the discrete log
+    of every code of F_81 and ``decode`` its inverse, 0 at log -1."""
+    A, code, decode = evaluation_arith(prime_field(3), 30)
+    assert A is fq(3, 4).log_arith and A.field is fq(3, 4)
+    assert [code(c) for c in range(3)] == [A.zero, A.one, A.from_int(2)]
+    assert [decode(code(c)) for c in range(81)] == list(range(81))
+    assert evaluation_arith(prime_field(31), 30)[0] == ModP(31)
 
 
 def test_resultant_by_evaluation_needs_the_bezout_shape():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,3 +186,19 @@ def test_place_validation_and_order():
     with pytest.raises(ValueError):
         Place.finite(6)
     assert Place.real() < Place.finite(2) < Place.finite(3)
+
+
+@pytest.mark.parametrize("p", [False, 0.0, 2.0, None, "0"])
+def test_a_place_is_an_int_and_no_bool(p):
+    """False and 0.0 equal 0, the real place, but are refused by type."""
+    with pytest.raises(TypeError, match=re.escape(f"a place needs an integer, not {p!r}") + "$"):
+        Place(p)
+
+
+@pytest.mark.parametrize("p", [1, -1, -3, 4, -7, 9])
+def test_a_place_other_than_0_is_a_prime(p):
+    """1 and negative numbers are not prime, and say so; they never reach
+    the Miller-Rabin test's n > 1 requirement."""
+    with pytest.raises(ValueError, match=re.escape(f"{p} is not prime") + "$"):
+        Place(p)
+    assert Place(0).is_real and Place(0) == Place.real() and not Place(2).is_real

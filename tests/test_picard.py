@@ -272,6 +272,18 @@ def test_from_counts_refuses_what_int_would_truncate(fixtures, bad):
     assert exact.counts == list(fixtures.counts) and exact.max_n == 10
 
 
+@pytest.mark.parametrize("bad", [14.5, 7.0, True])
+def test_the_constructor_refuses_what_from_counts_refuses(fixtures, bad):
+    """``CountSeries(p, counts)`` runs the same count check as
+    ``from_counts``: the fixture counts as floats, or JSON true, are no
+    series, and the ints build the same one either way."""
+    with pytest.raises(CountingError, match=re.escape(f"count N_1 = {bad!r} is not an integer")):
+        CountSeries(3, [bad] + list(fixtures.counts[1:]))
+    with pytest.raises(CountingError, match=re.escape("count N_1 = 7.0 is not an integer")):
+        CountSeries(3, [float(N) for N in fixtures.counts])
+    assert CountSeries(3, list(fixtures.counts)) == CountSeries.from_counts(3, fixtures.counts)
+
+
 def test_charpoly_recorded_series(fixtures):
     series = CountSeries.from_counts(3, list(fixtures.counts))
     fd = frobenius_charpoly(series)

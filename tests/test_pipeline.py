@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -155,12 +156,37 @@ def test_a_stage_1_reject_builds_no_form(monkeypatch):
 
 @pytest.mark.parametrize("field, value, message", [
     ("max_draws", -3, "max_draws must be at least 0"),
+    ("coefficient_bound", 0, "coefficient_bound must be at least 1, got 0"),
+    ("local_point_box", 0, "local_point_box must be at least 1, got 0"),
+    ("counting_depth", 0, "counting_depth must be at least 1, got 0"),
     ("counting_depth", 9, "stage 5 needs a counting depth of at least 10"),
     ("counting_depth", 13, "stage 5 needs a counting depth of at least 10"),
 ])
 def test_search_config_rejects_an_empty_range(field, value, message):
     with pytest.raises(ValueError, match=message):
         SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("local_point_box", 1.5),
+    ("counting_depth", 10.5),
+    ("coefficient_bound", 40.0),
+    ("max_draws", True),
+    ("local_point_box", None),
+])
+def test_search_config_refuses_a_range_that_is_not_an_int(field, value):
+    """A box of 1.5 would crash stage 4 with a bare TypeError and a depth of
+    10.5 stage 5; every range is an int, and no bool."""
+    with pytest.raises(TypeError, match=re.escape(f"{field} must be an int, got {value!r}") + "$"):
+        SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("steps", [(8,), (0,), (), (1, 8), (5.0,), (True,), "1"])
+def test_search_config_refuses_steps_outside_1_to_7(steps):
+    """steps=(8,) would run no stage and report every draw as a candidate."""
+    with pytest.raises(ValueError, match=re.escape(f"stages 1 to 7, got {steps!r}") + "$"):
+        SearchConfig(steps=steps)
+    assert SearchConfig(steps=(7, 1)).steps == (7, 1)
 
 
 def test_search_config_bounds_the_counting_depth_only_for_stage_5():
@@ -414,9 +440,10 @@ def test_verify_example_reduces_the_integer_resultants_mod_each_prime(monkeypatc
     """verify_example(depth=6) computes the three R_ij over Z once and reads
     each prime's chart gcd from them, except mod 3, which divides deg f,
     and mod 7, which divides the x1-partial's x2^5 coefficient -18816:
-    there it computes the chart resultants over F_p.  The R_ij are memoised
-    in functools caches, so a pass after emptying them computes them
-    again."""
+    there it computes the chart resultants over F_p: four of the six pairs
+    mod 3, in the frame (0, t) of F_81, before the gcd is 1, and three mod
+    7.  The R_ij are memoised in functools caches, so a pass after emptying
+    them computes them again."""
     charts, integers = [], []
     resultant, integer_chart_resultant = badred.resultant, badred.integer_chart_resultant
 
@@ -431,10 +458,10 @@ def test_verify_example_reduces_the_integer_resultants_mod_each_prime(monkeypatc
     monkeypatch.setattr(badred, "resultant", counted_chart)
     monkeypatch.setattr(badred, "integer_chart_resultant", counted_integer)
     verify_example(depth=6)
-    assert sorted(charts) == [3, 3, 3, 7, 7, 7] and len(integers) == 3
+    assert sorted(charts) == [3, 3, 3, 3, 7, 7, 7] and len(integers) == 3
     _clear_memos()
     verify_example(depth=6)
-    assert len(charts) == 12 and len(integers) == 6
+    assert len(charts) == 14 and len(integers) == 6
 
 
 def test_verify_example_searches_each_place_and_box_once(monkeypatch, fresh_memos):

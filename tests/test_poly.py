@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from k3hasse.finitefield import evaluation_arith, fq
+from k3hasse.finitefield import fq
 from k3hasse.poly import (
     TernaryForm,
     code_divmod,
@@ -18,6 +18,7 @@ from k3hasse.surface import reduce_mod
 from .oracles import (
     ProjLine,
     UniPoly,
+    element_arith,
     element_field,
     line_parametrization,
     poly_gcd,
@@ -140,10 +141,10 @@ def test_squarefree_reassembles_over_finite_fields(p, n):
 @pytest.mark.parametrize("p, n, D", [(3, 1, 30), (3, 2, 30), (7, 1, 25), (29, 1, 25)])
 def test_code_division_and_gcds_match_the_unipoly_ones(p, n, D):
     """code_divmod, code_gcd and code_gcdex on the codes of
-    ``evaluation_arith`` (discrete logs, or ints mod 29) decode to divmod,
+    ``element_arith`` (discrete logs, or ints mod 29) decode to divmod,
     poly_gcd and poly_gcdex on field elements, common factors included."""
-    A, code, decode = evaluation_arith(fq(p, n), D)
     field = element_field(fq(p, n))
+    A, code, decode = element_arith(field, D)
     enc = lambda f: [code(field.encode(c)) for c in f.coeffs]
     dec = lambda cs: UniPoly([field.decode(decode(c)) for c in cs])
     rng = random.Random(p * n)
