@@ -140,12 +140,15 @@ def _box_triples(box: int):
         yield x
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def find_local_point(X: K3Surface, place: Place, box: int = 1) -> SurfacePoint | None:
     """First integer triple in the box (lexicographic scan) whose f-value is a
     nonzero square in the completion; not-found is not a proof of insolubility.
     Memoised, so the local-point stage of the search and the everywhere-local
-    attestation scan each (surface, place, box) once."""
+    attestation scan each (surface, place, box) once; typed, so that a bool
+    box misses the entry of its int and is refused."""
+    if not isinstance(box, int) or isinstance(box, bool):
+        raise TypeError(f"box must be an int, got {box!r}")
     if box < 1:
         raise ValueError("box must be >= 1")
     for x in _box_triples(box):

@@ -138,7 +138,7 @@ class FieldTables:
         z = g^j and -z = g^(j + h) together (q odd).  Built on the first
         sweep of the field, not with the other tables.
 
-        With m = q - 1, ``zero`` = 3m - 2 and M = 5m - 2, B = 6m - 2:
+        With m = q - 1, ``zero`` = 3m - 2, M = 5m - 2, B = 6m - 2 and V = ``vanished`` = 10m - 4:
 
         - ``zech_even``, ``zech_odd``: contiguous copies of ``zech[0:2m:2]``
           and ``zech[1:2m:2]``, so that ``zech[o + 2j]`` for j < h is a
@@ -147,20 +147,19 @@ class FieldTables:
         - ``ramp_mod``: k mod m for k < m + h, so that ``ramp_mod[c : c + h]``
           is log(g^c z) mod m;
         - ``zech_ratio``: index by index with ``zech``, B - x - M (x & 1) for
-          x = zech[k] != zero, and -4m where 1 + g^k = 0.  Read by the last
+          x = zech[k] != zero, and V where 1 + g^k = 0.  Read by the last
           Horner step of E, it turns log E = x into an offset into
-          ``pair_codes`` that carries the parity of x, and a zero E into an
-          index below 0;
-        - ``pair_codes``: int8, read at i = log O + (log z mod m) + the
-          ``zech_ratio`` value = B - b M + t with b = log E mod 2 and
-          t = log O + (log z mod m) - log E, logs relative to the leading
-          powers of g.  For t in [1 - m, 2m - 2] it holds the characters of
-          f(+-z)/g^(s_E) = g^b (1 +- g^t) as 32 (number of non-squares) +
-          (number of zeros) of the pair; for t in [2m - 1, 4m - 3], where
-          O(u) = 0 and log O is ``zero``, f(+-z) = E and it holds 64 b.
-          Entry 0, where an index below 0 clips, holds 8: E(u) = 0.  A sum
-          over a sweep is 32 (non-squares) + 8 (zeros of E) + (zeros of f),
-          the last two below 4 and 8.
+          ``pair_codes`` that carries the parity of x, and a zero E into V;
+        - ``pair_codes``: int8, read at i = w + the ``zech_ratio`` value,
+          w = log O + (log z mod m), logs relative to the leading powers of
+          g.  It holds the characters of f(+-z)/g^(s_E) as 32 (number of
+          non-squares) + (number of zeros) of the pair.  Where E(u) != 0,
+          i = B - b M + t, b = log E mod 2, t = w - log E; for t in
+          [1 - m, 2m - 2], f(+-z)/g^(s_E) = g^b (1 +- g^t); for t in
+          [2m - 1, 4m - 3], where O(u) = 0 and w >= ``zero``, it is g^b E,
+          read as 64 b.  At i = V + w, where E(u) = 0, it is +-g^w, read as
+          32 if h is odd, else 64 (w & 1), and as 2 for w >= ``zero``.  A
+          slice's zeros are fewer than 32, unless f(1, y, z) = 0.
         """
         return PairSweep(self)
 
@@ -171,6 +170,7 @@ class PairSweep:
     def __init__(self, t: FieldTables):
         m, zero = t.q - 1, t.zero
         h, period, self.offset = m // 2, 5 * m - 2, 6 * m - 2
+        self.vanished = vanished = 10 * m - 4
         self.zech_even = t.zech[0 : 2 * m : 2].copy()
         self.zech_odd = t.zech[1 : 2 * m : 2].copy()
         self.ramp_even = np.arange(0, m, 2, dtype=np.int32)
@@ -180,14 +180,13 @@ class PairSweep:
         ratio *= -period
         ratio += self.offset
         ratio -= x
-        ratio[x == zero] = -4 * m
+        ratio[x == zero] = vanished
         self.zech_ratio = ratio
         # chi codes of 1 + g^t and 1 - g^t = 1 + g^(t + h), t < m: 0 square,
         # 1 non-square, 2 zero
         chi = (x[:m] & 1).astype(np.int8)
         chi[h] = 2
-        codes = np.zeros(10 * m - 4, dtype=np.int8)
-        codes[0] = 8
+        codes = np.zeros(14 * m - 6, dtype=np.int8)
         for b in (0, 1):
             plus = np.where(chi == 2, chi, chi ^ b)
             minus = np.roll(plus, -h)
@@ -196,13 +195,18 @@ class PairSweep:
             # t = 1 - m, .., 2m - 2 read pair[t mod m], from pair[1]
             codes[base - m + 1 : base + 2 * m - 1] = np.resize(np.roll(pair, -1), 3 * m - 2)
             codes[base + 2 * m - 1 : base + 4 * m - 2] = 64 * b
+        # E(u) = 0, where f(+-z)/g^(s_E) = +-g^w: filled by slices
+        if h & 1:
+            codes[vanished : vanished + zero] = 32
+        else:
+            codes[vanished + 1 : vanished + zero : 2] = 64
+        codes[vanished + zero :] = 2
         self.pair_codes = codes
 
-    def count(self, index: np.ndarray) -> tuple[int, int, int]:
-        """(non-squares, pairs where E(u) = 0, zeros) over ``pair_codes``
-        read at ``index``."""
+    def count(self, index: np.ndarray) -> tuple[int, int]:
+        """(non-squares, zeros) over ``pair_codes`` read at ``index``."""
         total = int(self.pair_codes.take(index, mode="clip").sum())
-        return total >> 5, (total >> 3) & 3, total & 7
+        return total >> 5, total & 31
 
 
 class LogArith:

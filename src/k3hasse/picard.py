@@ -26,8 +26,8 @@ next step adds.  Then f(+-z) = E (1 +- g^t) with t = log z O / E, and one
 gather at an index made of t and the parity of log E reads the characters
 of both points of the pair from an int8 table, whose sum over the sweep is
 the tally: 2 gathers for E, 1 for O and 1 for the pair of points, against 5
-per point for Horner in z.  Where E(u) = 0 the table reads a flag, and
-f(+-z) = +-z O(u) is patched at those few j from the parity of its log.
+per point for Horner in z.  Where E(u) = 0, f(+-z) = +-z O(u): another
+region of the table reads its characters off the parities of log z O and h.
 Zero is a sentinel log that the tables absorb, and chi(g^k) is the parity
 of k because q - 1 is even.
 
@@ -100,8 +100,10 @@ def _int_coefficients_mod(f: TernaryForm, p: int) -> dict:
 
 def _on_squares(t, sw, logs: list[int], final: np.ndarray):
     """sum_i g^(logs[i]) u^i at the squares u = g^(2j), j < h, as
-    (s, a, r): the sum is g^s v u^r with log v = a[j] (the sentinel where
-    v = 0), or v = 1 when a is None.  None when every coefficient is zero.
+    (s, a, r): the sum is g^s v u^r, and a[j] is log v (the sentinel where
+    v = 0) as the values of ``final`` code it, ``zech``'s as themselves.
+    One term has v = 1, and a = final[zero], since zech[zero] = 0 = log 1.
+    None when every coefficient is zero.
 
     Horner's rule on logs, as in the module docstring, with log u = 2j: a
     zero coefficient only raises the pending power r, and adding
@@ -126,7 +128,7 @@ def _on_squares(t, sw, logs: list[int], final: np.ndarray):
         else:
             a = table[o:].take(sw.ramp_even if a is None else a + sw.ramp_even, mode="clip")
         s, r = logs[i], 0
-    return s, a, r
+    return s, final[zero] if a is None else a, r
 
 
 def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
@@ -160,40 +162,20 @@ def _level_tallies(fcoef: dict, p: int, d: int) -> tuple[int, int, int]:
         if even is None and odd is None:
             tally[2] += 2 * e * h
             continue
+        # f(+-z) = E (1 +- g^t), t = log z O / E, or +-z O where E(u) = 0:
+        # pair_codes holds the pair's characters, relative to g^(s_e)
         s_o, a_o, r_o = odd or (0, zero, 0)
-        a_o = 0 if a_o is None else a_o
-        if even is None:  # f(+-z) = +-z O(u): E vanishes at every pair
-            vanish = sw.ramp_mod[:h]
+        s_e, a_e, r_e = even or (0, sw.vanished, 0)
+        shift = (s_o - s_e) % m
+        if r_o == r_e:
+            index = sw.ramp_mod[shift : shift + h] + a_o
         else:
-            # f(+-z) = E (1 +- g^t), t = log z O / E: pair_codes holds the
-            # characters of the pair, relative to g^(s_e), at one index
-            s_e, a_e, r_e = even
-            shift = (s_o - s_e) % m
-            if r_o == r_e:
-                index = sw.ramp_mod[shift : shift + h] + a_o
-            else:
-                index = (sw.ramp_mod[:h] * (1 + 2 * (r_o - r_e)) + shift) % m + a_o
-            index += sw.offset if a_e is None else a_e
-            n_odd, vanishing, n_zero = sw.count(index)
-            tally[s_e & 1] += e * (2 * (h - vanishing) - n_odd - n_zero)
-            tally[1 - (s_e & 1)] += e * n_odd
-            tally[2] += e * n_zero
-            if not vanishing:
-                continue
-            vanish = np.flatnonzero(a_e < 0)
-        # where E(u) = 0, f(+-z) = +-z O(u): chi is the parity of
-        # j + s_O + log O, and of j + h + s_O + log O at -z
-        a_v = a_o[vanish] if isinstance(a_o, np.ndarray) else np.full(len(vanish), a_o)
-        live = a_v != zero
-        n_live = int(np.count_nonzero(live))
-        n_odd = int(np.count_nonzero((vanish + a_v + s_o) & 1 & live))
-        tally[2] += 2 * e * (len(vanish) - n_live)
-        if h & 1:  # -1 is a non-square: one of z and -z is odd
-            tally[0] += e * n_live
-            tally[1] += e * n_live
-        else:
-            tally[0] += 2 * e * (n_live - n_odd)
-            tally[1] += 2 * e * n_odd
+            index = (sw.ramp_mod[:h] * (1 + 2 * (r_o - r_e)) + shift) % m + a_o
+        index += a_e
+        n_odd, n_zero = sw.count(index)
+        tally[s_e & 1] += e * (2 * h - n_odd - n_zero)
+        tally[1 - (s_e & 1)] += e * n_odd
+        tally[2] += e * n_zero
     # the point [0:0:1]: c = f(0, 0, 1) is in F_p, so chi(c) = chi_p(c)^d
     c001 = fcoef.get((0, 0, 6), 0)
     tally[2 if c001 == 0 else (0 if d % 2 == 0 or pow(c001, (p - 1) // 2, p) == 1 else 1)] += 1
@@ -247,6 +229,8 @@ def count_series(f: TernaryForm, p: int, max_n: int) -> CountSeries:
     """Counts N_1..N_max_n by the orbit kernel, one sweep of P^2(F_{p^d})
     for each level d."""
     _check_odd_prime(p)
+    if not isinstance(max_n, int) or isinstance(max_n, bool):
+        raise CountingError(f"the counting depth must be an int, got {max_n!r}")
     if max_n < 1:
         raise CountingError(f"the count series needs a depth of at least 1, got {max_n}")
     if f.degree != 6:

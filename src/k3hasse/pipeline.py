@@ -446,7 +446,10 @@ def verify_example(depth: int = 6, full_count: bool = False) -> ObstructionRepor
     """Certify the worked example with its fixture evidence and compare every
     leg with the printed data; a mismatch is a hard failure naming the leg.
     Counts are recomputed up to ``depth`` (all ten under ``full_count``) and
-    taken from the fixture beyond; a negative depth raises ValueError."""
+    taken from the fixture beyond; a depth that is not an int raises
+    TypeError, and a negative one ValueError."""
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise TypeError(f"the counting depth must be an int, got {depth!r}")
     if depth < 0:
         raise ValueError(f"the counting depth must be at least 0, got {depth}")
     fx = load_fixtures()

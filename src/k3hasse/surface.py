@@ -74,6 +74,8 @@ class QuadricSextet:
         for key in FORM_KEYS:
             if key not in data:
                 raise ValueError(f"sextet JSON lacks the key {key!r}")
+            if not isinstance(data[key], list):
+                raise TypeError(f"form {key}: {data[key]!r} is not a list of coefficients")
         for key in data:
             if key not in FORM_KEYS:
                 raise ValueError(f"sextet JSON has the unknown key {key!r}")

@@ -1562,43 +1562,53 @@ def quadratic_character(a: FFElem) -> int:
     return 1 if a ** ((field.order - 1) // 2) == field.one else -1
 
 
+@functools.lru_cache(maxsize=None)
+def _element_tables(field: ElementField) -> tuple[list, list, list]:
+    """Sum, product and character tables on the codes of ``field``, built
+    once per field from ``FFElem`` arithmetic: add[a][b] and mul[a][b] are
+    the codes of a + b and a b, and chi[a] is the quadratic character of a."""
+    elems = [field.decode(k) for k in range(field.order)]
+    add = [[field.encode(a + b) for b in elems] for a in elems]
+    mul = [[field.encode(a * b) for b in elems] for a in elems]
+    return add, mul, [quadratic_character(a) for a in elems]
+
+
 def _count_naive(f: TernaryForm, p: int, n: int) -> int:
     """Independent scalar count: enumerate P^2(F_{p^n}) and sum 1 + chi(f(P)).
 
-    Plain field-element arithmetic, no tables and no orbit logic; the charts
-    are swept with Horner in the last coordinate to keep this usable as a
-    test oracle up to F_81.
+    Field-element arithmetic through ``_element_tables``, no log tables and
+    no orbit logic; the charts are swept with Horner in the last coordinate.
     """
     field = element_field(fq(p, n))
+    add, mul, chi = _element_tables(field)
     fcoef = _int_coefficients_mod(f, p)
-    elems = [field.decode(k) for k in range(field.order)]
-    chi_of = {field.encode(v): quadratic_character(v) for v in elems}
-    consts = {c: field.from_int(c) for c in set(fcoef.values())}
-    zero = field.zero
-    total = 0
-    for y in elems:
-        ypow = [field.one]
-        for _ in range(6):
-            ypow.append(ypow[-1] * y)
-        ck = [zero] * 7
-        for (e0, e1, e2), c in fcoef.items():
-            ck[e2] = ck[e2] + consts[c] * ypow[e1]
-        for z in elems:
+    consts = {c: field.encode(field.from_int(c)) for c in set(fcoef.values())}
+    zero, one = field.encode(field.zero), field.encode(field.one)
+
+    def chart_total(ck: list[int]) -> int:
+        total = 0
+        for z in range(field.order):
             v = ck[6]
             for k in range(5, -1, -1):
-                v = v * z + ck[k]
-            total += 1 + chi_of[field.encode(v)]
+                v = add[mul[v][z]][ck[k]]
+            total += 1 + chi[v]
+        return total
+
+    total = 0
+    for y in range(field.order):
+        ypow = [one]
+        for _ in range(6):
+            ypow.append(mul[ypow[-1]][y])
+        ck = [zero] * 7
+        for (e0, e1, e2), c in fcoef.items():
+            ck[e2] = add[ck[e2]][mul[consts[c]][ypow[e1]]]
+        total += chart_total(ck)
     gz = [zero] * 7
     for (e0, e1, e2), c in fcoef.items():
         if e0 == 0:
             gz[e2] = consts[c]
-    for z in elems:
-        v = gz[6]
-        for k in range(5, -1, -1):
-            v = v * z + gz[k]
-        total += 1 + chi_of[field.encode(v)]
-    total += 1 + chi_of[field.encode(field.from_int(fcoef.get((0, 0, 6), 0)))]
-    return total
+    total += chart_total(gz)
+    return total + 1 + chi[consts.get(fcoef.get((0, 0, 6), 0), zero)]
 
 
 def count_points_naive(f: TernaryForm, p: int, n: int) -> int:

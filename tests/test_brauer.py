@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,21 @@ def test_local_points_are_integer_triples(example_surface):
     for place in (Place.real(), Place.finite(2), Place.finite(5), Place.finite(89)):
         pt = find_local_point(example_surface, place, box=1)
         assert all(type(c) is int for c in pt.x) and type(pt.value) is int, place
+
+
+@pytest.mark.parametrize("box", [True, 1.5])
+def test_find_local_point_refuses_a_box_that_is_not_an_int(example_surface, fixtures, box):
+    """A box of True is refused even after box 1 was memoised, and 1.5
+    would reach ``range``; the attestation and the profile pass theirs on."""
+    place = Place.finite(5)
+    find_local_point(example_surface, place, box=1)
+    message = re.escape(f"box must be an int, got {box!r}") + "$"
+    with pytest.raises(TypeError, match=message):
+        find_local_point(example_surface, place, box=box)
+    with pytest.raises(TypeError, match=message):
+        certify_everywhere_local(example_surface, fixtures.bad_primes, box=box)
+    with pytest.raises(TypeError, match=message):
+        build_invariant_profile(example_surface, fixtures.bad_primes, witness_box=box)
 
 
 def test_find_local_point_not_found():

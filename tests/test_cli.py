@@ -61,6 +61,19 @@ def test_construct_on_a_non_integer_coefficient(example_sextet, tmp_path, capsys
     }
 
 
+def test_construct_on_a_row_that_is_not_a_list(example_sextet, tmp_path, capsys):
+    data = json.loads(example_sextet.to_json())
+    data["A"] = 5
+    path = tmp_path / "sextet.json"
+    path.write_text(json.dumps(data))
+    assert main(["construct", "--sextet", str(path)]) == 2
+    assert _error(capsys) == {
+        "error": "TypeError",
+        "leg": None,
+        "message": "form A: 5 is not a list of coefficients",
+    }
+
+
 def test_construct_on_a_missing_file(tmp_path, capsys):
     assert main(["construct", "--sextet", str(tmp_path / "absent.json")]) == 2
     error = _error(capsys)

@@ -285,7 +285,10 @@ def test_extension_field_arithmetic_axioms():
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 5), (3, 9), (7, 1), (2, 1), (2, 4), (5, 2)])
 def test_tables_agree_with_scalar_arithmetic(p, n):
     """``log_add`` is element addition on logs, and ``orbit_reps`` lists each
-    orbit of x -> x^p on F_q^* once, by its least log and its size."""
+    orbit of x -> x^p on F_q^* once, by its least log and its size.  In odd
+    characteristic, ``pair_sweep`` counts the pair +-g^w, read at
+    ``vanished`` + w, as (non-squares, zeros), and as two zeros where w is
+    past ``zero``; ``zech_ratio`` sends a zero 1 + g^k to ``vanished``."""
     t = fq(p, n).tables
     field = element_field(fq(p, n))
     rng = random.Random(43)
@@ -310,6 +313,19 @@ def test_tables_agree_with_scalar_arithmetic(p, n):
             orbit.append(int(t.log[field.encode(y)]))
             y = y**p
         assert reps[min(orbit)] == len(orbit), x
+    if p == 2:
+        return
+    sw, m, g = t.pair_sweep, field.order - 1, field.decode(t.generator)
+    assert sw.zech_ratio[m // 2] == sw.vanished
+    ws = sorted({0, 1, m - 1, m, 2 * m - 2, *(rng.randrange(2 * m - 1) for _ in range(40))})
+    want = [0, 0]
+    for w in ws:
+        chis = [quadratic_character(s * g**w) for s in (field.one, -field.one)]
+        pair = (chis.count(-1), chis.count(0))
+        assert sw.count(np.array([sw.vanished + w])) == pair, w
+        want = [want[0] + pair[0], want[1] + pair[1]]
+    past = [t.zero, t.zero + m - 1]
+    assert sw.count(np.array([sw.vanished + w for w in ws + past])) == (want[0], want[1] + 2 * len(past))
 
 
 def test_orbit_reps_cover_the_field():

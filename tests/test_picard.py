@@ -163,6 +163,17 @@ def test_count_series_rejects_a_depth_below_1(example_sextic, max_n):
         count_series(example_sextic, 3, max_n)
 
 
+@pytest.mark.parametrize("depth", [True, 2.5])
+def test_count_series_rejects_a_depth_that_is_not_an_int(example_surface, depth):
+    """True == 1 would count to depth 1, and 2.5 would reach ``range``;
+    ``certify_rank_one`` counts through the same check."""
+    message = re.escape(f"the counting depth must be an int, got {depth!r}") + "$"
+    with pytest.raises(CountingError, match=message):
+        count_series(example_surface.branch_sextic, 3, depth)
+    with pytest.raises(CountingError, match=message):
+        certify_rank_one(example_surface, 3, 11, depth=depth)
+
+
 @pytest.mark.parametrize("p", [0, 1, -3, 4, 9, 3.9, 3.0, True, pytest.param("3", id="string-3")])
 def test_count_series_rejects_a_p_that_is_not_an_odd_prime(example_sextic, p):
     """Both producers of a series refuse p with one check: the sweep before

@@ -39,13 +39,17 @@ def test_verify_example_shallow_depth():
 
 
 def test_verify_example_takes_every_count_from_the_fixture_at_depth_0():
-    """Depth 0 recomputes no count; a negative depth is refused."""
+    """Depth 0 recomputes no count; a negative depth is refused, and so is
+    one that is not an int: True would reach the report as the depth."""
     report = verify_example(depth=0)
     assert report.verdict == "obstruction certified"
     assert report.counts_recomputed_to == 0
     assert any("N_1..N_10" in note for note in report.notes)
     with pytest.raises(ValueError, match="at least 0, got -3"):
         verify_example(depth=-3)
+    for depth in (True, 2.5):
+        with pytest.raises(TypeError, match=re.escape(f"the counting depth must be an int, got {depth!r}") + "$"):
+            verify_example(depth=depth)
 
 
 def test_fixture_tampering_is_detected(fixtures):

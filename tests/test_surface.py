@@ -254,6 +254,7 @@ def test_sextet_type_check_accepts_int_subclasses_and_names_the_first_bad_entry(
 
 
 def test_sextet_json_rejects_missing_and_extra_keys(example_sextet):
+    """And a row that is not a list, by the name of its form."""
     data = json.loads(example_sextet.to_json())
     missing = {k: v for k, v in data.items() if k != "C"}
     with pytest.raises(ValueError, match="lacks the key 'C'"):
@@ -262,3 +263,6 @@ def test_sextet_json_rejects_missing_and_extra_keys(example_sextet):
         QuadricSextet.from_json(json.dumps({**data, "G": [0] * 6}))
     with pytest.raises(ValueError, match="JSON object"):
         QuadricSextet.from_json(json.dumps([data[k] for k in "ABCDEF"]))
+    for row in (5, None, "123456", {"x0^2": 1}):
+        with pytest.raises(TypeError, match=re.escape(f"form A: {row!r} is not a list of coefficients") + "$"):
+            QuadricSextet.from_json(json.dumps({**data, "A": row}))
