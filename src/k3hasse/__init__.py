@@ -4,7 +4,8 @@ Hasse principle.
 
 The package is organised bottom-up:
 
-- ``arith``:       exact integer services (probable primes, trial division)
+- ``arith``:       exact integer services (probable primes, Jacobi symbols,
+                   trial division)
 - ``poly``:        ternary forms and univariate polynomials over exact rings
 - ``finitefield``: F_p and F_{p^n} arithmetic, Zech logs, factorization
 - ``localfield``:  places of Q, p-adic squares, Hilbert symbols

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from numbers import Integral
 
 import numpy as np
@@ -19,6 +18,30 @@ import numpy as np
 # 318665857834031151167461 = 399165290221 * 798330580441.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def jacobi_symbol(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) in {-1, 0, 1} for odd n > 0; the Legendre symbol
+    when n is prime.
+
+    Binary algorithm (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.4.10): strip the powers of 2 of a with (2/n) = -1 iff
+    n = 3, 5 mod 8, then swap a and n by reciprocity, which flips the sign iff
+    both are 3 mod 4, and reduce.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("jacobi_symbol needs an odd n > 0")
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
@@ -38,17 +61,64 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
+def _strong_lucas_witness(n: int) -> bool:
+    """True if the strong Lucas test witnesses compositeness of odd n > 2.
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, a prime
+    n has U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A perfect
+    square has no such D, so it is refused before the search.  U and V
+    climb the bits of d by U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k and
+    U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return True
+    D = 5
+    while (j := jacobi_symbol(D, n)) != -1:
+        if j == 0 and D % n:  # gcd(D, n) is a proper factor of n
+            return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x + n if x & 1 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return False
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return False
+    return True
+
+
+def _baillie_psw(n: int) -> bool:
+    """Baillie-PSW on odd n > 3: a strong base-2 test, then a strong Lucas
+    test (Baillie and Wagstaff, Math. Comp. 35, 1980; Pomerance, Selfridge
+    and Wagstaff, Math. Comp. 35, 1980).  No composite passing both is known."""
+    return not _miller_rabin_witness(n, 2) and not _strong_lucas_witness(n)
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def probable_prime(n: int) -> bool:
-    """Miller-Rabin probable-prime test.
+    """Probable-prime test; False means certainly composite.
 
-    False means certainly composite.  True means prime with error probability
-    at most 4^-64: below 3.3 * 10^24 the fixed witness set makes the answer
-    deterministic, above it 64 bases drawn from a generator seeded by n keep
-    runs reproducible.  The answer is memoised, so a prime that several legs
-    test (and every ``Place`` built on it) pays the rounds once; the memo
-    tells types apart, so a bool or a non-integer such as 3.0 always
-    reaches the TypeError.
+    Below psi_13 = 3.3 * 10^24 the answer is exact: Miller-Rabin with the 13
+    prime witnesses up to 41 is deterministic there.  Above it the test is
+    Baillie-PSW, which has no known counterexample but is not a proof, so
+    True there means "probable prime".  The answer is memoised, so a prime
+    that several legs test (and every ``Place`` built on it) pays the test
+    once; the memo tells types apart, so a bool or a non-integer such as 3.0
+    always reaches the TypeError.
     """
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise TypeError(f"probable_prime needs an integer, not {n!r}")
@@ -59,11 +129,8 @@ def probable_prime(n: int) -> bool:
     if n % 2 == 0:
         return False
     if n < _DETERMINISTIC_BOUND:
-        witnesses = [a for a in _DETERMINISTIC_WITNESSES if a < n - 1] or [2]
-    else:
-        rng = random.Random(n & 0xFFFFFFFF)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(64)]
-    return _miller_rabin(n, witnesses)
+        return _miller_rabin(n, [a for a in _DETERMINISTIC_WITNESSES if a < n - 1] or [2])
+    return _baillie_psw(n)
 
 
 def _miller_rabin(n: int, witnesses) -> bool:

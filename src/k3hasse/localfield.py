@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import probable_prime
+from .arith import jacobi_symbol, probable_prime
 
 Invariant = Fraction
 INV_ZERO = Fraction(0)
@@ -78,30 +78,6 @@ def _unit_residue(u: Fraction, modulus: int) -> int:
     """Residue of a p-adic unit written as a fraction with denominator prime
     to the modulus."""
     return u.numerator * pow(u.denominator, -1, modulus) % modulus
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) in {-1, 0, 1} for odd n > 0; the Legendre symbol
-    when n is prime.
-
-    Binary algorithm (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.4.10): strip the powers of 2 of a with (2/n) = -1 iff
-    n = 3, 5 mod 8, then swap a and n by reciprocity, which flips the sign iff
-    both are 3 mod 4, and reduce.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("jacobi_symbol needs an odd n > 0")
-    a %= n
-    sign = 1
-    while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        if twos % 2 and n % 8 in (3, 5):
-            sign = -sign
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
 
 
 def padic_square(a: Fraction | int, p: int) -> bool:

@@ -80,6 +80,28 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def miller_rabin_64(n: int) -> bool:
+    """Miller-Rabin with 64 bases drawn from a generator seeded by the low
+    32 bits of n, for odd n > 3: the test ``arith.probable_prime`` ran above
+    psi_13 before Baillie-PSW.  Its own strong-probable-prime check, written
+    out with ``pow``; False means certainly composite."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    rng = random.Random(n & 0xFFFFFFFF)
+    for _ in range(64):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def primes_up_to_bytearray(bound: int) -> tuple[int, ...]:
     """All primes <= bound, ascending: the odd-only sieve on a bytearray
     (byte i stands for 2i + 1) that ``arith._primes_up_to`` replaced."""

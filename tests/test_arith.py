@@ -9,7 +9,12 @@ from k3hasse import arith
 from k3hasse.arith import probable_prime, strip_small_factors
 from k3hasse.finitefield import fq, prime_field
 from k3hasse.localfield import Place
-from .oracles import primes_up_to_bytearray, strip_small_factors_loop, trial_division_is_prime
+from .oracles import (
+    miller_rabin_64,
+    primes_up_to_bytearray,
+    strip_small_factors_loop,
+    trial_division_is_prime,
+)
 
 PSI_12 = 318_665_857_834_031_151_167_461  # 399165290221 * 798330580441
 PSI_13 = 3_317_044_064_679_887_385_961_981
@@ -65,28 +70,36 @@ def test_probable_prime_is_deterministic_up_to_psi_13():
     assert not probable_prime(PSI_12)
 
 
-def _witness_rounds(monkeypatch, n: int) -> list[int]:
-    """The bases the memo-free probable_prime(n) tries, in order."""
-    bases = []
-    witness = arith._miller_rabin_witness
+def _rounds(monkeypatch, n: int) -> tuple[list[int], list[int]]:
+    """The Miller-Rabin bases and the strong Lucas tests the memo-free
+    probable_prime(n) runs, in order."""
+    bases, lucas = [], []
+    witness, lucas_witness = arith._miller_rabin_witness, arith._strong_lucas_witness
 
     def counted(n, a):
         bases.append(a)
         return witness(n, a)
 
+    def counted_lucas(n):
+        lucas.append(n)
+        return lucas_witness(n)
+
     monkeypatch.setattr(arith, "_miller_rabin_witness", counted)
+    monkeypatch.setattr(arith, "_strong_lucas_witness", counted_lucas)
     probable_prime.cache_clear()
     assert probable_prime(n)
-    return bases
+    return bases, lucas
 
 
 def test_probable_prime_round_counts(fixtures, fresh_memos, monkeypatch):
-    """The 186-digit gcd(m', n') passes exactly 64 Miller-Rabin rounds, and a
-    prime in [psi_12, psi_13) passes the 13 fixed bases."""
-    assert len(_witness_rounds(monkeypatch, fixtures.gcd_printed)) == 64
+    """The 186-digit gcd(m', n') runs Baillie-PSW: one base-2 round and one
+    strong Lucas test.  A prime in [psi_12, psi_13) passes the 13 fixed
+    bases and no Lucas test."""
+    assert _rounds(monkeypatch, fixtures.gcd_printed) == ([2], [fixtures.gcd_printed])
     least_prime_above_psi_12 = PSI_12 + 22
-    bases = _witness_rounds(monkeypatch, least_prime_above_psi_12)
+    bases, lucas = _rounds(monkeypatch, least_prime_above_psi_12)
     assert bases == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    assert lucas == []
 
 
 def test_probable_prime_explicit_witnesses_are_deterministic():
@@ -97,20 +110,104 @@ def test_probable_prime_explicit_witnesses_are_deterministic():
 
 def test_probable_prime_tests_each_number_once(fixtures, monkeypatch):
     """Places on the 66-digit prime, built twice, and a second test of it run
-    the Miller-Rabin rounds once."""
+    Baillie-PSW once."""
     calls = []
-    miller_rabin = arith._miller_rabin
+    baillie_psw = arith._baillie_psw
 
-    def counted(n, witnesses):
+    def counted(n):
         calls.append(n)
-        return miller_rabin(n, witnesses)
+        return baillie_psw(n)
 
-    monkeypatch.setattr(arith, "_miller_rabin", counted)
+    monkeypatch.setattr(arith, "_baillie_psw", counted)
     probable_prime.cache_clear()
     Place.finite(fixtures.prime66)
     Place.finite(fixtures.prime66)
     assert probable_prime(fixtures.prime66)
     assert calls == [fixtures.prime66]
+
+
+def test_baillie_psw_agrees_with_64_rounds_just_above_psi_13(fresh_memos):
+    """Every odd n in a window of 4000 above the deterministic bound, where
+    Baillie-PSW takes over from the 13 fixed bases."""
+    window = range(PSI_13 + 2, PSI_13 + 4002, 2)  # psi_13 is odd
+    answers = [probable_prime(n) for n in window]
+    assert answers == [miller_rabin_64(n) for n in window]
+    assert 20 < sum(answers) < 200  # about 2/ln(psi_13) of them are prime
+
+
+def _next_prime(n: int) -> int:
+    n |= 1
+    while not miller_rabin_64(n):
+        n += 2
+    return n
+
+
+def test_baillie_psw_refuses_products_of_two_large_primes(fresh_memos):
+    rng = random.Random(31)
+    primes = [_next_prime(rng.randrange(10 ** (k - 1), 10**k)) for k in (30, 45, 60, 100)]
+    for p in primes:
+        assert p > PSI_13 and probable_prime(p)
+    for i, p in enumerate(primes):
+        for q in primes[i:]:
+            assert not probable_prime(p * q) and not miller_rabin_64(p * q), (p, q)
+
+
+#: k with 6k + 1, 12k + 1 and 18k + 1 all prime and their product above psi_13
+CHERNICK_K = (13679106, 13679690, 13679815, 13680576)
+
+
+def test_baillie_psw_refuses_chernick_carmichael_numbers(fresh_memos):
+    """(6k + 1)(12k + 1)(18k + 1) with three prime factors is a Carmichael
+    number, a Fermat pseudoprime to every base prime to it."""
+    for k in CHERNICK_K:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(map(trial_division_is_prime, factors)), k
+        n = prod(factors)
+        assert n > PSI_13 and all(pow(a, n - 1, n) == 1 for a in (2, 3, 5))
+        assert not probable_prime(n) and not miller_rabin_64(n), k
+
+
+def test_baillie_psw_agrees_with_64_rounds_on_the_fixtures(fixtures, fresh_memos):
+    """The 66-digit prime and the 186-digit gcd(m', n') pass both tests; the
+    cofactors m' and n' fail both."""
+    m_prime = strip_small_factors(fixtures.m)[1]
+    n_prime = strip_small_factors(fixtures.n)[1]
+    cases = {fixtures.prime66: True, fixtures.gcd_printed: True, m_prime: False, n_prime: False}
+    for n, prime in cases.items():
+        assert n > PSI_13 and probable_prime(n) is prime and miller_rabin_64(n) is prime
+
+
+#: strong pseudoprimes to base 2 (OEIS A001262) and strong Lucas
+#: pseudoprimes with Selfridge's parameters (OEIS A217255)
+STRONG_BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
+def test_each_half_of_baillie_psw_refuses_the_pseudoprimes_of_the_other():
+    for n in STRONG_BASE_2_PSEUDOPRIMES:
+        assert not arith._miller_rabin_witness(n, 2) and arith._strong_lucas_witness(n), n
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert not arith._strong_lucas_witness(n) and arith._miller_rabin_witness(n, 2), n
+
+
+def test_strong_lucas_alone_matches_trial_division_up_to_20000():
+    """Below 20000 the Lucas half errs exactly at its five pseudoprimes."""
+    wrong = [
+        n
+        for n in range(5, 20000, 2)
+        if arith._strong_lucas_witness(n) == trial_division_is_prime(n)
+    ]
+    assert wrong == list(STRONG_LUCAS_PSEUDOPRIMES)
+
+
+def test_strong_lucas_refuses_a_perfect_square_without_a_search(fixtures, fresh_memos, monkeypatch):
+    """A square has (D/n) != -1 for every D, so the search for D would not
+    end; it is refused first.  1093^2 is a strong base-2 pseudoprime."""
+    monkeypatch.setattr(arith, "jacobi_symbol", None)
+    for n in (fixtures.prime66**2, 1093**2, (PSI_13 + 1) ** 2):
+        assert arith._strong_lucas_witness(n), n
+    assert not arith._miller_rabin_witness(1093**2, 2)
+    assert not probable_prime(fixtures.prime66**2)
 
 
 def test_strip_small_factors_sieves_to_the_square_root(monkeypatch):

@@ -44,7 +44,6 @@ from .oracles import (
     element_field,
     euler_phi,
     poly_gcd,
-    quadratic_character,
     tritangent_scan_naive,
 )
 
@@ -226,43 +225,42 @@ def test_orbit_tallies_match_naive_point_classification_on_sparse_sextics(kind):
 
 
 def _assert_tallies_match_naive_classification(f):
+    """Horner on the codes of each field through ``oracles._element_tables``,
+    the sum and product tables the naive count uses."""
     fcoef = _int_coefficients_mod(f, 3)
     for d in (1, 2, 3, 4):
         field = element_field(fq(3, d))
-        elems = [field.decode(k) for k in range(field.order)]
-        deg_of = {field.encode(v): element_degree(v) for v in elems}
-        chi_of = {field.encode(v): quadratic_character(v) for v in elems}
-        consts = {c: field.from_int(c) for c in set(fcoef.values())}
-        zero = field.zero
+        add, mul, chi = oracles._element_tables(field)
+        deg_of = [element_degree(field.decode(k)) for k in range(field.order)]
+        code = {c: field.encode(field.from_int(c)) for c in {0, *fcoef.values()}}
+        zero, one = code[0], field.encode(field.one)
         tall = {e: [0, 0, 0] for e in range(1, d + 1)}  # e -> [Z, A, B]
 
         def bump(point_deg, value):
-            chi = chi_of[field.encode(value)]
-            tall[point_deg][0 if chi == 0 else (1 if chi == 1 else 2)] += 1
+            tall[point_deg][chi[value] % 3] += 1  # chi 0, 1, -1: Z, A, B
 
-        for y in elems:
-            ypow = [field.one]
+        for y in range(field.order):
+            ypow = [one]
             for _ in range(6):
-                ypow.append(ypow[-1] * y)
+                ypow.append(mul[ypow[-1]][y])
             ck = [zero] * 7
             for (e0, e1, e2), c in fcoef.items():
-                ck[e2] = ck[e2] + consts[c] * ypow[e1]
-            ydeg = deg_of[field.encode(y)]
-            for z in elems:
+                ck[e2] = add[ck[e2]][mul[code[c]][ypow[e1]]]
+            for z in range(field.order):
                 v = ck[6]
                 for k in range(5, -1, -1):
-                    v = v * z + ck[k]
-                bump(lcm(ydeg, deg_of[field.encode(z)]), v)
+                    v = add[mul[v][z]][ck[k]]
+                bump(lcm(deg_of[y], deg_of[z]), v)
         gz = [zero] * 7
         for (e0, e1, e2), c in fcoef.items():
             if e0 == 0:
-                gz[e2] = consts[c]
-        for z in elems:
+                gz[e2] = code[c]
+        for z in range(field.order):
             v = gz[6]
             for k in range(5, -1, -1):
-                v = v * z + gz[k]
-            bump(deg_of[field.encode(z)], v)
-        bump(1, consts.get(fcoef.get((0, 0, 6), 0), field.from_int(fcoef.get((0, 0, 6), 0))))
+                v = add[mul[v][z]][gz[k]]
+            bump(deg_of[z], v)
+        bump(1, code[fcoef.get((0, 0, 6), 0)])
         A, B, Z = _level_tallies(fcoef, 3, d)
         assert [Z, A, B] == [sum(column) for column in zip(*tall.values())]
 
