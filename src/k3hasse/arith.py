@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from numbers import Integral
 
 import numpy as np
@@ -215,3 +216,12 @@ def strip_small_factors(n: int, bound: int = 10**6) -> tuple[list[tuple[int, int
         factors.append((n, 1))
         n = 1
     return factors, n
+
+
+def strip_small_factors_pair(m: int, n: int) -> list[tuple[list[tuple[int, int]], int]]:
+    """``strip_small_factors`` of m and of n, from sweeps over the shorter
+    g = gcd(m, n), m/g and n/g: multiplicities add, cofactors multiply."""
+    g = math.gcd(m, n)
+    shared, rest = strip_small_factors(g)
+    parts = map(strip_small_factors, (m // g, n // g))
+    return [(sorted((Counter(dict(shared)) + Counter(dict(f))).items()), rest * c) for f, c in parts]

@@ -97,16 +97,16 @@ class SurfacePoint:
 
 
 @functools.lru_cache(maxsize=4096)
-def branch_value(f: TernaryForm, x: tuple[int, int, int]) -> int:
-    """f(x), once per (sextic, triple): sampling visits the same triples at
-    every place."""
-    return f.evaluate(x)
+def form_value(form: TernaryForm, x: tuple[int, int, int]) -> int:
+    """form(x), once per (form, triple): sampling visits the same triples at
+    every place, for the branch sextic and for the representatives' entries."""
+    return form.evaluate(x)
 
 
 def certify_point(X: K3Surface, x: tuple[int, int, int], place: Place) -> SurfacePoint | None:
     """Certify the integer triple at the place: positive f-value at R, nonzero
     p-adic square at a finite place."""
-    value = branch_value(X.branch_sextic, x)
+    value = form_value(X.branch_sextic, x)
     if value == 0:
         return None
     ok = value > 0 if place.is_real else padic_square(value, place.p)
@@ -119,8 +119,8 @@ def evaluate_invariant(q: QuadricSextet, P: SurfacePoint, place: Place) -> Invar
     """Local invariant of the class at a certified point: the Hilbert symbol of
     the first representative whose entries are both nonzero there."""
     for rep in representatives(q):
-        lv = rep.left.evaluate(P.x)
-        rv = rep.right.evaluate(P.x)
+        lv = form_value(rep.left, P.x)
+        rv = form_value(rep.right, P.x)
         if lv != 0 and rv != 0:
             return hilbert_symbol(lv, rv, place)
     raise IndeterminateAtPoint(

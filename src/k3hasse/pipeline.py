@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .arith import probable_prime, strip_small_factors
+from .arith import probable_prime, strip_small_factors_pair
 from .badred import PositiveDimensionalLocus, RegularizationError, singular_points, verify_bad_prime_list
 from .brauer import (
     SMALL_PLACES,
@@ -223,10 +223,9 @@ def verify_factorization_chain(fx: Fixtures) -> dict:
     """The printed factorization chain: small factors of m and n, the Euclid
     gcd of the cofactors, its primality, the 66-digit prime, and the exact
     reassembly of m."""
-    factors_m, m_prime = strip_small_factors(fx.m)
+    (factors_m, m_prime), (factors_n, n_prime) = strip_small_factors_pair(fx.m, fx.n)
     if dict(factors_m) != M_SMALL_FACTORS:
         raise FixtureMismatch("factorization of m", f"got {factors_m}")
-    factors_n, n_prime = strip_small_factors(fx.n)
     if dict(factors_n) != N_SMALL_FACTORS:
         raise FixtureMismatch("factorization of n", f"got {factors_n}")
     g = gcd(m_prime, n_prime)

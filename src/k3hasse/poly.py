@@ -433,17 +433,23 @@ class TernaryForm:
         return TernaryForm(self.degree, {m: k * c for m, c in self.terms.items()})
 
     def evaluate(self, point):
-        x0, x1, x2 = point
+        """The value at the point, over the coordinates' ring: one list of
+        powers per coordinate, one product per term, and no product by 1."""
+        p0, p1, p2 = powers = [[None, x] for x in point]
+        for row in powers:
+            for _ in range(self.degree - 1):
+                row.append(row[-1] * row[1])
         total = None
         for (e0, e1, e2), c in self.terms.items():
             t = c
-            for e, x in ((e0, x0), (e1, x1), (e2, x2)):
-                for _ in range(e):
-                    t = t * x
+            if e0:
+                t = t * p0[e0]
+            if e1:
+                t = t * p1[e1]
+            if e2:
+                t = t * p2[e2]
             total = t if total is None else total + t
-        if total is None:
-            return x0 * 0
-        return total
+        return p0[1] * 0 if total is None else total
 
     def partial(self, var: int) -> "TernaryForm":
         """Formal partial derivative with respect to x_var (degree drops by 1)."""

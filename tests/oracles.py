@@ -443,6 +443,21 @@ def map_coefficients(form: TernaryForm, fn) -> TernaryForm:
     return TernaryForm(form.degree, {m: fn(c) for m, c in form.terms.items()})
 
 
+def evaluate_termwise(form: TernaryForm, point):
+    """``TernaryForm.evaluate`` term by term: each monomial is the coefficient
+    times its coordinates one multiplication at a time, with no shared
+    powers."""
+    x0, x1, x2 = point
+    total = None
+    for (e0, e1, e2), c in form.terms.items():
+        t = c
+        for e, x in ((e0, x0), (e1, x1), (e2, x2)):
+            for _ in range(e):
+                t = t * x
+        total = t if total is None else total + t
+    return x0 * 0 if total is None else total
+
+
 # ---------------------------------------------------------------------------
 # The oracles' field elements
 # ---------------------------------------------------------------------------

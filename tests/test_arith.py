@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from k3hasse import arith
-from k3hasse.arith import probable_prime, strip_small_factors
+from k3hasse.arith import probable_prime, strip_small_factors, strip_small_factors_pair
 from k3hasse.finitefield import fq, prime_field
 from k3hasse.localfield import Place
 from .oracles import (
@@ -333,3 +333,27 @@ def test_strip_small_factors_keeps_a_prime_above_the_square_root():
         factors, cofactor = strip_small_factors(n, bound)
         assert cofactor == 1 and factors[-1] == (n // prod(p**e for p, e in factors[:-1]), 1)
         assert (factors, cofactor) == strip_small_factors_loop(n, bound)
+
+
+def test_the_gcd_split_strips_each_integer_as_a_whole(fixtures):
+    """Stripping gcd(m, n), m/gcd and n/gcd gives strip_small_factors of m
+    and of n: on a shared prime with different multiplicities (2^8 | m,
+    2^11 | n), coprime m and n, a gcd that is a small-prime power, a
+    quotient of 1, quotients below 10^12 whose sieve stops at their square
+    root, planted factors near the bound, and the shipped m and n."""
+    rough = fixtures.prime66
+    rng = random.Random(29)
+    cases = [
+        (2**8 * 5 * 999_983 * rough, 2**11 * 7 * rough**2),
+        (2**3 * 999_983, 3**5 * 1_000_003 * rough),
+        (2**8 * 5**2 * 1_000_003, 2**11 * 7 * rough),
+        (2**4 * 89 * rough, 2**4 * 89**3 * rough),
+        (2**4 * 89 * rough, 2**4 * 89 * rough),
+        (rough * 6 * 999_983, rough * 13 * 1_000_003),
+        (fixtures.m, fixtures.n),
+    ]
+    for _ in range(3):
+        g = _planted(rng, 10**6, 600)
+        cases.append((g * _planted(rng, 10**6, 300), g * _planted(rng, 10**6, 300)))
+    for m, n in cases:
+        assert strip_small_factors_pair(m, n) == [strip_small_factors(m), strip_small_factors(n)], (m, n)

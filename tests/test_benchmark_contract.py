@@ -15,8 +15,9 @@ from k3hasse.badred import singular_points
 from k3hasse.brauer import build_invariant_profile
 from k3hasse.picard import count_series, enumerate_lines, tritangent_scan
 from k3hasse.pipeline import SearchConfig, search_events, verify_example
+from k3hasse.poly import TernaryForm
 
-from .conftest import SETUP_CACHES
+from .conftest import SETUP_CACHES, _clear_memos
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
@@ -86,6 +87,25 @@ def test_the_setup_caches_resolve_to_cached_functions():
     assert caches == SETUP_CACHES
     for module, attr in caches:
         assert callable(getattr(getattr(importlib.import_module(module), attr), "cache_clear", None)), (module, attr)
+
+
+def test_a_pass_evaluates_as_many_forms_after_a_memo_reset(monkeypatch):
+    """Two verify-example passes, the memos emptied before each as the
+    benchmark empties them, evaluate forms equally often: no pass reads a
+    value that an earlier pass computed, which would fake a gain."""
+    calls, evaluate = [], TernaryForm.evaluate
+
+    def counted(form, point):
+        calls[-1] += 1
+        return evaluate(form, point)
+
+    monkeypatch.setattr(TernaryForm, "evaluate", counted)
+    for _ in range(2):
+        _clear_memos()
+        calls.append(0)
+        verify_example(depth=6)
+    _clear_memos()
+    assert calls[0] == calls[1] > 0
 
 
 def test_the_annotate_hooks_read_what_the_library_returns(example_surface, example_sextic, fixtures):

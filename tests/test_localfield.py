@@ -13,6 +13,7 @@ from k3hasse.localfield import (
     invariant_sum,
     jacobi_symbol,
     padic_square,
+    padic_valuation,
 )
 from .oracles import (
     conic_locally_soluble,
@@ -205,3 +206,52 @@ def test_a_place_other_than_0_is_a_prime(p):
     with pytest.raises(ValueError, match=re.escape(f"{p} is not prime") + "$"):
         Place(p)
     assert Place(0).is_real and Place(0) == Place.real() and not Place(2).is_real
+
+
+@pytest.mark.parametrize("p", [1, -1, 0, 9, 2.0, True, None])
+def test_a_p_that_is_not_prime_is_refused_at_once(p):
+    """p = 1 and p = -1 divide every integer, so stripping them never ended;
+    9 is no prime, and 2.0 and True are no ints.  ``hilbert_symbol`` takes
+    its prime as a ``Place``, which checks it."""
+    for call in (lambda: padic_valuation(5, p), lambda: padic_square(5, p)):
+        with pytest.raises(ValueError, match=re.escape(f"needs a prime p, not {p!r}") + "$"):
+            call()
+    with pytest.raises(TypeError, match=re.escape(f"needs a Place, not {p!r}") + "$"):
+        hilbert_symbol(2, 3, p)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, True, False, None, "4"])
+def test_an_entry_that_is_not_an_int_or_a_fraction_is_refused(a):
+    """0.5 is no reading of 1/2, and True no reading of 1: no float or bool
+    decides anything."""
+    message = re.escape(f"needs an int or a Fraction, not {a!r}") + "$"
+    for call in (
+        lambda: padic_valuation(a, 3),
+        lambda: padic_square(a, 3),
+        lambda: hilbert_symbol(a, 3, Place.finite(3)),
+        lambda: hilbert_symbol(3, a, Place.real()),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
+def test_int_entries_agree_with_their_fractions(fixtures):
+    """The int path reads the same valuations and residues as the same value
+    passed as a Fraction, and the exhaustive oracle where it reaches, at
+    small primes and at the 66- and 186-digit bad primes."""
+    rng = random.Random(23)
+    big = (fixtures.prime66, fixtures.bad_primes[-1])
+    for p in (2, 3, 5, 7, 89) + big:
+        place = Place.finite(p)
+        for _ in range(40):
+            a = rng.choice([1, -1]) * rng.randrange(1, 10**6) * p ** rng.randrange(3)
+            b = rng.choice([1, -1]) * rng.randrange(1, 10**6) * p ** rng.randrange(3)
+            v, unit = padic_valuation(a, p)
+            assert type(unit) is Fraction and unit * Fraction(p) ** v == a
+            assert padic_valuation(Fraction(a), p) == (v, unit)
+            square = padic_square(a, p)
+            assert square == padic_square(Fraction(a), p), (a, p)
+            extra = 3 if p == 2 else 1  # a unit square mod p lifts for odd p
+            if p not in big and p ** (v + extra) < 10**5:
+                assert square == exhaustive_padic_square(a, p, extra), (a, p)
+            assert hilbert_symbol(a, b, place) == hilbert_symbol(Fraction(a), Fraction(b), place), (a, b, p)

@@ -20,6 +20,7 @@ from .oracles import (
     UniPoly,
     element_arith,
     element_field,
+    evaluate_termwise,
     line_parametrization,
     poly_gcd,
     poly_gcdex,
@@ -171,6 +172,31 @@ def test_evaluate_is_ring_homomorphism():
         pt = tuple(rng.randrange(-4, 5) for _ in range(3))
         assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
         assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+
+
+def test_evaluate_matches_the_termwise_oracle():
+    """Evaluation on power lists equals the term-by-term reference, value and
+    type, on seeded random forms of degrees 0 to 6 with int, Fraction and
+    mod-7 coefficients and the zero form, at int and Fraction points with
+    zero and negative coordinates, and on F_7 elements."""
+    rng = random.Random(31)
+    F7 = fq(7, 1)
+    E7 = element_field(F7)
+    for d in range(7):
+        mons = monomials_of_degree(d)
+        for _ in range(8):
+            ints = TernaryForm(d, {m: rng.randrange(-9, 10) for m in rng.sample(mons, rng.randrange(1, len(mons) + 1))})
+            fracs = TernaryForm(d, {m: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for m in mons})
+            forms = (ints, fracs, reduce_mod(ints, F7), TernaryForm(d))
+            pt = tuple(rng.randrange(-3, 4) for _ in range(3))
+            points = (pt, (0, -2, 1), (-1, 0, 0), tuple(Fraction(c, rng.randrange(1, 4)) for c in pt))
+            for form in forms:
+                for point in points:
+                    got, want = form.evaluate(point), evaluate_termwise(form, point)
+                    assert got == want and type(got) is type(want), (form, point)
+            elems = to_elements(forms[2])
+            point = tuple(E7.from_int(c) for c in pt)
+            assert elems.evaluate(point) == evaluate_termwise(elems, point)
 
 
 def test_restrict_to_line_substitution_examples():
