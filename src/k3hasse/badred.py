@@ -11,9 +11,10 @@ decision needs no factorization.  The decision is made over a finite
 field; smoothness over Q follows from smoothness mod a prime (see
 ``pipeline.certify``).
 A point of P^2(F_{p^2}) where the whole system vanishes answers "singular"
-first, scanned on the log codes of F_{p^2}, the points of P^2(F_p) first,
-when p^2 + p + 1 <= D + 1 (mod 3 only for a sextic, D = 30); "smooth" is
-answered by the elimination alone.
+first, when p^2 + p + 1 <= D + 1 (mod 3 only for a sextic, D = 30): the
+points of P^2(F_p) first, scanned in the elimination's field E on the
+same coding (``_coded``), and over F_p alone where E lacks F_{p^2};
+"smooth" is answered by the elimination alone.
 
 The whole chain runs in one field, on int codes in the arithmetic of
 ``finitefield.evaluation_arith`` for max(D, S), D = deg g_i * deg g_j the
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Any
 
@@ -71,7 +72,6 @@ from .finitefield import (
     code_chart_resultant,
     evaluation_arith,
     evaluation_points,
-    fq,
     irreducible_factors,
     prime_field,
 )
@@ -121,11 +121,23 @@ def jacobian_system(f: TernaryForm) -> list[TernaryForm]:
 
 
 # ---------------------------------------------------------------------------
-# Regularization: move the system away from [0:0:1], on codes
+# The system on codes, evaluated at points
 # ---------------------------------------------------------------------------
 
 class RegularizationError(RuntimeError):
     """No admissible coordinate frame was found."""
+
+
+@lru_cache(maxsize=64)
+def _coded(system: tuple, fld):
+    """(A, code, decode, terms): the system over F_p coded once per (system,
+    field), in ``evaluation_arith`` for max(D, S), D the Bezout bound of its
+    chart resultants and S its degree sum; each form a list of (monomial,
+    code), ``code`` and ``decode`` between the codes of A's field E and A's.
+    The point scan and the elimination read the same coding."""
+    top = sorted(g.degree for g in system)[-2:]
+    A, code, decode = evaluation_arith(fld, max(top[0] * top[-1], sum(g.degree for g in system)))
+    return A, code, decode, [[(m, code(c)) for m, c in g.terms.items()] for g in system]
 
 
 def _frame_candidates(p: int, S: int):
@@ -142,13 +154,26 @@ def _frame_candidates(p: int, S: int):
     yield from ((a, b) for a, b in product(side, side) if a >= p or b >= p)
 
 
-def _code_value(A, terms, pa, pb):
-    """The coded form sum c x0^e0 x1^e1 x2^e2 at (a, b, 1), from the powers
-    of a and b."""
-    add, mul = A.add, A.mul
+def _powers(A, x, d: int) -> list:
+    """x^0 .. x^d in the arithmetic A."""
+    out = [A.one]
+    for _ in range(d):
+        out.append(A.mul(out[-1], x))
+    return out
+
+
+def _code_value(A, terms, pa, pb, pc):
+    """The coded form sum c x0^e0 x1^e1 x2^e2 at a point, from the powers
+    pa, pb, pc of its coordinates in the arithmetic A.  A power of x2 that
+    is one is not multiplied by, so a point [a:b:1] costs two products a
+    term."""
+    add, mul, one = A.add, A.mul, A.one
     acc = A.zero
-    for (e0, e1, _), c in terms:
-        acc = add(acc, mul(c, mul(pa[e0], pb[e1])))
+    for (e0, e1, e2), c in terms:
+        mono = mul(pa[e0], pb[e1])
+        if pc[e2] != one:
+            mono = mul(mono, pc[e2])
+        acc = add(acc, mul(c, mono))
     return acc
 
 
@@ -170,31 +195,6 @@ def _transform(A, terms, d, pa, pb):
                 row = h[e2 + i + l]
                 row[e1 - l] = add(row[e1 - l], mul(ci, cl))
     return h
-
-
-def regularize(system: list[TernaryForm], fld):
-    """Find a coordinate change x0 -> x0 + a*x2, x1 -> x1 + b*x2 after which no
-    form of the system vanishes at [0:0:1], and apply it on codes.
-
-    The system over F_p is encoded once, in ``evaluation_arith`` for
-    max(D, S), D the Bezout bound of its chart resultants and S its degree
-    sum.  That arithmetic's field E holds a frame (``_frame_candidates``),
-    and singularity over the closure is insensitive to the extension.
-    Returns (field, a, b, A, code, decode, transformed): F_p when the codes
-    a, b of E are below p, else E; ``code`` and ``decode`` between E's
-    codes and A's; each transformed form the dense array of ``_transform``.
-    """
-    top, S = sorted(g.degree for g in system)[-2:], sum(g.degree for g in system)
-    A, code, decode = evaluation_arith(fld, max(top[0] * top[-1], S))
-    coded = [[(m, code(c)) for m, c in g.terms.items()] for g in system]
-    powers = lambda x: [A.pow(code(x), e) for e in range(top[-1] + 1)]
-    p = fld.characteristic
-    for a, b in _frame_candidates(p, S):
-        pa, pb = powers(a), powers(b)
-        if all(_code_value(A, t, pa, pb) != A.zero for t in coded):
-            h = [_transform(A, t, g.degree, pa, pb) for t, g in zip(coded, system)]
-            return (fld if max(a, b) < p else A.field), a, b, A, code, decode, h
-    raise RegularizationError("no regularizing frame: a form of the system is zero")
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +264,36 @@ def _eliminate(system: tuple, fld, lift: TernaryForm | None = None) -> _Eliminat
     y0 = 0 and the chart part are computed on first use, so a decision that
     stops on the line never runs the resultant chain.
 
+    On the system's coding (``_coded``), the frame x0 -> x0 + a x2,
+    x1 -> x1 + b x2 is the first candidate (``_frame_candidates``) at which
+    no form vanishes at [0:0:1], and the charts are the transformed forms.
+    The coding's field E holds a frame, and singularity over the closure is
+    insensitive to the extension; the frame's field is F_p when both codes
+    are below p, else E.
+
     Its chart resultants are the R_ij of the integer form ``lift`` reduced
     mod p when the system is lift's three partials mod p and the frame is
     (0, 0) over F_p itself: each chart's t-leading coefficient, the partial's
     x2^(d-1) one, is then a unit (so p does not divide d), and Res_t of two
     charts is R_ij mod p.  Otherwise they are computed over F_p."""
-    reg_fld, a, b, A, code, decode, transformed = regularize(list(system), fld)
+    A, code, decode, coded = _coded(system, fld)
+    p, d = fld.characteristic, max(g.degree for g in system)
+    ones = [A.one] * (d + 1)
+    for a, b in _frame_candidates(p, sum(g.degree for g in system)):
+        pa, pb = _powers(A, code(a), d), _powers(A, code(b), d)
+        if all(_code_value(A, t, pa, pb, ones) != A.zero for t in coded):
+            break
+    else:
+        raise RegularizationError("no regularizing frame: a form of the system is zero")
     # the frame makes every y2^d coefficient h[d][0] nonzero
-    charts = tuple([code_strip(A, row) for row in h] for h in transformed)
-    framed = lift is not None and (reg_fld, a, b) == (fld, 0, 0)
+    charts = tuple(
+        [code_strip(A, row) for row in _transform(A, t, g.degree, pa, pb)] for t, g in zip(coded, system)
+    )
+    frame_fld = fld if max(a, b) < p else A.field
+    framed = lift is not None and (frame_fld, a, b) == (fld, 0, 0)
     if not (framed and system == tuple(FormModP(lift.partial(i), fld) for i in range(3))):
         lift = code = None
-    return _Elimination(reg_fld, a, b, A, decode, charts, lift, code)
+    return _Elimination(frame_fld, a, b, A, decode, charts, lift, code)
 
 
 def _integer_chart(g: TernaryForm) -> list:
@@ -310,26 +328,28 @@ def _point_witness(system: list[TernaryForm], fld) -> bool:
     """Does every form of the system vanish at a point of P^2(F_{p^2}),
     fld = F_p?  A common zero there is a singular point over the closure.
     Scanned while P^2(F_p) has no more points than the D + 1 evaluation
-    points of one chart resultant (D as in ``regularize``), on the log codes
-    of fq(p, 2): the points of P^2(F_p) first, then the rest, as [a:b:1],
-    [a:1:0] and [1:0:0]."""
+    points of one chart resultant (D as in ``_coded``), on the system's
+    coding, whose field E = F_{p^k} is then an extension on logs: E holds
+    F_{p^2} as 0 and the logs divisible by (p^k - 1)/(p^2 - 1) when k is
+    even, and for an odd k only P^2(F_p) is scanned, the elimination
+    deciding the rest.  The points of P^2(F_p) come first, each point as
+    [a:b:1], [a:1:0] or [1:0:0]."""
     p, top = fld.characteristic, sorted(g.degree for g in system)[-2:]
     if fld.degree != 1 or p * p + p + 1 > top[0] * top[-1] + 1:
         return False
-    A = fq(p, 2).log_arith
+    A, _, _, coded = _coded(tuple(system), fld)
     base = [A.from_int(c) for c in range(p)]
-    field = base + [x for x in range(A.zero, A.m) if x not in base]
-    powers = {x: [A.pow(x, e) for e in range(top[-1] + 1)] for x in field}
-    coded = [[(m, A.from_int(c)) for m, c in g.terms.items()] for g in system]
-    # on the line x2 = 0 only the monomials free of x2 count
-    line = [[(m, c) for m, c in t if m[2] == 0] for t in coded]
-    points = [(coded, a, b) for a in base for b in base] + [(line, a, A.one) for a in base]
-    points += [(line, A.one, A.zero)]
-    points += [(coded, a, b) for a in field for b in field if a not in base or b not in base]
-    points += [(line, a, A.one) for a in field[p:]]
+    field = base
+    if A.field.degree % 2 == 0:
+        field = base + [x for x in range(0, A.m, A.m // (p * p - 1)) if x not in base]
+    one, zero = A.one, A.zero
+    plane = lambda K: [(a, b, one) for a in K for b in K] + [(a, one, zero) for a in K] + [(one, zero, zero)]
+    rational = plane(base)
+    points = chain(rational, (x for x in plane(field) if x not in rational))
+    powers = {x: _powers(A, x, top[-1]) for x in field}
     return any(
-        all(_code_value(A, t, powers[a], powers[b]) == A.zero for t in forms)
-        for forms, a, b in points
+        all(_code_value(A, t, powers[a], powers[b], powers[c]) == zero for t in coded)
+        for a, b, c in points
     )
 
 
@@ -474,23 +494,13 @@ def _classify_point(f: TernaryForm, R, x) -> str:
     """node iff the integer form f and its gradient vanish mod p at the
     point x, coded in R, and the 2x2 Hessian of the local dehomogenization
     is nonsingular there."""
-    powers = [[R.one] for _ in x]
-    for row, c in zip(powers, x):
-        for _ in range(f.degree):
-            row.append(R.mul(row[-1], c))
-
-    def value(g: TernaryForm):
-        acc = R.zero
-        for (e0, e1, e2), c in g.terms.items():
-            mono = R.mul(powers[0][e0], R.mul(powers[1][e1], powers[2][e2]))
-            acc = R.add(acc, R.mul(R.from_int(c), mono))
-        return acc
-
-    if any(value(g) != R.zero for g in (f, f.partial(0), f.partial(1), f.partial(2))):
+    powers = [_powers(R, c, f.degree) for c in x]
+    at_x = lambda g: _code_value(R, [(m, R.from_int(c)) for m, c in g.terms.items()], *powers)
+    if any(at_x(g) != R.zero for g in (f, f.partial(0), f.partial(1), f.partial(2))):
         return "non-node"
     pivot = next(i for i, c in enumerate(x) if c != R.zero)
     i, j = (k for k in range(3) if k != pivot)
-    hii, hij, hjj = (value(f.partial(m).partial(n)) for m, n in ((i, i), (i, j), (j, j)))
+    hii, hij, hjj = (at_x(f.partial(m).partial(n)) for m, n in ((i, i), (i, j), (j, j)))
     return "node" if R.sub(R.mul(hii, hjj), R.mul(hij, hij)) != R.zero else "non-node"
 
 
@@ -568,32 +578,15 @@ def singular_points(f: TernaryForm, p: int, degree_bound: int = 6) -> SingularRe
     )
 
 
-@dataclass
-class BadPrimeAttestation:
-    bad_confirmed: list[int]
-    good_confirmed: list[int]
-    notes: list[str]
-
-
-def verify_bad_prime_list(f: TernaryForm, primes, good_spot_checks) -> BadPrimeAttestation:
+def verify_bad_prime_list(f: TernaryForm, primes, good_spot_checks) -> None:
     """Assert singularity for every listed odd bad prime and smoothness for
-    every spot check.  Completeness of the list rests on the supplied
-    discriminant fixture, which is recorded, not recomputed."""
-    bad_confirmed = []
-    notes = [
-        "completeness of the bad-prime list rests on the supplied discriminant "
-        "fixture; per-prime singularity is verified directly"
-    ]
+    every spot check, raising BadPrimeListMismatch at the first that fails.
+    p = 2 is skipped: it is always a checked place, never attested good.
+    Completeness of the list rests on the supplied discriminant fixture,
+    which the invariant profile records; it is not recomputed."""
     for p in primes:
-        if p == 2:
-            notes.append("p = 2 is always treated as a checked place, never attested good")
-            continue
-        if not is_bad_prime(f, p):
+        if p != 2 and not is_bad_prime(f, p):
             raise BadPrimeListMismatch(p, f"listed bad prime {p} has good reduction")
-        bad_confirmed.append(p)
-    good_confirmed = []
     for p in good_spot_checks:
         if is_bad_prime(f, p):
             raise BadPrimeListMismatch(p, f"good spot check {p} is actually a bad prime")
-        good_confirmed.append(p)
-    return BadPrimeAttestation(bad_confirmed, good_confirmed, notes)

@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .arith import probable_prime
+from .arith import exact_int, probable_prime
 from .localfield import INV_HALF, INV_ZERO, Invariant, Place, hilbert_symbol, invariant_sum, padic_square
 from .poly import TernaryForm
 from .surface import K3Surface, QuadricSextet, check_2adic_conditions, check_real_conditions
@@ -202,7 +202,7 @@ def certify_everywhere_local(X: K3Surface, bad_primes, box: int = 1) -> LocalPoi
     """Witness local points at R, every prime up to 19 and every listed bad
     prime; all remaining places are attested by smooth reduction plus the Weil
     bound (a smooth F_p-point exists for p > 22 and lifts by Hensel)."""
-    listed = sorted({int(p) for p in bad_primes})
+    listed = sorted({exact_int(p) for p in bad_primes})
     places = list(SMALL_PLACES) + [Place.finite(p) for p in listed if p > SMALL_PLACE_BOUND]
     witnesses = {}
     for place in places:
@@ -319,7 +319,7 @@ def build_invariant_profile(
     )
 
     reports = dict(singular_reports or {})
-    for p in sorted(int(x) for x in bad_primes):
+    for p in sorted(exact_int(x) for x in bad_primes):
         if p == 2:
             continue
         place = Place.finite(p)

@@ -349,9 +349,10 @@ def _monomial_order(degree: int) -> tuple[tuple[int, int, int], ...]:
 
 
 class TernaryForm:
-    """Homogeneous polynomial in x0, x1, x2 with exact coefficients."""
+    """Homogeneous polynomial in x0, x1, x2 with exact coefficients; not
+    mutated after ``__init__``, so its hash is kept in a slot."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_hash")
 
     def __init__(self, degree: int, terms: dict | None = None):
         self.degree = degree
@@ -388,7 +389,9 @@ class TernaryForm:
         )
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self.degree, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.terms:

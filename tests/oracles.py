@@ -1113,7 +1113,7 @@ def _as_elements(system: list[TernaryForm], fld):
 
 def unipoly_frame(system: list[TernaryForm], fld):
     """(field, a, b, transformed system) of the first frame x0 -> x0 + a x2,
-    x1 -> x1 + b x2 in the enumeration of ``badred.regularize``, on field
+    x1 -> x1 + b x2 in the enumeration of ``badred._frame_candidates``, on field
     elements: the pairs over fld, then, for a prime fld, the pairs of
     E = fq(p, k) with a code >= p, k the least with p^k > max(D, S) for the
     Bezout bound D and the degree sum S of the system.  An extension fld,

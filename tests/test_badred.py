@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from k3hasse import badred
+from k3hasse import badred, finitefield
 from k3hasse.badred import (
     BadPrimeListMismatch,
     DegenerateReduction,
@@ -15,11 +15,11 @@ from k3hasse.badred import (
     RegularizationError,
     is_bad_prime,
     jacobian_system,
-    regularize,
     singular_points,
     verify_bad_prime_list,
 )
 from k3hasse.finitefield import fq, irreducible_factors, prime_field
+from k3hasse.pipeline import SearchConfig, draw_sextet
 from k3hasse.poly import FormModP, ModP, TernaryForm, integer_chart_resultant, monomials_of_degree
 from k3hasse.surface import QuadricSextet, build_k3, reduce_mod
 
@@ -128,11 +128,12 @@ def test_regularize_extends_a_prime_field_through_fq():
     """x0^3 x2 - x0 x2^3 vanishes at every [a:b:1] over F_3, so the frame
     needs an extension: the evaluation field of D = 4 * 4, the canonical
     fq(3, 3) with modulus t^3 + 2t + 1, where the first frame is (t, 0).
-    The coded transformed form decodes to the substitution made on field
-    elements."""
+    The coded chart of the transformed form decodes to the substitution
+    made on field elements."""
     F3 = prime_field(3)
     g = reduce_mod(TernaryForm(4, {(3, 0, 1): 1, (1, 0, 3): -1}), F3)
-    fld, a, b, A, code, decode, (h,) = regularize([g], F3)
+    elim = badred._eliminate((g,), F3)
+    fld, a, b, A, decode, (h,) = elim.fld, elim.a, elim.b, elim.A, elim.decode, elim.charts
     assert fld is fq(3, 3) and A is fld.log_arith
     assert fld.modulus == (1, 2, 0, 1)
     assert (a, b) == (3, 0)
@@ -221,13 +222,13 @@ def test_a_rational_node_mod_3_is_decided_without_a_resultant(monkeypatch, fresh
     assert calls == []
 
 
-def _nodes_at_a_conjugate_pair(rng) -> TernaryForm:
+def _nodes_at_a_conjugate_pair(rng, degree: int = 6) -> TernaryForm:
     """a x2^2 + b x2 Q + c Q^2, Q = x0^2 + x1^2, for random a, b, c over Z:
-    a sextic singular at the two points [1 : +-i : 0] of P^2(F_9), which are
-    conjugate over F_3."""
+    a form of the given degree, a sextic by default, singular at the two
+    points [1 : +-i : 0] of P^2(F_9), which are conjugate over F_3."""
     x2 = TernaryForm(1, {(0, 0, 1): 1})
     Q = TernaryForm(2, {(2, 0, 0): 1, (0, 2, 0): 1})
-    a, b, c = (_random_form(rng, d, -1, 1) for d in (4, 3, 2))
+    a, b, c = (_random_form(rng, d, -1, 1) for d in (degree - 2, degree - 3, degree - 4))
     return a * x2 * x2 + b * x2 * Q + c * Q * Q
 
 
@@ -283,6 +284,75 @@ def test_the_point_scan_matches_the_exhaustive_search_over_f9():
         assert got == _exhaustive_singular_search(fp, 3, 2), f
         verdicts[got] += 1
     assert sum(verdicts.values()) >= 50 and verdicts[True] and verdicts[False]
+
+
+def _spy_on_the_coding(monkeypatch) -> tuple[list, list]:
+    """The (field, bound) of each ``evaluation_arith`` call of badred, and
+    the (p, n) of each field finitefield looks up with ``fq``."""
+    codings, fields = [], []
+    evaluation_arith, lookup = badred.evaluation_arith, finitefield.fq
+
+    def counted(fld, bound):
+        codings.append((fld, bound))
+        return evaluation_arith(fld, bound)
+
+    def spied(p, n):
+        fields.append((p, n))
+        return lookup(p, n)
+
+    monkeypatch.setattr(badred, "evaluation_arith", counted)
+    monkeypatch.setattr(finitefield, "fq", spied)
+    return codings, fields
+
+
+def _search_draw(seed: int, index: int) -> TernaryForm:
+    """The branch sextic of draw ``index`` of the search with this seed."""
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        sextet = draw_sextet(rng, SearchConfig().coefficient_bound)
+    return build_k3(sextet).branch_sextic
+
+
+@pytest.mark.parametrize("draw", [None, 97])
+def test_a_mod_3_decision_codes_its_system_once_in_f81(draw, example_sextic, monkeypatch, fresh_memos):
+    """The shipped sextic is smooth mod 3: the scan finds no witness and the
+    elimination decides.  Draw 97 of search seed 0 is singular mod 3, which
+    the scan finds.  Each decision codes the Jacobian system once, in the
+    arithmetic of F_81 (D = 5 * 6), which the scan and the elimination
+    share, and neither builds nor reads F_9."""
+    codings, fields = _spy_on_the_coding(monkeypatch)
+    calls = _count_resultants(monkeypatch)
+    F3 = prime_field(3)
+    f = example_sextic if draw is None else _search_draw(0, draw)
+    assert badred.singular_locus_nonempty(reduce_mod(f, F3)) is (draw is not None)
+    assert codings == [(F3, 30)] and fields == [(3, 4)]
+    assert not hasattr(badred, "fq")
+    assert bool(calls) is (draw is None)
+
+
+def test_a_quintic_mod_3_is_decided_without_f9(monkeypatch, fresh_memos):
+    """A quintic's system mod 3 has D = 4 * 4 and is coded in F_27, which
+    holds no F_9: the scan covers P^2(F_3) only, and the elimination decides
+    the conjugate pairs of nodes in P^2(F_9).  Every verdict is that of the
+    exhaustive search over F_3, F_9 and F_27."""
+    codings, fields = _spy_on_the_coding(monkeypatch)
+    F3 = prime_field(3)
+    rng = random.Random(43)
+    cases = [_random_form(rng, 5, -1, 1) for _ in range(10)]
+    cases += [_nodes_at_a_conjugate_pair(rng, 5) for _ in range(10)]
+    verdicts = Counter()
+    for f in cases:
+        fp = reduce_mod(f, F3)
+        if fp.is_zero():
+            continue
+        codings.clear()
+        got = badred.singular_locus_nonempty(fp)
+        assert got == _exhaustive_singular_search(fp, 3, 3), f
+        assert codings == [(F3, 16)]
+        witness = badred._point_witness(jacobian_system(fp), F3)
+        verdicts[got, witness] += 1
+    assert verdicts[True, False] and verdicts[False, False]
+    assert set(fields) == {(3, 3)}
 
 
 def test_is_bad_prime_agrees_with_exhaustive_search(example_sextic):
@@ -522,15 +592,25 @@ def test_frame_invariance_of_singular_sets(example_sextic):
             assert sorted((pt.residue_degree, pt.kind) for pt in rep.points) == base_sig
 
 
-def test_verify_bad_prime_list(example_sextic, fixtures):
-    att = verify_bad_prime_list(example_sextic, fixtures.bad_primes, (3, 11, 13))
-    assert len(att.bad_confirmed) == 9  # all odd listed primes
-    assert att.good_confirmed == [3, 11, 13]
-    # an incomplete list still verifies, with the fixture note recording the gap
-    short = [p for p in fixtures.bad_primes if p != 650779]
-    att2 = verify_bad_prime_list(example_sextic, short, ())
-    assert len(att2.bad_confirmed) == 8
-    assert any("fixture" in note for note in att2.notes)
+def test_verify_bad_prime_list(example_sextic, fixtures, monkeypatch):
+    """Every odd listed prime and every spot check is tested once by
+    is_bad_prime; a listed prime of good reduction or a bad spot check
+    raises BadPrimeListMismatch naming it."""
+    tested = []
+    is_bad = badred.is_bad_prime
+
+    def counted(f, p):
+        tested.append(p)
+        return is_bad(f, p)
+
+    monkeypatch.setattr(badred, "is_bad_prime", counted)
+    odd = [p for p in fixtures.bad_primes if p != 2]
+    assert verify_bad_prime_list(example_sextic, fixtures.bad_primes, (3, 11, 13)) is None
+    assert len(odd) == 9 and tested == odd + [3, 11, 13]
+    # an incomplete list still verifies: its completeness rests on the fixture
+    tested.clear()
+    verify_bad_prime_list(example_sextic, [p for p in fixtures.bad_primes if p != 650779], ())
+    assert tested == [p for p in odd if p != 650779]
     with pytest.raises(AssertionError) as exc:
         verify_bad_prime_list(example_sextic, fixtures.bad_primes, (5,))
     assert isinstance(exc.value, BadPrimeListMismatch) and exc.value.prime == 5

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from k3hasse import badred
 from k3hasse.badred import singular_points
 from k3hasse.brauer import build_invariant_profile
 from k3hasse.picard import count_series, enumerate_lines, tritangent_scan
@@ -100,6 +101,26 @@ def test_a_pass_evaluates_as_many_forms_after_a_memo_reset(monkeypatch):
         return evaluate(form, point)
 
     monkeypatch.setattr(TernaryForm, "evaluate", counted)
+    for _ in range(2):
+        _clear_memos()
+        calls.append(0)
+        verify_example(depth=6)
+    _clear_memos()
+    assert calls[0] == calls[1] > 0
+
+
+def test_a_pass_codes_as_many_systems_after_a_memo_reset(monkeypatch):
+    """Two verify-example passes, the memos emptied before each as the
+    benchmark empties them, code as many Jacobian systems: the coding the
+    point scan and the elimination share is a memo the reset empties, so
+    no pass reuses the coding of an earlier pass."""
+    calls, evaluation_arith = [], badred.evaluation_arith
+
+    def counted(fld, bound):
+        calls[-1] += 1
+        return evaluation_arith(fld, bound)
+
+    monkeypatch.setattr(badred, "evaluation_arith", counted)
     for _ in range(2):
         _clear_memos()
         calls.append(0)

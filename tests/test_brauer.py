@@ -130,6 +130,24 @@ def test_find_local_point_refuses_a_box_that_is_not_an_int(example_surface, fixt
         build_invariant_profile(example_surface, fixtures.bad_primes, witness_box=box)
 
 
+@pytest.mark.parametrize("prime", [89.5, 2.0, True])
+def test_a_bad_prime_that_is_not_an_int_is_refused(example_surface, prime):
+    """int() would read 89.5 as 89, attesting Q_89, and True as 1, which
+    is dropped unnoticed: both legs refuse such a prime by name."""
+    message = re.escape(f"{prime!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        certify_everywhere_local(example_surface, [prime])
+    with pytest.raises(ValueError, match=message):
+        build_invariant_profile(example_surface, [prime])
+
+
+def test_a_bad_prime_in_decimal_digits_is_read(example_surface):
+    """The decimal strings the fixture and the CLI carry are read as ints."""
+    q263 = Place.finite(263)
+    assert q263 in certify_everywhere_local(example_surface, ["263"]).witnesses
+    assert q263 in build_invariant_profile(example_surface, ["263"]).entries
+
+
 def test_find_local_point_not_found():
     # w^2 = -(x0^2+x1^2+x2^2)^3 has no real points
     s = TernaryForm(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})

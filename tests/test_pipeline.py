@@ -398,13 +398,13 @@ def test_verify_example_names_the_rejected_leg(fixtures, monkeypatch):
 def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
     """verify_example(depth=2) decides singularity once per distinct form
     (mod 3, 11, 13 and mod each of the nine odd bad primes), runs the
-    elimination (regularize) once per distinct Jacobian system, scans for
+    elimination (``_eliminate``) once per distinct Jacobian system, scans for
     tritangents once per prime (3 and 11) and computes the charpoly once.
     A decision enters ``_has_common_zero`` at depth 0; the shared-factor
     split re-enters it for its branches."""
     decisions, frames, scans, charpolys, depth = [], [], [], [], [0]
     has_common_zero = badred._has_common_zero
-    regularize = badred.regularize
+    eliminate = badred._eliminate.__wrapped__
 
     def counted_decision(elim):
         decisions.append(depth[0] == 0)
@@ -414,9 +414,9 @@ def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
         finally:
             depth[0] -= 1
 
-    def counted_regularize(system, fld):
-        frames.append((tuple(system), fld))
-        return regularize(system, fld)
+    def counted_eliminate(system, fld, lift=None):
+        frames.append((system, fld))
+        return eliminate(system, fld, lift)
 
     def counted_scan(f, p):
         scans.append(p)
@@ -431,7 +431,7 @@ def test_verify_example_decides_each_leg_once(monkeypatch, fresh_memos):
     monkeypatch.setattr(picard, "frobenius_charpoly", counted_charpoly)
     monkeypatch.setattr(pipeline, "frobenius_charpoly", counted_charpoly)
     monkeypatch.setattr(badred, "_has_common_zero", counted_decision)
-    monkeypatch.setattr(badred, "regularize", counted_regularize)
+    monkeypatch.setattr(badred, "_eliminate", functools.lru_cache(maxsize=64)(counted_eliminate))
     monkeypatch.setattr(picard, "tritangent_scan", functools.lru_cache(maxsize=64)(counted_scan))
     verify_example(depth=2)
     assert sum(decisions) == 12

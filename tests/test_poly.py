@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from k3hasse import poly
 from k3hasse.finitefield import fq
 from k3hasse.poly import (
     TernaryForm,
@@ -259,9 +260,10 @@ def test_ternary_serialization_order():
 def test_equal_forms_hash_equal_whatever_the_term_order():
     """Forms built from the same terms in different orders, over Z and over a
     finite field, are equal and hash equal; a different degree or coefficient
-    makes them unequal."""
+    makes them unequal, and so do reductions mod different primes with the
+    same reduced terms."""
     rng = random.Random(11)
-    F7 = fq(7, 1)
+    F5, F7 = fq(5, 1), fq(7, 1)
     for _ in range(20):
         items = [(m, rng.randrange(-9, 10)) for m in monomials_of_degree(6)]
         shuffled = list(items)
@@ -272,7 +274,26 @@ def test_equal_forms_hash_equal_whatever_the_term_order():
         fp, gp = reduce_mod(f, F7), reduce_mod(g, F7)
         assert fp == gp and hash(fp) == hash(gp)
         assert len({f, g, f + TernaryForm(6, {(6, 0, 0): 1})}) == 2
+        small = TernaryForm(6, {m: c % 5 for m, c in items})
+        assert reduce_mod(small, F5).terms == reduce_mod(small, F7).terms
+        assert reduce_mod(small, F5) != reduce_mod(small, F7)
     assert TernaryForm(2, {}) != TernaryForm(3, {})
+
+
+def test_a_form_builds_its_hash_once(monkeypatch):
+    """The frozenset of a form's terms is built on its first hash only; a
+    reduction hashes its field with that kept hash."""
+    built = []
+
+    def counted(items):
+        built.append(1)
+        return frozenset(items)
+
+    monkeypatch.setattr(poly, "frozenset", counted, raising=False)
+    f = TernaryForm(2, {(2, 0, 0): 3, (0, 1, 1): -1})
+    fp = reduce_mod(f, fq(7, 1))
+    assert len({hash(f) for _ in range(3)}) == 1 and len(built) == 1
+    assert len({hash(fp) for _ in range(3)}) == 1 and len(built) == 2
 
 
 def test_a_reduction_records_its_integer_form_outside_equality():
